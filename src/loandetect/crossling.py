@@ -9,6 +9,12 @@ with mean feature distance yields a divergence, whose per-concept min-max
 normalized average is the comparability score C. The composite score
 fuses C with the basic model's borrowing probability B, and a dynamic
 per-word threshold decides the label.
+
+Each unordered word pair of a concept is aligned twice: once for the
+context model and once for its divergence, which is symmetric and so
+computed once per pair. Alignments are not kept between the two stages.
+The aligner tables the column scores of a pair before its DP, from
+symbol distances memoised per inventory (``ipa.symbol_distance``).
 """
 
 from __future__ import annotations
@@ -75,28 +81,31 @@ def align(
     if not x or not y:
         raise ValueError("cannot align empty words")
     n, m = len(x), len(y)
+    # substitution score of every cell, one row per distinct symbol of x
+    rows: dict[str, list[float]] = {}
+    for a in x:
+        if a not in rows:
+            rows[a] = [1.0 - symbol_distance(a, b, inventory) for b in y]
+    sub = [rows[a] for a in x]
     score = [[0.0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         score[i][0] = -gap_penalty * i
     for j in range(1, m + 1):
         score[0][j] = -gap_penalty * j
     for i in range(1, n + 1):
+        prev, cur, sub_row = score[i - 1], score[i], sub[i - 1]
         for j in range(1, m + 1):
-            match = score[i - 1][j - 1] + (
-                1.0 - symbol_distance(x[i - 1], y[j - 1], inventory)
-            )
-            gap_a = score[i][j - 1] - gap_penalty  # consume y, gap on a-track
-            gap_b = score[i - 1][j] - gap_penalty  # consume x, gap on b-track
-            score[i][j] = max(match, gap_a, gap_b)
+            match = prev[j - 1] + sub_row[j - 1]
+            gap_a = cur[j - 1] - gap_penalty  # consume y, gap on a-track
+            gap_b = prev[j] - gap_penalty  # consume x, gap on b-track
+            cur[j] = max(match, gap_a, gap_b)
 
     columns: list[tuple[str, str]] = []
     i, j = n, m
     while i > 0 or j > 0:
         if i > 0 and j > 0:
             current = score[i][j]
-            match = score[i - 1][j - 1] + (
-                1.0 - symbol_distance(x[i - 1], y[j - 1], inventory)
-            )
+            match = score[i - 1][j - 1] + sub[i - 1][j - 1]
             if math.isclose(current, match, abs_tol=1e-12):
                 columns.append((x[i - 1], y[j - 1]))
                 i, j = i - 1, j - 1
@@ -242,19 +251,20 @@ def comparability(
     """Per-word comparability C: min-max normalized mean divergence.
 
     Requires at least two words. When every word has the same raw
-    divergence, all C values collapse to 0.
+    divergence, all C values collapse to 0. ``divergence`` is symmetric,
+    so each unordered pair is computed once.
     """
     if len(concept_words) < 2:
         raise ValueError("comparability needs at least two words in the concept")
     words = [tuple(w) for w in concept_words]
-    raws: list[float] = []
-    for i, x in enumerate(words):
-        others = [
-            divergence(x, y, model, lam, gap_penalty, inventory)
-            for j, y in enumerate(words)
-            if j != i
-        ]
-        raws.append(sum(others) / len(others))
+    k = len(words)
+    div = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            div[i][j] = div[j][i] = divergence(
+                words[i], words[j], model, lam, gap_penalty, inventory
+            )
+    raws = [sum(div[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)]
     lo, hi = min(raws), max(raws)
     if hi - lo == 0:
         return [0.0] * len(raws)
@@ -322,7 +332,9 @@ def detect_scaled(
     if missing:
         raise MissingConceptError(missing)
 
-    basic_probs, basic_labels, _ = detect_wordlist(multi, cfg, inventory=inventory)
+    # the per-language states (every pass's probabilities) are not kept
+    # through the alignment work below
+    basic_probs, basic_labels = detect_wordlist(multi, cfg, inventory=inventory)[:2]
 
     concept_indices: dict[str, list[int]] = {}
     for i, entry in enumerate(multi):

@@ -227,6 +227,8 @@ class SymbolInventory:
         }
         self._max_len = max(len(s) for s in self.features)
         self.unknown_seen: Counter[str] = Counter()
+        # symbol_distance results under this feature table, by symbol pair
+        self._distances: dict[tuple[str, str], float] = {}
 
     # -- lookups --
 
@@ -343,10 +345,18 @@ def symbol_distance(
 
     The gap symbol compares as different in every slot. Symbols outside
     the inventory get a synthetic all-identity vector so that identical
-    unknowns are distance 0 and anything else is distance 1.
+    unknowns are distance 0 and anything else is distance 1. Results are
+    memoised per inventory.
     """
     inv = inventory or _DEFAULT_INVENTORY
+    key = (a, b)
+    d = inv._distances.get(key)
+    if d is None:
+        d = inv._distances[key] = _slot_distance(a, b, inv)
+    return d
 
+
+def _slot_distance(a: str, b: str, inv: SymbolInventory) -> float:
     def vec(sym: str) -> tuple[str, ...]:
         if sym == GAP:
             return GAP_FEATURES

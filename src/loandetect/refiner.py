@@ -13,13 +13,14 @@ less than ``convergence_fraction`` of its previous size, and always within
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .config import RunConfig
-from .features import build_statistics, extract_all
+from .features import CompiledGroup, build_statistics, extract_all
 from .ipa import SymbolInventory
 from .scoring import ScoreResult, score_all
 from .wordlist import Wordlist, make_wordlist
@@ -76,8 +77,10 @@ def pattern_likeness(
 ) -> float:
     """Smoothed native-likeness of the word's patterns, in [0, 1].
 
-    Mean over the word's patterns p of N(p) / (N(p) + B(p) + epsilon).
-    Words too short to have any pattern are neutral (0.5).
+    Mean over the word's patterns p of N(p) / (N(p) + B(p) + epsilon),
+    summed exactly, so the result does not depend on the order in which
+    the pattern set iterates. Words too short to have any pattern are
+    neutral (0.5).
     """
     if epsilon <= 0:
         raise ValueError("smoothing epsilon must be positive")
@@ -85,12 +88,12 @@ def pattern_likeness(
     if not pats:
         log.debug("word %r has no patterns; neutral likeness", word)
         return 0.5
-    total = 0.0
+    terms = []
     for kind, pat in pats:
         n = native_db.lookup(kind, pat)
         b = loan_db.lookup(kind, pat)
-        total += n / (n + b + epsilon)
-    return total / len(pats)
+        terms.append(n / (n + b + epsilon))
+    return math.fsum(terms) / len(pats)
 
 
 def refine_probability(
@@ -168,15 +171,18 @@ def detect(
     scoring_cfg = cfg.scoring()
     all_indices = frozenset(range(len(words)))
     warnings: list[str] = []
+    # n-grams, transitions and CV patterns never change between passes;
+    # only the reference rows do
+    group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max, inventory)
 
-    def rescore(reference: Sequence[Word]) -> list[ScoreResult]:
+    def rescore(reference: CompiledGroup) -> list[ScoreResult]:
         stats = build_statistics(
             reference,
             ngram_min=cfg.ngram_min,
             ngram_max=cfg.ngram_max,
             inventory=inventory,
         )
-        vectors = extract_all(words, stats, cfg.mode, params, inventory)
+        vectors = extract_all(group, stats, cfg.mode, params, inventory)
         return score_all(vectors, pos_tags, scoring_cfg)
 
     def partition(averaged: Sequence[float]) -> tuple[set[int], set[int]]:
@@ -184,7 +190,7 @@ def detect(
         return loans, set(all_indices) - loans
 
     # pass 0: statistics from the full vocabulary
-    results = rescore(words)
+    results = rescore(group)
     history: list[list[float]] = [[r.boosted] for r in results]
     averaged = [h[0] for h in history]
     loans, natives = partition(averaged)
@@ -205,14 +211,14 @@ def detect(
             break
         iteration = t
         prev_loans, prev_natives = frozenset(loans), frozenset(natives)
-        reference = [words[i] for i in sorted(prev_natives)]
-        if not reference:
+        reference = group.subset(sorted(prev_natives))
+        if not reference.rows:
             warnings.append(
                 f"iteration {t}: all words classified as borrowed; "
                 "falling back to full-vocabulary statistics"
             )
             log.warning(warnings[-1])
-            reference = words
+            reference = group
         results = rescore(reference)
         probs = [r.boosted for r in results]
         if cfg.pattern_refinement and t >= cfg.pattern_from_iteration:

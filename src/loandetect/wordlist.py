@@ -1,8 +1,9 @@
 """Wordlist parsing, IPA normalization, and report emission.
 
 Input files are delimiter-separated text (TSV by default, CSV behind a
-flag) with a header row, UTF-8 encoded. Expected columns: ``orthography``,
-``ipa``, ``language``, ``pos``, plus optional ``label`` and ``concept``.
+flag) with a header row, UTF-8 encoded; a leading byte-order mark is
+skipped. Expected columns: ``orthography``, ``ipa``, ``language``,
+``pos``, plus optional ``label`` and ``concept``.
 Reports are TSV with a ``#``-prefixed header block echoing the resolved
 configuration of the run that produced them.
 """
@@ -136,15 +137,17 @@ def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
 def normalize_ipa(
     raw: str, inventory: SymbolInventory | None = None
 ) -> tuple[str, ...]:
-    """Strip length/stress markers and tokenize into IPA symbols.
+    """Strip length/stress markers and surrounding whitespace, then tokenize.
 
-    Raises ``EmptyTranscriptionError`` when nothing is left after
-    stripping. Idempotent: feeding the joined output back in returns the
-    same token sequence.
+    Whitespace is stripped after the markers are removed, so none that a
+    marker hid survives at either end. Raises ``EmptyTranscriptionError``
+    when nothing is left after stripping. Idempotent: feeding the joined
+    output back in returns the same token sequence.
     """
-    text = raw.strip()
+    text = raw
     for marker in _STRIP_MARKERS:
         text = text.replace(marker, "")
+    text = text.strip()
     if not text:
         raise EmptyTranscriptionError(raw)
     return tuple(tokenize(text, inventory))
@@ -189,7 +192,8 @@ def _parse_rows(
 ) -> Wordlist:
     entries: list[LexicalEntry] = []
     errors: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a byte-order mark would otherwise glue onto the first column name
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
@@ -340,7 +344,7 @@ def read_report(path: str | Path) -> list[ReportRow]:
         raise FileNotFoundError(path)
     rows: list[ReportRow] = []
     header: list[str] | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

@@ -5,12 +5,16 @@ import random
 import pytest
 
 from loandetect.features import (
+    CompiledGroup,
     EmptyReferenceError,
     FeatureParams,
     avg_transition_prob,
     build_statistics,
+    char_dist_anomaly,
     cluster_score,
+    cv_anomaly,
     extract,
+    extract_all,
     feature_names,
     length_z,
     ngram_entropy,
@@ -275,3 +279,77 @@ def test_word_ngrams_range():
     grams = word_ngrams(("a", "b", "c"))
     assert grams == [("a", "b"), ("b", "c"), ("a", "b", "c")]
     assert word_ngrams(("a",)) == []
+
+
+def test_compiled_subset_statistics_equal_bruteforce_exactly():
+    rng = random.Random(2024)
+    for _ in range(60):
+        vocab = list(dict.fromkeys(random_vocab(rng, max_words=25, max_len=9)))
+        group = CompiledGroup(vocab)
+        rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
+        reference = [vocab[i] for i in rows]
+        stats = build_statistics(group.subset(rows))
+        assert stats.word_count == len(rows)
+        assert dict(stats.ngram_count) == oracles.bf_ngram_counts(reference)
+        assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference)
+        assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
+        assert (stats.length_mean, stats.length_std) == oracles.bf_length_stats(reference)
+        # every id outside the reference reads probability 0
+        grams = group.gram_tuples()
+        for g, p in enumerate(stats.ngram_probs):
+            assert p == stats.ngram_prob.get(grams[g], 0.0)
+        for t, p in enumerate(stats.trans_probs):
+            assert p == stats.trans_prob.get(group.transitions[t], 0.0)
+
+
+def test_compiled_extract_all_matches_bruteforce_features():
+    rng = random.Random(77)
+    params = FeatureParams()
+    for _ in range(40):
+        vocab = list(dict.fromkeys(random_vocab(rng, max_words=25, max_len=9)))
+        group = CompiledGroup(vocab)
+        rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
+        reference = [vocab[i] for i in rows]
+        stats = build_statistics(group.subset(rows))
+        probs = oracles.bf_ngram_probs(reference)
+        trans = oracles.bf_transition_probs(reference)
+        mean, std = oracles.bf_length_stats(reference)
+        vectors = extract_all(group, stats, "aug", params)
+        assert vectors == extract_all(vocab, stats, "aug", params)
+        for w, vec in zip(vocab, vectors):
+            assert list(vec) == list(feature_names("aug"))
+            assert vec["rare_ngram_score"] == pytest.approx(
+                oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0), abs=1e-12
+            )
+            assert vec["ngram_entropy"] == pytest.approx(
+                oracles.bf_ngram_entropy(w, probs), abs=1e-9
+            )
+            assert vec["rare_transition_score"] == pytest.approx(
+                oracles.bf_rare_transition_score(w, trans), abs=1e-12
+            )
+            assert vec["trans_entropy"] == pytest.approx(
+                oracles.bf_transition_entropy(w, trans), abs=1e-9
+            )
+            assert vec["avg_trans_prob"] == pytest.approx(
+                oracles.bf_avg_transition_prob(w, trans), abs=1e-12
+            )
+            assert vec["len_z"] == pytest.approx((len(w) - mean) / std, abs=1e-12)
+            # the per-word functions share the kernels with extract_all
+            assert vec["rare_ngram_score"] == rare_ngram_score(w, stats)
+            assert vec["ngram_entropy"] == ngram_entropy(w, stats)
+            assert vec["rare_transition_score"] == rare_transition_score(w, stats)
+            assert vec["trans_entropy"] == transition_entropy(w, stats)
+            assert vec["avg_trans_prob"] == avg_transition_prob(w, stats)
+            assert vec["cv_anomaly"] == cv_anomaly(w, stats)
+            assert vec["char_dist_anomaly"] == char_dist_anomaly(w, stats)
+            assert vec["cluster_score"] == cluster_score(w)
+            assert vec["vowel_ratio"] == vowel_ratio(w)
+
+
+def test_compiled_group_rejects_other_ngram_range():
+    group = CompiledGroup([("a", "b", "c")])
+    with pytest.raises(ValueError):
+        build_statistics(group, ngram_max=3)
+    stats = build_statistics(group)
+    with pytest.raises(ValueError):
+        extract_all(group, stats, params=FeatureParams(ngram_max=3))

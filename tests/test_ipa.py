@@ -83,6 +83,40 @@ def test_symbol_distance_unknown_symbols():
     assert symbol_distance("☃", "a") == 1.0
 
 
+def _plain_distance(fa, fb):
+    # the share of the 8 slots on which two feature vectors differ
+    return sum(1 for i in range(FEATURE_DIM) if fa[i] != fb[i]) / FEATURE_DIM
+
+
+def test_memoised_symbol_distance_matches_plain_count():
+    inv = SymbolInventory(dict(INV.features))
+    vectors = dict(inv.features)
+    vectors[GAP] = ("gap",) * FEATURE_DIM
+    vectors["☃"] = tuple(f"?☃{i}" for i in range(FEATURE_DIM))
+    symbols = sorted(vectors)
+    for _ in range(2):  # the second sweep reads the memo
+        for a in symbols:
+            for b in symbols:
+                want = 0.0 if a == b else _plain_distance(vectors[a], vectors[b])
+                assert symbol_distance(a, b, inv) == want, (a, b)
+    # the module-level default inventory gives the same answers
+    for a in ("p", "ã", GAP, "☃"):
+        for b in ("b", "ɔ̃", GAP, "☃"):
+            assert symbol_distance(a, b) == symbol_distance(a, b, inv)
+
+
+def test_symbol_distance_memo_is_per_inventory():
+    base = dict(INV.features)
+    other = dict(base)
+    other["p"] = ("x",) * FEATURE_DIM
+    inv_a, inv_b = SymbolInventory(base), SymbolInventory(other)
+    for _ in range(2):
+        assert symbol_distance("p", "b", inv_a) == pytest.approx(1 / 8)
+        assert symbol_distance("p", "b", inv_b) == 1.0
+        assert symbol_distance("p", "p", inv_b) == 0.0
+    assert symbol_distance("p", "b") == pytest.approx(1 / 8)
+
+
 def test_syllabify_alternating_cv():
     assert syllabify(["b", "a", "n", "a", "n", "a"]) == [
         ("b", "a"),

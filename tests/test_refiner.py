@@ -259,3 +259,76 @@ def test_detect_empty_wordlist_rejected():
 
     with pytest.raises(ValueError):
         detect(Wordlist(entries=(), language="empty"), RunConfig())
+
+
+@pytest.mark.parametrize("mode", ["full", "no_ngram", "no_transition", "aug"])
+def test_detect_compiles_each_word_once(monkeypatch, mode):
+    from loandetect import features
+
+    calls = []
+    real = features.word_ngrams
+    monkeypatch.setattr(
+        features, "word_ngrams", lambda w, *a: calls.append(w) or real(w, *a)
+    )
+
+    def no_tuple_views(self):
+        raise AssertionError("detect read the tuple-keyed statistics")
+
+    monkeypatch.setattr(features.CompiledGroup, "gram_tuples", no_tuple_views)
+    vocab = entries_from(TOY_NATIVES + TOY_LOANS)
+    state = detect(vocab, RunConfig(mode=mode, convergence_fraction=0.0))
+    assert len(state.snapshots) == RunConfig().max_iterations
+    assert sorted(calls) == sorted(e.ipa for e in vocab)
+
+
+# Detection of a three-language corpus with 15% cross-language words. Besides
+# the report, it prints every word's pattern likeness against the final
+# native/loan split: on a corpus this small no likeness sits close enough to a
+# 0.3/0.7 cut for a last-bit difference to change the report itself.
+_HASH_SEED_RUN = r"""
+import random, sys
+from loandetect.config import RunConfig
+from loandetect.refiner import build_pattern_db, detect_wordlist, pattern_likeness
+from loandetect.wordlist import LexicalEntry, make_wordlist, write_report
+
+rng = random.Random(1)
+languages = {"aa": ("ptkmnsl", "aiu"), "bb": ("bdgzvʃ", "eoøy"), "cc": ("ptkbdfs", "aeiou")}
+entries = []
+for lang, shape in languages.items():
+    seen = set()
+    while len(seen) < 120:
+        cons, vowels = languages[rng.choice("abc") * 2] if rng.random() < 0.15 else shape
+        w = tuple(rng.choice((cons, vowels)[k % 2]) for k in range(rng.randint(3, 7)))
+        if w not in seen:
+            seen.add(w)
+            entries.append(LexicalEntry("".join(w), w, lang, "noun", None, f"c{len(seen)}"))
+vocab = make_wordlist(entries)
+probs, labels, _ = detect_wordlist(vocab, RunConfig(convergence_fraction=0.0))
+write_report(vocab, probs, labels, sys.argv[1])
+words = [e.ipa for e in entries]
+native = build_pattern_db([w for w, y in zip(words, labels) if not y])
+loan = build_pattern_db([w for w, y in zip(words, labels) if y])
+print([pattern_likeness(w, native, loan) for w in words])
+"""
+
+
+def test_detect_wordlist_independent_of_string_hashing(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import loandetect
+
+    src = str(Path(loandetect.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        report = tmp_path / f"report-{hash_seed}.tsv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_RUN, str(report)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append((report.read_bytes(), proc.stdout))
+    assert len(outputs[0][0].splitlines()) == 1 + 360
+    assert outputs[0] == outputs[1] == outputs[2]
