@@ -108,11 +108,14 @@ def _report_meta(cfg: RunConfig) -> dict[str, object]:
 def _load_input(args: argparse.Namespace) -> Wordlist:
     if not args.input:
         raise WordlistError("--input is required")
-    return load_wordlist(
+    vocab = load_wordlist(
         args.input,
         delimiter="," if args.csv else "\t",
         lenient_pos=args.lenient_pos,
     )
+    if len(vocab) == 0:
+        raise WordlistError(f"{args.input} has no entries")
+    return vocab
 
 
 def _require_output(args: argparse.Namespace) -> Path:
@@ -228,7 +231,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return EXIT_OK
     vocab = _load_input(args)
     output = _require_output(args)
-    proportions = [float(p) for p in args.proportions.split(",")]
+    try:
+        proportions = [float(p) for p in args.proportions.split(",")]
+    except ValueError:
+        raise ConfigError(f"--proportions expects numbers, got {args.proportions!r}") from None
     rows = run_proportion_experiment(vocab, cfg, proportions, seed=cfg.seed)
     evaluation.write_proportion_table(rows, output)
     for proportion, report in rows:
@@ -332,11 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         crossling.MissingConceptError,
         crossling.EmptyDatasetError,
         FileNotFoundError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         log.exception("internal error")
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .features import FeatureParams, MODES
+from .features import FeatureParams, MODES, feature_names
 from .scoring import (
     ALL_FEATURES,
     DEFAULT_POLARITY,
@@ -124,6 +124,10 @@ class RunConfig:
             raise ConfigError("tau must be in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if not 1 <= self.ngram_min <= self.ngram_max:
+            raise ConfigError("n-gram range must satisfy 1 <= ngram_min <= ngram_max")
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
         for name in ("rare_ngram_c1", "rare_ngram_c2", "rare_trans_c1", "rare_trans_c2"):
@@ -157,6 +161,11 @@ class RunConfig:
         for pos in POS_CATEGORIES:
             if pos not in self.pos_weights:
                 raise ConfigError(f"missing pos weight for {pos}")
+        for pos, beta in self.pos_weights.items():
+            if not 0 < beta <= 1:
+                raise ConfigError(f"pos weight for {pos} must be in (0, 1]")
+        if sum(self.weights.get(n, 0.0) for n in feature_names(self.mode)) <= 0:
+            raise ConfigError(f"the weights of the {self.mode} mode features must sum above 0")
         if self.mode == "full":
             order = [self.weights.get(n, 0.0) for n in _WEIGHT_ORDER]
             if order[-1] <= 0 or any(a < b for a, b in zip(order, order[1:])):
@@ -299,7 +308,11 @@ def load_config(
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(p)
-        file_values = parse_config_text(p.read_text(encoding="utf-8"))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
+        file_values = parse_config_text(text)
         log.info("config file %s supplies %d keys", p, len(file_values))
         cfg = cfg.with_overrides(file_values)
     if overrides:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import SymbolInventory, default_inventory, symbol_distance
 from .refiner import detect_wordlist
@@ -151,7 +151,7 @@ def stratified_sample(
 ) -> Wordlist:
     """Subsample preserving per-(language, label) proportions."""
     if not 0 < proportion <= 1:
-        raise ValueError("proportion must be in (0, 1]")
+        raise ConfigError("proportion must be in (0, 1]")
     if proportion == 1.0:
         return vocab
     groups: dict[tuple[str, int | None], list[int]] = {}
@@ -225,7 +225,12 @@ class Grammar:
 
 
 def load_grammar(path: str | Path) -> Grammar:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise InvalidGrammarError(f"grammar file {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidGrammarError(f"grammar file {path} must hold a JSON object")
     try:
         return Grammar(
             language=data["language"],
@@ -245,6 +250,8 @@ def load_grammar(path: str | Path) -> Grammar:
         )
     except KeyError as exc:
         raise InvalidGrammarError(f"grammar file missing key {exc}") from None
+    except ValueError as exc:
+        raise InvalidGrammarError(f"grammar file {path}: {exc}") from None
 
 
 def _sample_word(grammar: Grammar, rng: random.Random) -> tuple[str, ...]:

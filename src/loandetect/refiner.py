@@ -8,92 +8,91 @@ refinement pass on), and re-partitions on the running average of all
 probabilities so far. The loop stops early once the loan set changes by
 less than ``convergence_fraction`` of its previous size, and always within
 ``max_iterations`` total passes.
+
+What never changes between passes is computed once per language group:
+the n-gram and transition ids (``features.CompiledGroup``) and every
+word's surface patterns (``PatternIndex``: 2-symbol prefix, 2-symbol
+suffix and trigrams, interned to ids of their own, with their counts over
+the whole group). A pass counts the pattern ids of the native rows only;
+the loans are the rest of the group, so a pattern's loan count is its
+full count minus its native count and is never built. Pattern likeness
+comes back as one column per pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .config import RunConfig
-from .features import CompiledGroup, build_statistics, extract_all
+from .features import CompiledGroup, _count_ids, build_statistics, extract_all
 from .ipa import SymbolInventory
 from .scoring import ScoreResult, score_all
-from .wordlist import Wordlist, make_wordlist
+from .wordlist import Wordlist, WordlistError, make_wordlist
 
 log = logging.getLogger(__name__)
 
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PatternDatabase:
-    """Frequency index of 2-symbol prefixes/suffixes and internal trigrams."""
+class PatternIndex:
+    """The typed surface patterns of a language group's words, interned once.
 
-    prefix_freq: Mapping[Word, int]
-    suffix_freq: Mapping[Word, int]
-    trigram_freq: Mapping[Word, int]
+    A word of two or more symbols has a 2-symbol prefix, a 2-symbol suffix
+    and its trigrams (3-symbol segments); shorter words have none. Every
+    distinct (kind, pattern) gets an integer id in an id space of its own,
+    so the index does not depend on the n-gram range of the features.
+    ``patterns[i]`` holds word ``i``'s ids, prefix, suffix, then its
+    trigrams in order, as a multiset (a repeated trigram repeats);
+    ``distinct[i]`` holds each of them once; ``full_counts`` counts every
+    id over the whole group.
+    """
 
-    def lookup(self, kind: str, pattern: Word) -> int:
-        table = getattr(self, f"{kind}_freq")
-        return table.get(pattern, 0)
-
-
-def build_pattern_db(words: Sequence[Word]) -> PatternDatabase:
-    """Count every word's 2-symbol prefix, 2-symbol suffix, and 3-symbol segments."""
-    prefixes: Counter[Word] = Counter()
-    suffixes: Counter[Word] = Counter()
-    trigrams: Counter[Word] = Counter()
-    for w in words:
-        if len(w) < 2:
-            continue
-        prefixes[tuple(w[:2])] += 1
-        suffixes[tuple(w[-2:])] += 1
-        for i in range(len(w) - 2):
-            trigrams[tuple(w[i : i + 3])] += 1
-    return PatternDatabase(dict(prefixes), dict(suffixes), dict(trigrams))
+    def __init__(self, words: Iterable[Word]):
+        ids: dict[tuple[str, Word], int] = {}
+        self.patterns = [
+            array("i", [ids.setdefault(p, len(ids)) for p in _typed_patterns(tuple(w))])
+            for w in words
+        ]
+        self.distinct = [array("i", dict.fromkeys(p)) for p in self.patterns]
+        self.full_counts = _count_ids(self.patterns, range(len(self.patterns)), len(ids))
 
 
-def word_patterns(word: Word) -> set[tuple[str, Word]]:
-    """The word's typed pattern set: prefix, suffix, and internal trigrams."""
-    pats: set[tuple[str, Word]] = set()
-    if len(word) >= 2:
-        pats.add(("prefix", tuple(word[:2])))
-        pats.add(("suffix", tuple(word[-2:])))
-        for i in range(len(word) - 2):
-            pats.add(("trigram", tuple(word[i : i + 3])))
-    return pats
+def _typed_patterns(word: Word) -> list[tuple[str, Word]]:
+    if len(word) < 2:
+        return []
+    trigrams = [("trigram", word[i : i + 3]) for i in range(len(word) - 2)]
+    return [("prefix", word[:2]), ("suffix", word[-2:])] + trigrams
+
+
+def build_pattern_db(index: PatternIndex, rows: Iterable[int]) -> list[int]:
+    """Count the prefixes, suffixes and trigrams of the words ``rows``, by pattern id."""
+    return _count_ids(index.patterns, rows, len(index.full_counts))
 
 
 def pattern_likeness(
-    word: Word,
-    native_db: PatternDatabase,
-    loan_db: PatternDatabase,
-    epsilon: float = 1.0,
-) -> float:
-    """Smoothed native-likeness of the word's patterns, in [0, 1].
+    index: PatternIndex, native_counts: Sequence[int], epsilon: float = 1.0
+) -> list[float]:
+    """Smoothed native-likeness of every word's patterns, in [0, 1], in word order.
 
-    Mean over the word's patterns p of N(p) / (N(p) + B(p) + epsilon),
-    summed exactly, so the result does not depend on the order in which
-    the pattern set iterates. Words too short to have any pattern are
-    neutral (0.5).
+    Mean over the word's distinct patterns p of N(p) / (N(p) + B(p) + epsilon),
+    where N counts p over the native rows (``native_counts``) and B over
+    the loans. Natives and loans partition the group, so the int sum
+    N(p) + B(p) is p's count over the whole group. The mean is summed
+    exactly, so it does not depend on the order of the patterns. Words too
+    short to have any pattern are neutral (0.5).
     """
     if epsilon <= 0:
         raise ValueError("smoothing epsilon must be positive")
-    pats = word_patterns(word)
-    if not pats:
-        log.debug("word %r has no patterns; neutral likeness", word)
-        return 0.5
-    terms = []
-    for kind, pat in pats:
-        n = native_db.lookup(kind, pat)
-        b = loan_db.lookup(kind, pat)
-        terms.append(n / (n + b + epsilon))
-    return math.fsum(terms) / len(pats)
+    share = [n / (full + epsilon) for n, full in zip(native_counts, index.full_counts)]
+    return [
+        math.fsum(map(share.__getitem__, ids)) / len(ids) if ids else 0.5
+        for ids in index.distinct
+    ]
 
 
 def refine_probability(
@@ -137,7 +136,6 @@ class IterationSnapshot:
     probabilities: tuple[float, ...]
     averaged: tuple[float, ...]
     loans: frozenset[int]
-    anomalies: tuple[frozenset[str], ...]
 
 
 @dataclass
@@ -145,7 +143,6 @@ class DetectionState:
     """Final state of the refinement loop, indexed by entry position."""
 
     iteration: int
-    prob_history: list[list[float]]
     averaged: list[float]
     loans: set[int]
     natives: set[int]
@@ -164,7 +161,7 @@ def detect(
     """Run the full unsupervised detection loop on one vocabulary."""
     cfg = cfg or RunConfig()
     if len(vocab) == 0:
-        raise ValueError("cannot detect on an empty wordlist")
+        raise WordlistError("cannot detect on an empty wordlist")
     words = [e.ipa for e in vocab]
     pos_tags = [e.pos for e in vocab]
     params = cfg.feature_params()
@@ -174,6 +171,7 @@ def detect(
     # n-grams, transitions and CV patterns never change between passes;
     # only the reference rows do
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max, inventory)
+    patterns = PatternIndex(words) if cfg.pattern_refinement else None
 
     def rescore(reference: CompiledGroup) -> list[ScoreResult]:
         stats = build_statistics(
@@ -191,16 +189,16 @@ def detect(
 
     # pass 0: statistics from the full vocabulary
     results = rescore(group)
-    history: list[list[float]] = [[r.boosted] for r in results]
+    probs = [r.boosted for r in results]
+    history = [[p] for p in probs]
     averaged = [h[0] for h in history]
     loans, natives = partition(averaged)
     snapshots = [
         IterationSnapshot(
             iteration=0,
-            probabilities=tuple(r.boosted for r in results),
+            probabilities=tuple(probs),
             averaged=tuple(averaged),
             loans=frozenset(loans),
-            anomalies=tuple(r.anomalies for r in results),
         )
     ]
     converged = False
@@ -210,8 +208,9 @@ def detect(
         if converged:
             break
         iteration = t
-        prev_loans, prev_natives = frozenset(loans), frozenset(natives)
-        reference = group.subset(sorted(prev_natives))
+        prev_loans = frozenset(loans)
+        native_rows = sorted(natives)
+        reference = group.subset(native_rows)
         if not reference.rows:
             warnings.append(
                 f"iteration {t}: all words classified as borrowed; "
@@ -221,19 +220,13 @@ def detect(
             reference = group
         results = rescore(reference)
         probs = [r.boosted for r in results]
-        if cfg.pattern_refinement and t >= cfg.pattern_from_iteration:
-            native_db = build_pattern_db([words[i] for i in sorted(prev_natives)])
-            loan_db = build_pattern_db([words[i] for i in sorted(prev_loans)])
+        if patterns is not None and t >= cfg.pattern_from_iteration:
+            # the loans are the rest of the group: their counts are never built
+            native_counts = build_pattern_db(patterns, native_rows)
+            likeness = pattern_likeness(patterns, native_counts, cfg.pattern_smoothing)
             probs = [
-                refine_probability(
-                    p,
-                    pattern_likeness(
-                        tuple(words[i]), native_db, loan_db, cfg.pattern_smoothing
-                    ),
-                    bool(results[i].anomalies),
-                    cfg,
-                )
-                for i, p in enumerate(probs)
+                refine_probability(p, like, bool(r.anomalies), cfg)
+                for p, like, r in zip(probs, likeness, results)
             ]
         for i, p in enumerate(probs):
             history[i].append(p)
@@ -247,13 +240,11 @@ def detect(
                 probabilities=tuple(probs),
                 averaged=tuple(averaged),
                 loans=frozenset(loans),
-                anomalies=tuple(r.anomalies for r in results),
             )
         )
 
     state = DetectionState(
         iteration=iteration,
-        prob_history=history,
         averaged=averaged,
         loans=loans,
         natives=natives,

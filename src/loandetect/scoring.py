@@ -11,6 +11,17 @@ The pipeline per word is:
 Feature polarity: ``avg_trans_prob`` enters inverted (low average
 transition probability is loan-like); every other feature enters as-is.
 The polarity map is configurable per feature.
+
+``score_all`` works on columns, one per feature in the order of the
+first vector's keys. Each column is read once, normalized with one min
+and one max, and flipped where its polarity is negative (its *signal*).
+The weight of each feature times the mode's rescale factor is folded into
+one coefficient per feature, once per call (``_coefficients``, the only
+place the rescaling rule lives). A word's raw score is ``sum()`` of its
+``coefficient * signal`` terms in feature order; the anomaly boosts are
+multiplied per column in the same order, and the features that fired are
+kept as a per-word bitmask until the results are built.
+``composite_score`` and ``boost`` score one word by the same rules.
 """
 
 from __future__ import annotations
@@ -48,6 +59,8 @@ DEFAULT_POLARITY: dict[str, int] = {name: 1 for name in DEFAULT_WEIGHTS}
 DEFAULT_POLARITY["avg_trans_prob"] = -1
 
 ALL_FEATURES = CORE_FEATURES + SEGMENTAL_FEATURES
+
+_NO_ANOMALIES: frozenset[str] = frozenset()
 
 
 class MissingWeightError(KeyError):
@@ -96,6 +109,15 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _normalize(values: Sequence[float]) -> list[float]:
+    """Min-max normalization of one feature column; a constant column maps to 0.5."""
+    lo, hi = min(values), max(values)
+    span = hi - lo
+    if span == 0:
+        return [0.5] * len(values)
+    return [(v - lo) / span for v in values]
+
+
 def normalize_features(
     vectors: Sequence[Mapping[str, float]],
 ) -> list[dict[str, float]]:
@@ -107,41 +129,43 @@ def normalize_features(
     if not vectors:
         raise ValueError("no feature vectors to normalize")
     names = list(vectors[0])
-    lo = {n: min(v[n] for v in vectors) for n in names}
-    hi = {n: max(v[n] for v in vectors) for n in names}
-    out: list[dict[str, float]] = []
-    for v in vectors:
-        normed: dict[str, float] = {}
-        for n in names:
-            span = hi[n] - lo[n]
-            normed[n] = 0.5 if span == 0 else (v[n] - lo[n]) / span
-        out.append(normed)
-    return out
+    columns = [_normalize([v[n] for v in vectors]) for n in names]
+    return [{n: col[i] for n, col in zip(names, columns)} for i in range(len(vectors))]
 
 
-def _signal(name: str, value: float, polarity: Mapping[str, int]) -> float:
-    return value if polarity.get(name, 1) >= 0 else 1.0 - value
+def _signals(
+    columns: Mapping[str, list[float]], polarity: Mapping[str, int]
+) -> list[list[float]]:
+    """Normalized feature columns as loan signals: flipped where polarity is negative."""
+    return [
+        col if polarity.get(n, 1) >= 0 else [1.0 - x for x in col]
+        for n, col in columns.items()
+    ]
 
 
-def composite_score(normed: Mapping[str, float], cfg: ScoringConfig) -> float:
-    """Weighted sum of the present features, with mode-rescaled weights.
+def _coefficients(names: Sequence[str], cfg: ScoringConfig) -> list[float]:
+    """Weight times rescale factor of each of the present features ``names``.
 
     The weights of the present features are rescaled so their sum equals
     the full core-feature weight mass, preserving total weight across
     ablation/augmentation modes while keeping relative importance.
     """
-    missing = [n for n in normed if n not in cfg.weights]
+    missing = [n for n in names if n not in cfg.weights]
     if missing:
         raise MissingWeightError(missing[0])
     base_total = sum(cfg.weights[n] for n in CORE_FEATURES if n in cfg.weights)
-    present_total = sum(cfg.weights[n] for n in normed)
+    present_total = sum(cfg.weights[n] for n in names)
     if present_total <= 0:
         raise ValueError("present-feature weights sum to zero")
     factor = base_total / present_total
-    return sum(
-        cfg.weights[n] * factor * _signal(n, x, cfg.polarity)
-        for n, x in normed.items()
-    )
+    return [cfg.weights[n] * factor for n in names]
+
+
+def composite_score(normed: Mapping[str, float], cfg: ScoringConfig) -> float:
+    """Weighted sum of the present features, with mode-rescaled weights."""
+    coefficients = _coefficients(list(normed), cfg)
+    signals = _signals({n: [x] for n, x in normed.items()}, cfg.polarity)
+    return sum(c * s for c, (s,) in zip(coefficients, signals))
 
 
 def length_modifier(len_z: float) -> float:
@@ -165,6 +189,35 @@ def to_probability(adjusted: float, cfg: ScoringConfig) -> float:
     return _logistic(cfg.gamma * (adjusted - cfg.center))
 
 
+def _anomaly_factors(
+    names: Sequence[str], signals: Sequence[Sequence[float]], size: int, cfg: ScoringConfig
+) -> tuple[list[float], list[int]]:
+    """Each word's boost factor and the bitmask of its anomalous features.
+
+    A feature is anomalous for a word when its signal exceeds the
+    feature's threshold; the factor multiplies (1 + eta_f * excess) over
+    those features in column order, and bit k of the mask is ``names[k]``.
+    """
+    factors = [1.0] * size
+    masks = [0] * size
+    for bit, (name, column) in enumerate(zip(names, signals)):
+        threshold = cfg.anomaly_thresholds.get(name)
+        if threshold is None:
+            continue
+        eta = cfg.anomaly_boosts.get(name, 0.0)
+        flag = 1 << bit
+        for i in [i for i, s in enumerate(column) if s > threshold]:
+            factors[i] *= 1.0 + eta * (column[i] - threshold)
+            masks[i] |= flag
+    return factors, masks
+
+
+def _anomaly_names(names: Sequence[str], mask: int) -> frozenset[str]:
+    if not mask:
+        return _NO_ANOMALIES
+    return frozenset(n for bit, n in enumerate(names) if mask >> bit & 1)
+
+
 def boost(
     prob: float, normed: Mapping[str, float], cfg: ScoringConfig
 ) -> tuple[float, frozenset[str]]:
@@ -174,17 +227,10 @@ def boost(
     an anomaly always means "strongly loan-indicating". Returns the
     boosted probability (clamped to 1) and the set of triggered features.
     """
-    anomalies: set[str] = set()
-    factor = 1.0
-    for name, value in normed.items():
-        threshold = cfg.anomaly_thresholds.get(name)
-        if threshold is None:
-            continue
-        signal = _signal(name, value, cfg.polarity)
-        if signal > threshold:
-            anomalies.add(name)
-            factor *= 1.0 + cfg.anomaly_boosts.get(name, 0.0) * (signal - threshold)
-    return min(prob * factor, 1.0), frozenset(anomalies)
+    names = list(normed)
+    signals = _signals({n: [x] for n, x in normed.items()}, cfg.polarity)
+    (factor,), (mask,) = _anomaly_factors(names, signals, 1, cfg)
+    return min(prob * factor, 1.0), _anomaly_names(names, mask)
 
 
 def score_all(
@@ -192,23 +238,29 @@ def score_all(
     pos_tags: Sequence[str],
     cfg: ScoringConfig,
 ) -> list[ScoreResult]:
-    """Run the full scoring pipeline over a vocabulary, input order preserved."""
+    """Run the full scoring pipeline over a vocabulary, input order preserved.
+
+    Equal, bit for bit, to ``composite_score``, the modifiers,
+    ``to_probability`` and ``boost`` applied word by word to
+    ``normalize_features(vectors)``.
+    """
     if len(vectors) != len(pos_tags):
         raise ValueError("need one POS tag per feature vector")
-    normed = normalize_features(vectors)
-    results: list[ScoreResult] = []
-    for vec, nvec, pos in zip(vectors, normed, pos_tags):
-        s = composite_score(nvec, cfg)
-        adjusted = s * length_modifier(vec.get("len_z", 0.0)) * pos_modifier(pos, cfg)
-        prob = to_probability(adjusted, cfg)
-        boosted, anomalies = boost(prob, nvec, cfg)
-        results.append(
-            ScoreResult(
-                raw=s,
-                adjusted=adjusted,
-                probability=prob,
-                boosted=boosted,
-                anomalies=anomalies,
-            )
-        )
-    return results
+    if not vectors:
+        raise ValueError("no feature vectors to normalize")
+    names = list(vectors[0])
+    coefficients = _coefficients(names, cfg)
+    signals = _signals({n: _normalize([v[n] for v in vectors]) for n in names}, cfg.polarity)
+    # sum() per word rather than a running column total: from Python 3.12
+    # on, sum() of floats is compensated, and this must stay equal to
+    # composite_score on every supported version
+    raw = list(map(sum, zip(*[[c * s for s in col] for c, col in zip(coefficients, signals)])))
+    adjusted = [
+        r * length_modifier(v.get("len_z", 0.0)) * pos_modifier(pos, cfg)
+        for r, v, pos in zip(raw, vectors, pos_tags)
+    ]
+    probs = [to_probability(a, cfg) for a in adjusted]
+    factors, masks = _anomaly_factors(names, signals, len(vectors), cfg)
+    boosted = [min(p * f, 1.0) for p, f in zip(probs, factors)]
+    anomalies = [_anomaly_names(names, m) for m in masks]
+    return list(map(ScoreResult, raw, adjusted, probs, boosted, anomalies))

@@ -181,6 +181,8 @@ def load_wordlist(
         return _parse_rows(path, delimiter, colmap, lenient_pos, inventory)
     except csv.Error as exc:
         raise WordlistError(f"unparseable delimited file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise WordlistError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_rows(
@@ -344,17 +346,20 @@ def read_report(path: str | Path) -> list[ReportRow]:
         raise FileNotFoundError(path)
     rows: list[ReportRow] = []
     header: list[str] | None = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if header is None:
-                header = parts
-                continue
-            rec = dict(zip(header, parts))
-            gold = rec.get("gold_label", "")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise WordlistError(f"{path} is not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if header is None:
+            header = parts
+            continue
+        rec = dict(zip(header, parts))
+        gold = rec.get("gold_label", "")
+        try:
             rows.append(
                 ReportRow(
                     word=rec["word"],
@@ -364,6 +369,10 @@ def read_report(path: str | Path) -> list[ReportRow]:
                     gold_label=int(gold) if gold not in ("", None) else None,
                 )
             )
+        except KeyError as exc:
+            raise WordlistError(f"{path}: report has no column {exc}") from None
+        except ValueError as exc:
+            raise WordlistError(f"{path} line {lineno}: {exc}") from None
     return rows
 
 

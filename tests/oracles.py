@@ -169,3 +169,28 @@ def bf_pattern_counts(words):
             t = w[i : i + 3]
             trigrams[t] = trigrams.get(t, 0) + 1
     return prefixes, suffixes, trigrams
+
+
+def bf_pattern_likeness(word, native_words, loan_words, epsilon=1.0):
+    """Mean over the word's distinct typed patterns of N / (N + B + epsilon).
+
+    N and B count the pattern over ``native_words`` and ``loan_words``;
+    words shorter than two symbols have no patterns and score 0.5.
+    """
+    native = bf_pattern_counts(native_words)
+    loan = bf_pattern_counts(loan_words)
+    word = tuple(word)
+    pats = set()
+    if len(word) >= 2:
+        pats.add((0, word[0:2]))
+        pats.add((1, word[-2:]))
+        for i in range(0, len(word) - 2):
+            pats.add((2, word[i : i + 3]))
+    if not pats:
+        return 0.5
+    terms = []
+    for kind, pat in pats:
+        n = native[kind].get(pat, 0)
+        b = loan[kind].get(pat, 0)
+        terms.append(n / (n + b + epsilon))
+    return math.fsum(terms) / len(pats)

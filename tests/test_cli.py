@@ -249,3 +249,69 @@ def test_synth_multilingual(tmp_path):
     wl = load_wordlist(out)
     assert wl.language == "multi"
     assert all(e.concept_id for e in wl)
+
+
+def test_threads_below_one_exit_code(vocab_file, tmp_path):
+    for threads in ("0", "-3"):
+        code = main(
+            [
+                "detect", "--input", str(vocab_file), "--output", str(tmp_path / "x"),
+                "--threads", threads,
+            ]
+        )
+        assert code == 1
+
+
+def _bad_inputs(tmp_path, vocab_file):
+    """(label, argv) pairs that are bad input, each reaching a different check."""
+    out = str(tmp_path / "out")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(vocab_file.read_bytes() + "x\txé\ttoy\tnoun\t\t\n".encode("latin-1"))
+    header_only = tmp_path / "header.tsv"
+    header_only.write_text("orthography\tipa\tlanguage\tpos\n", encoding="utf-8")
+    no_column = tmp_path / "report.tsv"
+    no_column.write_text("word\tlanguage\nab\ttoy\n", encoding="utf-8")
+    bad_json = tmp_path / "grammar.json"
+    bad_json.write_text("{not json", encoding="utf-8")
+    json_list = tmp_path / "list.json"
+    json_list.write_text("[]", encoding="utf-8")
+    detect = ["detect", "--input", str(vocab_file), "--output", out]
+    return [
+        ("non-UTF-8 wordlist", ["detect", "--input", str(latin1), "--output", out]),
+        ("wordlist without entries", ["detect", "--input", str(header_only), "--output", out]),
+        ("pos weight above 1", detect + ["--set", "pos_weight_noun=2"]),
+        ("mode weights all zero", detect + ["--mode", "no_ngram", "--set", "weight_len_z=0",
+                                            "--set", "weight_rare_transition_score=0",
+                                            "--set", "weight_trans_entropy=0",
+                                            "--set", "weight_avg_trans_prob=0"]),
+        ("proportion not a number", ["experiment", "--input", str(vocab_file), "--output", out,
+                                     "--seed", "1", "--proportions", "0.5,half"]),
+        ("proportion above 1", ["experiment", "--input", str(vocab_file), "--output", out,
+                                "--seed", "1", "--proportions", "1.5"]),
+        ("report without a column", ["eval", "--input", str(no_column)]),
+        ("grammar not JSON", ["synth", "--native-grammar", str(bad_json),
+                              "--donor-grammar", str(bad_json), "--seed", "1",
+                              "--output", out]),
+        ("grammar not an object", ["synth", "--native-grammar", str(json_list),
+                                   "--donor-grammar", str(json_list), "--seed", "1",
+                                   "--output", out]),
+    ]
+
+
+def test_bad_input_exit_code(vocab_file, tmp_path, capsys):
+    for label, argv in _bad_inputs(tmp_path, vocab_file):
+        assert main(argv) == 1, label
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err, label
+
+
+def test_internal_value_error_exit_code(vocab_file, tmp_path, monkeypatch, capsys):
+    from loandetect import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the detector")
+
+    monkeypatch.setattr(cli, "detect_wordlist", broken)
+    code = main(["detect", "--input", str(vocab_file), "--output", str(tmp_path / "x")])
+    assert code == 2
+    assert "internal error: bug in the detector" in capsys.readouterr().err

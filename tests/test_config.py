@@ -57,6 +57,27 @@ def test_scalar_validation():
         RunConfig(composite_w1=0.0)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"threads": 0},
+        {"threads": -3},
+        {"ngram_min": 5, "ngram_max": 3},
+        {"ngram_min": 0},
+        {"pos_weights": dict(RunConfig().pos_weights, noun=2.0)},
+        {"mode": "no_ngram", "weights": {n: 0.0 for n in RunConfig().weights}},
+    ],
+)
+def test_execution_and_range_validation(overrides):
+    with pytest.raises(ConfigError):
+        RunConfig(**overrides)
+
+
+def test_execution_and_range_limits_accepted():
+    RunConfig(threads=1, ngram_min=3, ngram_max=3)
+    RunConfig(ngram_min=1, ngram_max=1)
+
+
 def test_with_overrides_coercion():
     cfg = RunConfig().with_overrides(
         {

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loandetect.config import RunConfig
 from loandetect.features import build_statistics, extract_all
 from loandetect.refiner import (
+    PatternIndex,
     average_probabilities,
     build_pattern_db,
     check_convergence,
@@ -15,7 +16,6 @@ from loandetect.refiner import (
     detect_wordlist,
     pattern_likeness,
     refine_probability,
-    word_patterns,
 )
 from loandetect.scoring import score_all
 from loandetect.wordlist import LexicalEntry, make_wordlist
@@ -39,16 +39,36 @@ def entries_from(words, language="toy", pos="noun", labels=None, concepts=False)
     return make_wordlist(out)
 
 
+def by_pattern(index, words, counts):
+    """Id-indexed pattern counts as (prefix, suffix, trigram) dicts keyed by symbols.
+
+    Relies on the documented order of ``index.patterns[i]``: the prefix,
+    the suffix, then the trigrams from left to right.
+    """
+    tables = ({}, {}, {})
+    for w, ids in zip(words, index.patterns):
+        w = tuple(w)
+        keyed = [(0, w[:2]), (1, w[-2:])] + [(2, w[i : i + 3]) for i in range(len(w) - 2)]
+        for (kind, pat), pid in zip(keyed, ids):
+            if counts[pid]:
+                tables[kind][pat] = counts[pid]
+    return tables
+
+
 def test_build_pattern_db_four_symbol_word():
-    db = build_pattern_db([("a", "b", "c", "d")])
-    assert db.prefix_freq == {("a", "b"): 1}
-    assert db.suffix_freq == {("c", "d"): 1}
-    assert db.trigram_freq == {("a", "b", "c"): 1, ("b", "c", "d"): 1}
+    words = [("a", "b", "c", "d")]
+    index = PatternIndex(words)
+    prefixes, suffixes, trigrams = by_pattern(index, words, build_pattern_db(index, [0]))
+    assert prefixes == {("a", "b"): 1}
+    assert suffixes == {("c", "d"): 1}
+    assert trigrams == {("a", "b", "c"): 1, ("b", "c", "d"): 1}
 
 
 def test_build_pattern_db_empty():
-    db = build_pattern_db([])
-    assert db.prefix_freq == {} and db.suffix_freq == {} and db.trigram_freq == {}
+    words = [("a", "b", "c")]
+    index = PatternIndex(words)
+    assert by_pattern(index, words, build_pattern_db(index, [])) == ({}, {}, {})
+    assert PatternIndex([]).full_counts == []
 
 
 def test_build_pattern_db_matches_bruteforce():
@@ -57,52 +77,84 @@ def test_build_pattern_db_matches_bruteforce():
         tuple(rng.choice("ptkaiu") for _ in range(rng.randint(1, 7)))
         for _ in range(5)
     ]
-    db = build_pattern_db(words)
-    prefixes, suffixes, trigrams = oracles.bf_pattern_counts(words)
-    assert dict(db.prefix_freq) == prefixes
-    assert dict(db.suffix_freq) == suffixes
-    assert dict(db.trigram_freq) == trigrams
+    index = PatternIndex(words)
+    rows = [0, 2, 3]
+    db = by_pattern(index, words, build_pattern_db(index, rows))
+    assert db == oracles.bf_pattern_counts([words[i] for i in rows])
+    assert by_pattern(index, words, index.full_counts) == oracles.bf_pattern_counts(words)
 
 
 def test_word_patterns_typed_and_deduplicated():
-    pats = word_patterns(("a", "b"))
-    assert pats == {("prefix", ("a", "b")), ("suffix", ("a", "b"))}
-    assert word_patterns(("a",)) == set()
+    words = [("a", "b"), ("a",), ("a", "b", "a", "b", "a")]
+    index = PatternIndex(words)
+    # prefix and suffix of a 2-symbol word are the same symbols, two patterns
+    assert len(index.distinct[0]) == 2
+    assert by_pattern(index, words, build_pattern_db(index, [0])) == (
+        {("a", "b"): 1}, {("a", "b"): 1}, {}
+    )
+    assert len(index.patterns[1]) == 0
+    # trigrams aba, bab, aba: counted twice, averaged over once
+    assert len(index.patterns[2]) == 5 and len(index.distinct[2]) == 4
+
+
+def likeness_of(natives, loans, word, epsilon):
+    """Likeness of ``word`` in a group of ``natives``, ``loans`` and the word, as a loan."""
+    words = list(natives) + list(loans) + [word]
+    index = PatternIndex(words)
+    native_counts = build_pattern_db(index, range(len(natives)))
+    return pattern_likeness(index, native_counts, epsilon)[-1]
 
 
 def test_pattern_likeness_hand_fraction():
     # single pattern with N=10, B=0, eps=1 -> 10/11
-    native = build_pattern_db([("a", "b")] * 10)
-    loans = build_pattern_db([])
+    words = [("a", "b")] * 10
+    index = PatternIndex(words)
+    likeness = pattern_likeness(index, build_pattern_db(index, range(10)), 1.0)
     # the length-2 word has prefix == suffix == (a, b): both lookups 10/11
-    assert pattern_likeness(("a", "b"), native, loans, 1.0) == pytest.approx(10 / 11)
+    assert likeness[0] == pytest.approx(10 / 11)
 
 
 def test_pattern_likeness_all_unseen():
-    native = build_pattern_db([("a", "b")])
-    loans = build_pattern_db([("c", "d")])
-    assert pattern_likeness(("x", "y"), native, loans, 1.0) == 0.0
+    assert likeness_of([("a", "b")], [("c", "d")], ("x", "y"), 1.0) == 0.0
 
 
 def test_pattern_likeness_symmetry_limit():
     # equal counts on both sides, eps -> 0: likeness -> 1/2
-    native = build_pattern_db([("a", "b", "c")] * 7)
-    loans = build_pattern_db([("a", "b", "c")] * 7)
-    assert pattern_likeness(("a", "b", "c"), native, loans, 1e-9) == pytest.approx(
-        0.5, abs=1e-6
-    )
+    words = [("a", "b", "c")] * 14
+    index = PatternIndex(words)
+    likeness = pattern_likeness(index, build_pattern_db(index, range(7)), 1e-9)
+    assert likeness[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_pattern_likeness_no_patterns_neutral():
-    native = build_pattern_db([("a", "b")])
-    loans = build_pattern_db([])
-    assert pattern_likeness(("a",), native, loans, 1.0) == 0.5
+    words = [("a", "b"), ("a",)]
+    index = PatternIndex(words)
+    assert pattern_likeness(index, build_pattern_db(index, [0]), 1.0)[1] == 0.5
 
 
 def test_pattern_likeness_requires_positive_smoothing():
-    db = build_pattern_db([("a", "b")])
+    index = PatternIndex([("a", "b")])
     with pytest.raises(ValueError):
-        pattern_likeness(("a", "b"), db, db, 0.0)
+        pattern_likeness(index, build_pattern_db(index, [0]), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text("pta", min_size=1, max_size=7), min_size=1, max_size=12),
+    st.data(),
+    st.sampled_from([1.0, 0.5, 1e-9]),
+)
+def test_pattern_likeness_matches_bruteforce(texts, data, epsilon):
+    # a three-letter alphabet repeats trigrams within and across words
+    words = [tuple(t) for t in texts]
+    natives = data.draw(st.sets(st.integers(0, len(words) - 1)))
+    index = PatternIndex(words)
+    likeness = pattern_likeness(index, build_pattern_db(index, sorted(natives)), epsilon)
+    native_words = [w for i, w in enumerate(words) if i in natives]
+    loan_words = [w for i, w in enumerate(words) if i not in natives]
+    assert likeness == [
+        oracles.bf_pattern_likeness(w, native_words, loan_words, epsilon) for w in words
+    ]
 
 
 def test_refine_probability_rules():
@@ -288,7 +340,7 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
 _HASH_SEED_RUN = r"""
 import random, sys
 from loandetect.config import RunConfig
-from loandetect.refiner import build_pattern_db, detect_wordlist, pattern_likeness
+from loandetect.refiner import PatternIndex, build_pattern_db, detect_wordlist, pattern_likeness
 from loandetect.wordlist import LexicalEntry, make_wordlist, write_report
 
 rng = random.Random(1)
@@ -305,10 +357,9 @@ for lang, shape in languages.items():
 vocab = make_wordlist(entries)
 probs, labels, _ = detect_wordlist(vocab, RunConfig(convergence_fraction=0.0))
 write_report(vocab, probs, labels, sys.argv[1])
-words = [e.ipa for e in entries]
-native = build_pattern_db([w for w, y in zip(words, labels) if not y])
-loan = build_pattern_db([w for w, y in zip(words, labels) if y])
-print([pattern_likeness(w, native, loan) for w in words])
+index = PatternIndex([e.ipa for e in entries])
+native = build_pattern_db(index, [i for i, y in enumerate(labels) if not y])
+print(pattern_likeness(index, native))
 """
 
 

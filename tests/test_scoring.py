@@ -3,11 +3,14 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from loandetect.features import MODES, feature_names
 from loandetect.scoring import (
+    DEFAULT_POS_WEIGHTS,
     DEFAULT_WEIGHTS,
     MissingWeightError,
+    ScoreResult,
     ScoringConfig,
     boost,
     composite_score,
@@ -280,3 +283,56 @@ def test_normalized_values_in_unit_interval(vectors):
     for v in normalize_features(vectors):
         for value in v.values():
             assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+def per_word(vectors, pos_tags, cfg):
+    """The scoring pipeline composed word by word from the public stages."""
+    results = []
+    for vec, nvec, pos in zip(vectors, normalize_features(vectors), pos_tags):
+        raw = composite_score(nvec, cfg)
+        adjusted = raw * length_modifier(vec.get("len_z", 0.0)) * pos_modifier(pos, cfg)
+        prob = to_probability(adjusted, cfg)
+        boosted, anomalies = boost(prob, nvec, cfg)
+        results.append(ScoreResult(raw, adjusted, prob, boosted, anomalies))
+    return results
+
+
+# default thresholds, and low ones under which most words have several anomalies
+SCORING_CONFIGS = (
+    ScoringConfig(),
+    ScoringConfig(
+        anomaly_thresholds={name: 0.3 for name in DEFAULT_WEIGHTS},
+        anomaly_boosts={name: 0.9 for name in DEFAULT_WEIGHTS},
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MODES), st.sampled_from(SCORING_CONFIGS), st.data())
+def test_score_all_equals_per_word_composition(mode, cfg, data):
+    names = feature_names(mode)
+    value = st.floats(min_value=-50, max_value=50, allow_nan=False)
+    rows = data.draw(st.lists(st.tuples(*[value] * len(names)), min_size=1, max_size=8))
+    vectors = [dict(zip(names, row)) for row in rows]
+    constant = data.draw(st.sampled_from((None,) + names))
+    for v in vectors:
+        if constant is not None:
+            v[constant] = 0.25
+    pos_tags = data.draw(
+        st.lists(st.sampled_from(sorted(DEFAULT_POS_WEIGHTS)),
+                 min_size=len(rows), max_size=len(rows))
+    )
+    # == on every float field: the columns must keep the bits
+    assert score_all(vectors, pos_tags, cfg) == per_word(vectors, pos_tags, cfg)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_score_all_single_word_equals_per_word_composition(mode):
+    vectors = [{name: 0.1 * k for k, name in enumerate(feature_names(mode), 1)}]
+    for cfg in SCORING_CONFIGS:
+        results = score_all(vectors, ["verb"], cfg)
+        assert results == per_word(vectors, ["verb"], cfg)
+        # a single word normalizes to 0.5 everywhere
+        assert results[0].anomalies == (
+            frozenset(feature_names(mode)) if cfg is SCORING_CONFIGS[1] else frozenset()
+        )
