@@ -3,14 +3,17 @@
 Subcommands: detect, detect-xl, eval, ablate, experiment, synth.
 Configuration resolves defaults -> --config file -> CLI flags; the fully
 resolved configuration is echoed into every report header, and
-``--print-config`` dumps it in config-file format and exits. Exit codes:
-0 success, 1 input/validation error, 2 internal error.
+``--print-config`` dumps it in config-file format and exits; ``main``
+resolves the configuration once and hands it to the subcommand. Exit
+codes: 0 success, 1 input/validation error (an unreadable or unwritable
+path the user named included), 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -124,11 +127,7 @@ def _require_output(args: argparse.Namespace) -> Path:
     return Path(args.output)
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(cfg.dump())
-        return EXIT_OK
+def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
     if cfg.model == "uns":
@@ -145,11 +144,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_detect_xl(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(cfg.dump())
-        return EXIT_OK
+def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
     if len(vocab.languages()) < 2:
@@ -172,11 +167,7 @@ def cmd_detect_xl(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(cfg.dump())
-        return EXIT_OK
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not args.input:
         raise WordlistError("--input is required")
     rows = read_report(args.input)
@@ -195,25 +186,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _write_eval_tsv(report: EvalReport, path: Path) -> None:
-    lines = ["\t".join(["scope", "precision", "recall", "f1", "tp", "fp", "tn", "fn"])]
-
-    def row(scope: str, r: EvalReport) -> str:
-        return (
-            f"{scope}\t{r.precision:.6f}\t{r.recall:.6f}\t{r.f1:.6f}"
-            f"\t{r.tp}\t{r.fp}\t{r.tn}\t{r.fn}"
-        )
-
-    lines.append(row("overall", report))
-    for lang, sub in report.per_language.items():
-        lines.append(row(lang, sub))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [("overall", report), *report.per_language.items()]
+    evaluation.write_metrics_table("scope", rows, path)
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(cfg.dump())
-        return EXIT_OK
+def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
     reports = run_ablations(vocab, cfg)
@@ -224,11 +201,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(cfg.dump())
-        return EXIT_OK
+def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
     try:
@@ -243,11 +216,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.print_config:
-        sys.stdout.write(cfg.dump())
-        return EXIT_OK
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     output = _require_output(args)
     native = load_grammar(args.native_grammar)
     donor = load_grammar(args.donor_grammar)
@@ -318,6 +287,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INPUT_ERRORS = (
+    WordlistError,
+    ConfigError,
+    NoGoldLabelsError,
+    evaluation.InvalidGrammarError,
+    crossling.MissingConceptError,
+    crossling.EmptyDatasetError,
+    FileNotFoundError,
+)
+
+
+def _on_user_path(exc: OSError, args: argparse.Namespace) -> bool:
+    """Whether ``exc`` failed on a path the user named, or on one beside it
+    (the per-language traces of ``--trace``)."""
+    named = [
+        getattr(args, name, None)
+        for name in ("input", "output", "config", "trace", "native_grammar", "donor_grammar")
+    ]
+    places = {Path(p).absolute().parent for p in named if p}
+    failed = [f for f in (exc.filename, exc.filename2) if isinstance(f, (str, bytes))]
+    return any(Path(os.fsdecode(f)).absolute().parent in places for f in failed)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -329,19 +321,17 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
-    except (
-        WordlistError,
-        ConfigError,
-        NoGoldLabelsError,
-        evaluation.InvalidGrammarError,
-        crossling.MissingConceptError,
-        crossling.EmptyDatasetError,
-        FileNotFoundError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        cfg = _resolve_config(args)
+        if args.print_config:
+            sys.stdout.write(cfg.dump())
+            return EXIT_OK
+        return args.func(args, cfg)
     except Exception as exc:
+        if isinstance(exc, _INPUT_ERRORS) or (
+            isinstance(exc, OSError) and _on_user_path(exc, args)
+        ):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         log.exception("internal error")
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

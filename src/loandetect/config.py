@@ -6,6 +6,11 @@ fields are addressed with prefixed keys, e.g. ``weight_rare_ngram_score``,
 ``pos_weight_noun``, ``anomaly_threshold_len_z``, ``polarity_avg_trans_prob``.
 ``dump()`` emits the fully resolved configuration in the same format, so
 its output can be fed back in to reproduce a run.
+
+``RunConfig`` is the one config type: feature extraction
+(``features.extract_all``), scoring (``scoring.score_all``), refinement
+and cross-linguistic scaling all read their constants off it, and
+``RunConfig.validate`` is the only place those constants are checked.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .features import FeatureParams, MODES, feature_names
-from .scoring import (
-    ALL_FEATURES,
-    DEFAULT_POLARITY,
-    DEFAULT_POS_WEIGHTS,
-    DEFAULT_WEIGHTS,
-    ScoringConfig,
-)
+from .features import MODES, feature_names
+from .scoring import ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS
 from .wordlist import POS_CATEGORIES
 
 log = logging.getLogger(__name__)
@@ -174,33 +173,6 @@ class RunConfig:
                     "rare_ngram >= rare_transition >= trans_entropy >= "
                     "ngram_entropy >= avg_trans_prob >= len_z > 0"
                 )
-
-    # -- derived views --
-
-    def feature_params(self) -> FeatureParams:
-        return FeatureParams(
-            rare_ngram_eps1=self.rare_ngram_eps1,
-            rare_ngram_eps2=self.rare_ngram_eps2,
-            rare_ngram_c1=self.rare_ngram_c1,
-            rare_ngram_c2=self.rare_ngram_c2,
-            rare_trans_eps1=self.rare_trans_eps1,
-            rare_trans_eps2=self.rare_trans_eps2,
-            rare_trans_c1=self.rare_trans_c1,
-            rare_trans_c2=self.rare_trans_c2,
-            ngram_min=self.ngram_min,
-            ngram_max=self.ngram_max,
-        )
-
-    def scoring(self) -> ScoringConfig:
-        return ScoringConfig(
-            weights=dict(self.weights),
-            pos_weights=dict(self.pos_weights),
-            polarity=dict(self.polarity),
-            gamma=self.gamma,
-            center=self.center,
-            anomaly_thresholds=dict(self.anomaly_thresholds),
-            anomaly_boosts=dict(self.anomaly_boosts),
-        )
 
     # -- flat-key serialization --
 

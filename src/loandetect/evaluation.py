@@ -13,15 +13,16 @@ from __future__ import annotations
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import SymbolInventory, default_inventory, symbol_distance
 from .refiner import detect_wordlist
-from .wordlist import LexicalEntry, Wordlist, make_wordlist
+from .wordlist import LexicalEntry, Wordlist, make_wordlist, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +75,10 @@ def _metrics(tp: int, fp: int, tn: int, fn: int) -> EvalReport:
     )
 
 
+# confusion cell of each (predicted, gold) pair: tp, fp, tn, fn
+_CELLS = {(1, 1): 0, (1, 0): 1, (0, 0): 2, (0, 1): 3}
+
+
 def evaluate(
     predictions: Sequence[int],
     gold: Sequence[int | None],
@@ -87,27 +92,24 @@ def evaluate(
     """
     if len(predictions) != len(gold):
         raise ValueError("predictions and gold labels are not aligned")
-    pairs = [
-        (p, g, languages[i] if languages else "all")
+    counts = Counter(
+        (languages[i] if languages else "all", p, g)
         for i, (p, g) in enumerate(zip(predictions, gold))
         if g is not None
-    ]
-    if not pairs:
+    )
+    if not counts:
         raise NoGoldLabelsError("no gold labels present")
-
-    def count(rows: list[tuple[int, int, str]]) -> tuple[int, int, int, int]:
-        tp = sum(1 for p, g, _ in rows if p == 1 and g == 1)
-        fp = sum(1 for p, g, _ in rows if p == 1 and g == 0)
-        tn = sum(1 for p, g, _ in rows if p == 0 and g == 0)
-        fn = sum(1 for p, g, _ in rows if p == 0 and g == 1)
-        return tp, fp, tn, fn
-
-    overall = _metrics(*count(pairs))
+    # (tp, fp, tn, fn) per language; other label values count in no cell
+    tallies: dict[str, list[int]] = {}
+    for (lang, p, g), n in counts.items():
+        tally = tallies.setdefault(lang, [0, 0, 0, 0])
+        cell = _CELLS.get((p, g))
+        if cell is not None:
+            tally[cell] += n
+    overall = _metrics(*map(sum, zip(*tallies.values())))
     if languages is None:
         return overall
-    per_language = {}
-    for lang in sorted({lang for _, _, lang in pairs}):
-        per_language[lang] = _metrics(*count([r for r in pairs if r[2] == lang]))
+    per_language = {lang: _metrics(*tallies[lang]) for lang in sorted(tallies)}
     return replace(overall, per_language=per_language)
 
 
@@ -460,14 +462,21 @@ def format_report_block(title: str, report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def write_mode_table(reports: Mapping[str, EvalReport], path: str | Path) -> None:
-    lines = ["\t".join(["mode", "precision", "recall", "f1", "tp", "fp", "tn", "fn"])]
-    for mode, r in reports.items():
+def write_metrics_table(
+    key: str, rows: Iterable[tuple[str, EvalReport]], path: str | Path
+) -> None:
+    """One row of metrics and counts per (name, report), under a ``key`` column."""
+    lines = ["\t".join([key, "precision", "recall", "f1", "tp", "fp", "tn", "fn"])]
+    for name, r in rows:
         lines.append(
-            f"{mode}\t{r.precision:.6f}\t{r.recall:.6f}\t{r.f1:.6f}"
+            f"{name}\t{r.precision:.6f}\t{r.recall:.6f}\t{r.f1:.6f}"
             f"\t{r.tp}\t{r.fp}\t{r.tn}\t{r.fn}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, lines)
+
+
+def write_mode_table(reports: Mapping[str, EvalReport], path: str | Path) -> None:
+    write_metrics_table("mode", reports.items(), path)
 
 
 def write_proportion_table(
@@ -478,4 +487,4 @@ def write_proportion_table(
         lines.append(
             f"{proportion:.4f}\t{r.precision:.6f}\t{r.recall:.6f}\t{r.f1:.6f}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, lines)

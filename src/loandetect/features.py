@@ -1,4 +1,4 @@
-"""Distributional statistics and per-word feature extraction.
+"""Distributional statistics and feature extraction.
 
 All features are computed against a reference word set's statistics:
 n-gram probabilities (n in [2, 10], normalized per n-gram length), bigram
@@ -14,12 +14,13 @@ the ids of its n-grams and transitions and its CV pattern. Statistics of a
 reference subset are plain lists indexed by those ids, so a refinement pass
 counts ids and reads each word's probabilities by id instead of hashing
 symbol tuples again. The tuple-keyed mappings of ``VocabStatistics``
-(``ngram_prob``, ``ngram_count``, ``trans_prob``) are views built on first
-read, for callers outside the detection loop.
+(``ngram_prob``, ``trans_prob``) are views built on first read, for
+callers outside the detection loop.
 
-Each feature formula is one kernel over a word's list of probabilities
-(or its CV pattern); the per-word functions (``rare_ngram_score``, ...)
-and ``extract_all`` call the same kernels.
+``extract_all`` is the one feature path. It reads the rarity constants
+and the n-gram range from a ``RunConfig``, whose ``validate`` is the only
+place they are checked, and computes each feature with one kernel over a
+word's list of probabilities (or its CV pattern).
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ipa import SymbolInventory, cv_pattern
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 Word = Sequence[str]
 
@@ -177,11 +181,6 @@ class VocabStatistics:
     length_mean: float
     length_std: float
     word_count: int
-
-    @cached_property
-    def ngram_count(self) -> Mapping[tuple[str, ...], int]:
-        grams = self.group.gram_tuples()
-        return {grams[g]: c for g, c in enumerate(self.ngram_counts) if c}
 
     @cached_property
     def ngram_prob(self) -> Mapping[tuple[str, ...], float]:
@@ -340,122 +339,7 @@ def _vowel_ratio(cv: str) -> float:
     return cv.count("V") / len(cv)
 
 
-def _check_tiers(eps1: float, eps2: float) -> None:
-    if eps1 >= eps2:
-        raise ValueError("eps1 must be below eps2")
-
-
-# --- Per-word features --------------------------------------------------------------
-
-
-def _ngram_probs(word: Word, stats: VocabStatistics, nmin: int, nmax: int) -> list[float]:
-    return [stats.ngram_prob.get(g, 0.0) for g in word_ngrams(word, nmin, nmax)]
-
-
-def _transition_probs(word: Word, stats: VocabStatistics) -> list[float]:
-    return [stats.trans_prob.get(t, 0.0) for t in word_transitions(word)]
-
-
-def rare_ngram_score(
-    word: Word,
-    stats: VocabStatistics,
-    eps1: float = 0.005,
-    eps2: float = 0.02,
-    c1: float = 100.0,
-    c2: float = 20.0,
-    *,
-    ngram_min: int = NGRAM_MIN,
-    ngram_max: int = NGRAM_MAX,
-) -> float:
-    """Mean two-tier rarity penalty over the word's n-grams.
-
-    Each n-gram with probability p contributes c1*(eps1-p) when p < eps1,
-    else c2*(eps2-p) when p < eps2, else nothing. Words too short to have
-    any n-gram score 0.
-    """
-    _check_tiers(eps1, eps2)
-    return _rarity(_ngram_probs(word, stats, ngram_min, ngram_max), eps1, eps2, c1, c2)
-
-
-def ngram_entropy(
-    word: Word,
-    stats: VocabStatistics,
-    *,
-    ngram_min: int = NGRAM_MIN,
-    ngram_max: int = NGRAM_MAX,
-) -> float:
-    """-sum p(g) log2 p(g) over the word's n-gram multiset (0 log 0 = 0)."""
-    return _entropy(_ngram_probs(word, stats, ngram_min, ngram_max))
-
-
-def rare_transition_score(
-    word: Word,
-    stats: VocabStatistics,
-    eps1: float = 0.01,
-    eps2: float = 0.05,
-    c1: float = 100.0,
-    c2: float = 20.0,
-) -> float:
-    """Mean two-tier rarity penalty over the word's symbol transitions."""
-    return _rarity(_transition_probs(word, stats), eps1, eps2, c1, c2)
-
-
-def transition_entropy(word: Word, stats: VocabStatistics) -> float:
-    return _entropy(_transition_probs(word, stats))
-
-
-def avg_transition_prob(word: Word, stats: VocabStatistics) -> float:
-    """Arithmetic mean transition probability; unseen transitions count 0."""
-    return _mean(_transition_probs(word, stats))
-
-
-def length_z(word: Word, stats: VocabStatistics) -> float:
-    return (len(word) - stats.length_mean) / stats.length_std
-
-
-# --- Segmental block (aug mode) ------------------------------------------------
-
-
-def cv_anomaly(
-    word: Word, stats: VocabStatistics, inventory: SymbolInventory | None = None
-) -> float:
-    """Fraction of the word's CV 3-templates unattested in the reference."""
-    return _cv_anomaly(cv_pattern(word, inventory), stats.cv_templates)
-
-
-def char_dist_anomaly(word: Word, stats: VocabStatistics) -> float:
-    """Mean |in-word symbol frequency - reference symbol frequency|."""
-    return _char_dist(word, [stats.symbol_freq.get(s, 0.0) for s in word])
-
-
-def cluster_score(
-    word: Word, inventory: SymbolInventory | None = None
-) -> float:
-    """(longest consonant run - 1) / |w|, floored at 0 for vowel-only words."""
-    return _cluster(cv_pattern(word, inventory))
-
-
-def vowel_ratio(word: Word, inventory: SymbolInventory | None = None) -> float:
-    return _vowel_ratio(cv_pattern(word, inventory))
-
-
 # --- Mode dispatch --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeatureParams:
-    """Constants governing the rarity penalties and n-gram range."""
-
-    rare_ngram_eps1: float = 0.005
-    rare_ngram_eps2: float = 0.02
-    rare_ngram_c1: float = 100.0
-    rare_ngram_c2: float = 20.0
-    rare_trans_eps1: float = 0.01
-    rare_trans_eps2: float = 0.05
-    rare_trans_c1: float = 100.0
-    rare_trans_c2: float = 20.0
-    ngram_min: int = NGRAM_MIN
-    ngram_max: int = NGRAM_MAX
 
 
 def feature_names(mode: str) -> tuple[str, ...]:
@@ -471,48 +355,32 @@ def feature_names(mode: str) -> tuple[str, ...]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def extract(
-    word: Word,
-    stats: VocabStatistics,
-    mode: str = "full",
-    params: FeatureParams | None = None,
-    inventory: SymbolInventory | None = None,
-) -> dict[str, float]:
-    """Compute the feature vector for one word under the given mode.
-
-    Words of length 1 have no n-grams or transitions; their sequence
-    features are 0 by convention.
-    """
-    return extract_all([word], stats, mode, params, inventory)[0]
-
-
 def extract_all(
     words: Sequence[Word] | CompiledGroup,
     stats: VocabStatistics,
-    mode: str = "full",
-    params: FeatureParams | None = None,
+    cfg: RunConfig,
     inventory: SymbolInventory | None = None,
 ) -> list[dict[str, float]]:
     """Feature vectors of ``words`` (a sequence, or a group's rows) against ``stats``.
 
-    A group sharing the id tables of ``stats`` reads probabilities by id;
-    other words are compiled here and read the tuple-keyed views once per
-    distinct n-gram and transition.
+    The features are those of ``cfg.mode``. A group sharing the id tables
+    of ``stats`` reads probabilities by id; other words are compiled here
+    and read the tuple-keyed views once per distinct n-gram and
+    transition. Words of length 1 have no n-grams or transitions; their
+    sequence features are 0.
     """
-    p = params or FeatureParams()
-    names = feature_names(mode)
+    names = feature_names(cfg.mode)
     with_ngrams = "rare_ngram_score" in names
     with_trans = "rare_transition_score" in names
-    if with_ngrams:
-        _check_tiers(p.rare_ngram_eps1, p.rare_ngram_eps2)
-    group = _compiled(words, p.ngram_min, p.ngram_max, inventory)
+    group = _compiled(words, cfg.ngram_min, cfg.ngram_max, inventory)
     if group.word_grams is stats.group.word_grams:
         gram_p, trans_p = stats.ngram_probs, stats.trans_probs
     else:
         gram_p = [stats.ngram_prob.get(g, 0.0) for g in group.gram_tuples()]
         trans_p = [stats.trans_prob.get(t, 0.0) for t in group.transitions]
     mean, std = stats.length_mean, stats.length_std
-    if mode == "aug":
+    aug = cfg.mode == "aug"
+    if aug:
         templates, freq = stats.cv_templates, stats.symbol_freq
 
     out: list[dict[str, float]] = []
@@ -522,18 +390,20 @@ def extract_all(
         if with_ngrams:
             probs = [gram_p[g] for g in group.word_grams[r]]
             vec["rare_ngram_score"] = _rarity(
-                probs, p.rare_ngram_eps1, p.rare_ngram_eps2, p.rare_ngram_c1, p.rare_ngram_c2
+                probs, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
+                cfg.rare_ngram_c1, cfg.rare_ngram_c2,
             )
             vec["ngram_entropy"] = _entropy(probs)
         if with_trans:
             probs = [trans_p[t] for t in group.word_trans[r]]
             vec["rare_transition_score"] = _rarity(
-                probs, p.rare_trans_eps1, p.rare_trans_eps2, p.rare_trans_c1, p.rare_trans_c2
+                probs, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
+                cfg.rare_trans_c1, cfg.rare_trans_c2,
             )
             vec["trans_entropy"] = _entropy(probs)
             vec["avg_trans_prob"] = _mean(probs)
         vec["len_z"] = (len(word) - mean) / std
-        if mode == "aug":
+        if aug:
             cv = group.cv[r]
             vec["cv_anomaly"] = _cv_anomaly(cv, templates)
             vec["char_dist_anomaly"] = _char_dist(word, [freq.get(s, 0.0) for s in word])

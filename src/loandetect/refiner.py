@@ -32,7 +32,7 @@ from .config import RunConfig
 from .features import CompiledGroup, _count_ids, build_statistics, extract_all
 from .ipa import SymbolInventory
 from .scoring import ScoreResult, score_all
-from .wordlist import Wordlist, WordlistError, make_wordlist
+from .wordlist import Wordlist, WordlistError, make_wordlist, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -164,8 +164,6 @@ def detect(
         raise WordlistError("cannot detect on an empty wordlist")
     words = [e.ipa for e in vocab]
     pos_tags = [e.pos for e in vocab]
-    params = cfg.feature_params()
-    scoring_cfg = cfg.scoring()
     all_indices = frozenset(range(len(words)))
     warnings: list[str] = []
     # n-grams, transitions and CV patterns never change between passes;
@@ -180,8 +178,8 @@ def detect(
             ngram_max=cfg.ngram_max,
             inventory=inventory,
         )
-        vectors = extract_all(group, stats, cfg.mode, params, inventory)
-        return score_all(vectors, pos_tags, scoring_cfg)
+        vectors = extract_all(group, stats, cfg, inventory)
+        return score_all(vectors, pos_tags, cfg)
 
     def partition(averaged: Sequence[float]) -> tuple[set[int], set[int]]:
         loans = {i for i, p in enumerate(averaged) if p >= cfg.tau}
@@ -262,17 +260,10 @@ def _write_trace(vocab: Wordlist, state: DetectionState, path: str | Path) -> No
     for snap in state.snapshots:
         for i, entry in enumerate(vocab):
             lines.append(
-                "\t".join(
-                    [
-                        str(snap.iteration),
-                        entry.ipa_text,
-                        f"{snap.probabilities[i]:.6f}",
-                        f"{snap.averaged[i]:.6f}",
-                        str(int(i in snap.loans)),
-                    ]
-                )
+                f"{snap.iteration}\t{entry.ipa_text}\t{snap.probabilities[i]:.6f}"
+                f"\t{snap.averaged[i]:.6f}\t{int(i in snap.loans)}"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, lines)
 
 
 def detect_wordlist(

@@ -22,15 +22,24 @@ place the rescaling rule lives). A word's raw score is ``sum()`` of its
 multiplied per column in the same order, and the features that fired are
 kept as a per-word bitmask until the results are built.
 ``composite_score`` and ``boost`` score one word by the same rules.
+
+Every stage reads its constants (``weights``, ``pos_weights``,
+``polarity``, ``gamma``, ``center``, ``anomaly_thresholds``,
+``anomaly_boosts``) from a ``RunConfig``; ``RunConfig.validate`` is the
+only place they are checked. The scorer never reads ``mode``: the
+features present in the vectors decide what is weighted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .features import CORE_FEATURES, SEGMENTAL_FEATURES
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 DEFAULT_WEIGHTS: dict[str, float] = {
     "rare_ngram_score": 0.30,
@@ -65,32 +74,6 @@ _NO_ANOMALIES: frozenset[str] = frozenset()
 
 class MissingWeightError(KeyError):
     pass
-
-
-@dataclass(frozen=True)
-class ScoringConfig:
-    """Weights, modifiers, and sigmoid/boost constants for the scorer."""
-
-    weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    pos_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_POS_WEIGHTS)
-    )
-    polarity: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_POLARITY))
-    gamma: float = 8.0
-    center: float = 0.5
-    anomaly_thresholds: Mapping[str, float] = field(
-        default_factory=lambda: {name: 0.8 for name in ALL_FEATURES}
-    )
-    anomaly_boosts: Mapping[str, float] = field(
-        default_factory=lambda: {name: 0.5 for name in ALL_FEATURES}
-    )
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        for pos, beta in self.pos_weights.items():
-            if not 0 < beta <= 1:
-                raise ValueError(f"pos weight for {pos} must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -143,7 +126,7 @@ def _signals(
     ]
 
 
-def _coefficients(names: Sequence[str], cfg: ScoringConfig) -> list[float]:
+def _coefficients(names: Sequence[str], cfg: RunConfig) -> list[float]:
     """Weight times rescale factor of each of the present features ``names``.
 
     The weights of the present features are rescaled so their sum equals
@@ -161,7 +144,7 @@ def _coefficients(names: Sequence[str], cfg: ScoringConfig) -> list[float]:
     return [cfg.weights[n] * factor for n in names]
 
 
-def composite_score(normed: Mapping[str, float], cfg: ScoringConfig) -> float:
+def composite_score(normed: Mapping[str, float], cfg: RunConfig) -> float:
     """Weighted sum of the present features, with mode-rescaled weights."""
     coefficients = _coefficients(list(normed), cfg)
     signals = _signals({n: [x] for n, x in normed.items()}, cfg.polarity)
@@ -177,20 +160,20 @@ def length_modifier(len_z: float) -> float:
     return 1.0 + 0.5 * (_logistic(3.0 * (abs(len_z) - 1.5)) - 0.5)
 
 
-def pos_modifier(pos: str, cfg: ScoringConfig) -> float:
+def pos_modifier(pos: str, cfg: RunConfig) -> float:
     try:
         return cfg.pos_weights[pos]
     except KeyError:
         raise MissingWeightError(pos) from None
 
 
-def to_probability(adjusted: float, cfg: ScoringConfig) -> float:
+def to_probability(adjusted: float, cfg: RunConfig) -> float:
     """Scaled sigmoid: 1 / (1 + exp(-gamma * (s' - center)))."""
     return _logistic(cfg.gamma * (adjusted - cfg.center))
 
 
 def _anomaly_factors(
-    names: Sequence[str], signals: Sequence[Sequence[float]], size: int, cfg: ScoringConfig
+    names: Sequence[str], signals: Sequence[Sequence[float]], size: int, cfg: RunConfig
 ) -> tuple[list[float], list[int]]:
     """Each word's boost factor and the bitmask of its anomalous features.
 
@@ -219,7 +202,7 @@ def _anomaly_names(names: Sequence[str], mask: int) -> frozenset[str]:
 
 
 def boost(
-    prob: float, normed: Mapping[str, float], cfg: ScoringConfig
+    prob: float, normed: Mapping[str, float], cfg: RunConfig
 ) -> tuple[float, frozenset[str]]:
     """Multiply P by (1 + eta_f * excess) per feature over its anomaly threshold.
 
@@ -236,7 +219,7 @@ def boost(
 def score_all(
     vectors: Sequence[Mapping[str, float]],
     pos_tags: Sequence[str],
-    cfg: ScoringConfig,
+    cfg: RunConfig,
 ) -> list[ScoreResult]:
     """Run the full scoring pipeline over a vocabulary, input order preserved.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -258,6 +259,63 @@ def _parse_rows(
 # --- Reports ------------------------------------------------------------------
 
 
+def write_tsv(path: str | Path, lines: Sequence[str]) -> None:
+    """Write ``lines`` as a text file, all at once or not at all.
+
+    The text goes to a temporary file in the target's directory, which
+    then replaces the target, so a failed write never leaves a partial
+    file behind. A failure is raised as an ``OSError`` naming ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
+def _write_columns(
+    wordlist: Wordlist,
+    columns: Sequence[tuple[str, Sequence[str]]],
+    path: str | Path,
+    header_meta: Mapping[str, object] | None,
+) -> None:
+    """A report: ``header_meta`` as sorted ``# key = value`` lines, then one
+    row per word in input order. ``columns`` are (name, formatted cells)
+    between the word and language columns and the gold_label column, which
+    is written when any entry carries a gold label."""
+    if len(wordlist) == 0:
+        raise ValueError("refusing to write an empty report")
+    if any(len(cells) != len(wordlist) for _, cells in columns):
+        raise ValueError("report columns do not align with the wordlist")
+    columns = [
+        ("word", [e.ipa_text for e in wordlist]),
+        ("language", [e.language for e in wordlist]),
+        *columns,
+    ]
+    if any(e.gold_label is not None for e in wordlist):
+        columns.append(
+            ("gold_label", ["" if e.gold_label is None else str(e.gold_label) for e in wordlist])
+        )
+    meta = header_meta or {}
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
+    lines.append("\t".join(name for name, _ in columns))
+    lines.extend(map("\t".join, zip(*(cells for _, cells in columns))))
+    write_tsv(path, lines)
+
+
+def _fixed(values: Sequence[float | None]) -> list[str]:
+    return ["" if v is None else f"{v:.6f}" for v in values]
+
+
+def _labels(values: Sequence[int]) -> list[str]:
+    return [str(int(v)) for v in values]
+
+
 def write_report(
     wordlist: Wordlist,
     probabilities: Sequence[float],
@@ -271,24 +329,12 @@ def write_report(
     entry carries one, gold_label. ``header_meta`` keys are echoed as
     ``# key = value`` comment lines (sorted) ahead of the column header.
     """
-    if len(wordlist) == 0:
-        raise ValueError("refusing to write an empty report")
-    if not (len(wordlist) == len(probabilities) == len(predicted)):
-        raise ValueError("probabilities/labels do not align with the wordlist")
-    has_gold = any(e.gold_label is not None for e in wordlist)
-    lines: list[str] = []
-    for key in sorted(header_meta or {}):
-        lines.append(f"# {key} = {header_meta[key]}")
-    columns = ["word", "language", "probability", "predicted_label"]
-    if has_gold:
-        columns.append("gold_label")
-    lines.append("\t".join(columns))
-    for entry, prob, label in zip(wordlist, probabilities, predicted):
-        row = [entry.ipa_text, entry.language, f"{prob:.6f}", str(int(label))]
-        if has_gold:
-            row.append("" if entry.gold_label is None else str(entry.gold_label))
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_columns(
+        wordlist,
+        [("probability", _fixed(probabilities)), ("predicted_label", _labels(predicted))],
+        path,
+        header_meta,
+    )
 
 
 def write_scaled_report(
@@ -302,32 +348,19 @@ def write_scaled_report(
     header_meta: Mapping[str, object] | None = None,
 ) -> None:
     """Extended report for the cross-linguistic model (B, C, S, theta columns)."""
-    if len(wordlist) == 0:
-        raise ValueError("refusing to write an empty report")
-    has_gold = any(e.gold_label is not None for e in wordlist)
-    lines: list[str] = []
-    for key in sorted(header_meta or {}):
-        lines.append(f"# {key} = {header_meta[key]}")
-    columns = ["word", "language", "concept", "B", "C", "S", "theta", "predicted_label"]
-    if has_gold:
-        columns.append("gold_label")
-    lines.append("\t".join(columns))
-    for i, entry in enumerate(wordlist):
-        c = comparability[i]
-        row = [
-            entry.ipa_text,
-            entry.language,
-            entry.concept_id or "",
-            f"{basic[i]:.6f}",
-            "" if c is None else f"{c:.6f}",
-            f"{composite[i]:.6f}",
-            f"{thresholds[i]:.6f}",
-            str(int(predicted[i])),
-        ]
-        if has_gold:
-            row.append("" if entry.gold_label is None else str(entry.gold_label))
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_columns(
+        wordlist,
+        [
+            ("concept", [e.concept_id or "" for e in wordlist]),
+            ("B", _fixed(basic)),
+            ("C", _fixed(comparability)),
+            ("S", _fixed(composite)),
+            ("theta", _fixed(thresholds)),
+            ("predicted_label", _labels(predicted)),
+        ],
+        path,
+        header_meta,
+    )
 
 
 @dataclass(frozen=True)
@@ -380,19 +413,10 @@ def write_wordlist(wordlist: Wordlist, path: str | Path) -> None:
     """Serialize a wordlist in the standard input format (for synth fixtures)."""
     lines = ["\t".join(["orthography", "ipa", "language", "pos", "label", "concept"])]
     for e in wordlist:
-        lines.append(
-            "\t".join(
-                [
-                    e.orthography,
-                    e.ipa_text,
-                    e.language,
-                    e.pos,
-                    "" if e.gold_label is None else str(e.gold_label),
-                    e.concept_id or "",
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        gold = "" if e.gold_label is None else str(e.gold_label)
+        cells = [e.orthography, e.ipa_text, e.language, e.pos, gold, e.concept_id or ""]
+        lines.append("\t".join(cells))
+    write_tsv(path, lines)
 
 
 def strip_gold(wordlist: Wordlist) -> Wordlist:

@@ -123,6 +123,73 @@ def bf_avg_transition_prob(word, trans):
     return sum(values) / len(values)
 
 
+# --- segmental block (aug mode) --------------------------------------------------
+# ``vowels`` is the set of symbols that count as vowels; every other symbol
+# is a consonant.
+
+
+def bf_cv_anomaly(word, reference, vowels):
+    """Fraction of the word's CV 3-windows that no reference word has."""
+    attested = set()
+    for w in reference:
+        cv = ["V" if s in vowels else "C" for s in w]
+        for i in range(0, len(cv) - 2):
+            attested.add((cv[i], cv[i + 1], cv[i + 2]))
+    cv = ["V" if s in vowels else "C" for s in word]
+    windows = []
+    for i in range(0, len(cv) - 2):
+        windows.append((cv[i], cv[i + 1], cv[i + 2]))
+    if not windows:
+        return 0.0
+    missing = 0
+    for t in windows:
+        if t not in attested:
+            missing += 1
+    return missing / len(windows)
+
+
+def bf_char_dist_anomaly(word, reference):
+    """Mean over the word's symbols of |share in the word - share in the reference|."""
+    word = tuple(word)
+    if not word:
+        return 0.0
+    ref_counts = {}
+    ref_total = 0
+    for w in reference:
+        for s in w:
+            ref_counts[s] = ref_counts.get(s, 0) + 1
+            ref_total += 1
+    total = 0.0
+    for s in word:
+        in_word = 0
+        for t in word:
+            if t == s:
+                in_word += 1
+        total = total + abs(in_word / len(word) - ref_counts.get(s, 0) / ref_total)
+    return total / len(word)
+
+
+def bf_cluster_score(word, vowels):
+    """(longest run of consonants - 1) / length, never below 0."""
+    longest = 0
+    run = 0
+    for s in word:
+        if s in vowels:
+            run = 0
+        else:
+            run += 1
+            longest = max(longest, run)
+    return max(longest - 1, 0) / len(word)
+
+
+def bf_vowel_ratio(word, vowels):
+    count = 0
+    for s in word:
+        if s in vowels:
+            count += 1
+    return count / len(word)
+
+
 # --- exhaustive alignment enumeration -------------------------------------------
 
 

@@ -27,15 +27,7 @@ from loandetect.evaluation import (
     generate_synthetic_multilingual,
     run_ablations,
 )
-from loandetect.features import (
-    avg_transition_prob,
-    build_statistics,
-    extract_all,
-    ngram_entropy,
-    rare_ngram_score,
-    rare_transition_score,
-    transition_entropy,
-)
+from loandetect.features import build_statistics, extract_all
 from loandetect.ipa import symbol_distance
 from loandetect.refiner import detect, detect_wordlist
 from loandetect.scoring import score_all
@@ -134,6 +126,7 @@ def test_acceptance_1_reported_recall_inconsistent_cell():
 def test_acceptance_2_feature_oracle_equivalence():
     start = time.perf_counter()
     rng = random.Random(20240501)
+    cfg = RunConfig()
     symbols = ["p", "t", "k", "m", "n", "s", "l", "a", "i", "u", "e", "o"]
     for _ in range(200):
         vocab = [
@@ -143,7 +136,9 @@ def test_acceptance_2_feature_oracle_equivalence():
         stats = build_statistics(vocab)
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
-        assert dict(stats.ngram_count) == oracles.bf_ngram_counts(vocab)
+        grams = stats.group.gram_tuples()
+        counts = {grams[g]: c for g, c in enumerate(stats.ngram_counts) if c}
+        assert counts == oracles.bf_ngram_counts(vocab)
         mean, std = oracles.bf_length_stats(vocab)
         assert abs(stats.length_mean - mean) < 1e-9
         assert abs(stats.length_std - std) < 1e-9
@@ -152,22 +147,23 @@ def test_acceptance_2_feature_oracle_equivalence():
         for t, p_expected in trans.items():
             assert abs(stats.trans_prob[t] - p_expected) < 1e-9
         for w in vocab:
+            vec = extract_all([w], stats, cfg)[0]
             assert abs(
-                rare_ngram_score(w, stats)
+                vec["rare_ngram_score"]
                 - oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0)
             ) < 1e-9
             assert abs(
-                ngram_entropy(w, stats) - oracles.bf_ngram_entropy(w, probs)
+                vec["ngram_entropy"] - oracles.bf_ngram_entropy(w, probs)
             ) < 1e-9
             assert abs(
-                rare_transition_score(w, stats)
+                vec["rare_transition_score"]
                 - oracles.bf_rare_transition_score(w, trans)
             ) < 1e-9
             assert abs(
-                transition_entropy(w, stats) - oracles.bf_transition_entropy(w, trans)
+                vec["trans_entropy"] - oracles.bf_transition_entropy(w, trans)
             ) < 1e-9
             assert abs(
-                avg_transition_prob(w, stats) - oracles.bf_avg_transition_prob(w, trans)
+                vec["avg_trans_prob"] - oracles.bf_avg_transition_prob(w, trans)
             ) < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -365,8 +361,8 @@ def test_acceptance_7_reduction_identities():
     state = detect(fixture, cfg)
     words = [e.ipa for e in fixture]
     stats = build_statistics(words)
-    vectors = extract_all(words, stats, cfg.mode, cfg.feature_params())
-    results = score_all(vectors, [e.pos for e in fixture], cfg.scoring())
+    vectors = extract_all(words, stats, cfg)
+    results = score_all(vectors, [e.pos for e in fixture], cfg)
     expected = [r.boosted for r in results]
     assert state.averaged == pytest.approx(expected, abs=1e-12)
     assert state.loans == {i for i, p in enumerate(expected) if p >= cfg.tau}

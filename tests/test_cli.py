@@ -315,3 +315,42 @@ def test_internal_value_error_exit_code(vocab_file, tmp_path, monkeypatch, capsy
     code = main(["detect", "--input", str(vocab_file), "--output", str(tmp_path / "x")])
     assert code == 2
     assert "internal error: bug in the detector" in capsys.readouterr().err
+
+
+def test_unusable_user_path_exit_code(vocab_file, multi_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    cases = [
+        ("detect output is a directory",
+         ["detect", "--input", str(vocab_file), "--output", str(taken)]),
+        ("detect-xl output is a directory",
+         ["detect-xl", "--input", str(multi_file), "--output", str(taken)]),
+        ("trace is a directory",
+         ["detect", "--input", str(vocab_file), "--output", str(tmp_path / "r.tsv"),
+          "--trace", str(taken)]),
+        ("input is a directory",
+         ["detect", "--input", str(taken), "--output", str(tmp_path / "r.tsv")]),
+        ("output directory missing",
+         ["detect", "--input", str(vocab_file), "--output", str(tmp_path / "no" / "r.tsv")]),
+    ]
+    for label, argv in cases:
+        assert main(argv) == 1, label
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err, label
+    # a failed write leaves neither a partial report nor its temporary file
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["multi.tsv", "taken", "words.tsv"]
+    )
+    assert list(taken.iterdir()) == []
+
+
+def test_internal_os_error_exit_code(vocab_file, tmp_path, monkeypatch, capsys):
+    from loandetect import cli
+
+    def broken(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", "/nonexistent/cache/state")
+
+    monkeypatch.setattr(cli, "detect_wordlist", broken)
+    code = main(["detect", "--input", str(vocab_file), "--output", str(tmp_path / "x")])
+    assert code == 2
+    assert "internal error" in capsys.readouterr().err

@@ -4,30 +4,37 @@ import random
 
 import pytest
 
+from loandetect.config import RunConfig
 from loandetect.features import (
     CompiledGroup,
     EmptyReferenceError,
-    FeatureParams,
-    avg_transition_prob,
+    _cluster,
+    _entropy,
+    _mean,
+    _rarity,
+    _vowel_ratio,
     build_statistics,
-    char_dist_anomaly,
-    cluster_score,
-    cv_anomaly,
-    extract,
     extract_all,
     feature_names,
-    length_z,
-    ngram_entropy,
-    rare_ngram_score,
-    rare_transition_score,
-    transition_entropy,
-    vowel_ratio,
     word_ngrams,
 )
+from loandetect.ipa import cv_pattern
 
 import oracles
 
 SYMBOLS = ["p", "t", "k", "m", "n", "s", "a", "i", "u", "e"]
+VOWELS = {"a", "i", "u", "e"}
+
+
+def feature(word, stats, name, cfg=None):
+    """One feature of one word, through the only feature path."""
+    return extract_all([word], stats, cfg or RunConfig())[0][name]
+
+
+def ngram_count(stats):
+    """The reference's n-gram counts keyed by n-gram, as the oracle keys them."""
+    grams = stats.group.gram_tuples()
+    return {grams[g]: c for g, c in enumerate(stats.ngram_counts) if c}
 
 
 def random_vocab(rng, max_words=20, max_len=8):
@@ -77,7 +84,7 @@ def test_build_statistics_matches_bruteforce():
     rng = random.Random(13)
     words = [tuple(rng.choice(SYMBOLS) for _ in range(5)) for _ in range(10)]
     stats = build_statistics(words)
-    assert dict(stats.ngram_count) == oracles.bf_ngram_counts(words)
+    assert ngram_count(stats) == oracles.bf_ngram_counts(words)
     probs = oracles.bf_ngram_probs(words)
     assert set(stats.ngram_prob) == set(probs)
     for g, p in probs.items():
@@ -93,117 +100,106 @@ def test_build_statistics_matches_bruteforce():
 
 def test_rare_ngram_score_no_rare_components():
     stats = build_statistics([("a", "b")])  # p([a,b]) = 1
-    assert rare_ngram_score(("a", "b"), stats) == 0.0
+    assert feature(("a", "b"), stats, "rare_ngram_score") == 0.0
 
 
 def test_rare_ngram_score_unseen_bigram():
     # single unseen bigram: contribution c1 * eps1 = 100 * 0.005 = 0.5
     stats = build_statistics([("a", "b")])
-    assert rare_ngram_score(("x", "y"), stats) == pytest.approx(0.5)
+    assert feature(("x", "y"), stats, "rare_ngram_score") == pytest.approx(0.5)
 
 
 def test_rare_ngram_score_two_tier_hand_case():
     # |G(w)| = 2: one n-gram in the second tier at p = 0.01 -> 20*(0.02-0.01),
-    # one common -> 0; mean = 0.1
-    class FakeStats:
-        ngram_prob = {("a", "b"): 0.01, ("b", "c"): 0.5}
-
-    score = rare_ngram_score(("a", "b", "c"), FakeStats(), ngram_max=2)
+    # one common -> 0; mean = 0.1 (the bigrams [a, b] and [b, c] of "abc")
+    score = _rarity([0.01, 0.5], 0.005, 0.02, 100.0, 20.0)
     assert score == pytest.approx(0.1)
 
 
 def test_rare_ngram_score_requires_ordered_thresholds():
-    stats = build_statistics([("a", "b")])
     with pytest.raises(ValueError):
-        rare_ngram_score(("a", "b"), stats, eps1=0.5, eps2=0.1)
+        RunConfig(rare_ngram_eps1=0.5, rare_ngram_eps2=0.1)
 
 
 def test_short_word_scores_zero():
     stats = build_statistics([("a", "b")])
-    assert rare_ngram_score(("a",), stats) == 0.0
-    assert ngram_entropy(("a",), stats) == 0.0
-    assert rare_transition_score(("a",), stats) == 0.0
-    assert transition_entropy(("a",), stats) == 0.0
-    assert avg_transition_prob(("a",), stats) == 0.0
+    vec = extract_all([("a",)], stats, RunConfig())[0]
+    assert vec["rare_ngram_score"] == 0.0
+    assert vec["ngram_entropy"] == 0.0
+    assert vec["rare_transition_score"] == 0.0
+    assert vec["trans_entropy"] == 0.0
+    assert vec["avg_trans_prob"] == 0.0
 
 
 def test_ngram_entropy_certainty():
     stats = build_statistics([("a", "b")])
-    assert ngram_entropy(("a", "b"), stats) == 0.0
+    assert feature(("a", "b"), stats, "ngram_entropy") == 0.0
 
 
 def test_ngram_entropy_fair_coin():
     # two bigrams each with global p = 0.5 -> 1 bit
     stats = build_statistics([("a", "b"), ("b", "a")])
-    assert ngram_entropy(("a", "b", "a"), stats, ngram_max=2) == pytest.approx(1.0)
+    cfg = RunConfig(ngram_max=2)
+    assert feature(("a", "b", "a"), stats, "ngram_entropy", cfg) == pytest.approx(1.0)
 
 
 def test_rare_transition_examples():
-    class FakeStats:
-        trans_prob = {("a", "b"): 0.005, ("b", "c"): 0.03, ("c", "d"): 0.10}
-
     # one transition at p=0.005 -> 100*(0.01-0.005) = 0.5
-    assert rare_transition_score(("a", "b"), FakeStats()) == pytest.approx(0.5)
+    assert _rarity([0.005], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.5)
     # p=0.03 and p=0.10 -> (20*(0.05-0.03) + 0)/2 = 0.2
-    assert rare_transition_score(("b", "c", "d"), FakeStats()) == pytest.approx(0.2)
+    assert _rarity([0.03, 0.10], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.2)
 
 
 def test_transition_entropy_examples():
-    class FakeStats:
-        trans_prob = {("a", "b"): 1.0, ("b", "c"): 0.5, ("c", "d"): 0.5}
-
-    assert transition_entropy(("a", "b"), FakeStats()) == 0.0
-    assert transition_entropy(("b", "c", "d"), FakeStats()) == pytest.approx(1.0)
+    assert _entropy([1.0]) == 0.0
+    assert _entropy([0.5, 0.5]) == pytest.approx(1.0)
 
 
 def test_avg_transition_prob_examples():
     stats = build_statistics([("a", "b")])
-    assert avg_transition_prob(("a", "b"), stats) == 1.0
-
-    class FakeStats:
-        trans_prob = {("a", "b"): 0.2, ("b", "c"): 0.4}
-
-    assert avg_transition_prob(("a", "b", "c"), FakeStats()) == pytest.approx(0.3)
+    assert feature(("a", "b"), stats, "avg_trans_prob") == 1.0
+    assert _mean([0.2, 0.4]) == pytest.approx(0.3)
     # unseen transition contributes 0 to the mean
-    assert avg_transition_prob(("a", "b", "x"), FakeStats()) == pytest.approx(0.1)
+    assert _mean([0.2, 0.0]) == pytest.approx(0.1)
 
 
 def test_length_z_examples():
     stats = build_statistics([("a",) * 3, ("a",) * 7])  # mean 5, std 2
     assert stats.length_mean == 5.0
     assert stats.length_std == 2.0
-    assert length_z(("a",) * 5, stats) == 0.0
-    assert length_z(("a",) * 9, stats) == pytest.approx(2.0)
+    assert feature(("a",) * 5, stats, "len_z") == 0.0
+    assert feature(("a",) * 9, stats, "len_z") == pytest.approx(2.0)
 
 
 def test_length_z_degenerate_single_word():
     stats = build_statistics([("a", "b")])
-    assert length_z(("a", "b"), stats) == 0.0
+    assert feature(("a", "b"), stats, "len_z") == 0.0
 
 
 def test_feature_oracle_equivalence_random_vocabularies():
     rng = random.Random(42)
-    params = FeatureParams()
+    cfg = RunConfig()
     for _ in range(40):
         vocab = random_vocab(rng)
         stats = build_statistics(vocab)
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
         for w in vocab:
-            assert rare_ngram_score(w, stats) == pytest.approx(
+            vec = extract_all([w], stats, cfg)[0]
+            assert vec["rare_ngram_score"] == pytest.approx(
                 oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0),
                 abs=1e-9,
             )
-            assert ngram_entropy(w, stats) == pytest.approx(
+            assert vec["ngram_entropy"] == pytest.approx(
                 oracles.bf_ngram_entropy(w, probs), abs=1e-9
             )
-            assert rare_transition_score(w, stats) == pytest.approx(
+            assert vec["rare_transition_score"] == pytest.approx(
                 oracles.bf_rare_transition_score(w, trans), abs=1e-9
             )
-            assert transition_entropy(w, stats) == pytest.approx(
+            assert vec["trans_entropy"] == pytest.approx(
                 oracles.bf_transition_entropy(w, trans), abs=1e-9
             )
-            assert avg_transition_prob(w, stats) == pytest.approx(
+            assert vec["avg_trans_prob"] == pytest.approx(
                 oracles.bf_avg_transition_prob(w, trans), abs=1e-9
             )
 
@@ -214,8 +210,8 @@ def test_features_scale_free_under_duplication():
     stats_once = build_statistics(vocab)
     stats_twice = build_statistics(vocab + vocab)
     for w in vocab:
-        a = extract(w, stats_once)
-        b = extract(w, stats_twice)
+        a = extract_all([w], stats_once, RunConfig())[0]
+        b = extract_all([w], stats_twice, RunConfig())[0]
         assert set(a) == set(b)
         for name in a:
             assert a[name] == pytest.approx(b[name], abs=1e-12)
@@ -225,54 +221,54 @@ def test_rare_scores_monotone_under_small_perturbation():
     # The two-tier penalty is non-increasing in p within each tier (the
     # printed formula jumps at the tier boundary itself, so perturbations
     # are checked inside branches).
-    class FakeStats:
-        def __init__(self, p):
-            self.ngram_prob = {("a", "b"): p}
-            self.trans_prob = {("a", "b"): p}
-
+    # one n-gram or transition of probability p, at the default tiers
     for base in (0.0, 0.002, 0.0045, 0.006, 0.015, 0.019):
-        lo = rare_ngram_score(("a", "b"), FakeStats(base), ngram_max=2)
-        hi = rare_ngram_score(("a", "b"), FakeStats(base + 4e-4), ngram_max=2)
+        lo = _rarity([base], 0.005, 0.02, 100.0, 20.0)
+        hi = _rarity([base + 4e-4], 0.005, 0.02, 100.0, 20.0)
         assert hi <= lo
     for base in (0.0, 0.005, 0.009, 0.012, 0.03, 0.045, 0.08):
-        lo = rare_transition_score(("a", "b"), FakeStats(base))
-        hi = rare_transition_score(("a", "b"), FakeStats(base + 9e-4))
+        lo = _rarity([base], 0.01, 0.05, 100.0, 20.0)
+        hi = _rarity([base + 9e-4], 0.01, 0.05, 100.0, 20.0)
         assert hi <= lo
 
 
 def test_extract_mode_contracts():
     stats = build_statistics([("p", "a"), ("t", "a", "k", "a")])
     word = ("p", "a", "t", "a")
-    assert set(extract(word, stats, "full")) == set(feature_names("full"))
-    no_ngram = extract(word, stats, "no_ngram")
+
+    def extract(mode):
+        return extract_all([word], stats, RunConfig(mode=mode))[0]
+
+    assert set(extract("full")) == set(feature_names("full"))
+    no_ngram = extract("no_ngram")
     assert "rare_ngram_score" not in no_ngram and "ngram_entropy" not in no_ngram
-    no_trans = extract(word, stats, "no_transition")
+    no_trans = extract("no_transition")
     for name in ("rare_transition_score", "trans_entropy", "avg_trans_prob"):
         assert name not in no_trans
-    aug = extract(word, stats, "aug")
+    aug = extract("aug")
     assert set(aug) == set(feature_names("aug"))
     with pytest.raises(ValueError):
-        extract(word, stats, "bogus")
+        extract("bogus")
 
 
 def test_aug_segmental_hand_counts():
     stats = build_statistics([("p", "a"), ("t", "a", "k", "a")])
     word = ("s", "t", "r", "a")
-    assert cluster_score(word) == pytest.approx((3 - 1) / 4)
-    assert vowel_ratio(word) == pytest.approx(0.25)
-    aug = extract(word, stats, "aug")
+    assert _cluster(cv_pattern(word)) == pytest.approx((3 - 1) / 4)
+    assert _vowel_ratio(cv_pattern(word)) == pytest.approx(0.25)
+    aug = extract_all([word], stats, RunConfig(mode="aug"))[0]
     assert aug["cluster_score"] == pytest.approx(0.5)
     assert aug["vowel_ratio"] == pytest.approx(0.25)
 
 
 def test_cluster_score_vowel_only_floor():
-    assert cluster_score(("a", "i")) == 0.0
+    assert _cluster(cv_pattern(("a", "i"))) == 0.0
 
 
 def test_extract_deterministic():
     stats = build_statistics([("p", "a"), ("t", "a")])
     w = ("p", "a", "t", "a")
-    assert extract(w, stats) == extract(w, stats)
+    assert extract_all([w], stats, RunConfig()) == extract_all([w], stats, RunConfig())
 
 
 def test_word_ngrams_range():
@@ -290,7 +286,7 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
         reference = [vocab[i] for i in rows]
         stats = build_statistics(group.subset(rows))
         assert stats.word_count == len(rows)
-        assert dict(stats.ngram_count) == oracles.bf_ngram_counts(reference)
+        assert ngram_count(stats) == oracles.bf_ngram_counts(reference)
         assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference)
         assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
         assert (stats.length_mean, stats.length_std) == oracles.bf_length_stats(reference)
@@ -304,7 +300,7 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
 
 def test_compiled_extract_all_matches_bruteforce_features():
     rng = random.Random(77)
-    params = FeatureParams()
+    cfg = RunConfig(mode="aug")
     for _ in range(40):
         vocab = list(dict.fromkeys(random_vocab(rng, max_words=25, max_len=9)))
         group = CompiledGroup(vocab)
@@ -314,8 +310,8 @@ def test_compiled_extract_all_matches_bruteforce_features():
         probs = oracles.bf_ngram_probs(reference)
         trans = oracles.bf_transition_probs(reference)
         mean, std = oracles.bf_length_stats(reference)
-        vectors = extract_all(group, stats, "aug", params)
-        assert vectors == extract_all(vocab, stats, "aug", params)
+        vectors = extract_all(group, stats, cfg)
+        assert vectors == extract_all(vocab, stats, cfg)
         for w, vec in zip(vocab, vectors):
             assert list(vec) == list(feature_names("aug"))
             assert vec["rare_ngram_score"] == pytest.approx(
@@ -334,16 +330,18 @@ def test_compiled_extract_all_matches_bruteforce_features():
                 oracles.bf_avg_transition_prob(w, trans), abs=1e-12
             )
             assert vec["len_z"] == pytest.approx((len(w) - mean) / std, abs=1e-12)
-            # the per-word functions share the kernels with extract_all
-            assert vec["rare_ngram_score"] == rare_ngram_score(w, stats)
-            assert vec["ngram_entropy"] == ngram_entropy(w, stats)
-            assert vec["rare_transition_score"] == rare_transition_score(w, stats)
-            assert vec["trans_entropy"] == transition_entropy(w, stats)
-            assert vec["avg_trans_prob"] == avg_transition_prob(w, stats)
-            assert vec["cv_anomaly"] == cv_anomaly(w, stats)
-            assert vec["char_dist_anomaly"] == char_dist_anomaly(w, stats)
-            assert vec["cluster_score"] == cluster_score(w)
-            assert vec["vowel_ratio"] == vowel_ratio(w)
+            assert vec["cv_anomaly"] == pytest.approx(
+                oracles.bf_cv_anomaly(w, reference, VOWELS), abs=1e-12
+            )
+            assert vec["char_dist_anomaly"] == pytest.approx(
+                oracles.bf_char_dist_anomaly(w, reference), abs=1e-12
+            )
+            assert vec["cluster_score"] == pytest.approx(
+                oracles.bf_cluster_score(w, VOWELS), abs=1e-12
+            )
+            assert vec["vowel_ratio"] == pytest.approx(
+                oracles.bf_vowel_ratio(w, VOWELS), abs=1e-12
+            )
 
 
 def test_compiled_group_rejects_other_ngram_range():
@@ -352,4 +350,4 @@ def test_compiled_group_rejects_other_ngram_range():
         build_statistics(group, ngram_max=3)
     stats = build_statistics(group)
     with pytest.raises(ValueError):
-        extract_all(group, stats, params=FeatureParams(ngram_max=3))
+        extract_all(group, stats, RunConfig(ngram_max=3))

@@ -233,8 +233,8 @@ def test_detect_reduces_to_score_and_threshold_at_one_pass():
 
     words = [e.ipa for e in vocab]
     stats = build_statistics(words)
-    vectors = extract_all(words, stats, cfg.mode, cfg.feature_params())
-    results = score_all(vectors, [e.pos for e in vocab], cfg.scoring())
+    vectors = extract_all(words, stats, cfg)
+    results = score_all(vectors, [e.pos for e in vocab], cfg)
     expected = [r.boosted for r in results]
     assert state.averaged == pytest.approx(expected)
     assert state.loans == {i for i, p in enumerate(expected) if p >= cfg.tau}

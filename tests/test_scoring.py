@@ -5,13 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loandetect.config import RunConfig
 from loandetect.features import MODES, feature_names
 from loandetect.scoring import (
     DEFAULT_POS_WEIGHTS,
     DEFAULT_WEIGHTS,
     MissingWeightError,
     ScoreResult,
-    ScoringConfig,
     boost,
     composite_score,
     length_modifier,
@@ -39,7 +39,9 @@ def test_normalize_single_word():
 
 
 def _cfg(weights, polarity=None):
-    return ScoringConfig(
+    # aug mode admits partial weight maps; the scorer never reads the mode
+    return RunConfig(
+        mode="aug",
         weights=weights,
         polarity=polarity or {name: 1 for name in weights},
         anomaly_thresholds={},
@@ -53,7 +55,7 @@ def test_composite_single_feature():
 
 
 def test_composite_zero_vector():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     normed = {name: 0.0 for name in DEFAULT_WEIGHTS if name != "avg_trans_prob"}
     assert composite_score(normed, cfg) == pytest.approx(0.0)
 
@@ -108,7 +110,7 @@ def test_length_modifier_symmetric():
 
 
 def test_pos_modifier_defaults():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     assert pos_modifier("noun", cfg) == 1.0
     assert pos_modifier("adjective", cfg) == 0.5
     assert pos_modifier("verb", cfg) == 0.3
@@ -117,7 +119,7 @@ def test_pos_modifier_defaults():
 
 
 def test_to_probability_center_and_saturation():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     assert to_probability(0.5, cfg) == pytest.approx(0.5)
     assert to_probability(1e6, cfg) == pytest.approx(1.0)
     # gamma=8, center=0.5, s'=0.75 -> 1/(1+e^-2)
@@ -126,14 +128,14 @@ def test_to_probability_center_and_saturation():
 
 
 def test_boost_no_anomaly_is_identity():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     prob, anomalies = boost(0.7, {"rare_ngram_score": 0.5}, cfg)
     assert prob == 0.7
     assert anomalies == frozenset()
 
 
 def test_boost_clamps_at_one():
-    cfg = ScoringConfig(
+    cfg = RunConfig(
         anomaly_thresholds={"rare_ngram_score": 0.5},
         anomaly_boosts={"rare_ngram_score": 2.0},
     )
@@ -144,7 +146,7 @@ def test_boost_clamps_at_one():
 
 
 def test_boost_hand_value():
-    cfg = ScoringConfig(
+    cfg = RunConfig(
         anomaly_thresholds={"rare_ngram_score": 0.6},
         anomaly_boosts={"rare_ngram_score": 0.5},
     )
@@ -154,7 +156,7 @@ def test_boost_hand_value():
 
 
 def test_boost_uses_polarity_adjusted_signal():
-    cfg = ScoringConfig(
+    cfg = RunConfig(
         polarity={"avg_trans_prob": -1},
         anomaly_thresholds={"avg_trans_prob": 0.8},
         anomaly_boosts={"avg_trans_prob": 0.5},
@@ -168,7 +170,8 @@ def test_boost_uses_polarity_adjusted_signal():
 def test_score_all_three_word_pipeline_by_hand():
     """Stage-by-stage hand computation of a 3-word toy vocabulary."""
     weights = {"rare_ngram_score": 0.6, "len_z": 0.4}
-    cfg = ScoringConfig(
+    cfg = RunConfig(
+        mode="aug",
         weights=weights,
         polarity={"rare_ngram_score": 1, "len_z": 1},
         gamma=8.0,
@@ -205,14 +208,14 @@ def test_score_all_three_word_pipeline_by_hand():
 
 
 def test_score_all_identical_words_identical_output():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     vec = {name: 0.3 for name in DEFAULT_WEIGHTS}
     results = score_all([dict(vec), dict(vec)], ["noun", "noun"], cfg)
     assert results[0] == results[1]
 
 
 def test_score_all_pos_monotonicity():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     vec = {name: 0.4 for name in DEFAULT_WEIGHTS}
     vecs = [dict(vec), dict(vec), dict(vec)]
     results = score_all(vecs, ["noun", "verb", "function"], cfg)
@@ -220,7 +223,7 @@ def test_score_all_pos_monotonicity():
 
 
 def test_boosted_bounds_and_dominance():
-    cfg = ScoringConfig()
+    cfg = RunConfig()
     vecs = [
         {name: float(i * j % 7) for j, name in enumerate(DEFAULT_WEIGHTS, 1)}
         for i in range(8)
@@ -251,7 +254,7 @@ def test_weight_scaling_preserves_ranking():
 
 
 def test_boost_all_zero_eta_identity():
-    cfg = ScoringConfig(anomaly_boosts={name: 0.0 for name in DEFAULT_WEIGHTS})
+    cfg = RunConfig(anomaly_boosts={name: 0.0 for name in DEFAULT_WEIGHTS})
     prob, anomalies = boost(0.6, {name: 0.95 for name in DEFAULT_WEIGHTS}, cfg)
     assert prob == pytest.approx(0.6)
     assert len(anomalies) > 0  # thresholds still trip, boosts are null
@@ -299,8 +302,8 @@ def per_word(vectors, pos_tags, cfg):
 
 # default thresholds, and low ones under which most words have several anomalies
 SCORING_CONFIGS = (
-    ScoringConfig(),
-    ScoringConfig(
+    RunConfig(),
+    RunConfig(
         anomaly_thresholds={name: 0.3 for name in DEFAULT_WEIGHTS},
         anomaly_boosts={name: 0.9 for name in DEFAULT_WEIGHTS},
     ),
