@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: detect, detect-xl, eval, ablate, experiment, synth.
-Configuration resolves defaults -> --config file -> CLI flags; the fully
-resolved configuration is echoed into every report header, and
-``--print-config`` dumps it in config-file format and exits; ``main``
-resolves the configuration once and hands it to the subcommand. Exit
+Configuration resolves defaults -> --config file -> CLI flags;
+``--mode``, ``--model`` and ``--seed`` set the ``RunConfig`` keys of the
+same name and ``--set`` any key. The fully resolved configuration is
+echoed into every report header, and ``--print-config`` dumps the same
+keys in config-file format and exits; ``main`` resolves the
+configuration once and hands it to the subcommand. Exit
 codes: 0 success, 1 input/validation error (an unreadable or unwritable
 path the user named included), 2 internal error.
 """
@@ -60,11 +62,6 @@ def _add_common(parser: argparse.ArgumentParser, *, need_seed: bool = False) -> 
         "--model", choices=["autbor", "uns"], help="detection model override"
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads (outputs are identical for any value)",
-    )
-    parser.add_argument(
         "--seed", type=int, required=need_seed, help="random seed"
     )
     parser.add_argument("--trace", help="write per-iteration trace TSV here")
@@ -95,17 +92,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    for key in ("mode", "model", "threads", "seed"):
+    for key in ("mode", "model", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     return load_config(args.config, overrides)
-
-
-def _report_meta(cfg: RunConfig) -> dict[str, object]:
-    # threads is an execution detail; outputs are identical for any value,
-    # so it must not perturb the echoed header
-    return {k: v for k, v in cfg.to_flat().items() if k != "threads"}
 
 
 def _load_input(args: argparse.Namespace) -> Wordlist:
@@ -139,7 +130,7 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
         for lang, state in states.items():
             for warning in state.warnings:
                 log.warning("[%s] %s", lang, warning)
-    write_report(vocab, probs, labels, output, header_meta=_report_meta(cfg))
+    write_report(vocab, probs, labels, output, header_meta=cfg.to_flat())
     log.info("wrote %s (%d words)", output, len(vocab))
     return EXIT_OK
 
@@ -160,7 +151,7 @@ def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
         result.thresholds,
         result.predicted,
         output,
-        header_meta=_report_meta(cfg),
+        header_meta=cfg.to_flat(),
     )
     print(result.asymmetry_summary())
     log.info("wrote %s (%d words)", output, len(vocab))

@@ -11,6 +11,8 @@ its output can be fed back in to reproduce a run.
 (``features.extract_all``), scoring (``scoring.score_all``), refinement
 and cross-linguistic scaling all read their constants off it, and
 ``RunConfig.validate`` is the only place those constants are checked.
+The mapping fields are read-only views, so a validated config stays
+valid.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .features import MODES, feature_names
@@ -45,6 +48,7 @@ _MAP_PREFIXES = {
     "anomaly_threshold_": "anomaly_thresholds",
     "anomaly_boost_": "anomaly_boosts",
 }
+_PREFIX_OF = {attr: prefix for prefix, attr in _MAP_PREFIXES.items()}
 
 
 class ConfigError(ValueError):
@@ -58,7 +62,6 @@ class RunConfig:
     mode: str = "full"
     model: str = "autbor"
     seed: int = 0
-    threads: int = 1
 
     # feature extraction
     ngram_min: int = 2
@@ -73,17 +76,15 @@ class RunConfig:
     rare_trans_c2: float = 20.0
 
     # scoring
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    pos_weights: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_POS_WEIGHTS)
-    )
-    polarity: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_POLARITY))
+    weights: Mapping[str, float] = field(default_factory=lambda: DEFAULT_WEIGHTS)
+    pos_weights: Mapping[str, float] = field(default_factory=lambda: DEFAULT_POS_WEIGHTS)
+    polarity: Mapping[str, int] = field(default_factory=lambda: DEFAULT_POLARITY)
     gamma: float = 8.0
     center: float = 0.5
-    anomaly_thresholds: dict[str, float] = field(
+    anomaly_thresholds: Mapping[str, float] = field(
         default_factory=lambda: {name: 0.8 for name in ALL_FEATURES}
     )
-    anomaly_boosts: dict[str, float] = field(
+    anomaly_boosts: Mapping[str, float] = field(
         default_factory=lambda: {name: 0.5 for name in ALL_FEATURES}
     )
 
@@ -112,6 +113,9 @@ class RunConfig:
     baseline_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        # read-only copies: nobody can change a map after validation
+        for attr in _PREFIX_OF:
+            object.__setattr__(self, attr, MappingProxyType(dict(getattr(self, attr))))
         self.validate()
 
     def validate(self) -> None:
@@ -123,8 +127,6 @@ class RunConfig:
             raise ConfigError("tau must be in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not 1 <= self.ngram_min <= self.ngram_max:
             raise ConfigError("n-gram range must satisfy 1 <= ngram_min <= ngram_max")
         if self.gamma <= 0:
@@ -180,8 +182,8 @@ class RunConfig:
         out: dict[str, object] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, dict):
-                prefix = _prefix_for(f.name)
+            if isinstance(value, Mapping):
+                prefix = _PREFIX_OF[f.name]
                 for key in sorted(value):
                     out[f"{prefix}{key}"] = value[key]
             else:
@@ -193,44 +195,24 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def with_overrides(self, overrides: Mapping[str, object]) -> "RunConfig":
-        """Apply flat-key overrides, returning a new validated config."""
+        """Apply flat-key overrides, returning a new validated config.
+
+        A scalar value is parsed to the type of its field's default.
+        """
         simple: dict[str, object] = {}
         maps: dict[str, dict] = {}
-        scalar_fields = {f.name: f for f in fields(self) if f.name not in _MAP_PREFIXES.values()}
+        defaults = {f.name: f.default for f in fields(self) if f.name not in _PREFIX_OF}
         for key, raw in overrides.items():
-            mapped = False
-            for prefix, attr in _MAP_PREFIXES.items():
-                if key.startswith(prefix):
-                    sub = key[len(prefix):]
-                    current = maps.setdefault(attr, dict(getattr(self, attr)))
-                    current[sub] = _coerce(raw, int if attr == "polarity" else float)
-                    mapped = True
-                    break
-            if mapped:
-                continue
-            if key not in scalar_fields:
+            prefix = next((p for p in _MAP_PREFIXES if key.startswith(p)), None)
+            if prefix is not None:
+                attr = _MAP_PREFIXES[prefix]
+                current = maps.setdefault(attr, dict(getattr(self, attr)))
+                current[key[len(prefix):]] = _coerce(raw, int if attr == "polarity" else float)
+            elif key in defaults:
+                simple[key] = _coerce(raw, type(defaults[key]))
+            else:
                 raise ConfigError(f"unknown config key {key!r}")
-            target_type = _field_type(scalar_fields[key].type)
-            simple[key] = _coerce(raw, target_type)
         return replace(self, **simple, **maps)
-
-
-def _prefix_for(attr: str) -> str:
-    for prefix, name in _MAP_PREFIXES.items():
-        if name == attr:
-            return prefix
-    raise KeyError(attr)
-
-
-def _field_type(annotation: object) -> type:
-    text = str(annotation)
-    if "bool" in text:
-        return bool
-    if "int" in text:
-        return int
-    if "float" in text:
-        return float
-    return str
 
 
 def _coerce(value: object, target: type) -> object:

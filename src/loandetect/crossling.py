@@ -58,12 +58,6 @@ class Alignment:
     def length(self) -> int:
         return len(self.pairs)
 
-    def track_a(self) -> Word:
-        return tuple(a for a, _, _ in self.pairs if a != GAP)
-
-    def track_b(self) -> Word:
-        return tuple(b for _, b, _ in self.pairs if b != GAP)
-
 
 def align(
     x: Word,
@@ -142,18 +136,6 @@ def _with_contexts(
         ctx: Context = (rep(k - 2), rep(k - 1), rep(k + 1), rep(k + 2))
         out.append((a, b, ctx))
     return out
-
-
-def alignment_score(al: Alignment, gap_penalty: float = 0.5,
-                    inventory: SymbolInventory | None = None) -> float:
-    """Total column score of an alignment (for oracle comparisons)."""
-    total = 0.0
-    for a, b, _ in al.pairs:
-        if a == GAP or b == GAP:
-            total -= gap_penalty
-        else:
-            total += 1.0 - symbol_distance(a, b, inventory)
-    return total
 
 
 @dataclass

@@ -13,14 +13,15 @@ n-gram and transition of its words gets an integer id, and each word keeps
 the ids of its n-grams and transitions and its CV pattern. Statistics of a
 reference subset are plain lists indexed by those ids, so a refinement pass
 counts ids and reads each word's probabilities by id instead of hashing
-symbol tuples again. The tuple-keyed mappings of ``VocabStatistics``
-(``ngram_prob``, ``trans_prob``) are views built on first read, for
-callers outside the detection loop.
+symbol tuples again. A compiled group is the only input of
+``build_statistics`` and ``extract_all``; the tuple-keyed mappings of
+``VocabStatistics`` (``ngram_prob``, ``trans_prob``) are views built on
+first read, and detection reads none of them.
 
 ``extract_all`` is the one feature path. It reads the rarity constants
-and the n-gram range from a ``RunConfig``, whose ``validate`` is the only
-place they are checked, and computes each feature with one kernel over a
-word's list of probabilities (or its CV pattern).
+from a ``RunConfig``, whose ``validate`` is the only place they are
+checked, and computes each feature with one kernel over a word's list of
+probabilities (or its CV pattern).
 """
 
 from __future__ import annotations
@@ -147,22 +148,6 @@ class CompiledGroup:
         return view
 
 
-def _compiled(
-    words: Iterable[Word] | CompiledGroup,
-    ngram_min: int,
-    ngram_max: int,
-    inventory: SymbolInventory | None,
-) -> CompiledGroup:
-    if not isinstance(words, CompiledGroup):
-        return CompiledGroup(words, ngram_min, ngram_max, inventory)
-    if (words.ngram_min, words.ngram_max) != (ngram_min, ngram_max):
-        raise ValueError(
-            f"group compiled for n-grams {words.ngram_min}..{words.ngram_max}, "
-            f"asked for {ngram_min}..{ngram_max}"
-        )
-    return words
-
-
 @dataclass(frozen=True, eq=False)
 class VocabStatistics:
     """Distributional statistics of a reference word set.
@@ -207,33 +192,26 @@ class VocabStatistics:
         return {s: c / total for s, c in symbol_count.items()}
 
 
-def build_statistics(
-    reference: Iterable[Word] | CompiledGroup,
-    *,
-    ngram_min: int = NGRAM_MIN,
-    ngram_max: int = NGRAM_MAX,
-    inventory: SymbolInventory | None = None,
-) -> VocabStatistics:
-    """Count n-grams, transitions, and lengths over a reference word set.
+def build_statistics(group: CompiledGroup) -> VocabStatistics:
+    """Count n-grams, transitions, and lengths over the rows of ``group``.
 
-    ``reference`` is a word sequence or the rows of a ``CompiledGroup``
-    (compiled for the same n-gram range; its inventory was fixed when it
-    was compiled). N-gram probabilities are normalized within each n-gram
+    The n-gram range and the inventory are the group's, fixed when it was
+    compiled. N-gram probabilities are normalized within each n-gram
     length, so for every n the probabilities of the observed n-grams of
     that length sum to 1. The length standard deviation is
     population-based and replaced by 1 when fewer than two words are
     available or the variance is zero.
     """
-    group = _compiled(reference, ngram_min, ngram_max, inventory)
     rows = group.rows
     if not rows:
         raise EmptyReferenceError("reference word set is empty")
 
     lengths = [len(group.words[r]) for r in rows]
+    nmin, nmax = group.ngram_min, group.ngram_max
     # each word of length L has L - n + 1 n-grams of every length n <= L
-    totals_by_len = [0] * (ngram_max + 1)
+    totals_by_len = [0] * (nmax + 1)
     for length, count in Counter(lengths).items():
-        for n in range(ngram_min, min(ngram_max, length) + 1):
+        for n in range(nmin, min(nmax, length) + 1):
             totals_by_len[n] += count * (length - n + 1)
     ngram_counts = _count_ids(group.word_grams, rows, len(group.gram_len))
     ngram_probs = [
@@ -356,28 +334,27 @@ def feature_names(mode: str) -> tuple[str, ...]:
 
 
 def extract_all(
-    words: Sequence[Word] | CompiledGroup,
-    stats: VocabStatistics,
-    cfg: RunConfig,
-    inventory: SymbolInventory | None = None,
+    group: CompiledGroup, stats: VocabStatistics, cfg: RunConfig
 ) -> list[dict[str, float]]:
-    """Feature vectors of ``words`` (a sequence, or a group's rows) against ``stats``.
+    """Feature vectors of the rows of ``group`` against ``stats``.
 
-    The features are those of ``cfg.mode``. A group sharing the id tables
-    of ``stats`` reads probabilities by id; other words are compiled here
-    and read the tuple-keyed views once per distinct n-gram and
-    transition. Words of length 1 have no n-grams or transitions; their
-    sequence features are 0.
+    The features are those of ``cfg.mode``. ``group`` must share the id
+    tables of ``stats.group`` (the same compiled words, any rows) and be
+    compiled for ``cfg``'s n-gram range; each word reads its
+    probabilities by id. Words of length 1 have no n-grams or
+    transitions; their sequence features are 0.
     """
+    if group.word_grams is not stats.group.word_grams:
+        raise ValueError("group does not share the id tables of the statistics")
+    if (group.ngram_min, group.ngram_max) != (cfg.ngram_min, cfg.ngram_max):
+        raise ValueError(
+            f"group compiled for n-grams {group.ngram_min}..{group.ngram_max}, "
+            f"asked for {cfg.ngram_min}..{cfg.ngram_max}"
+        )
     names = feature_names(cfg.mode)
     with_ngrams = "rare_ngram_score" in names
     with_trans = "rare_transition_score" in names
-    group = _compiled(words, cfg.ngram_min, cfg.ngram_max, inventory)
-    if group.word_grams is stats.group.word_grams:
-        gram_p, trans_p = stats.ngram_probs, stats.trans_probs
-    else:
-        gram_p = [stats.ngram_prob.get(g, 0.0) for g in group.gram_tuples()]
-        trans_p = [stats.trans_prob.get(t, 0.0) for t in group.transitions]
+    gram_p, trans_p = stats.ngram_probs, stats.trans_probs
     mean, std = stats.length_mean, stats.length_std
     aug = cfg.mode == "aug"
     if aug:

@@ -145,7 +145,6 @@ class DetectionState:
     iteration: int
     averaged: list[float]
     loans: set[int]
-    natives: set[int]
     converged: bool
     warnings: list[str] = field(default_factory=list)
     snapshots: list[IterationSnapshot] = field(default_factory=list)
@@ -172,13 +171,7 @@ def detect(
     patterns = PatternIndex(words) if cfg.pattern_refinement else None
 
     def rescore(reference: CompiledGroup) -> list[ScoreResult]:
-        stats = build_statistics(
-            reference,
-            ngram_min=cfg.ngram_min,
-            ngram_max=cfg.ngram_max,
-            inventory=inventory,
-        )
-        vectors = extract_all(group, stats, cfg, inventory)
+        vectors = extract_all(group, build_statistics(reference), cfg)
         return score_all(vectors, pos_tags, cfg)
 
     def partition(averaged: Sequence[float]) -> tuple[set[int], set[int]]:
@@ -245,7 +238,6 @@ def detect(
         iteration=iteration,
         averaged=averaged,
         loans=loans,
-        natives=natives,
         converged=converged,
         warnings=warnings,
         snapshots=snapshots,

@@ -1,4 +1,4 @@
-"""Frozen synthetic fixtures for the acceptance suite.
+"""Frozen synthetic fixtures for the acceptance suite, and a feature helper.
 
 All builders are deterministic in their seed. The expected performance
 bands asserted in the acceptance tests were established by running the
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 
+from loandetect.config import RunConfig
 from loandetect.evaluation import Grammar
+from loandetect.features import CompiledGroup, build_statistics, extract_all
 from loandetect.wordlist import LexicalEntry, Wordlist, make_wordlist
 
 # POS profile for synthetic native vocabulary (loans are nouns, the most
@@ -136,3 +138,20 @@ def transition_signal_fixture(
         if word not in natives:
             loans.add(word)
     return _wordlist(natives, loans, rng)
+
+
+# --- features of probed words against a reference --------------------------
+
+
+def extract_against(reference, words, cfg=None):
+    """Feature vectors of ``words`` against the statistics of ``reference``.
+
+    The reference and the probed words are compiled as one group, and the
+    probed rows read the reference rows' probabilities by id: an n-gram or
+    transition the reference lacks reads 0.
+    """
+    cfg = cfg or RunConfig()
+    reference, words = list(reference), list(words)
+    group = CompiledGroup(reference + words, cfg.ngram_min, cfg.ngram_max)
+    stats = build_statistics(group.subset(range(len(reference))))
+    return extract_all(group.subset(range(len(reference), len(group.words))), stats, cfg)

@@ -217,6 +217,29 @@ def bf_best_alignment_score(x, y, column_score, gap_penalty):
     return best(0, 0)
 
 
+def bf_column_score_sum(pairs, column_score, gap_penalty, gap):
+    """Total score of the columns of an alignment: -gap_penalty for a gap column."""
+    total = 0.0
+    for a, b, _ in pairs:
+        if a == gap or b == gap:
+            total -= gap_penalty
+        else:
+            total += column_score(a, b)
+    return total
+
+
+def bf_tracks(pairs, gap):
+    """The two words an alignment's columns spell, gaps dropped."""
+    first = []
+    second = []
+    for a, b, _ in pairs:
+        if a != gap:
+            first.append(a)
+        if b != gap:
+            second.append(b)
+    return tuple(first), tuple(second)
+
+
 # --- pattern databases -----------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ import pytest
 from loandetect.config import RunConfig
 from loandetect.crossling import (
     align,
-    alignment_score,
     classify,
     composite,
     detect_scaled,
@@ -27,8 +26,8 @@ from loandetect.evaluation import (
     generate_synthetic_multilingual,
     run_ablations,
 )
-from loandetect.features import build_statistics, extract_all
-from loandetect.ipa import symbol_distance
+from loandetect.features import CompiledGroup, build_statistics
+from loandetect.ipa import GAP, symbol_distance
 from loandetect.refiner import detect, detect_wordlist
 from loandetect.scoring import score_all
 from loandetect.wordlist import LexicalEntry, make_wordlist
@@ -40,6 +39,7 @@ from fixtures import (
     SCALED_INTEGRATION,
     SCALED_SEED,
     SEPARABLE_SEED,
+    extract_against,
     ngram_signal_fixture,
     transition_signal_fixture,
 )
@@ -133,7 +133,7 @@ def test_acceptance_2_feature_oracle_equivalence():
             tuple(rng.choice(symbols) for _ in range(rng.randint(1, 8)))
             for _ in range(rng.randint(1, 20))
         ]
-        stats = build_statistics(vocab)
+        stats = build_statistics(CompiledGroup(vocab))
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
         grams = stats.group.gram_tuples()
@@ -146,8 +146,7 @@ def test_acceptance_2_feature_oracle_equivalence():
             assert abs(stats.ngram_prob[g] - p_expected) < 1e-9
         for t, p_expected in trans.items():
             assert abs(stats.trans_prob[t] - p_expected) < 1e-9
-        for w in vocab:
-            vec = extract_all([w], stats, cfg)[0]
+        for w, vec in zip(vocab, extract_against(vocab, vocab, cfg)):
             assert abs(
                 vec["rare_ngram_score"]
                 - oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0)
@@ -187,9 +186,10 @@ def test_acceptance_3_alignment_oracle():
         y = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
         al = align(x, y, gap)
         assert abs(
-            alignment_score(al, gap) - oracles.bf_best_alignment_score(x, y, column_score, gap)
+            oracles.bf_column_score_sum(al.pairs, column_score, gap, GAP)
+            - oracles.bf_best_alignment_score(x, y, column_score, gap)
         ) < 1e-9
-        assert al.track_a() == x and al.track_b() == y
+        assert oracles.bf_tracks(al.pairs, GAP) == (x, y)
     for _ in range(50):
         w = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
         assert feature_distance(align(w, w, gap)) == 0.0
@@ -360,8 +360,7 @@ def test_acceptance_7_reduction_identities():
     cfg = RunConfig(max_iterations=1, pattern_refinement=False)
     state = detect(fixture, cfg)
     words = [e.ipa for e in fixture]
-    stats = build_statistics(words)
-    vectors = extract_all(words, stats, cfg)
+    vectors = extract_against(words, words, cfg)
     results = score_all(vectors, [e.pos for e in fixture], cfg)
     expected = [r.boosted for r in results]
     assert state.averaged == pytest.approx(expected, abs=1e-12)
@@ -415,41 +414,37 @@ def test_acceptance_8_byte_identical_outputs(tmp_path):
     main(["detect", "--input", str(vocab_path), "--output", str(report_path)])
 
     commands = {
-        "detect": lambda out, threads: [
-            "detect", "--input", str(vocab_path), "--output", out,
-            "--threads", threads, "--seed", "1",
+        "detect": lambda out: [
+            "detect", "--input", str(vocab_path), "--output", out, "--seed", "1",
         ],
-        "detect-xl": lambda out, threads: [
-            "detect-xl", "--input", str(multi_path), "--output", out,
-            "--threads", threads, "--seed", "1",
+        "detect-xl": lambda out: [
+            "detect-xl", "--input", str(multi_path), "--output", out, "--seed", "1",
         ],
-        "eval": lambda out, threads: [
+        "eval": lambda out: [
             "eval", "--input", str(report_path), "--output", out,
-            "--threads", threads,
         ],
-        "ablate": lambda out, threads: [
+        "ablate": lambda out: [
             "ablate", "--input", str(vocab_path), "--output", out,
-            "--threads", threads,
         ],
-        "experiment": lambda out, threads: [
+        "experiment": lambda out: [
             "experiment", "--input", str(vocab_path), "--output", out,
-            "--seed", "5", "--threads", threads, "--proportions", "0.5,1.0",
+            "--seed", "5", "--proportions", "0.5,1.0",
         ],
-        "synth": lambda out, threads: [
+        "synth": lambda out: [
             "synth", "--native-grammar", str(native_g), "--donor-grammar",
             str(donor_g), "--n-native", "10", "--n-loans", "4",
-            "--seed", "7", "--output", out, "--threads", threads,
+            "--seed", "7", "--output", out,
         ],
     }
     all_ok = True
     for name, build in commands.items():
         outputs = []
-        for run, threads in enumerate(("1", "4", "1")):
+        for run in range(3):
             out = tmp_path / f"{name}.{run}.out"
-            code = main(build(str(out), threads))
+            code = main(build(str(out)))
             assert code == 0, name
             outputs.append(out.read_bytes())
         identical = outputs[0] == outputs[1] == outputs[2]
         all_ok = all_ok and identical
         assert identical, f"{name} outputs differ across repeated runs"
-    report_line("8 determinism", all_ok, "6 commands x 3 runs, --threads 1/4")
+    report_line("8 determinism", all_ok, "6 commands x 3 runs")

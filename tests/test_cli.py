@@ -251,15 +251,16 @@ def test_synth_multilingual(tmp_path):
     assert all(e.concept_id for e in wl)
 
 
-def test_threads_below_one_exit_code(vocab_file, tmp_path):
-    for threads in ("0", "-3"):
-        code = main(
-            [
-                "detect", "--input", str(vocab_file), "--output", str(tmp_path / "x"),
-                "--threads", threads,
-            ]
-        )
-        assert code == 1
+def test_threads_rejected_exit_code(vocab_file, tmp_path, capsys):
+    # no setting is called threads: neither the flag nor a config key exists
+    argv = ["detect", "--input", str(vocab_file), "--output", str(tmp_path / "x")]
+    assert main(argv + ["--threads", "4"]) == 1
+    capsys.readouterr()
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("threads = 2\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
 
 
 def _bad_inputs(tmp_path, vocab_file):

@@ -1,7 +1,12 @@
 """Configuration defaults, validation, and flat-file round-trips."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import loandetect
 from loandetect.config import ConfigError, RunConfig, load_config, parse_config_text
 
 
@@ -60,8 +65,6 @@ def test_scalar_validation():
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"threads": 0},
-        {"threads": -3},
         {"ngram_min": 5, "ngram_max": 3},
         {"ngram_min": 0},
         {"pos_weights": dict(RunConfig().pos_weights, noun=2.0)},
@@ -74,7 +77,7 @@ def test_execution_and_range_validation(overrides):
 
 
 def test_execution_and_range_limits_accepted():
-    RunConfig(threads=1, ngram_min=3, ngram_max=3)
+    RunConfig(ngram_min=3, ngram_max=3)
     RunConfig(ngram_min=1, ngram_max=1)
 
 
@@ -97,6 +100,31 @@ def test_with_overrides_coercion():
     assert cfg.polarity["ngram_entropy"] == -1
     assert cfg.pos_weights["noun"] == 0.9
     assert cfg.anomaly_thresholds["len_z"] == 0.6
+
+
+def test_config_maps_are_read_only():
+    cfg = RunConfig()
+    for attr in ("weights", "pos_weights", "polarity", "anomaly_thresholds", "anomaly_boosts"):
+        mapping = getattr(cfg, attr)
+        with pytest.raises(TypeError):
+            mapping[next(iter(mapping))] = -5.0
+    # the caller's dict is copied, so changing it later changes nothing
+    weights = dict(cfg.weights)
+    frozen = RunConfig(weights=weights)
+    weights["len_z"] = -5.0
+    assert frozen.weights["len_z"] == cfg.weights["len_z"]
+
+
+def test_every_field_is_read():
+    """Every config field is read somewhere outside config.py: no dead knobs."""
+    package = Path(loandetect.__file__).parent
+    sources = "".join(
+        p.read_text(encoding="utf-8") for p in package.glob("*.py") if p.name != "config.py"
+    )
+    unread = [
+        f.name for f in fields(RunConfig) if not re.search(rf"\bcfg\.{f.name}\b", sources)
+    ]
+    assert unread == []
 
 
 def test_with_overrides_rejects_unknown_key():

@@ -21,14 +21,19 @@ from loandetect.features import (
 from loandetect.ipa import cv_pattern
 
 import oracles
+from fixtures import extract_against
 
 SYMBOLS = ["p", "t", "k", "m", "n", "s", "a", "i", "u", "e"]
 VOWELS = {"a", "i", "u", "e"}
 
 
-def feature(word, stats, name, cfg=None):
-    """One feature of one word, through the only feature path."""
-    return extract_all([word], stats, cfg or RunConfig())[0][name]
+def statistics(words):
+    return build_statistics(CompiledGroup(words))
+
+
+def feature(reference, word, name, cfg=None):
+    """One feature of one word against ``reference``, through the only feature path."""
+    return extract_against(reference, [word], cfg)[0][name]
 
 
 def ngram_count(stats):
@@ -46,7 +51,7 @@ def random_vocab(rng, max_words=20, max_len=8):
 
 
 def test_build_statistics_single_word():
-    stats = build_statistics([("a", "b")])
+    stats = statistics([("a", "b")])
     assert stats.trans_prob[("a", "b")] == 1.0
     assert stats.ngram_prob[("a", "b")] == 1.0
     assert stats.length_mean == 2.0
@@ -54,20 +59,20 @@ def test_build_statistics_single_word():
 
 
 def test_build_statistics_symmetric_transitions():
-    stats = build_statistics([("a", "b"), ("a", "c")])
+    stats = statistics([("a", "b"), ("a", "c")])
     assert stats.trans_prob[("a", "b")] == pytest.approx(0.5)
     assert stats.trans_prob[("a", "c")] == pytest.approx(0.5)
 
 
 def test_build_statistics_empty_reference():
     with pytest.raises(EmptyReferenceError):
-        build_statistics([])
+        statistics([])
 
 
 def test_build_statistics_probabilities_normalize_per_length():
     rng = random.Random(7)
     words = [tuple(rng.choice(SYMBOLS) for _ in range(5)) for _ in range(10)]
-    stats = build_statistics(words)
+    stats = statistics(words)
     by_len = {}
     for g, p in stats.ngram_prob.items():
         by_len[len(g)] = by_len.get(len(g), 0.0) + p
@@ -83,7 +88,7 @@ def test_build_statistics_probabilities_normalize_per_length():
 def test_build_statistics_matches_bruteforce():
     rng = random.Random(13)
     words = [tuple(rng.choice(SYMBOLS) for _ in range(5)) for _ in range(10)]
-    stats = build_statistics(words)
+    stats = statistics(words)
     assert ngram_count(stats) == oracles.bf_ngram_counts(words)
     probs = oracles.bf_ngram_probs(words)
     assert set(stats.ngram_prob) == set(probs)
@@ -99,14 +104,13 @@ def test_build_statistics_matches_bruteforce():
 
 
 def test_rare_ngram_score_no_rare_components():
-    stats = build_statistics([("a", "b")])  # p([a,b]) = 1
-    assert feature(("a", "b"), stats, "rare_ngram_score") == 0.0
+    # p([a,b]) = 1
+    assert feature([("a", "b")], ("a", "b"), "rare_ngram_score") == 0.0
 
 
 def test_rare_ngram_score_unseen_bigram():
     # single unseen bigram: contribution c1 * eps1 = 100 * 0.005 = 0.5
-    stats = build_statistics([("a", "b")])
-    assert feature(("x", "y"), stats, "rare_ngram_score") == pytest.approx(0.5)
+    assert feature([("a", "b")], ("x", "y"), "rare_ngram_score") == pytest.approx(0.5)
 
 
 def test_rare_ngram_score_two_tier_hand_case():
@@ -122,8 +126,7 @@ def test_rare_ngram_score_requires_ordered_thresholds():
 
 
 def test_short_word_scores_zero():
-    stats = build_statistics([("a", "b")])
-    vec = extract_all([("a",)], stats, RunConfig())[0]
+    vec = extract_against([("a", "b")], [("a",)], RunConfig())[0]
     assert vec["rare_ngram_score"] == 0.0
     assert vec["ngram_entropy"] == 0.0
     assert vec["rare_transition_score"] == 0.0
@@ -132,15 +135,14 @@ def test_short_word_scores_zero():
 
 
 def test_ngram_entropy_certainty():
-    stats = build_statistics([("a", "b")])
-    assert feature(("a", "b"), stats, "ngram_entropy") == 0.0
+    assert feature([("a", "b")], ("a", "b"), "ngram_entropy") == 0.0
 
 
 def test_ngram_entropy_fair_coin():
     # two bigrams each with global p = 0.5 -> 1 bit
-    stats = build_statistics([("a", "b"), ("b", "a")])
+    reference = [("a", "b"), ("b", "a")]
     cfg = RunConfig(ngram_max=2)
-    assert feature(("a", "b", "a"), stats, "ngram_entropy", cfg) == pytest.approx(1.0)
+    assert feature(reference, ("a", "b", "a"), "ngram_entropy", cfg) == pytest.approx(1.0)
 
 
 def test_rare_transition_examples():
@@ -156,24 +158,23 @@ def test_transition_entropy_examples():
 
 
 def test_avg_transition_prob_examples():
-    stats = build_statistics([("a", "b")])
-    assert feature(("a", "b"), stats, "avg_trans_prob") == 1.0
+    assert feature([("a", "b")], ("a", "b"), "avg_trans_prob") == 1.0
     assert _mean([0.2, 0.4]) == pytest.approx(0.3)
     # unseen transition contributes 0 to the mean
     assert _mean([0.2, 0.0]) == pytest.approx(0.1)
 
 
 def test_length_z_examples():
-    stats = build_statistics([("a",) * 3, ("a",) * 7])  # mean 5, std 2
+    reference = [("a",) * 3, ("a",) * 7]
+    stats = statistics(reference)  # mean 5, std 2
     assert stats.length_mean == 5.0
     assert stats.length_std == 2.0
-    assert feature(("a",) * 5, stats, "len_z") == 0.0
-    assert feature(("a",) * 9, stats, "len_z") == pytest.approx(2.0)
+    assert feature(reference, ("a",) * 5, "len_z") == 0.0
+    assert feature(reference, ("a",) * 9, "len_z") == pytest.approx(2.0)
 
 
 def test_length_z_degenerate_single_word():
-    stats = build_statistics([("a", "b")])
-    assert feature(("a", "b"), stats, "len_z") == 0.0
+    assert feature([("a", "b")], ("a", "b"), "len_z") == 0.0
 
 
 def test_feature_oracle_equivalence_random_vocabularies():
@@ -181,11 +182,9 @@ def test_feature_oracle_equivalence_random_vocabularies():
     cfg = RunConfig()
     for _ in range(40):
         vocab = random_vocab(rng)
-        stats = build_statistics(vocab)
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
-        for w in vocab:
-            vec = extract_all([w], stats, cfg)[0]
+        for w, vec in zip(vocab, extract_against(vocab, vocab, cfg)):
             assert vec["rare_ngram_score"] == pytest.approx(
                 oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0),
                 abs=1e-9,
@@ -207,11 +206,9 @@ def test_feature_oracle_equivalence_random_vocabularies():
 def test_features_scale_free_under_duplication():
     rng = random.Random(3)
     vocab = random_vocab(rng, max_words=10)
-    stats_once = build_statistics(vocab)
-    stats_twice = build_statistics(vocab + vocab)
-    for w in vocab:
-        a = extract_all([w], stats_once, RunConfig())[0]
-        b = extract_all([w], stats_twice, RunConfig())[0]
+    once = extract_against(vocab, vocab)
+    twice = extract_against(vocab + vocab, vocab)
+    for a, b in zip(once, twice):
         assert set(a) == set(b)
         for name in a:
             assert a[name] == pytest.approx(b[name], abs=1e-12)
@@ -233,11 +230,11 @@ def test_rare_scores_monotone_under_small_perturbation():
 
 
 def test_extract_mode_contracts():
-    stats = build_statistics([("p", "a"), ("t", "a", "k", "a")])
+    reference = [("p", "a"), ("t", "a", "k", "a")]
     word = ("p", "a", "t", "a")
 
     def extract(mode):
-        return extract_all([word], stats, RunConfig(mode=mode))[0]
+        return extract_against(reference, [word], RunConfig(mode=mode))[0]
 
     assert set(extract("full")) == set(feature_names("full"))
     no_ngram = extract("no_ngram")
@@ -252,11 +249,11 @@ def test_extract_mode_contracts():
 
 
 def test_aug_segmental_hand_counts():
-    stats = build_statistics([("p", "a"), ("t", "a", "k", "a")])
+    reference = [("p", "a"), ("t", "a", "k", "a")]
     word = ("s", "t", "r", "a")
     assert _cluster(cv_pattern(word)) == pytest.approx((3 - 1) / 4)
     assert _vowel_ratio(cv_pattern(word)) == pytest.approx(0.25)
-    aug = extract_all([word], stats, RunConfig(mode="aug"))[0]
+    aug = extract_against(reference, [word], RunConfig(mode="aug"))[0]
     assert aug["cluster_score"] == pytest.approx(0.5)
     assert aug["vowel_ratio"] == pytest.approx(0.25)
 
@@ -266,9 +263,11 @@ def test_cluster_score_vowel_only_floor():
 
 
 def test_extract_deterministic():
-    stats = build_statistics([("p", "a"), ("t", "a")])
+    reference = [("p", "a"), ("t", "a")]
     w = ("p", "a", "t", "a")
-    assert extract_all([w], stats, RunConfig()) == extract_all([w], stats, RunConfig())
+    assert extract_against(reference, [w], RunConfig()) == extract_against(
+        reference, [w], RunConfig()
+    )
 
 
 def test_word_ngrams_range():
@@ -311,7 +310,7 @@ def test_compiled_extract_all_matches_bruteforce_features():
         trans = oracles.bf_transition_probs(reference)
         mean, std = oracles.bf_length_stats(reference)
         vectors = extract_all(group, stats, cfg)
-        assert vectors == extract_all(vocab, stats, cfg)
+        assert vectors == extract_against(reference, vocab, cfg)
         for w, vec in zip(vocab, vectors):
             assert list(vec) == list(feature_names("aug"))
             assert vec["rare_ngram_score"] == pytest.approx(
@@ -346,8 +345,9 @@ def test_compiled_extract_all_matches_bruteforce_features():
 
 def test_compiled_group_rejects_other_ngram_range():
     group = CompiledGroup([("a", "b", "c")])
-    with pytest.raises(ValueError):
-        build_statistics(group, ngram_max=3)
     stats = build_statistics(group)
     with pytest.raises(ValueError):
         extract_all(group, stats, RunConfig(ngram_max=3))
+    # the same words compiled again do not share the id tables of the statistics
+    with pytest.raises(ValueError):
+        extract_all(CompiledGroup([("a", "b", "c")]), stats, RunConfig())

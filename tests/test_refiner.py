@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loandetect.config import RunConfig
-from loandetect.features import build_statistics, extract_all
 from loandetect.refiner import (
     PatternIndex,
     average_probabilities,
@@ -21,6 +20,7 @@ from loandetect.scoring import score_all
 from loandetect.wordlist import LexicalEntry, make_wordlist
 
 import oracles
+from fixtures import extract_against
 
 
 def entries_from(words, language="toy", pos="noun", labels=None, concepts=False):
@@ -232,8 +232,7 @@ def test_detect_reduces_to_score_and_threshold_at_one_pass():
     assert not state.converged
 
     words = [e.ipa for e in vocab]
-    stats = build_statistics(words)
-    vectors = extract_all(words, stats, cfg)
+    vectors = extract_against(words, words, cfg)
     results = score_all(vectors, [e.pos for e in vocab], cfg)
     expected = [r.boosted for r in results]
     assert state.averaged == pytest.approx(expected)
