@@ -10,10 +10,13 @@ normalized average is the comparability score C. The composite score
 fuses C with the basic model's borrowing probability B, and a dynamic
 per-word threshold decides the label.
 
-Each unordered word pair of a concept is aligned twice: once for the
-context model and once for its divergence, which is symmetric and so
-computed once per pair. Alignments are not kept between the two stages.
-The aligner tables the column scores of a pair before its DP, from
+Each unordered word pair of a concept is aligned once, while the context
+model is counted. Every column is interned to an int key (its context id
+and the id of its unordered symbol pair), and the model keeps per pair
+only its mean feature distance and its column keys. After counting, one
+table of per-key log-probabilities replaces the interning tables, and
+comparability sums a pair's log-probability from that table in column
+order. The aligner tables the column scores of a pair before its DP, from
 symbol distances memoised per inventory (``ipa.symbol_distance``).
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -126,39 +130,31 @@ def _with_contexts(
 ) -> list[tuple[str, str, Context]]:
     # Context = the two column representatives on each side, boundary-padded.
     # A column's representative is its non-gap symbol (a-track preferred).
-    reps = [a if a != GAP else b for a, b in columns]
-
-    def rep(k: int) -> str:
-        return reps[k] if 0 <= k < len(reps) else BOUNDARY
-
-    out: list[tuple[str, str, Context]] = []
-    for k, (a, b) in enumerate(columns):
-        ctx: Context = (rep(k - 2), rep(k - 1), rep(k + 1), rep(k + 2))
-        out.append((a, b, ctx))
-    return out
+    reps = [BOUNDARY, BOUNDARY]
+    reps += [a if a != GAP else b for a, b in columns]
+    reps += [BOUNDARY, BOUNDARY]
+    return [
+        (a, b, (r0, r1, r3, r4))
+        for (a, b), r0, r1, r3, r4 in zip(columns, reps, reps[1:], reps[3:], reps[4:])
+    ]
 
 
 @dataclass
 class ContextModel:
-    """Smoothed co-occurrence model P(a, b | context) over aligned pairs."""
+    """Smoothed co-occurrence model P(a, b | context) over aligned columns.
 
-    counts: dict[tuple[str, str, Context], int] = field(default_factory=dict)
-    marginals: dict[Context, int] = field(default_factory=dict)
-    pair_types: set[tuple[str, str]] = field(default_factory=set)
-    smoothing: float = 0.1
+    A column key stands for an unordered symbol pair in one context
+    window: both orders share a key, because every column is counted in
+    both orders. ``logp[key]`` is its natural-log probability,
+    ``log((count + s) / (marginal + s * k))`` with ``s`` the smoothing, the
+    marginal the column count of its context and ``k`` the number of
+    distinct unordered symbol pairs. ``rows[concept][i][j - i - 1]`` is
+    the aligned pair of that concept's words ``i < j``: its mean feature
+    distance and its column keys in column order.
+    """
 
-    def observe(self, a: str, b: str, ctx: Context) -> None:
-        self.counts[(a, b, ctx)] = self.counts.get((a, b, ctx), 0) + 1
-        if a != b:
-            self.counts[(b, a, ctx)] = self.counts.get((b, a, ctx), 0) + 1
-        self.marginals[ctx] = self.marginals.get(ctx, 0) + 1
-        self.pair_types.add((a, b) if a <= b else (b, a))
-
-    def probability(self, a: str, b: str, ctx: Context) -> float:
-        k = max(len(self.pair_types), 1)
-        count = self.counts.get((a, b, ctx), 0)
-        marginal = self.marginals.get(ctx, 0)
-        return (count + self.smoothing) / (marginal + self.smoothing * k)
+    logp: array
+    rows: dict[str, list[list[tuple[float, array]]]]
 
 
 def build_context_model(
@@ -166,86 +162,90 @@ def build_context_model(
     cfg: RunConfig | None = None,
     inventory: SymbolInventory | None = None,
 ) -> ContextModel:
-    """Align every unordered word pair within every concept and tally columns."""
+    """Align every unordered word pair within every concept once and tally columns.
+
+    A column's key interns its context id and the id of its unordered
+    symbol pair; the interning tables are dropped once every pair is
+    counted, before the log-probability table is built.
+    """
     cfg = cfg or RunConfig()
-    model = ContextModel(smoothing=cfg.context_smoothing)
-    any_pair = False
+    ctx_of: dict[Context, int] = {}
+    pair_of: dict[tuple[str, str], int] = {}  # both orders -> unordered pair id
+    key_of: dict[int, int] = {}  # context id << 32 | pair id -> key
+    pair_dist: list[float] = []  # pair id -> symbol distance (the same both ways)
+    marginals = array("i")  # context id -> columns
+    counts = array("i")  # key -> columns
+    key_ctx = array("i")
+    key_pair = array("i")
+    rows: dict[str, list[list[tuple[float, array]]]] = {}
     for concept in sorted(concepts):
         words = [tuple(w) for w in concepts[concept]]
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                any_pair = True
-                first, second = sorted((words[i], words[j]))
-                al = align(first, second, cfg.gap_penalty, inventory)
-                for a, b, ctx in al.pairs:
-                    model.observe(a, b, ctx)
-    if not any_pair:
+        concept_rows = []
+        for i, x in enumerate(words):
+            row = []
+            for y in words[i + 1 :]:
+                first, second = sorted((x, y))
+                ids = array("i")
+                for a, b, ctx in align(first, second, cfg.gap_penalty, inventory).pairs:
+                    c = ctx_of.get(ctx)
+                    if c is None:
+                        c = ctx_of[ctx] = len(marginals)
+                        marginals.append(0)
+                    marginals[c] += 1
+                    p = pair_of.get((a, b))
+                    if p is None:
+                        p = pair_of[(a, b)] = pair_of[(b, a)] = len(pair_dist)
+                        pair_dist.append(symbol_distance(a, b, inventory))
+                    column = c << 32 | p
+                    key = key_of.get(column)
+                    if key is None:
+                        key = key_of[column] = len(counts)
+                        counts.append(0)
+                        key_ctx.append(c)
+                        key_pair.append(p)
+                    counts[key] += 1
+                    ids.append(key)
+                d_feat = sum([pair_dist[key_pair[key]] for key in ids]) / len(ids)
+                row.append((d_feat, ids))
+            concept_rows.append(row)
+        rows[concept] = concept_rows
+    if not counts:
         raise EmptyDatasetError("no concept contains at least two words")
-    return model
-
-
-def alignment_logprob(al: Alignment, model: ContextModel) -> float:
-    """Sum of per-column natural-log probabilities; finite thanks to smoothing."""
-    return sum(
-        math.log(model.probability(a, b, ctx)) for a, b, ctx in al.pairs
+    k = len(pair_dist)
+    del ctx_of, pair_of, key_of, pair_dist, key_pair
+    s = cfg.context_smoothing
+    logp = array(
+        "d",
+        [
+            math.log((count + s) / (marginals[c] + s * k))
+            for count, c in zip(counts, key_ctx)
+        ],
     )
-
-
-def feature_distance(
-    al: Alignment, inventory: SymbolInventory | None = None
-) -> float:
-    """Mean Hamming feature distance over alignment columns (gaps count 1)."""
-    if al.length == 0:
-        return 0.0
-    return sum(symbol_distance(a, b, inventory) for a, b, _ in al.pairs) / al.length
-
-
-def divergence(
-    x: Word,
-    y: Word,
-    model: ContextModel,
-    lam: float = 0.5,
-    gap_penalty: float = 0.5,
-    inventory: SymbolInventory | None = None,
-) -> float:
-    """Weighted blend of feature distance and alignment improbability.
-
-    D = lam * D_feat - (1 - lam) * (1/L) * log P_align. Computed on the
-    canonically ordered pair (lexicographically smaller word first), so D
-    is exactly symmetric.
-    """
-    if not 0 <= lam <= 1:
-        raise ValueError("lambda weight must be in [0, 1]")
-    first, second = sorted((tuple(x), tuple(y)))
-    al = align(first, second, gap_penalty, inventory)
-    d_feat = feature_distance(al, inventory)
-    logp = alignment_logprob(al, model)
-    return lam * d_feat - (1.0 - lam) * logp / al.length
+    return ContextModel(logp=logp, rows=rows)
 
 
 def comparability(
-    concept_words: Sequence[Word],
+    concept_rows: Sequence[Sequence[tuple[float, array]]],
     model: ContextModel,
     lam: float = 0.5,
-    gap_penalty: float = 0.5,
-    inventory: SymbolInventory | None = None,
 ) -> list[float]:
     """Per-word comparability C: min-max normalized mean divergence.
 
-    Requires at least two words. When every word has the same raw
-    divergence, all C values collapse to 0. ``divergence`` is symmetric,
-    so each unordered pair is computed once.
+    ``concept_rows`` is one concept's ``model.rows`` entry. The divergence
+    of a pair is D = lam * D_feat - (1 - lam) * (1/L) * log P_align, with
+    log P_align the sum of its columns' log-probabilities. Requires at
+    least two words. When every word has the same raw divergence, all C
+    values collapse to 0.
     """
-    if len(concept_words) < 2:
+    k = len(concept_rows)
+    if k < 2:
         raise ValueError("comparability needs at least two words in the concept")
-    words = [tuple(w) for w in concept_words]
-    k = len(words)
+    logp = model.logp
     div = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            div[i][j] = div[j][i] = divergence(
-                words[i], words[j], model, lam, gap_penalty, inventory
-            )
+    for i, row in enumerate(concept_rows):
+        for j, (d_feat, ids) in enumerate(row, start=i + 1):
+            total = sum([logp[key] for key in ids])
+            div[i][j] = div[j][i] = lam * d_feat - (1.0 - lam) * total / len(ids)
     raws = [sum(div[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)]
     lo, hi = min(raws), max(raws)
     if hi - lo == 0:
@@ -255,8 +255,6 @@ def comparability(
 
 def composite(basic: float, comp: float, w1: float = 1.0, w2: float = 1.0) -> float:
     """S = (w1 * B + w2 * (1 - C)) / (w1 + w2)."""
-    if w1 <= 0 or w2 <= 0:
-        raise ValueError("composite weights must be positive")
     return (w1 * basic + w2 * (1.0 - comp)) / (w1 + w2)
 
 
@@ -340,13 +338,7 @@ def detect_scaled(
         if len(idxs) < 2 or len(langs) < 2 or model is None:
             fallback.append(concept)
             continue
-        cs = comparability(
-            [multi.entries[i].ipa for i in idxs],
-            model,
-            cfg.divergence_lambda,
-            cfg.gap_penalty,
-            inventory,
-        )
+        cs = comparability(model.rows[concept], model, cfg.divergence_lambda)
         for i, c in zip(idxs, cs):
             comp_values[i] = c
     if fallback:

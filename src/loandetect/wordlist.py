@@ -24,8 +24,9 @@ log = logging.getLogger(__name__)
 POS_CATEGORIES = ("noun", "adjective", "verb", "adverb", "function")
 
 # Length and stress markers removed during normalization: IPA length mark,
-# ASCII colon, primary stress, secondary stress.
-_STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ")
+# ASCII colon, primary stress, secondary stress; and the separators: syllable
+# boundary and morpheme boundary. Whitespace goes too.
+_STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ", ".", "+")
 
 DEFAULT_SCHEMA: Mapping[str, str] = {
     "orthography": "orthography",
@@ -138,17 +139,19 @@ def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
 def normalize_ipa(
     raw: str, inventory: SymbolInventory | None = None
 ) -> tuple[str, ...]:
-    """Strip length/stress markers and surrounding whitespace, then tokenize.
+    """Remove length/stress markers, separators and whitespace, then tokenize.
 
-    Whitespace is stripped after the markers are removed, so none that a
-    marker hid survives at either end. Raises ``EmptyTranscriptionError``
-    when nothing is left after stripping. Idempotent: feeding the joined
-    output back in returns the same token sequence.
+    Separators are the syllable boundary ``.``, the morpheme boundary
+    ``+`` and whitespace anywhere in the string, so space-segmented IPA
+    (``"p a t a"``, the CLDF "Segments" form) gives the same tokens as
+    ``"pata"``. Raises ``EmptyTranscriptionError`` when nothing is left.
+    Idempotent: feeding the joined output back in returns the same token
+    sequence.
     """
     text = raw
     for marker in _STRIP_MARKERS:
         text = text.replace(marker, "")
-    text = text.strip()
+    text = "".join(text.split())
     if not text:
         raise EmptyTranscriptionError(raw)
     return tuple(tokenize(text, inventory))

@@ -2,12 +2,16 @@
 
 Everything here is written as plainly as possible (nested loops, explicit
 recursion, no shared code with the package) so it can serve as an oracle
-for the optimized paths.
+for the optimized paths. The one exception is the two-alignment scaled
+model, which calls the package's aligner and symbol distance.
 """
 
 from __future__ import annotations
 
 import math
+
+from loandetect.crossling import align
+from loandetect.ipa import symbol_distance
 
 
 # --- n-gram and transition statistics ------------------------------------------
@@ -238,6 +242,93 @@ def bf_tracks(pairs, gap):
         if b != gap:
             second.append(b)
     return tuple(first), tuple(second)
+
+
+# --- context model and comparability: the two-alignment path --------------------
+#
+# The earlier form of the scaled model: a context model keyed by
+# (a, b, context) tuples, and a second alignment of every pair for its
+# divergence. These call the package's aligner and symbol distance, whose
+# own oracles are above and in test_ipa.py.
+
+
+class BfContextModel:
+    """Smoothed P(a, b | context) over aligned columns, keyed by tuples."""
+
+    def __init__(self, smoothing=0.1):
+        self.counts = {}
+        self.marginals = {}
+        self.pair_types = set()
+        self.smoothing = smoothing
+
+    def observe(self, a, b, ctx):
+        self.counts[(a, b, ctx)] = self.counts.get((a, b, ctx), 0) + 1
+        if a != b:
+            self.counts[(b, a, ctx)] = self.counts.get((b, a, ctx), 0) + 1
+        self.marginals[ctx] = self.marginals.get(ctx, 0) + 1
+        self.pair_types.add((a, b) if a <= b else (b, a))
+
+    def probability(self, a, b, ctx):
+        k = max(len(self.pair_types), 1)
+        count = self.counts.get((a, b, ctx), 0)
+        marginal = self.marginals.get(ctx, 0)
+        return (count + self.smoothing) / (marginal + self.smoothing * k)
+
+
+def bf_build_context_model(concepts, gap_penalty=0.5, smoothing=0.1, inventory=None):
+    """Align every unordered word pair of every concept and observe its columns."""
+    model = BfContextModel(smoothing)
+    for concept in sorted(concepts):
+        words = [tuple(w) for w in concepts[concept]]
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
+                first, second = sorted((words[i], words[j]))
+                for a, b, ctx in align(first, second, gap_penalty, inventory).pairs:
+                    model.observe(a, b, ctx)
+    return model
+
+
+def bf_alignment_logprob(pairs, model):
+    """Sum of the columns' natural-log probabilities."""
+    return sum(math.log(model.probability(a, b, ctx)) for a, b, ctx in pairs)
+
+
+def bf_feature_distance(pairs, inventory=None):
+    """Mean symbol distance over the columns (gaps count 1)."""
+    if len(pairs) == 0:
+        return 0.0
+    return sum(symbol_distance(a, b, inventory) for a, b, _ in pairs) / len(pairs)
+
+
+def bf_divergence(x, y, model, lam=0.5, gap_penalty=0.5, inventory=None):
+    """D = lam * D_feat - (1 - lam) * (1/L) * log P_align, on the pair aligned
+    again in canonical order (smaller word first)."""
+    if not 0 <= lam <= 1:
+        raise ValueError("lambda weight must be in [0, 1]")
+    first, second = sorted((tuple(x), tuple(y)))
+    pairs = align(first, second, gap_penalty, inventory).pairs
+    d_feat = bf_feature_distance(pairs, inventory)
+    logp = bf_alignment_logprob(pairs, model)
+    return lam * d_feat - (1.0 - lam) * logp / len(pairs)
+
+
+def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5, inventory=None):
+    """Min-max normalized mean divergence of each word against the others."""
+    if len(concept_words) < 2:
+        raise ValueError("comparability needs at least two words in the concept")
+    words = [tuple(w) for w in concept_words]
+    k = len(words)
+    div = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            div[i][j] = div[j][i] = bf_divergence(
+                words[i], words[j], model, lam, gap_penalty, inventory
+            )
+    raws = [sum(div[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)]
+    lo, hi = min(raws), max(raws)
+    if hi - lo == 0:
+        return [0.0] * len(raws)
+    return [(r - lo) / (hi - lo) for r in raws]
 
 
 # --- pattern databases -----------------------------------------------------------

@@ -13,11 +13,11 @@ import pytest
 from loandetect.config import RunConfig
 from loandetect.crossling import (
     align,
+    build_context_model,
     classify,
     composite,
     detect_scaled,
     dynamic_threshold,
-    feature_distance,
 )
 from loandetect.evaluation import (
     evaluate,
@@ -192,7 +192,8 @@ def test_acceptance_3_alignment_oracle():
         assert oracles.bf_tracks(al.pairs, GAP) == (x, y)
     for _ in range(50):
         w = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
-        assert feature_distance(align(w, w, gap)) == 0.0
+        model = build_context_model({"w": [w, w]}, RunConfig(gap_penalty=gap))
+        assert model.rows["w"][0][0][0] == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report_line("3 alignment-oracle", True, f"{elapsed:.1f}s, 500 pairs")

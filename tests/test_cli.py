@@ -355,3 +355,21 @@ def test_internal_os_error_exit_code(vocab_file, tmp_path, monkeypatch, capsys):
     code = main(["detect", "--input", str(vocab_file), "--output", str(tmp_path / "x")])
     assert code == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_module_entry_point_help():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import loandetect
+
+    src = str(Path(loandetect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "loandetect", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "detect-xl" in proc.stdout

@@ -1,34 +1,34 @@
-"""Alignment, context model, divergence, and scaled-classification tests."""
+"""Alignment, context model, comparability, and scaled-classification tests."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from loandetect import crossling
 from loandetect.config import RunConfig
 from loandetect.crossling import (
     BOUNDARY,
     Alignment,
-    ContextModel,
     EmptyDatasetError,
     MissingConceptError,
     align,
-    alignment_logprob,
     build_context_model,
     classify,
     comparability,
     composite,
     detect_scaled,
-    divergence,
     dynamic_threshold,
-    feature_distance,
 )
 from loandetect.ipa import GAP, symbol_distance
 from loandetect.refiner import detect_wordlist
+from loandetect.evaluation import generate_synthetic_multilingual
 from loandetect.wordlist import LexicalEntry, make_wordlist
 
 import oracles
+from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
 
 SYMBOLS = ["p", "b", "t", "d", "k", "s", "m", "a", "i", "u"]
 
@@ -84,8 +84,31 @@ def test_context_windows_padded_with_boundary():
     assert ctx1 == (BOUNDARY, "p", BOUNDARY, BOUNDARY)
 
 
+def column_logps(model, concept, i, j):
+    """The model's log-probabilities of the columns of pair i < j of a concept."""
+    _, ids = model.rows[concept][i][j - i - 1]
+    return [model.logp[key] for key in ids]
+
+
+def bf_column_logps(bf, x, y, gap=0.5):
+    first, second = sorted((tuple(x), tuple(y)))
+    return [math.log(bf.probability(a, b, ctx)) for a, b, ctx in align(first, second, gap).pairs]
+
+
+def assert_model_matches_oracle(model, concepts, bf):
+    for concept, words in concepts.items():
+        assert len(model.rows[concept]) == len(words)
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
+                pair = sorted((tuple(words[i]), tuple(words[j])))
+                d_feat, _ = model.rows[concept][i][j - i - 1]
+                assert d_feat == oracles.bf_feature_distance(align(*pair).pairs)
+                assert column_logps(model, concept, i, j) == bf_column_logps(bf, *pair)
+
+
 def test_build_context_model_identity_dataset():
-    model = build_context_model({"c": [("a", "b"), ("a", "b")]})
+    concepts = {"c": [("a", "b"), ("a", "b")]}
+    model = oracles.bf_build_context_model(concepts)
     ctx0 = (BOUNDARY, BOUNDARY, "b", BOUNDARY)
     ctx1 = (BOUNDARY, "a", BOUNDARY, BOUNDARY)
     assert model.counts[("a", "a", ctx0)] == 1
@@ -96,19 +119,30 @@ def test_build_context_model_identity_dataset():
     p_seen = model.probability("a", "a", ctx0)
     p_unseen = model.probability("a", "b", ctx0)
     assert p_seen > p_unseen > 0.0
+    # the interned model holds the same probabilities, one alignment per pair
+    interned = build_context_model(concepts)
+    assert column_logps(interned, "c", 0, 1) == [
+        math.log(p_seen),
+        math.log(model.probability("b", "b", ctx1)),
+    ]
 
 
 def test_build_context_model_smoothing_floor():
-    model = build_context_model({"c": [("a", "b"), ("a", "b")]})
+    concepts = {"c": [("a", "b"), ("a", "b")]}
+    model = oracles.bf_build_context_model(concepts)
     s, k = model.smoothing, len(model.pair_types)
     never = model.probability("x", "y", ("#", "#", "#", "#"))
     assert never == pytest.approx(s / (s * k))
     assert never > 0.0
+    # the floor enters the interned table through each key's smoothed count
+    interned = build_context_model(concepts, RunConfig(context_smoothing=s))
+    assert_model_matches_oracle(interned, concepts, model)
 
 
 def test_build_context_model_hand_tally_three_words():
     # unordered pairs within the concept: (ab, ac), (ab, d), (ac, d)
-    model = build_context_model({"c": [("a", "b"), ("a", "c"), ("d",)]})
+    concepts = {"c": [("a", "b"), ("a", "c"), ("d",)]}
+    model = oracles.bf_build_context_model(concepts)
     total_columns = sum(model.marginals.values())
     # ab~ac aligns in 2 columns; ab~d and ac~d each align with one gap
     # column and one substitution column (2 columns each)
@@ -118,6 +152,9 @@ def test_build_context_model_hand_tally_three_words():
     # symmetric storage: both orders recorded
     ctx1 = (BOUNDARY, "a", BOUNDARY, BOUNDARY)
     assert model.counts[("b", "c", ctx1)] == model.counts[("c", "b", ctx1)] == 1
+    interned = build_context_model(concepts)
+    assert sum(len(ids) for row in interned.rows["c"] for _, ids in row) == 6
+    assert_model_matches_oracle(interned, concepts, model)
 
 
 def test_build_context_model_requires_a_pair():
@@ -134,79 +171,89 @@ def test_context_counts_bounded_by_marginals():
         ]
         for i in range(6)
     }
-    model = build_context_model(concepts)
+    model = oracles.bf_build_context_model(concepts)
     for (a, b, ctx), count in model.counts.items():
         assert count <= model.marginals[ctx]
+    # count <= marginal is log P <= 0 in the interned table
+    interned = build_context_model(concepts)
+    assert all(lp <= 0.0 for lp in interned.logp)
+    assert_model_matches_oracle(interned, concepts, model)
 
 
 def test_alignment_logprob_examples():
     # single column with probability 1: count == marginal and K == 1
-    model = ContextModel(smoothing=0.1)
+    model = oracles.BfContextModel(smoothing=0.1)
     ctx = (BOUNDARY, BOUNDARY, BOUNDARY, BOUNDARY)
     model.observe("a", "a", ctx)
     assert model.probability("a", "a", ctx) == pytest.approx(1.0)
     al = Alignment(pairs=(("a", "a", ctx),))
-    assert alignment_logprob(al, model) == pytest.approx(0.0)
+    assert oracles.bf_alignment_logprob(al.pairs, model) == pytest.approx(0.0)
 
     # two columns each with probability 0.5 -> -2 ln 2 (natural log)
-    model2 = ContextModel(smoothing=0.1)
+    model2 = oracles.BfContextModel(smoothing=0.1)
     model2.observe("a", "a", ctx)
     model2.observe("b", "b", ctx)
     assert model2.probability("a", "a", ctx) == pytest.approx(0.5)
     al2 = Alignment(pairs=(("a", "a", ctx), ("a", "a", ctx)))
-    assert alignment_logprob(al2, model2) == pytest.approx(2 * math.log(0.5))
-    assert alignment_logprob(al2, model2) == pytest.approx(-1.386, abs=1e-3)
+    assert oracles.bf_alignment_logprob(al2.pairs, model2) == pytest.approx(2 * math.log(0.5))
+    assert oracles.bf_alignment_logprob(al2.pairs, model2) == pytest.approx(-1.386, abs=1e-3)
 
     # attested column scores higher than an unseen one, ceteris paribus
-    seen = alignment_logprob(Alignment(pairs=(("a", "a", ctx),)), model2)
-    unseen = alignment_logprob(Alignment(pairs=(("a", "b", ctx),)), model2)
+    seen = oracles.bf_alignment_logprob((("a", "a", ctx),), model2)
+    unseen = oracles.bf_alignment_logprob((("a", "b", ctx),), model2)
     assert seen > unseen
 
 
 def test_feature_distance_examples():
     word = ("p", "a")
-    assert feature_distance(align(word, word)) == 0.0
+    assert oracles.bf_feature_distance(align(word, word).pairs) == 0.0
     al = align(("p",), ("b",))
-    assert feature_distance(al) == pytest.approx(1 / 8)
+    assert oracles.bf_feature_distance(al.pairs) == pytest.approx(1 / 8)
     # all-gap-vs-symbol columns have maximal distance
     ctx = (BOUNDARY,) * 4
     gappy = Alignment(pairs=((GAP, "a", ctx), ("p", GAP, ctx)))
-    assert feature_distance(gappy) == 1.0
+    assert oracles.bf_feature_distance(gappy.pairs) == 1.0
+    # the interned model keeps each pair's mean feature distance
+    model = build_context_model({"same": [word, word], "pb": [("p",), ("b",)]})
+    assert model.rows["same"][0][0][0] == 0.0
+    assert model.rows["pb"][0][0][0] == pytest.approx(1 / 8)
 
 
 def test_divergence_boundary_weights():
-    model = build_context_model({"c": [("p", "a"), ("b", "a")]})
+    model = oracles.bf_build_context_model({"c": [("p", "a"), ("b", "a")]})
     x, y = ("p", "a"), ("b", "a")
     al = align(*sorted((x, y)))
-    d_feat = feature_distance(al)
-    logp = alignment_logprob(al, model)
-    assert divergence(x, y, model, lam=1.0) == pytest.approx(d_feat)
-    assert divergence(x, y, model, lam=0.0) == pytest.approx(-logp / al.length)
-    mid = divergence(x, y, model, lam=0.5)
+    d_feat = oracles.bf_feature_distance(al.pairs)
+    logp = oracles.bf_alignment_logprob(al.pairs, model)
+    assert oracles.bf_divergence(x, y, model, lam=1.0) == pytest.approx(d_feat)
+    assert oracles.bf_divergence(x, y, model, lam=0.0) == pytest.approx(-logp / al.length)
+    mid = oracles.bf_divergence(x, y, model, lam=0.5)
     assert mid == pytest.approx(0.5 * d_feat - 0.5 * logp / al.length)
 
 
 def test_divergence_symmetric():
     rng = random.Random(31)
-    model = build_context_model(
+    model = oracles.bf_build_context_model(
         {"c": [("p", "a"), ("b", "a"), ("t", "i", "k")]}
     )
     for _ in range(40):
         x = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(1, 5)))
         y = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(1, 5)))
-        assert divergence(x, y, model) == pytest.approx(divergence(y, x, model))
+        assert oracles.bf_divergence(x, y, model) == pytest.approx(
+            oracles.bf_divergence(y, x, model)
+        )
 
 
 def test_divergence_lambda_validated():
-    model = build_context_model({"c": [("a",), ("a",)]})
+    # the configuration is the one place the divergence weight is checked
     with pytest.raises(ValueError):
-        divergence(("a",), ("a",), model, lam=1.5)
+        RunConfig(divergence_lambda=1.5)
 
 
 def test_comparability_endpoints():
     words = [("p", "a"), ("p", "a"), ("z", "d", "u", "x")]
     model = build_context_model({"c": words})
-    cs = comparability(words, model)
+    cs = comparability(model.rows["c"], model)
     assert cs[0] == cs[1] == 0.0
     assert cs[2] == 1.0
 
@@ -214,25 +261,26 @@ def test_comparability_endpoints():
 def test_comparability_all_identical():
     words = [("p", "a"), ("p", "a"), ("p", "a")]
     model = build_context_model({"c": words})
-    assert comparability(words, model) == [0.0, 0.0, 0.0]
+    assert comparability(model.rows["c"], model) == [0.0, 0.0, 0.0]
 
 
 def test_comparability_matches_manual_minmax_of_divergences():
     words = [("p", "a"), ("b", "a"), ("t", "i", "k")]
     model = build_context_model({"c": words})
+    bf = oracles.bf_build_context_model({"c": words})
     raw = []
     for i, x in enumerate(words):
-        ds = [divergence(x, y, model) for j, y in enumerate(words) if j != i]
+        ds = [oracles.bf_divergence(x, y, bf) for j, y in enumerate(words) if j != i]
         raw.append(sum(ds) / len(ds))
     lo, hi = min(raw), max(raw)
     expected = [(r - lo) / (hi - lo) for r in raw]
-    assert comparability(words, model) == pytest.approx(expected)
+    assert comparability(model.rows["c"], model) == pytest.approx(expected)
 
 
 def test_comparability_requires_two_words():
-    model = build_context_model({"c": [("a",), ("a",)]})
+    model = build_context_model({"c": [("a",), ("a",)], "single": [("a",)]})
     with pytest.raises(ValueError):
-        comparability([("a",)], model)
+        comparability(model.rows["single"], model)
 
 
 def test_composite_examples():
@@ -364,3 +412,93 @@ def test_alignment_roundtrip_property(x, y):
     al = align(tuple(x), tuple(y))
     assert oracles.bf_tracks(al.pairs, GAP) == (tuple(x), tuple(y))
     assert al.length >= max(len(x), len(y))
+
+
+def concept_wordlist(concepts):
+    """A wordlist of (language, word) members, concept ``c<i>`` per list."""
+    return make_wordlist(
+        [
+            LexicalEntry(
+                orthography="".join(word),
+                ipa=word,
+                language=language,
+                pos="noun",
+                concept_id=f"c{i}",
+            )
+            for i, members in enumerate(concepts)
+            for language, word in members
+        ]
+    )
+
+
+MEMBER = st.tuples(
+    st.sampled_from(["aaa", "bbb", "ccc"]),
+    st.lists(st.sampled_from(["p", "b", "t", "a", "i"]), min_size=1, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(MEMBER, min_size=1, max_size=4, unique=True), min_size=1, max_size=5),
+    st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    st.sampled_from([0.3, 0.5, 1.0]),
+    st.sampled_from([0.1, 1.0]),
+)
+# (1 - lam) * log P / L and (1 - lam) * (log P / L) differ in the last bit here
+@example(
+    [[("aaa", ("p",))], [("aaa", ("p", "p")), ("aaa", ("p", "p", "b")), ("bbb", ("p",))]],
+    0.3,
+    0.3,
+    0.1,
+)
+def test_detect_scaled_comparability_matches_two_alignment_oracle(
+    concepts, lam, gap, smoothing
+):
+    first_word = concepts[0][0][1]
+    concepts = concepts + [
+        concepts[0],  # the same pairs again under another concept
+        [("aaa", first_word), ("bbb", first_word)],  # one word in two languages
+        [("aaa", first_word)],  # one word: no pair
+        [("bbb", first_word), ("bbb", first_word + ("a",))],  # counted, but gets no C
+    ]
+    vocab = concept_wordlist(concepts)
+    cfg = RunConfig(
+        divergence_lambda=lam, gap_penalty=gap, context_smoothing=smoothing, max_iterations=1
+    )
+    members: dict[str, list[int]] = {}
+    for i, entry in enumerate(vocab):
+        members.setdefault(entry.concept_id, []).append(i)
+    alignable = {
+        c: [vocab.entries[i].ipa for i in idxs] for c, idxs in members.items() if len(idxs) >= 2
+    }
+    bf = oracles.bf_build_context_model(alignable, gap, smoothing)
+    expected = [None] * len(vocab)
+    for c, idxs in members.items():
+        if len(idxs) >= 2 and len({vocab.entries[i].language for i in idxs}) >= 2:
+            for i, value in zip(idxs, oracles.bf_comparability(alignable[c], bf, lam, gap)):
+                expected[i] = value
+    assert detect_scaled(vocab, cfg).comparability == expected
+
+
+def test_detect_scaled_aligns_each_pair_once(monkeypatch):
+    calls = Counter()
+    real_align = crossling.align
+
+    def counting_align(x, y, *args, **kwargs):
+        calls[(tuple(x), tuple(y))] += 1
+        return real_align(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(crossling, "align", counting_align)
+    vocab = generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3)
+    detect_scaled(vocab, RunConfig())
+
+    words: dict[str, list[tuple[str, ...]]] = {}
+    for entry in vocab:
+        words.setdefault(entry.concept_id, []).append(entry.ipa)
+    expected = Counter()
+    for ws in words.values():
+        for i in range(len(ws)):
+            for j in range(i + 1, len(ws)):
+                expected[tuple(sorted((ws[i], ws[j])))] += 1
+    assert sum(expected.values()) > 0
+    assert calls == expected

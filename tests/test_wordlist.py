@@ -46,6 +46,17 @@ def test_load_strips_length_marker(tmp_path):
     assert wl.entries[0].ipa == ("f", "u", "l")
 
 
+def test_load_space_segmented_row(tmp_path):
+    # CLDF FormTable "Segments" style: one space between segments
+    path = write_tsv(
+        tmp_path,
+        ["pata\tp a t a\tenglish\tnoun\t\tc1", "kiki\tˈk iː . k i\tenglish\tnoun\t\tc2"],
+    )
+    wl = load_wordlist(path)
+    assert wl.entries[0].ipa == ("p", "a", "t", "a")
+    assert wl.entries[1].ipa == ("k", "i", "k", "i")
+
+
 def test_load_bom_header_matches_plain_file(tmp_path):
     rows = ["full\tfʊl\tenglish\tadjective\t0\tc1", "kaːta\tkaːta\tenglish\tnoun\t1\tc2"]
     plain = write_tsv(tmp_path, rows, name="plain.tsv")
@@ -151,6 +162,13 @@ def test_normalize_ipa_examples():
     assert normalize_ipa("ˌaˈb:c") == ("a", "b", "c")
 
 
+def test_normalize_ipa_drops_separators():
+    assert normalize_ipa("p a t a") == ("p", "a", "t", "a")
+    assert normalize_ipa("ˈkiː.ki") == ("k", "i", "k", "i")
+    assert normalize_ipa("mor+fem") == normalize_ipa("morfem")
+    assert normalize_ipa(" t\ta .+ ") == ("t", "a")
+
+
 def test_normalize_ipa_empty_after_stripping():
     with pytest.raises(EmptyTranscriptionError):
         normalize_ipa("ːˈ")
@@ -158,6 +176,9 @@ def test_normalize_ipa_empty_after_stripping():
 
 @given(st.text(min_size=1, max_size=12))
 @example("0\r:")  # a marker hid the trailing whitespace from strip()
+@example("p a t a")  # space-segmented (CLDF "Segments")
+@example("ˈkiː.ki")  # syllable boundary
+@example("mor+fem")  # morpheme boundary
 def test_normalize_ipa_idempotent(raw):
     try:
         once = normalize_ipa(raw)
@@ -175,6 +196,9 @@ def test_normalized_entries_satisfy_invariants(raw):
     assert len(ipa) >= 1
     for marker in ("ː", ":", "ˈ", "ˌ"):
         assert all(marker not in sym for sym in ipa)
+    for separator in (".", "+"):
+        assert all(separator not in sym for sym in ipa)
+    assert all(not any(ch.isspace() for ch in sym) for sym in ipa)
 
 
 def entry(ipa, label=None, language="english", pos="noun", concept=None):
