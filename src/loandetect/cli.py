@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: detect, detect-xl, eval, ablate, experiment, synth.
+Subcommands: detect, detect-xl, eval, ablate, experiment, synth. Each
+accepts only the flags it reads (wordlist input, configuration, and
+``--trace`` on ``detect``); any other flag is a usage error.
 Configuration resolves defaults -> --config file -> CLI flags;
 ``--mode``, ``--model`` and ``--seed`` set the ``RunConfig`` keys of the
 same name and ``--set`` any key. The fully resolved configuration is
@@ -49,22 +51,30 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
 
-def _add_common(parser: argparse.ArgumentParser, *, need_seed: bool = False) -> None:
+def _add_wordlist_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="input wordlist (TSV; CSV with --csv)")
-    parser.add_argument("--output", help="output file path")
+    parser.add_argument("--csv", action="store_true", help="input is comma-separated")
+    parser.add_argument(
+        "--lenient-pos",
+        action="store_true",
+        help="map unknown POS values to 'function' instead of failing",
+    )
+
+
+def _add_config(
+    parser: argparse.ArgumentParser, *, mode: bool = True, model: bool = True,
+    need_seed: bool = False,
+) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument(
-        "--mode",
-        choices=["full", "no_ngram", "no_transition", "aug"],
-        help="feature mode override",
-    )
-    parser.add_argument(
-        "--model", choices=["autbor", "uns"], help="detection model override"
-    )
-    parser.add_argument(
-        "--seed", type=int, required=need_seed, help="random seed"
-    )
-    parser.add_argument("--trace", help="write per-iteration trace TSV here")
+    if mode:
+        parser.add_argument(
+            "--mode",
+            choices=["full", "no_ngram", "no_transition", "aug"],
+            help="feature mode override",
+        )
+    if model:
+        parser.add_argument("--model", choices=["autbor", "uns"], help="detection model override")
+    parser.add_argument("--seed", type=int, required=need_seed, help="random seed")
     parser.add_argument(
         "--print-config",
         action="store_true",
@@ -77,17 +87,11 @@ def _add_common(parser: argparse.ArgumentParser, *, need_seed: bool = False) -> 
         metavar="KEY=VALUE",
         help="override any config key (repeatable)",
     )
-    parser.add_argument("--csv", action="store_true", help="input is comma-separated")
-    parser.add_argument(
-        "--lenient-pos",
-        action="store_true",
-        help="map unknown POS values to 'function' instead of failing",
-    )
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     overrides: dict[str, object] = {}
-    for item in args.set:
+    for item in getattr(args, "set", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -96,7 +100,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    return load_config(args.config, overrides)
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def _load_input(args: argparse.Namespace) -> Wordlist:
@@ -122,14 +126,11 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
     if cfg.model == "uns":
+        if args.trace:
+            raise ConfigError("--trace needs the autbor model: the uns model has no passes")
         probs, labels = baseline.detect_wordlist(vocab, cfg)
     else:
-        probs, labels, states = detect_wordlist(
-            vocab, cfg, trace_path=args.trace
-        )
-        for lang, state in states.items():
-            for warning in state.warnings:
-                log.warning("[%s] %s", lang, warning)
+        probs, labels, _ = detect_wordlist(vocab, cfg, trace_path=args.trace)
     write_report(vocab, probs, labels, output, header_meta=cfg.to_flat())
     log.info("wrote %s (%d words)", output, len(vocab))
     return EXIT_OK
@@ -224,6 +225,14 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """A subcommand with its ``--output`` flag; every other flag is added per command."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("--output", help="output file path")
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loandetect",
@@ -232,33 +241,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", help="basic monolingual detection")
-    _add_common(p)
-    p.set_defaults(func=cmd_detect)
+    p = _command(sub, "detect", cmd_detect, "basic monolingual detection")
+    _add_wordlist_input(p)
+    _add_config(p)
+    p.add_argument("--trace", help="write per-iteration trace TSV here")
 
-    p = sub.add_parser("detect-xl", help="cross-linguistically scaled detection")
-    _add_common(p)
-    p.set_defaults(func=cmd_detect_xl)
+    p = _command(sub, "detect-xl", cmd_detect_xl, "cross-linguistically scaled detection")
+    _add_wordlist_input(p)
+    _add_config(p)
 
-    p = sub.add_parser("eval", help="score a report against its gold labels")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p = _command(sub, "eval", cmd_eval, "score a report against its gold labels")
+    p.add_argument("--input", help="report TSV written by detect or detect-xl")
 
-    p = sub.add_parser("ablate", help="run every feature mode and compare")
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
+    p = _command(sub, "ablate", cmd_ablate, "run every feature mode and compare")
+    _add_wordlist_input(p)
+    _add_config(p, mode=False)
 
-    p = sub.add_parser("experiment", help="F1 as a function of data proportion")
-    _add_common(p, need_seed=True)
+    p = _command(sub, "experiment", cmd_experiment, "F1 as a function of data proportion")
+    _add_wordlist_input(p)
+    _add_config(p, need_seed=True)
     p.add_argument(
         "--proportions",
         default="0.2,0.4,0.6,0.8,1.0",
         help="comma-separated data fractions",
     )
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("synth", help="generate a gold-labeled synthetic wordlist")
-    _add_common(p, need_seed=True)
+    p = _command(sub, "synth", cmd_synth, "generate a gold-labeled synthetic wordlist")
+    _add_config(p, mode=False, model=False, need_seed=True)
     p.add_argument("--native-grammar", required=True, help="JSON grammar file")
     p.add_argument("--donor-grammar", required=True, help="JSON grammar file")
     p.add_argument("--n-native", type=int, default=40)
@@ -274,9 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit a two-language concept-aligned wordlist",
     )
-    p.set_defaults(func=cmd_synth)
     return parser
 
+
+# commands whose detection is refiner.detect_wordlist, whatever the model key says
+_AUTBOR_ONLY = ("detect-xl", "ablate", "experiment")
 
 _INPUT_ERRORS = (
     WordlistError,
@@ -313,9 +324,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = _resolve_config(args)
-        if args.print_config:
+        if getattr(args, "print_config", False):
             sys.stdout.write(cfg.dump())
             return EXIT_OK
+        if cfg.model != "autbor" and args.command in _AUTBOR_ONLY:
+            raise ConfigError(f"{args.command} runs the autbor model only, not {cfg.model!r}")
         return args.func(args, cfg)
     except Exception as exc:
         if isinstance(exc, _INPUT_ERRORS) or (

@@ -159,6 +159,16 @@ class RunConfig:
             raise ConfigError("context_smoothing must be positive")
         if self.pattern_smoothing <= 0:
             raise ConfigError("pattern_smoothing must be positive")
+        if self.pattern_from_iteration < 1:  # pass 0 has no native split to refine against
+            raise ConfigError("pattern_from_iteration must be >= 1")
+        # probabilities stay in [0, 1]: the up factor is clamped, the down factor is not
+        if not 0 < self.pattern_down_factor <= 1:
+            raise ConfigError("pattern_down_factor must be in (0, 1]")
+        if not self.pattern_up_factor > 0:
+            raise ConfigError("pattern_up_factor must be positive")
+        for name, eta in self.anomaly_boosts.items():
+            if not eta >= 0:
+                raise ConfigError(f"anomaly boost for {name} must be >= 0")
         for pos in POS_CATEGORIES:
             if pos not in self.pos_weights:
                 raise ConfigError(f"missing pos weight for {pos}")

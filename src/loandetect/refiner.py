@@ -1,13 +1,16 @@
 """Iterative self-training loop: rescore against native candidates until stable.
 
-Pass 0 scores every word against statistics from the full vocabulary and
-thresholds the probabilities into loan/native candidate sets. Each later
-pass rebuilds the statistics from the current native candidates, rescores
-all words, applies pattern-based probability refinement (from the second
-refinement pass on), and re-partitions on the running average of all
-probabilities so far. The loop stops early once the loan set changes by
-less than ``convergence_fraction`` of its previous size, and always within
-``max_iterations`` total passes.
+``detect`` runs every pass in one loop over ``range(max_iterations)``.
+Pass ``t`` builds statistics from its reference rows: the whole group at
+pass 0, the previous pass's native candidates (averaged probability
+below ``tau``) after that, or the whole group again, with a warning,
+when every word is a loan. It rescores all words, applies pattern-based
+probability refinement from pass ``pattern_from_iteration`` on, averages
+each word's probabilities over all passes so far and thresholds the
+averages into the loan set. The loop stops early once the loan set
+changes by less than ``convergence_fraction`` of its previous size.
+Each pass leaves one ``IterationSnapshot``; that list is the loop's one
+record, and the final ``DetectionState`` values are the last snapshot's.
 
 What never changes between passes is computed once per language group:
 the n-gram and transition ids (``features.CompiledGroup``) and every
@@ -31,7 +34,7 @@ from typing import Iterable, Sequence
 from .config import RunConfig
 from .features import CompiledGroup, _count_ids, build_statistics, extract_all
 from .ipa import SymbolInventory
-from .scoring import ScoreResult, score_all
+from .scoring import score_all
 from .wordlist import Wordlist, WordlistError, make_wordlist, write_tsv
 
 log = logging.getLogger(__name__)
@@ -140,14 +143,24 @@ class IterationSnapshot:
 
 @dataclass
 class DetectionState:
-    """Final state of the refinement loop, indexed by entry position."""
+    """The refinement loop's passes, indexed by entry position: ``iteration``,
+    ``averaged`` and ``loans`` are the last snapshot's own values."""
 
-    iteration: int
-    averaged: list[float]
-    loans: set[int]
-    converged: bool
-    warnings: list[str] = field(default_factory=list)
     snapshots: list[IterationSnapshot] = field(default_factory=list)
+    converged: bool = False
+    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def iteration(self) -> int:
+        return self.snapshots[-1].iteration
+
+    @property
+    def averaged(self) -> tuple[float, ...]:
+        return self.snapshots[-1].averaged
+
+    @property
+    def loans(self) -> frozenset[int]:
+        return self.snapshots[-1].loans
 
 
 def detect(
@@ -163,85 +176,45 @@ def detect(
         raise WordlistError("cannot detect on an empty wordlist")
     words = [e.ipa for e in vocab]
     pos_tags = [e.pos for e in vocab]
-    all_indices = frozenset(range(len(words)))
-    warnings: list[str] = []
     # n-grams, transitions and CV patterns never change between passes;
     # only the reference rows do
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max, inventory)
     patterns = PatternIndex(words) if cfg.pattern_refinement else None
+    state = DetectionState()
 
-    def rescore(reference: CompiledGroup) -> list[ScoreResult]:
-        vectors = extract_all(group, build_statistics(reference), cfg)
-        return score_all(vectors, pos_tags, cfg)
-
-    def partition(averaged: Sequence[float]) -> tuple[set[int], set[int]]:
-        loans = {i for i, p in enumerate(averaged) if p >= cfg.tau}
-        return loans, set(all_indices) - loans
-
-    # pass 0: statistics from the full vocabulary
-    results = rescore(group)
-    probs = [r.boosted for r in results]
-    history = [[p] for p in probs]
-    averaged = [h[0] for h in history]
-    loans, natives = partition(averaged)
-    snapshots = [
-        IterationSnapshot(
-            iteration=0,
-            probabilities=tuple(probs),
-            averaged=tuple(averaged),
-            loans=frozenset(loans),
-        )
-    ]
-    converged = False
-    iteration = 0
-
-    for t in range(1, cfg.max_iterations):
-        if converged:
-            break
-        iteration = t
-        prev_loans = frozenset(loans)
-        native_rows = sorted(natives)
-        reference = group.subset(native_rows)
-        if not reference.rows:
-            warnings.append(
-                f"iteration {t}: all words classified as borrowed; "
-                "falling back to full-vocabulary statistics"
-            )
-            log.warning(warnings[-1])
-            reference = group
-        results = rescore(reference)
+    for t in range(cfg.max_iterations):
+        reference = group
+        if t:
+            native_rows = [i for i in range(len(words)) if i not in state.loans]
+            if native_rows:
+                reference = group.subset(native_rows)
+            else:
+                state.warnings.append(
+                    f"iteration {t}: all words classified as borrowed; "
+                    "falling back to full-vocabulary statistics"
+                )
+                log.warning("[%s] %s", vocab.language, state.warnings[-1])
+        results = score_all(extract_all(group, build_statistics(reference), cfg), pos_tags, cfg)
         probs = [r.boosted for r in results]
         if patterns is not None and t >= cfg.pattern_from_iteration:
-            # the loans are the rest of the group: their counts are never built
+            # pattern_from_iteration >= 1, so native_rows is this pass's; the
+            # loans are the rest of the group: their counts are never built
             native_counts = build_pattern_db(patterns, native_rows)
             likeness = pattern_likeness(patterns, native_counts, cfg.pattern_smoothing)
             probs = [
                 refine_probability(p, like, bool(r.anomalies), cfg)
                 for p, like, r in zip(probs, likeness, results)
             ]
-        for i, p in enumerate(probs):
-            history[i].append(p)
-        averaged = [average_probabilities(h) for h in history]
-        loans, natives = partition(averaged)
-        converged = check_convergence(prev_loans, loans, cfg.convergence_fraction)
-        log.info("iteration %d: |B|=%d, converged=%s", t, len(loans), converged)
-        snapshots.append(
-            IterationSnapshot(
-                iteration=t,
-                probabilities=tuple(probs),
-                averaged=tuple(averaged),
-                loans=frozenset(loans),
-            )
-        )
+        history = zip(*(s.probabilities for s in state.snapshots), probs)
+        averaged = tuple(map(average_probabilities, history))
+        loans = frozenset(i for i, p in enumerate(averaged) if p >= cfg.tau)
+        if t:
+            state.converged = check_convergence(state.loans, loans, cfg.convergence_fraction)
+        state.snapshots.append(IterationSnapshot(t, tuple(probs), averaged, loans))
+        log.info("iteration %d: |B|=%d, converged=%s", t, len(loans), state.converged)
+        if state.converged:
+            break
 
-    state = DetectionState(
-        iteration=iteration,
-        averaged=averaged,
-        loans=loans,
-        converged=converged,
-        warnings=warnings,
-        snapshots=snapshots,
-    )
     if trace_path is not None:
         _write_trace(vocab, state, trace_path)
     return state
@@ -287,9 +260,9 @@ def detect_wordlist(
             trace = base if len(groups) == 1 else base.with_name(
                 f"{base.stem}.{lang}{base.suffix}"
             )
-        state = detect(sub, cfg, inventory=inventory, trace_path=trace)
-        states[lang] = state
+        state = states[lang] = detect(sub, cfg, inventory=inventory, trace_path=trace)
+        averaged, loans = state.averaged, state.loans
         for local, global_i in enumerate(indices):
-            probabilities[global_i] = state.averaged[local]
-            labels[global_i] = int(local in state.loans)
+            probabilities[global_i] = averaged[local]
+            labels[global_i] = int(local in loans)
     return probabilities, labels, states

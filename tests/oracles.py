@@ -2,8 +2,9 @@
 
 Everything here is written as plainly as possible (nested loops, explicit
 recursion, no shared code with the package) so it can serve as an oracle
-for the optimized paths. The one exception is the two-alignment scaled
-model, which calls the package's aligner and symbol distance.
+for the optimized paths. The exceptions are the two-alignment scaled
+model, which calls the package's aligner and symbol distance, and the
+detection loop, which calls the package's feature extraction and scoring.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 
 from loandetect.crossling import align
+from loandetect.features import CompiledGroup, build_statistics, extract_all
 from loandetect.ipa import symbol_distance
+from loandetect.scoring import score_all
 
 
 # --- n-gram and transition statistics ------------------------------------------
@@ -375,3 +378,55 @@ def bf_pattern_likeness(word, native_words, loan_words, epsilon=1.0):
         b = loan[kind].get(pat, 0)
         terms.append(n / (n + b + epsilon))
     return math.fsum(terms) / len(pats)
+
+
+# --- the detection loop ----------------------------------------------------------
+
+
+def bf_detect(vocab, cfg):
+    """The detection loop with pass 0 before it and a probability history per word.
+
+    Returns one ``(probabilities, averaged, loans)`` triple per pass, as
+    tuples and a frozenset.
+    """
+    words = [e.ipa for e in vocab]
+    pos_tags = [e.pos for e in vocab]
+    n = len(words)
+    group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
+
+    def rescore(reference):
+        return score_all(extract_all(group, build_statistics(reference), cfg), pos_tags, cfg)
+
+    # pass 0: statistics from the full vocabulary
+    results = rescore(group)
+    history = [[r.boosted] for r in results]
+    loans = {i for i in range(n) if history[i][0] >= cfg.tau}
+    passes = [(tuple(h[0] for h in history), tuple(h[0] for h in history), frozenset(loans))]
+    converged = False
+    t = 1
+    while t < cfg.max_iterations and not converged:
+        natives = [i for i in range(n) if i not in loans]
+        reference = group.subset(natives) if natives else group
+        results = rescore(reference)
+        probs = [r.boosted for r in results]
+        if cfg.pattern_refinement and t >= cfg.pattern_from_iteration:
+            native_words = [words[i] for i in natives]
+            loan_words = [words[i] for i in sorted(loans)]
+            eps = cfg.pattern_smoothing
+            for i in range(n):
+                like = bf_pattern_likeness(words[i], native_words, loan_words, eps)
+                if not results[i].anomalies and like > cfg.pattern_high_cut:
+                    probs[i] = probs[i] * cfg.pattern_down_factor
+                elif results[i].anomalies and like < cfg.pattern_low_cut:
+                    probs[i] = min(probs[i] * cfg.pattern_up_factor, 1.0)
+        averaged = []
+        for i in range(n):
+            history[i].append(probs[i])
+            averaged.append(sum(history[i]) / len(history[i]))
+        new_loans = {i for i in range(n) if averaged[i] >= cfg.tau}
+        delta = len(loans ^ new_loans)
+        converged = delta < cfg.convergence_fraction * max(1, len(loans))
+        loans = new_loans
+        passes.append((tuple(probs), tuple(averaged), frozenset(loans)))
+        t += 1
+    return passes

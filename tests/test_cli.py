@@ -373,3 +373,78 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert "detect-xl" in proc.stdout
+
+
+def test_fallback_warning_logged_once(vocab_file, tmp_path, caplog):
+    argv = ["detect", "--input", str(vocab_file), "--output", str(tmp_path / "r.tsv"),
+            "--set", "tau=0.0001", "--set", "max_iterations=2"]
+    assert main(argv) == 0
+    fallbacks = [r for r in caplog.records if "falling back" in r.getMessage()]
+    assert len(fallbacks) == 1
+    assert fallbacks[0].getMessage().startswith("[")  # tagged with the language
+
+
+@pytest.mark.parametrize("command", ["detect-xl", "ablate", "experiment"])
+def test_autbor_only_commands_reject_uns(command, vocab_file, multi_file, tmp_path, capsys):
+    # these commands run the iterative detector whatever the model key says
+    argv = _accepted_argv(command, tmp_path, vocab_file, multi_file)
+    assert main(argv + ["--model", "uns"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and command in err
+    assert main(argv + ["--set", "model=uns"]) == 1
+
+
+def _accepted_argv(command, tmp_path, vocab_file, multi_file):
+    """An argv for ``command`` that exits 0."""
+    out = str(tmp_path / f"{command}.out")
+    if command == "eval":
+        report = tmp_path / "report.tsv"
+        if not report.exists():
+            assert main(["detect", "--input", str(vocab_file), "--output", str(report)]) == 0
+        return ["eval", "--input", str(report), "--output", out]
+    if command == "synth":
+        native, donor = grammar_files(tmp_path)
+        return ["synth", "--native-grammar", str(native), "--donor-grammar", str(donor),
+                "--n-native", "8", "--n-loans", "3", "--seed", "2", "--output", out]
+    source = multi_file if command == "detect-xl" else vocab_file
+    argv = [command, "--input", str(source), "--output", out]
+    if command == "experiment":
+        argv += ["--seed", "5", "--proportions", "1.0"]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("detect-xl", ["--trace", "TRACE"]),
+        ("eval", ["--trace", "TRACE"]),
+        ("ablate", ["--trace", "TRACE"]),
+        ("experiment", ["--trace", "TRACE"]),
+        ("synth", ["--trace", "TRACE"]),
+        ("detect", ["--model", "uns", "--trace", "TRACE"]),
+        ("eval", ["--csv"]),
+        ("eval", ["--lenient-pos"]),
+        ("synth", ["--csv"]),
+        ("synth", ["--lenient-pos"]),
+        ("synth", ["--input", "VOCAB"]),
+        ("synth", ["--mode", "aug"]),
+        ("synth", ["--model", "autbor"]),
+        ("ablate", ["--mode", "no_ngram"]),
+        ("eval", ["--config", "CONFIG"]),
+        ("eval", ["--set", "tau=0.2"]),
+        ("eval", ["--mode", "full"]),
+        ("eval", ["--model", "autbor"]),
+        ("eval", ["--seed", "1"]),
+        ("eval", ["--print-config"]),
+    ],
+)
+def test_unread_flag_rejected(command, flag, vocab_file, multi_file, tmp_path, capsys):
+    argv = _accepted_argv(command, tmp_path, vocab_file, multi_file)
+    config = tmp_path / "run.cfg"
+    config.write_text("tau = 0.2\n", encoding="utf-8")
+    values = {"TRACE": str(tmp_path / "trace.tsv"), "VOCAB": str(vocab_file), "CONFIG": str(config)}
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [values.get(f, f) for f in flag]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "trace.tsv").exists()

@@ -81,6 +81,33 @@ def test_execution_and_range_limits_accepted():
     RunConfig(ngram_min=1, ngram_max=1)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"pattern_down_factor": 0.0},
+        {"pattern_down_factor": -1.0},
+        {"pattern_down_factor": 1.5},
+        {"pattern_up_factor": 0.0},
+        {"pattern_up_factor": -2.0},
+        {"pattern_up_factor": float("nan")},
+        {"anomaly_boosts": dict(RunConfig().anomaly_boosts, rare_ngram_score=-10.0)},
+        {"anomaly_boosts": dict(RunConfig().anomaly_boosts, len_z=float("nan"))},
+        {"pattern_from_iteration": 0},
+        {"pattern_from_iteration": -1},
+    ],
+)
+def test_refinement_settings_outside_unit_interval_rejected(overrides):
+    # each would write probabilities outside [0, 1], or (pattern_from_iteration)
+    # ask for refinement at pass 0, which has no native split
+    with pytest.raises(ConfigError):
+        RunConfig(**overrides)
+
+
+def test_refinement_setting_limits_accepted():
+    RunConfig(pattern_down_factor=1.0, pattern_up_factor=0.5, pattern_from_iteration=1)
+    RunConfig(anomaly_boosts={name: 0.0 for name in RunConfig().anomaly_boosts})
+
+
 def test_with_overrides_coercion():
     cfg = RunConfig().with_overrides(
         {

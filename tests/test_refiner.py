@@ -282,6 +282,56 @@ def test_detect_terminates_within_max_iterations():
         assert len(state.snapshots) <= t_max
 
 
+def mixed_vocab(seed, size):
+    """``size`` distinct words, seven in ten native-shaped and the rest donor-shaped,
+    so that the loan set moves between passes."""
+    rng = random.Random(seed)
+    texts = set()
+    while len(texts) < size:
+        alphabet = "ptkaiu" if rng.random() < 0.7 else "zʒdøy"
+        texts.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7))))
+    return make_wordlist([
+        LexicalEntry(t, tuple(t), "toy", rng.choice(["noun", "verb", "function"]), None, None)
+        for t in sorted(texts)
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(2, 16),
+    st.integers(1, 7),
+    st.sampled_from([0.0, RunConfig().convergence_fraction]),
+    st.booleans(),
+    st.integers(1, 3),
+    st.sampled_from([0.0001, 0.3, 0.6]),
+)
+def test_detect_matches_bruteforce_loop(
+    seed, size, max_iterations, fraction, refinement, from_iteration, tau
+):
+    # tau 0.0001 borrows every word and reaches the full-vocabulary fallback
+    vocab = mixed_vocab(seed, size)
+    cfg = RunConfig(
+        tau=tau,
+        max_iterations=max_iterations,
+        convergence_fraction=fraction,
+        pattern_refinement=refinement,
+        pattern_from_iteration=from_iteration,
+    )
+    state = detect(vocab, cfg)
+    expected = oracles.bf_detect(vocab, cfg)
+    assert [(s.probabilities, s.averaged, s.loans) for s in state.snapshots] == expected
+    assert [s.iteration for s in state.snapshots] == list(range(len(expected)))
+
+
+def test_detect_state_is_its_last_snapshot():
+    state = detect(entries_from(TOY_NATIVES + TOY_LOANS), RunConfig())
+    last = state.snapshots[-1]
+    assert state.iteration == last.iteration
+    assert state.averaged is last.averaged
+    assert state.loans is last.loans
+
+
 def test_detect_trace_file(tmp_path):
     vocab = entries_from(TOY_NATIVES + TOY_LOANS)
     trace = tmp_path / "trace.tsv"
