@@ -8,16 +8,21 @@ fields are addressed with prefixed keys, e.g. ``weight_rare_ngram_score``,
 its output can be fed back in to reproduce a run.
 
 ``RunConfig`` is the one config type: feature extraction
-(``features.extract_all``), scoring (``scoring.score_all``), refinement
-and cross-linguistic scaling all read their constants off it, and
-``RunConfig.validate`` is the only place those constants are checked.
-The mapping fields are read-only views, so a validated config stays
-valid.
+(``features.extract_all``, which returns feature columns), scoring
+(``scoring.score_all``, which turns them into probabilities and anomaly
+masks), refinement and cross-linguistic scaling all read their constants
+off it, and ``RunConfig.validate`` is the only place those constants are
+checked. It rejects NaN and infinite values in every float field and
+every mapping, and requires a weight for every feature of the mode and
+for every POS category, so the pipeline never meets a missing or
+non-finite constant. The mapping fields are read-only views, so a
+validated config stays valid.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -119,6 +124,9 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for key, value in self.to_flat().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.model not in MODELS:
@@ -175,10 +183,14 @@ class RunConfig:
         for pos, beta in self.pos_weights.items():
             if not 0 < beta <= 1:
                 raise ConfigError(f"pos weight for {pos} must be in (0, 1]")
-        if sum(self.weights.get(n, 0.0) for n in feature_names(self.mode)) <= 0:
+        names = feature_names(self.mode)
+        missing = [n for n in names if n not in self.weights]
+        if missing:
+            raise ConfigError(f"no weight for the {self.mode} mode feature {missing[0]}")
+        if sum(self.weights[n] for n in names) <= 0:
             raise ConfigError(f"the weights of the {self.mode} mode features must sum above 0")
         if self.mode == "full":
-            order = [self.weights.get(n, 0.0) for n in _WEIGHT_ORDER]
+            order = [self.weights[n] for n in _WEIGHT_ORDER]
             if order[-1] <= 0 or any(a < b for a, b in zip(order, order[1:])):
                 raise ConfigError(
                     "full-mode weights must satisfy "

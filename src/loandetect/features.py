@@ -21,7 +21,9 @@ first read, and detection reads none of them.
 ``extract_all`` is the one feature path. It reads the rarity constants
 from a ``RunConfig``, whose ``validate`` is the only place they are
 checked, and computes each feature with one kernel over a word's list of
-probabilities (or its CV pattern).
+probabilities (or its CV pattern). It returns feature columns, one list
+per feature of the mode in ``feature_names`` order, which is the form
+``scoring.score_all`` reads.
 """
 
 from __future__ import annotations
@@ -335,14 +337,15 @@ def feature_names(mode: str) -> tuple[str, ...]:
 
 def extract_all(
     group: CompiledGroup, stats: VocabStatistics, cfg: RunConfig
-) -> list[dict[str, float]]:
-    """Feature vectors of the rows of ``group`` against ``stats``.
+) -> dict[str, list[float]]:
+    """Feature columns of the rows of ``group`` against ``stats``.
 
-    The features are those of ``cfg.mode``. ``group`` must share the id
-    tables of ``stats.group`` (the same compiled words, any rows) and be
-    compiled for ``cfg``'s n-gram range; each word reads its
-    probabilities by id. Words of length 1 have no n-grams or
-    transitions; their sequence features are 0.
+    One column per feature of ``cfg.mode``, in ``feature_names`` order,
+    each holding one value per row. ``group`` must share the id tables of
+    ``stats.group`` (the same compiled words, any rows) and be compiled
+    for ``cfg``'s n-gram range; each word reads its probabilities by id.
+    Words of length 1 have no n-grams or transitions; their sequence
+    features are 0.
     """
     if group.word_grams is not stats.group.word_grams:
         raise ValueError("group does not share the id tables of the statistics")
@@ -351,40 +354,37 @@ def extract_all(
             f"group compiled for n-grams {group.ngram_min}..{group.ngram_max}, "
             f"asked for {cfg.ngram_min}..{cfg.ngram_max}"
         )
-    names = feature_names(cfg.mode)
-    with_ngrams = "rare_ngram_score" in names
-    with_trans = "rare_transition_score" in names
+    columns: dict[str, list[float]] = {name: [] for name in feature_names(cfg.mode)}
+    with_ngrams = "rare_ngram_score" in columns
+    with_trans = "rare_transition_score" in columns
     gram_p, trans_p = stats.ngram_probs, stats.trans_probs
     mean, std = stats.length_mean, stats.length_std
     aug = cfg.mode == "aug"
     if aug:
         templates, freq = stats.cv_templates, stats.symbol_freq
 
-    out: list[dict[str, float]] = []
     for r in group.rows:
         word = group.words[r]
-        vec: dict[str, float] = {}
         if with_ngrams:
             probs = [gram_p[g] for g in group.word_grams[r]]
-            vec["rare_ngram_score"] = _rarity(
+            columns["rare_ngram_score"].append(_rarity(
                 probs, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
                 cfg.rare_ngram_c1, cfg.rare_ngram_c2,
-            )
-            vec["ngram_entropy"] = _entropy(probs)
+            ))
+            columns["ngram_entropy"].append(_entropy(probs))
         if with_trans:
             probs = [trans_p[t] for t in group.word_trans[r]]
-            vec["rare_transition_score"] = _rarity(
+            columns["rare_transition_score"].append(_rarity(
                 probs, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
                 cfg.rare_trans_c1, cfg.rare_trans_c2,
-            )
-            vec["trans_entropy"] = _entropy(probs)
-            vec["avg_trans_prob"] = _mean(probs)
-        vec["len_z"] = (len(word) - mean) / std
+            ))
+            columns["trans_entropy"].append(_entropy(probs))
+            columns["avg_trans_prob"].append(_mean(probs))
+        columns["len_z"].append((len(word) - mean) / std)
         if aug:
             cv = group.cv[r]
-            vec["cv_anomaly"] = _cv_anomaly(cv, templates)
-            vec["char_dist_anomaly"] = _char_dist(word, [freq.get(s, 0.0) for s in word])
-            vec["cluster_score"] = _cluster(cv)
-            vec["vowel_ratio"] = _vowel_ratio(cv)
-        out.append(vec)
-    return out
+            columns["cv_anomaly"].append(_cv_anomaly(cv, templates))
+            columns["char_dist_anomaly"].append(_char_dist(word, [freq.get(s, 0.0) for s in word]))
+            columns["cluster_score"].append(_cluster(cv))
+            columns["vowel_ratio"].append(_vowel_ratio(cv))
+    return columns

@@ -5,7 +5,8 @@ Pass ``t`` builds statistics from its reference rows: the whole group at
 pass 0, the previous pass's native candidates (averaged probability
 below ``tau``) after that, or the whole group again, with a warning,
 when every word is a loan. It rescores all words, applies pattern-based
-probability refinement from pass ``pattern_from_iteration`` on, averages
+probability refinement from pass ``pattern_from_iteration`` on (it reads
+only whether a word's anomaly mask from ``score_all`` is set), averages
 each word's probabilities over all passes so far and thresholds the
 averages into the loan set. The loop stops early once the loan set
 changes by less than ``convergence_fraction`` of its previous size.
@@ -194,16 +195,16 @@ def detect(
                     "falling back to full-vocabulary statistics"
                 )
                 log.warning("[%s] %s", vocab.language, state.warnings[-1])
-        results = score_all(extract_all(group, build_statistics(reference), cfg), pos_tags, cfg)
-        probs = [r.boosted for r in results]
+        columns = extract_all(group, build_statistics(reference), cfg)
+        probs, masks = score_all(columns, pos_tags, cfg)
         if patterns is not None and t >= cfg.pattern_from_iteration:
             # pattern_from_iteration >= 1, so native_rows is this pass's; the
             # loans are the rest of the group: their counts are never built
             native_counts = build_pattern_db(patterns, native_rows)
             likeness = pattern_likeness(patterns, native_counts, cfg.pattern_smoothing)
             probs = [
-                refine_probability(p, like, bool(r.anomalies), cfg)
-                for p, like, r in zip(probs, likeness, results)
+                refine_probability(p, like, bool(mask), cfg)
+                for p, like, mask in zip(probs, likeness, masks)
             ]
         history = zip(*(s.probabilities for s in state.snapshots), probs)
         averaged = tuple(map(average_probabilities, history))

@@ -1,4 +1,4 @@
-"""Composite scoring: weighted features to borrowing probabilities.
+"""Composite scoring: feature columns to borrowing probabilities.
 
 The pipeline per word is:
 
@@ -12,28 +12,30 @@ Feature polarity: ``avg_trans_prob`` enters inverted (low average
 transition probability is loan-like); every other feature enters as-is.
 The polarity map is configurable per feature.
 
-``score_all`` works on columns, one per feature in the order of the
-first vector's keys. Each column is read once, normalized with one min
-and one max, and flipped where its polarity is negative (its *signal*).
-The weight of each feature times the mode's rescale factor is folded into
-one coefficient per feature, once per call (``_coefficients``, the only
-place the rescaling rule lives). A word's raw score is ``sum()`` of its
-``coefficient * signal`` terms in feature order; the anomaly boosts are
-multiplied per column in the same order, and the features that fired are
-kept as a per-word bitmask until the results are built.
-``composite_score`` and ``boost`` score one word by the same rules.
+``score_all`` takes the feature columns ``features.extract_all`` returns,
+one list per feature in the mode's feature order, and returns two
+columns: each word's boosted probability and the bitmask of its
+anomalous features (bit k is the k-th column). Each column is normalized
+with one min and one max and flipped where its polarity is negative (its
+*signal*). The weight of each feature times the mode's rescale factor is
+folded into one coefficient per feature, once per call (``_coefficients``,
+the only place the rescaling rule lives). A word's raw score is ``sum()``
+of its ``coefficient * signal`` terms in feature order; the anomaly
+boosts are multiplied per column in the same order. ``bf_score`` in
+``tests/oracles.py`` scores word by word by the same rules and is the
+reference the columns are tested against.
 
 Every stage reads its constants (``weights``, ``pos_weights``,
 ``polarity``, ``gamma``, ``center``, ``anomaly_thresholds``,
 ``anomaly_boosts``) from a ``RunConfig``; ``RunConfig.validate`` is the
-only place they are checked. The scorer never reads ``mode``: the
-features present in the vectors decide what is weighted.
+only place they are checked: it requires a weight for every feature of
+the mode and every POS category. The scorer never reads ``mode``: the
+columns present decide what is weighted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .features import CORE_FEATURES, SEGMENTAL_FEATURES
@@ -69,21 +71,6 @@ DEFAULT_POLARITY["avg_trans_prob"] = -1
 
 ALL_FEATURES = CORE_FEATURES + SEGMENTAL_FEATURES
 
-_NO_ANOMALIES: frozenset[str] = frozenset()
-
-
-class MissingWeightError(KeyError):
-    pass
-
-
-@dataclass(frozen=True)
-class ScoreResult:
-    raw: float
-    adjusted: float
-    probability: float
-    boosted: float
-    anomalies: frozenset[str]
-
 
 def _logistic(x: float) -> float:
     if x >= 0:
@@ -101,31 +88,6 @@ def _normalize(values: Sequence[float]) -> list[float]:
     return [(v - lo) / span for v in values]
 
 
-def normalize_features(
-    vectors: Sequence[Mapping[str, float]],
-) -> list[dict[str, float]]:
-    """Per-feature min-max normalization over the vocabulary.
-
-    Constant features map to 0.5 for every word (a single-word vocabulary
-    therefore normalizes to all 0.5s).
-    """
-    if not vectors:
-        raise ValueError("no feature vectors to normalize")
-    names = list(vectors[0])
-    columns = [_normalize([v[n] for v in vectors]) for n in names]
-    return [{n: col[i] for n, col in zip(names, columns)} for i in range(len(vectors))]
-
-
-def _signals(
-    columns: Mapping[str, list[float]], polarity: Mapping[str, int]
-) -> list[list[float]]:
-    """Normalized feature columns as loan signals: flipped where polarity is negative."""
-    return [
-        col if polarity.get(n, 1) >= 0 else [1.0 - x for x in col]
-        for n, col in columns.items()
-    ]
-
-
 def _coefficients(names: Sequence[str], cfg: RunConfig) -> list[float]:
     """Weight times rescale factor of each of the present features ``names``.
 
@@ -133,22 +95,9 @@ def _coefficients(names: Sequence[str], cfg: RunConfig) -> list[float]:
     the full core-feature weight mass, preserving total weight across
     ablation/augmentation modes while keeping relative importance.
     """
-    missing = [n for n in names if n not in cfg.weights]
-    if missing:
-        raise MissingWeightError(missing[0])
     base_total = sum(cfg.weights[n] for n in CORE_FEATURES if n in cfg.weights)
-    present_total = sum(cfg.weights[n] for n in names)
-    if present_total <= 0:
-        raise ValueError("present-feature weights sum to zero")
-    factor = base_total / present_total
+    factor = base_total / sum(cfg.weights[n] for n in names)
     return [cfg.weights[n] * factor for n in names]
-
-
-def composite_score(normed: Mapping[str, float], cfg: RunConfig) -> float:
-    """Weighted sum of the present features, with mode-rescaled weights."""
-    coefficients = _coefficients(list(normed), cfg)
-    signals = _signals({n: [x] for n, x in normed.items()}, cfg.polarity)
-    return sum(c * s for c, (s,) in zip(coefficients, signals))
 
 
 def length_modifier(len_z: float) -> float:
@@ -161,10 +110,7 @@ def length_modifier(len_z: float) -> float:
 
 
 def pos_modifier(pos: str, cfg: RunConfig) -> float:
-    try:
-        return cfg.pos_weights[pos]
-    except KeyError:
-        raise MissingWeightError(pos) from None
+    return cfg.pos_weights[pos]
 
 
 def to_probability(adjusted: float, cfg: RunConfig) -> float:
@@ -195,55 +141,33 @@ def _anomaly_factors(
     return factors, masks
 
 
-def _anomaly_names(names: Sequence[str], mask: int) -> frozenset[str]:
-    if not mask:
-        return _NO_ANOMALIES
-    return frozenset(n for bit, n in enumerate(names) if mask >> bit & 1)
-
-
-def boost(
-    prob: float, normed: Mapping[str, float], cfg: RunConfig
-) -> tuple[float, frozenset[str]]:
-    """Multiply P by (1 + eta_f * excess) per feature over its anomaly threshold.
-
-    The excess is measured on the polarity-adjusted normalized value, so
-    an anomaly always means "strongly loan-indicating". Returns the
-    boosted probability (clamped to 1) and the set of triggered features.
-    """
-    names = list(normed)
-    signals = _signals({n: [x] for n, x in normed.items()}, cfg.polarity)
-    (factor,), (mask,) = _anomaly_factors(names, signals, 1, cfg)
-    return min(prob * factor, 1.0), _anomaly_names(names, mask)
-
-
 def score_all(
-    vectors: Sequence[Mapping[str, float]],
+    columns: Mapping[str, Sequence[float]],
     pos_tags: Sequence[str],
     cfg: RunConfig,
-) -> list[ScoreResult]:
-    """Run the full scoring pipeline over a vocabulary, input order preserved.
+) -> tuple[list[float], list[int]]:
+    """Each word's boosted probability and anomaly bitmask, input order preserved.
 
-    Equal, bit for bit, to ``composite_score``, the modifiers,
-    ``to_probability`` and ``boost`` applied word by word to
-    ``normalize_features(vectors)``.
+    ``columns`` maps each feature to its column, one value per word; bit
+    k of a mask is set when the k-th column's feature fired for the word.
     """
-    if len(vectors) != len(pos_tags):
-        raise ValueError("need one POS tag per feature vector")
-    if not vectors:
-        raise ValueError("no feature vectors to normalize")
-    names = list(vectors[0])
+    if not pos_tags:
+        raise ValueError("no words to score")
+    if any(len(column) != len(pos_tags) for column in columns.values()):
+        raise ValueError("need one POS tag per word")
+    names = list(columns)
     coefficients = _coefficients(names, cfg)
-    signals = _signals({n: _normalize([v[n] for v in vectors]) for n in names}, cfg.polarity)
+    signals = []
+    for name, column in columns.items():
+        normed = _normalize(column)
+        signals.append(normed if cfg.polarity.get(name, 1) >= 0 else [1.0 - x for x in normed])
     # sum() per word rather than a running column total: from Python 3.12
-    # on, sum() of floats is compensated, and this must stay equal to
-    # composite_score on every supported version
+    # on, sum() of floats is compensated, and the reports keep the bits of
+    # the plain per-word sum on every supported version
     raw = list(map(sum, zip(*[[c * s for s in col] for c, col in zip(coefficients, signals)])))
-    adjusted = [
-        r * length_modifier(v.get("len_z", 0.0)) * pos_modifier(pos, cfg)
-        for r, v, pos in zip(raw, vectors, pos_tags)
+    probs = [
+        to_probability(r * length_modifier(z) * pos_modifier(pos, cfg), cfg)
+        for r, z, pos in zip(raw, columns["len_z"], pos_tags)
     ]
-    probs = [to_probability(a, cfg) for a in adjusted]
-    factors, masks = _anomaly_factors(names, signals, len(vectors), cfg)
-    boosted = [min(p * f, 1.0) for p, f in zip(probs, factors)]
-    anomalies = [_anomaly_names(names, m) for m in masks]
-    return list(map(ScoreResult, raw, adjusted, probs, boosted, anomalies))
+    factors, masks = _anomaly_factors(names, signals, len(pos_tags), cfg)
+    return [min(p * f, 1.0) for p, f in zip(probs, factors)], masks

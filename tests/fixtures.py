@@ -144,7 +144,7 @@ def transition_signal_fixture(
 
 
 def extract_against(reference, words, cfg=None):
-    """Feature vectors of ``words`` against the statistics of ``reference``.
+    """Feature columns of ``words`` against the statistics of ``reference``.
 
     The reference and the probed words are compiled as one group, and the
     probed rows read the reference rows' probabilities by id: an n-gram or

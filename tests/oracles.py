@@ -10,6 +10,7 @@ detection loop, which calls the package's feature extraction and scoring.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from loandetect.crossling import align
 from loandetect.features import CompiledGroup, build_statistics, extract_all
@@ -380,6 +381,71 @@ def bf_pattern_likeness(word, native_words, loan_words, epsilon=1.0):
     return math.fsum(terms) / len(pats)
 
 
+# --- scoring ---------------------------------------------------------------------
+
+BF_CORE_FEATURES = (
+    "rare_ngram_score",
+    "ngram_entropy",
+    "rare_transition_score",
+    "trans_entropy",
+    "avg_trans_prob",
+    "len_z",
+)
+
+
+class BfScore(NamedTuple):
+    raw: float
+    adjusted: float
+    probability: float
+    boosted: float
+    fired: frozenset
+
+
+def bf_logistic(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def bf_score(columns, pos_tags, cfg):
+    """The scoring pipeline run word by word over feature columns.
+
+    Returns one ``BfScore`` per word: the raw weighted sum of its
+    normalized, polarity-adjusted features, that sum times the length
+    and POS modifiers, the sigmoid of it, the anomaly-boosted
+    probability, and the set of features over their anomaly threshold.
+    """
+    names = list(columns)
+    weights = cfg.weights
+    base = sum(weights[n] for n in BF_CORE_FEATURES if n in weights)
+    factor = base / sum(weights[n] for n in names)
+    lows = {n: min(columns[n]) for n in names}
+    highs = {n: max(columns[n]) for n in names}
+    out = []
+    for i, pos in enumerate(pos_tags):
+        signals = []
+        for n in names:
+            lo, hi = lows[n], highs[n]
+            x = 0.5 if hi == lo else (columns[n][i] - lo) / (hi - lo)
+            signals.append(1.0 - x if cfg.polarity.get(n, 1) < 0 else x)
+        raw = sum(weights[n] * factor * s for n, s in zip(names, signals))
+        z = columns["len_z"][i]
+        length = 1.0 + 0.5 * (bf_logistic(3.0 * (abs(z) - 1.5)) - 0.5)
+        adjusted = raw * length * cfg.pos_weights[pos]
+        probability = bf_logistic(cfg.gamma * (adjusted - cfg.center))
+        boost = 1.0
+        fired = set()
+        for n, s in zip(names, signals):
+            threshold = cfg.anomaly_thresholds.get(n)
+            if threshold is not None and s > threshold:
+                boost *= 1.0 + cfg.anomaly_boosts.get(n, 0.0) * (s - threshold)
+                fired.add(n)
+        out.append(BfScore(raw, adjusted, probability, min(probability * boost, 1.0),
+                           frozenset(fired)))
+    return out
+
+
 # --- the detection loop ----------------------------------------------------------
 
 
@@ -398,8 +464,8 @@ def bf_detect(vocab, cfg):
         return score_all(extract_all(group, build_statistics(reference), cfg), pos_tags, cfg)
 
     # pass 0: statistics from the full vocabulary
-    results = rescore(group)
-    history = [[r.boosted] for r in results]
+    probs, _ = rescore(group)
+    history = [[p] for p in probs]
     loans = {i for i in range(n) if history[i][0] >= cfg.tau}
     passes = [(tuple(h[0] for h in history), tuple(h[0] for h in history), frozenset(loans))]
     converged = False
@@ -407,17 +473,16 @@ def bf_detect(vocab, cfg):
     while t < cfg.max_iterations and not converged:
         natives = [i for i in range(n) if i not in loans]
         reference = group.subset(natives) if natives else group
-        results = rescore(reference)
-        probs = [r.boosted for r in results]
+        probs, masks = rescore(reference)
         if cfg.pattern_refinement and t >= cfg.pattern_from_iteration:
             native_words = [words[i] for i in natives]
             loan_words = [words[i] for i in sorted(loans)]
             eps = cfg.pattern_smoothing
             for i in range(n):
                 like = bf_pattern_likeness(words[i], native_words, loan_words, eps)
-                if not results[i].anomalies and like > cfg.pattern_high_cut:
+                if not masks[i] and like > cfg.pattern_high_cut:
                     probs[i] = probs[i] * cfg.pattern_down_factor
-                elif results[i].anomalies and like < cfg.pattern_low_cut:
+                elif masks[i] and like < cfg.pattern_low_cut:
                     probs[i] = min(probs[i] * cfg.pattern_up_factor, 1.0)
         averaged = []
         for i in range(n):

@@ -145,6 +145,15 @@ def test_bad_config_key_exit_code(vocab_file, tmp_path):
     assert code == 1
 
 
+def test_non_finite_setting_exit_code(vocab_file, tmp_path):
+    out = tmp_path / "report.tsv"
+    code = main(
+        ["detect", "--input", str(vocab_file), "--output", str(out), "--set", "center=nan"]
+    )
+    assert code == 1
+    assert not out.exists()
+
+
 def test_detect_xl_extended_report(multi_file, tmp_path, capsys):
     out = tmp_path / "scaled.tsv"
     code = main(["detect-xl", "--input", str(multi_file), "--output", str(out)])

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 import loandetect
-from loandetect.config import ConfigError, RunConfig, load_config, parse_config_text
+from loandetect.config import (
+    _MAP_PREFIXES,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config_text,
+)
 
 
 def test_published_defaults():
@@ -106,6 +112,26 @@ def test_refinement_settings_outside_unit_interval_rejected(overrides):
 def test_refinement_setting_limits_accepted():
     RunConfig(pattern_down_factor=1.0, pattern_up_factor=0.5, pattern_from_iteration=1)
     RunConfig(anomaly_boosts={name: 0.0 for name in RunConfig().anomaly_boosts})
+
+
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if type(f.default) is float]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_rejected(name, text):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        RunConfig().with_overrides({name: text})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("prefix", sorted(_MAP_PREFIXES))
+def test_non_finite_map_value_rejected(prefix, value):
+    attr = _MAP_PREFIXES[prefix]
+    current = getattr(RunConfig(), attr)
+    key = next(iter(current))
+    with pytest.raises(ConfigError, match=f"{prefix}{key} must be finite"):
+        RunConfig(**{attr: {**current, key: value}})
 
 
 def test_with_overrides_coercion():

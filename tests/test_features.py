@@ -33,7 +33,7 @@ def statistics(words):
 
 def feature(reference, word, name, cfg=None):
     """One feature of one word against ``reference``, through the only feature path."""
-    return extract_against(reference, [word], cfg)[0][name]
+    return extract_against(reference, [word], cfg)[name][0]
 
 
 def ngram_count(stats):
@@ -126,12 +126,12 @@ def test_rare_ngram_score_requires_ordered_thresholds():
 
 
 def test_short_word_scores_zero():
-    vec = extract_against([("a", "b")], [("a",)], RunConfig())[0]
-    assert vec["rare_ngram_score"] == 0.0
-    assert vec["ngram_entropy"] == 0.0
-    assert vec["rare_transition_score"] == 0.0
-    assert vec["trans_entropy"] == 0.0
-    assert vec["avg_trans_prob"] == 0.0
+    columns = extract_against([("a", "b")], [("a",)], RunConfig())
+    assert columns["rare_ngram_score"] == [0.0]
+    assert columns["ngram_entropy"] == [0.0]
+    assert columns["rare_transition_score"] == [0.0]
+    assert columns["trans_entropy"] == [0.0]
+    assert columns["avg_trans_prob"] == [0.0]
 
 
 def test_ngram_entropy_certainty():
@@ -184,21 +184,22 @@ def test_feature_oracle_equivalence_random_vocabularies():
         vocab = random_vocab(rng)
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
-        for w, vec in zip(vocab, extract_against(vocab, vocab, cfg)):
-            assert vec["rare_ngram_score"] == pytest.approx(
+        columns = extract_against(vocab, vocab, cfg)
+        for i, w in enumerate(vocab):
+            assert columns["rare_ngram_score"][i] == pytest.approx(
                 oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0),
                 abs=1e-9,
             )
-            assert vec["ngram_entropy"] == pytest.approx(
+            assert columns["ngram_entropy"][i] == pytest.approx(
                 oracles.bf_ngram_entropy(w, probs), abs=1e-9
             )
-            assert vec["rare_transition_score"] == pytest.approx(
+            assert columns["rare_transition_score"][i] == pytest.approx(
                 oracles.bf_rare_transition_score(w, trans), abs=1e-9
             )
-            assert vec["trans_entropy"] == pytest.approx(
+            assert columns["trans_entropy"][i] == pytest.approx(
                 oracles.bf_transition_entropy(w, trans), abs=1e-9
             )
-            assert vec["avg_trans_prob"] == pytest.approx(
+            assert columns["avg_trans_prob"][i] == pytest.approx(
                 oracles.bf_avg_transition_prob(w, trans), abs=1e-9
             )
 
@@ -208,10 +209,9 @@ def test_features_scale_free_under_duplication():
     vocab = random_vocab(rng, max_words=10)
     once = extract_against(vocab, vocab)
     twice = extract_against(vocab + vocab, vocab)
-    for a, b in zip(once, twice):
-        assert set(a) == set(b)
-        for name in a:
-            assert a[name] == pytest.approx(b[name], abs=1e-12)
+    assert list(once) == list(twice)
+    for name in once:
+        assert once[name] == pytest.approx(twice[name], abs=1e-12)
 
 
 def test_rare_scores_monotone_under_small_perturbation():
@@ -234,16 +234,16 @@ def test_extract_mode_contracts():
     word = ("p", "a", "t", "a")
 
     def extract(mode):
-        return extract_against(reference, [word], RunConfig(mode=mode))[0]
+        return extract_against(reference, [word], RunConfig(mode=mode))
 
-    assert set(extract("full")) == set(feature_names("full"))
+    assert list(extract("full")) == list(feature_names("full"))
     no_ngram = extract("no_ngram")
     assert "rare_ngram_score" not in no_ngram and "ngram_entropy" not in no_ngram
     no_trans = extract("no_transition")
     for name in ("rare_transition_score", "trans_entropy", "avg_trans_prob"):
         assert name not in no_trans
     aug = extract("aug")
-    assert set(aug) == set(feature_names("aug"))
+    assert list(aug) == list(feature_names("aug"))
     with pytest.raises(ValueError):
         extract("bogus")
 
@@ -253,9 +253,9 @@ def test_aug_segmental_hand_counts():
     word = ("s", "t", "r", "a")
     assert _cluster(cv_pattern(word)) == pytest.approx((3 - 1) / 4)
     assert _vowel_ratio(cv_pattern(word)) == pytest.approx(0.25)
-    aug = extract_against(reference, [word], RunConfig(mode="aug"))[0]
-    assert aug["cluster_score"] == pytest.approx(0.5)
-    assert aug["vowel_ratio"] == pytest.approx(0.25)
+    aug = extract_against(reference, [word], RunConfig(mode="aug"))
+    assert aug["cluster_score"] == [pytest.approx(0.5)]
+    assert aug["vowel_ratio"] == [pytest.approx(0.25)]
 
 
 def test_cluster_score_vowel_only_floor():
@@ -309,36 +309,37 @@ def test_compiled_extract_all_matches_bruteforce_features():
         probs = oracles.bf_ngram_probs(reference)
         trans = oracles.bf_transition_probs(reference)
         mean, std = oracles.bf_length_stats(reference)
-        vectors = extract_all(group, stats, cfg)
-        assert vectors == extract_against(reference, vocab, cfg)
-        for w, vec in zip(vocab, vectors):
-            assert list(vec) == list(feature_names("aug"))
-            assert vec["rare_ngram_score"] == pytest.approx(
+        columns = extract_all(group, stats, cfg)
+        assert columns == extract_against(reference, vocab, cfg)
+        assert list(columns) == list(feature_names("aug"))
+        assert all(len(column) == len(vocab) for column in columns.values())
+        for i, w in enumerate(vocab):
+            assert columns["rare_ngram_score"][i] == pytest.approx(
                 oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0), abs=1e-12
             )
-            assert vec["ngram_entropy"] == pytest.approx(
+            assert columns["ngram_entropy"][i] == pytest.approx(
                 oracles.bf_ngram_entropy(w, probs), abs=1e-9
             )
-            assert vec["rare_transition_score"] == pytest.approx(
+            assert columns["rare_transition_score"][i] == pytest.approx(
                 oracles.bf_rare_transition_score(w, trans), abs=1e-12
             )
-            assert vec["trans_entropy"] == pytest.approx(
+            assert columns["trans_entropy"][i] == pytest.approx(
                 oracles.bf_transition_entropy(w, trans), abs=1e-9
             )
-            assert vec["avg_trans_prob"] == pytest.approx(
+            assert columns["avg_trans_prob"][i] == pytest.approx(
                 oracles.bf_avg_transition_prob(w, trans), abs=1e-12
             )
-            assert vec["len_z"] == pytest.approx((len(w) - mean) / std, abs=1e-12)
-            assert vec["cv_anomaly"] == pytest.approx(
+            assert columns["len_z"][i] == pytest.approx((len(w) - mean) / std, abs=1e-12)
+            assert columns["cv_anomaly"][i] == pytest.approx(
                 oracles.bf_cv_anomaly(w, reference, VOWELS), abs=1e-12
             )
-            assert vec["char_dist_anomaly"] == pytest.approx(
+            assert columns["char_dist_anomaly"][i] == pytest.approx(
                 oracles.bf_char_dist_anomaly(w, reference), abs=1e-12
             )
-            assert vec["cluster_score"] == pytest.approx(
+            assert columns["cluster_score"][i] == pytest.approx(
                 oracles.bf_cluster_score(w, VOWELS), abs=1e-12
             )
-            assert vec["vowel_ratio"] == pytest.approx(
+            assert columns["vowel_ratio"][i] == pytest.approx(
                 oracles.bf_vowel_ratio(w, VOWELS), abs=1e-12
             )
 

@@ -232,9 +232,8 @@ def test_detect_reduces_to_score_and_threshold_at_one_pass():
     assert not state.converged
 
     words = [e.ipa for e in vocab]
-    vectors = extract_against(words, words, cfg)
-    results = score_all(vectors, [e.pos for e in vocab], cfg)
-    expected = [r.boosted for r in results]
+    columns = extract_against(words, words, cfg)
+    expected, _ = score_all(columns, [e.pos for e in vocab], cfg)
     assert state.averaged == pytest.approx(expected)
     assert state.loans == {i for i, p in enumerate(expected) if p >= cfg.tau}
 

@@ -1,89 +1,139 @@
-"""Scoring engine tests: normalization, modifiers, sigmoid, boost, pipeline."""
+"""Scoring engine tests: normalization, modifiers, sigmoid, boost, pipeline.
+
+``score_all`` returns two columns, the boosted probabilities and the
+anomaly bitmasks. The intermediate stages (raw score, adjusted score,
+probability) are read off ``oracles.bf_score``, the per-word reference,
+and every call through ``score`` checks that ``score_all`` agrees with it
+bit for bit.
+"""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loandetect.config import RunConfig
+from loandetect.config import ConfigError, RunConfig
 from loandetect.features import MODES, feature_names
 from loandetect.scoring import (
+    ALL_FEATURES,
     DEFAULT_POS_WEIGHTS,
     DEFAULT_WEIGHTS,
-    MissingWeightError,
-    ScoreResult,
-    boost,
-    composite_score,
     length_modifier,
-    normalize_features,
     pos_modifier,
     score_all,
     to_probability,
 )
 
-
-def test_normalize_minmax():
-    vecs = [{"f": 0.0}, {"f": 5.0}, {"f": 10.0}]
-    normed = normalize_features(vecs)
-    assert [v["f"] for v in normed] == [0.0, 0.5, 1.0]
+import oracles
 
 
-def test_normalize_constant_feature():
-    normed = normalize_features([{"f": 3.0}, {"f": 3.0}, {"f": 3.0}])
-    assert [v["f"] for v in normed] == [0.5, 0.5, 0.5]
+def fired(names, mask):
+    """The features whose bits are set in ``mask``; bit k is ``names[k]``."""
+    return frozenset(n for k, n in enumerate(names) if mask >> k & 1)
 
 
-def test_normalize_single_word():
-    normed = normalize_features([{"f": 2.0, "g": -1.0}])
-    assert normed == [{"f": 0.5, "g": 0.5}]
+def score(columns, pos_tags, cfg):
+    """``bf_score``'s records, after checking ``score_all`` against them."""
+    expected = oracles.bf_score(columns, pos_tags, cfg)
+    boosted, masks = score_all(columns, pos_tags, cfg)
+    assert boosted == [r.boosted for r in expected]
+    assert [fired(list(columns), m) for m in masks] == [r.fired for r in expected]
+    return expected
+
+
+def probe(normed, cfg, pos="noun"):
+    """The record of a word whose normalized features are ``normed``.
+
+    Two more words pin every column's minimum at 0 and maximum at 1, so
+    the probe's values pass min-max normalization unchanged. A ``len_z``
+    column of zeros (constant, so normalized to 0.5) is added when
+    ``normed`` has none.
+    """
+    columns = {name: [0.0, 1.0, x] for name, x in normed.items()}
+    columns.setdefault("len_z", [0.0, 0.0, 0.0])
+    return score(columns, ["noun", "noun", pos], cfg)[2]
 
 
 def _cfg(weights, polarity=None):
-    # aug mode admits partial weight maps; the scorer never reads the mode
+    # aug mode has no weight-order rule; the features a test leaves out
+    # weigh 0, and the scorer never reads the mode
     return RunConfig(
         mode="aug",
-        weights=weights,
+        weights={**dict.fromkeys(ALL_FEATURES, 0.0), **weights},
         polarity=polarity or {name: 1 for name in weights},
         anomaly_thresholds={},
         anomaly_boosts={},
     )
 
 
+def normalized(values):
+    """The min-max normalization of one column, read off the raw score.
+
+    With one feature weighing the whole core mass, a word's raw score is
+    its normalized value.
+    """
+    columns = {"rare_ngram_score": list(values), "len_z": [0.0] * len(values)}
+    cfg = _cfg({"rare_ngram_score": 1.0})
+    return [r.raw for r in score(columns, ["noun"] * len(values), cfg)]
+
+
+def test_normalize_minmax():
+    assert normalized([0.0, 5.0, 10.0]) == [0.0, 0.5, 1.0]
+
+
+def test_normalize_constant_feature():
+    assert normalized([3.0, 3.0, 3.0]) == [0.5, 0.5, 0.5]
+
+
+def test_normalize_single_word():
+    assert normalized([2.0]) == [0.5]
+    assert normalized([-1.0]) == [0.5]
+
+
 def test_composite_single_feature():
     cfg = _cfg({"rare_ngram_score": 1.0})
-    assert composite_score({"rare_ngram_score": 0.7}, cfg) == pytest.approx(0.7)
+    assert probe({"rare_ngram_score": 0.7}, cfg).raw == pytest.approx(0.7)
 
 
 def test_composite_zero_vector():
     cfg = RunConfig()
     normed = {name: 0.0 for name in DEFAULT_WEIGHTS if name != "avg_trans_prob"}
-    assert composite_score(normed, cfg) == pytest.approx(0.0)
+    assert probe(normed, cfg).raw == pytest.approx(0.0)
 
 
 def test_composite_missing_weight():
-    cfg = _cfg({"rare_ngram_score": 1.0})
-    with pytest.raises(MissingWeightError):
-        composite_score({"mystery": 0.5}, cfg)
+    # validate requires a weight for every feature the mode extracts, so the
+    # composite never meets a feature without one
+    with pytest.raises(ConfigError, match="trans_entropy"):
+        RunConfig(mode="no_ngram", weights={"rare_transition_score": 1.0})
+    for mode in MODES:
+        for name in feature_names(mode):
+            weights = {n: w for n, w in DEFAULT_WEIGHTS.items() if n != name}
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(mode=mode, weights=weights)
+    # a feature the mode does not extract needs no weight
+    weights = {n: w for n, w in DEFAULT_WEIGHTS.items() if n != "rare_ngram_score"}
+    RunConfig(mode="no_ngram", weights=weights)
 
 
 def test_composite_ablation_rescale():
     # weights {a: 0.3 (dropped), b: 0.4, c: 0.3} -> effective {b: 4/7, c: 3/7}
     weights = {"rare_ngram_score": 0.3, "rare_transition_score": 0.4, "len_z": 0.3}
     cfg = _cfg(weights)
-    full = composite_score(
+    full = probe(
         {"rare_ngram_score": 0.0, "rare_transition_score": 1.0, "len_z": 0.0}, cfg
-    )
+    ).raw
     assert full == pytest.approx(0.4)
-    dropped = composite_score({"rare_transition_score": 1.0, "len_z": 0.0}, cfg)
+    dropped = probe({"rare_transition_score": 1.0, "len_z": 0.0}, cfg).raw
     assert dropped == pytest.approx(0.4 * (1.0 / 0.7))
     assert dropped == pytest.approx(0.5714285714285714)
-    both = composite_score({"rare_transition_score": 1.0, "len_z": 1.0}, cfg)
+    both = probe({"rare_transition_score": 1.0, "len_z": 1.0}, cfg).raw
     assert both == pytest.approx(1.0)  # total mass preserved
 
 
 def test_composite_polarity_inversion():
     cfg = _cfg({"avg_trans_prob": 1.0}, polarity={"avg_trans_prob": -1})
-    assert composite_score({"avg_trans_prob": 0.2}, cfg) == pytest.approx(0.8)
+    assert probe({"avg_trans_prob": 0.2}, cfg).raw == pytest.approx(0.8)
 
 
 def test_length_modifier_midpoint_exact():
@@ -129,20 +179,26 @@ def test_to_probability_center_and_saturation():
 
 def test_boost_no_anomaly_is_identity():
     cfg = RunConfig()
-    prob, anomalies = boost(0.7, {"rare_ngram_score": 0.5}, cfg)
-    assert prob == 0.7
-    assert anomalies == frozenset()
+    r = probe({"rare_ngram_score": 0.5}, cfg)
+    assert r.boosted == r.probability
+    assert r.fired == frozenset()
+    # an anomaly lies strictly above its threshold
+    r = probe({"rare_ngram_score": 0.8}, cfg)
+    assert r.boosted == r.probability
+    assert r.fired == frozenset()
 
 
 def test_boost_clamps_at_one():
     cfg = RunConfig(
+        center=0.0,
         anomaly_thresholds={"rare_ngram_score": 0.5},
         anomaly_boosts={"rare_ngram_score": 2.0},
     )
-    # delta = 0.8 - 0.5 = 0.3 -> factor 1.6 -> min(0.9*1.6, 1) = 1
-    prob, anomalies = boost(0.9, {"rare_ngram_score": 0.8}, cfg)
-    assert prob == 1.0
-    assert anomalies == frozenset({"rare_ngram_score"})
+    # delta = 0.8 - 0.5 = 0.3 -> factor 1.6 -> min(P*1.6, 1) = 1
+    r = probe({"rare_ngram_score": 0.8}, cfg)
+    assert r.probability * 1.6 > 1.0
+    assert r.boosted == 1.0
+    assert r.fired == frozenset({"rare_ngram_score"})
 
 
 def test_boost_hand_value():
@@ -150,9 +206,9 @@ def test_boost_hand_value():
         anomaly_thresholds={"rare_ngram_score": 0.6},
         anomaly_boosts={"rare_ngram_score": 0.5},
     )
-    prob, _ = boost(0.5, {"rare_ngram_score": 0.8}, cfg)
-    assert prob == pytest.approx(0.5 * (1 + 0.5 * 0.2))
-    assert prob == pytest.approx(0.55)
+    r = probe({"rare_ngram_score": 0.8}, cfg)
+    assert r.boosted == pytest.approx(r.probability * (1 + 0.5 * 0.2))
+    assert r.boosted == pytest.approx(r.probability * 1.1)
 
 
 def test_boost_uses_polarity_adjusted_signal():
@@ -162,30 +218,25 @@ def test_boost_uses_polarity_adjusted_signal():
         anomaly_boosts={"avg_trans_prob": 0.5},
     )
     # normalized 0.1, inverted signal 0.9 > 0.8 -> anomaly
-    prob, anomalies = boost(0.5, {"avg_trans_prob": 0.1}, cfg)
-    assert anomalies == frozenset({"avg_trans_prob"})
-    assert prob == pytest.approx(0.5 * 1.05)
+    r = probe({"avg_trans_prob": 0.1}, cfg)
+    assert r.fired == frozenset({"avg_trans_prob"})
+    assert r.boosted == pytest.approx(r.probability * 1.05)
 
 
 def test_score_all_three_word_pipeline_by_hand():
     """Stage-by-stage hand computation of a 3-word toy vocabulary."""
-    weights = {"rare_ngram_score": 0.6, "len_z": 0.4}
     cfg = RunConfig(
         mode="aug",
-        weights=weights,
+        weights={**dict.fromkeys(ALL_FEATURES, 0.0), "rare_ngram_score": 0.6, "len_z": 0.4},
         polarity={"rare_ngram_score": 1, "len_z": 1},
         gamma=8.0,
         center=0.5,
         anomaly_thresholds={"rare_ngram_score": 0.9},
         anomaly_boosts={"rare_ngram_score": 0.5},
     )
-    vectors = [
-        {"rare_ngram_score": 0.0, "len_z": 0.0},
-        {"rare_ngram_score": 0.2, "len_z": 1.0},
-        {"rare_ngram_score": 0.4, "len_z": 2.0},
-    ]
+    columns = {"rare_ngram_score": [0.0, 0.2, 0.4], "len_z": [0.0, 1.0, 2.0]}
     pos_tags = ["noun", "adjective", "noun"]
-    results = score_all(vectors, pos_tags, cfg)
+    results = score(columns, pos_tags, cfg)
 
     # normalization: rare -> 0, .5, 1; len_z -> 0, .5, 1
     # base mass: weights cover core features rare_ngram(0.6) + len_z(0.4) = 1.0
@@ -200,36 +251,37 @@ def test_score_all_three_word_pipeline_by_hand():
         assert r.probability == pytest.approx(p, abs=1e-12)
     # only word 3 has normalized rare=1.0 > 0.9 -> boosted by 1 + 0.5*0.1
     assert results[0].boosted == results[0].probability
-    assert results[1].anomalies == frozenset()
-    assert results[2].anomalies == frozenset({"rare_ngram_score"})
+    assert results[1].fired == frozenset()
+    assert results[2].fired == frozenset({"rare_ngram_score"})
     assert results[2].boosted == pytest.approx(
         min(results[2].probability * 1.05, 1.0)
     )
+    # bit 0 is the first column
+    assert score_all(columns, pos_tags, cfg)[1] == [0, 0, 1]
 
 
 def test_score_all_identical_words_identical_output():
     cfg = RunConfig()
-    vec = {name: 0.3 for name in DEFAULT_WEIGHTS}
-    results = score_all([dict(vec), dict(vec)], ["noun", "noun"], cfg)
-    assert results[0] == results[1]
+    columns = {name: [0.3, 0.3] for name in DEFAULT_WEIGHTS}
+    boosted, masks = score_all(columns, ["noun", "noun"], cfg)
+    assert boosted[0] == boosted[1]
+    assert masks[0] == masks[1]
 
 
 def test_score_all_pos_monotonicity():
     cfg = RunConfig()
-    vec = {name: 0.4 for name in DEFAULT_WEIGHTS}
-    vecs = [dict(vec), dict(vec), dict(vec)]
-    results = score_all(vecs, ["noun", "verb", "function"], cfg)
-    assert results[0].boosted >= results[1].boosted >= results[2].boosted
+    columns = {name: [0.4, 0.4, 0.4] for name in DEFAULT_WEIGHTS}
+    boosted, _ = score_all(columns, ["noun", "verb", "function"], cfg)
+    assert boosted[0] >= boosted[1] >= boosted[2]
 
 
 def test_boosted_bounds_and_dominance():
     cfg = RunConfig()
-    vecs = [
-        {name: float(i * j % 7) for j, name in enumerate(DEFAULT_WEIGHTS, 1)}
-        for i in range(8)
-    ]
-    results = score_all(vecs, ["noun"] * 8, cfg)
-    for r in results:
+    columns = {
+        name: [float(i * j % 7) for i in range(8)]
+        for j, name in enumerate(DEFAULT_WEIGHTS, 1)
+    }
+    for r in score(columns, ["noun"] * 8, cfg):
         assert 0.0 <= r.probability <= 1.0
         assert r.probability <= r.boosted <= 1.0
 
@@ -238,13 +290,9 @@ def test_weight_scaling_preserves_ranking():
     base = {"rare_ngram_score": 0.5, "len_z": 0.5}
     cfg1 = _cfg(base)
     cfg2 = _cfg({k: 3.0 * v for k, v in base.items()})
-    vecs = [
-        {"rare_ngram_score": 0.1, "len_z": 0.9},
-        {"rare_ngram_score": 0.8, "len_z": 0.2},
-        {"rare_ngram_score": 0.4, "len_z": 0.4},
-    ]
-    s1 = [composite_score(v, cfg1) for v in vecs]
-    s2 = [composite_score(v, cfg2) for v in vecs]
+    columns = {"rare_ngram_score": [0.1, 0.8, 0.4], "len_z": [0.9, 0.2, 0.4]}
+    s1 = [r.raw for r in score(columns, ["noun"] * 3, cfg1)]
+    s2 = [r.raw for r in score(columns, ["noun"] * 3, cfg2)]
     assert sorted(range(3), key=lambda i: s1[i]) == sorted(
         range(3), key=lambda i: s2[i]
     )
@@ -255,9 +303,9 @@ def test_weight_scaling_preserves_ranking():
 
 def test_boost_all_zero_eta_identity():
     cfg = RunConfig(anomaly_boosts={name: 0.0 for name in DEFAULT_WEIGHTS})
-    prob, anomalies = boost(0.6, {name: 0.95 for name in DEFAULT_WEIGHTS}, cfg)
-    assert prob == pytest.approx(0.6)
-    assert len(anomalies) > 0  # thresholds still trip, boosts are null
+    r = probe({name: 0.95 for name in DEFAULT_WEIGHTS}, cfg)
+    assert r.boosted == pytest.approx(r.probability)
+    assert len(r.fired) > 0  # thresholds still trip, boosts are null
 
 
 @given(st.floats(min_value=-10, max_value=10))
@@ -268,8 +316,7 @@ def test_length_modifier_range(z):
 
 @given(
     st.lists(
-        st.dictionaries(
-            st.sampled_from(sorted(DEFAULT_WEIGHTS)),
+        st.lists(
             st.floats(min_value=-100, max_value=100, allow_nan=False),
             min_size=len(DEFAULT_WEIGHTS),
             max_size=len(DEFAULT_WEIGHTS),
@@ -278,26 +325,10 @@ def test_length_modifier_range(z):
         max_size=8,
     )
 )
-def test_normalized_values_in_unit_interval(vectors):
-    # pad any missing keys so all vectors share the same feature set
-    for v in vectors:
-        for name in DEFAULT_WEIGHTS:
-            v.setdefault(name, 0.0)
-    for v in normalize_features(vectors):
-        for value in v.values():
+def test_normalized_values_in_unit_interval(rows):
+    for column in zip(*rows):
+        for value in normalized(column):
             assert -1e-12 <= value <= 1.0 + 1e-12
-
-
-def per_word(vectors, pos_tags, cfg):
-    """The scoring pipeline composed word by word from the public stages."""
-    results = []
-    for vec, nvec, pos in zip(vectors, normalize_features(vectors), pos_tags):
-        raw = composite_score(nvec, cfg)
-        adjusted = raw * length_modifier(vec.get("len_z", 0.0)) * pos_modifier(pos, cfg)
-        prob = to_probability(adjusted, cfg)
-        boosted, anomalies = boost(prob, nvec, cfg)
-        results.append(ScoreResult(raw, adjusted, prob, boosted, anomalies))
-    return results
 
 
 # default thresholds, and low ones under which most words have several anomalies
@@ -314,28 +345,34 @@ SCORING_CONFIGS = (
 @given(st.sampled_from(MODES), st.sampled_from(SCORING_CONFIGS), st.data())
 def test_score_all_equals_per_word_composition(mode, cfg, data):
     names = feature_names(mode)
-    value = st.floats(min_value=-50, max_value=50, allow_nan=False)
+    # the sampled values normalize to the thresholds themselves in columns
+    # whose minimum is 0 and maximum 1
+    value = st.one_of(
+        st.floats(min_value=-50, max_value=50, allow_nan=False),
+        st.sampled_from((0.0, 0.3, 0.8, 1.0)),
+    )
     rows = data.draw(st.lists(st.tuples(*[value] * len(names)), min_size=1, max_size=8))
-    vectors = [dict(zip(names, row)) for row in rows]
+    columns = {name: list(column) for name, column in zip(names, zip(*rows))}
     constant = data.draw(st.sampled_from((None,) + names))
-    for v in vectors:
-        if constant is not None:
-            v[constant] = 0.25
+    if constant is not None:
+        columns[constant] = [0.25] * len(rows)
     pos_tags = data.draw(
         st.lists(st.sampled_from(sorted(DEFAULT_POS_WEIGHTS)),
                  min_size=len(rows), max_size=len(rows))
     )
-    # == on every float field: the columns must keep the bits
-    assert score_all(vectors, pos_tags, cfg) == per_word(vectors, pos_tags, cfg)
+    boosted, masks = score_all(columns, pos_tags, cfg)
+    expected = oracles.bf_score(columns, pos_tags, cfg)
+    # == word by word: the columns must keep the bits of the per-word pipeline
+    for p, mask, r in zip(boosted, masks, expected, strict=True):
+        assert p == r.boosted
+        assert fired(names, mask) == r.fired
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_score_all_single_word_equals_per_word_composition(mode):
-    vectors = [{name: 0.1 * k for k, name in enumerate(feature_names(mode), 1)}]
+    names = feature_names(mode)
+    columns = {name: [0.1 * k] for k, name in enumerate(names, 1)}
     for cfg in SCORING_CONFIGS:
-        results = score_all(vectors, ["verb"], cfg)
-        assert results == per_word(vectors, ["verb"], cfg)
+        (r,) = score(columns, ["verb"], cfg)
         # a single word normalizes to 0.5 everywhere
-        assert results[0].anomalies == (
-            frozenset(feature_names(mode)) if cfg is SCORING_CONFIGS[1] else frozenset()
-        )
+        assert r.fired == (frozenset(names) if cfg is SCORING_CONFIGS[1] else frozenset())
