@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .config import RunConfig
-from .ipa import SymbolInventory, syllabify
+from .ipa import syllabify
 from .wordlist import Wordlist
 
 Word = tuple[str, ...]
@@ -26,26 +26,22 @@ class StemIndex:
     stem_count: Mapping[str, int]
 
 
-def stem_of(
-    word: Word, inventory: SymbolInventory | None = None
-) -> tuple[str, list[str]]:
+def stem_of(word: Word) -> tuple[str, list[str]]:
     """Split a word into (stem, following syllables).
 
     The stem is the first two syllables joined; words with fewer than two
     syllables contribute their whole form.
     """
-    syllables = ["".join(s) for s in syllabify(word, inventory)]
+    syllables = ["".join(s) for s in syllabify(word)]
     stem = "".join(syllables[:2])
     return stem, syllables[2:]
 
 
-def build_stem_index(
-    words: Sequence[Word], inventory: SymbolInventory | None = None
-) -> StemIndex:
+def build_stem_index(words: Sequence[Word]) -> StemIndex:
     following: dict[str, set[str]] = defaultdict(set)
     counts: dict[str, int] = defaultdict(int)
     for w in words:
-        stem, rest = stem_of(w, inventory)
+        stem, rest = stem_of(w)
         counts[stem] += 1
         following[stem].update(rest)
     return StemIndex(
@@ -54,16 +50,12 @@ def build_stem_index(
     )
 
 
-def nativeness_scores(
-    words: Sequence[Word], inventory: SymbolInventory | None = None
-) -> list[float]:
+def nativeness_scores(words: Sequence[Word]) -> list[float]:
     """Min-max normalized stem-follower diversity per word, in [0, 1]."""
     if not words:
         raise ValueError("empty vocabulary")
-    index = build_stem_index(words, inventory)
-    raw = [
-        len(index.stem_following[stem_of(w, inventory)[0]]) for w in words
-    ]
+    index = build_stem_index(words)
+    raw = [len(index.stem_following[stem_of(w)[0]]) for w in words]
     lo, hi = min(raw), max(raw)
     if hi - lo == 0:
         return [0.0] * len(raw)
@@ -71,9 +63,7 @@ def nativeness_scores(
 
 
 def detect_wordlist(
-    vocab: Wordlist,
-    cfg: RunConfig | None = None,
-    inventory: SymbolInventory | None = None,
+    vocab: Wordlist, cfg: RunConfig | None = None
 ) -> tuple[list[float], list[int]]:
     """Score per language; returns (borrowing probability, label) per entry.
 
@@ -89,7 +79,7 @@ def detect_wordlist(
     labels = [0] * len(vocab)
     for lang in sorted(groups):
         indices = groups[lang]
-        scores = nativeness_scores([vocab.entries[i].ipa for i in indices], inventory)
+        scores = nativeness_scores([vocab.entries[i].ipa for i in indices])
         for local, global_i in enumerate(indices):
             probabilities[global_i] = 1.0 - scores[local]
             labels[global_i] = int(scores[local] < cfg.baseline_threshold)

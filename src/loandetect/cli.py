@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import baseline, crossling, evaluation
-from .config import ConfigError, RunConfig, load_config
+from .config import MODELS, ConfigError, RunConfig, load_config
 from .evaluation import (
     EvalReport,
     NoGoldLabelsError,
@@ -33,6 +33,7 @@ from .evaluation import (
     run_ablations,
     run_proportion_experiment,
 )
+from .features import MODES
 from .refiner import detect_wordlist
 from .wordlist import (
     Wordlist,
@@ -67,13 +68,9 @@ def _add_config(
 ) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     if mode:
-        parser.add_argument(
-            "--mode",
-            choices=["full", "no_ngram", "no_transition", "aug"],
-            help="feature mode override",
-        )
+        parser.add_argument("--mode", choices=MODES, help="feature mode override")
     if model:
-        parser.add_argument("--model", choices=["autbor", "uns"], help="detection model override")
+        parser.add_argument("--model", choices=MODELS, help="detection model override")
     parser.add_argument("--seed", type=int, required=need_seed, help="random seed")
     parser.add_argument(
         "--print-config",

@@ -15,8 +15,11 @@ off it, and ``RunConfig.validate`` is the only place those constants are
 checked. It rejects NaN and infinite values in every float field and
 every mapping, and requires a weight for every feature of the mode and
 for every POS category, so the pipeline never meets a missing or
-non-finite constant. The mapping fields are read-only views, so a
-validated config stays valid.
+non-finite constant. It also keeps every probability, composite and
+threshold in [0, 1]: polarities are -1 or 1, the core-feature weights
+sum above 0, and ``threshold_beta`` is bounded by ``threshold_alpha``.
+The mapping fields are read-only views, so a validated config stays
+valid.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .features import MODES, feature_names
+from .features import CORE_FEATURES, MODES, feature_names
 from .scoring import ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS
 from .wordlist import POS_CATEGORIES
 
@@ -155,6 +158,14 @@ class RunConfig:
         ):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must be in [0, 1]")
+        # theta = alpha + beta * ((1 - C) - B) with (1 - C) - B in [-1, 1]: in
+        # floating point too, theta then lies between alpha - |beta| and alpha + |beta|
+        spread = abs(self.threshold_beta)
+        if self.threshold_alpha - spread < 0 or self.threshold_alpha + spread > 1:
+            raise ConfigError(
+                "threshold_beta must satisfy "
+                "|threshold_beta| <= min(threshold_alpha, 1 - threshold_alpha)"
+            )
         if self.rare_ngram_eps1 >= self.rare_ngram_eps2:
             raise ConfigError("rare_ngram_eps1 must be below rare_ngram_eps2")
         if self.rare_trans_eps1 >= self.rare_trans_eps2:
@@ -177,6 +188,9 @@ class RunConfig:
         for name, eta in self.anomaly_boosts.items():
             if not eta >= 0:
                 raise ConfigError(f"anomaly boost for {name} must be >= 0")
+        for name, sign in self.polarity.items():
+            if sign not in (-1, 1):
+                raise ConfigError(f"polarity of {name} must be -1 or 1, got {sign!r}")
         for pos in POS_CATEGORIES:
             if pos not in self.pos_weights:
                 raise ConfigError(f"missing pos weight for {pos}")
@@ -189,6 +203,9 @@ class RunConfig:
             raise ConfigError(f"no weight for the {self.mode} mode feature {missing[0]}")
         if sum(self.weights[n] for n in names) <= 0:
             raise ConfigError(f"the weights of the {self.mode} mode features must sum above 0")
+        # the mass scoring rescales every mode's weights to
+        if sum(self.weights[n] for n in CORE_FEATURES if n in self.weights) <= 0:
+            raise ConfigError("the core-feature weights must sum above 0")
         if self.mode == "full":
             order = [self.weights[n] for n in _WEIGHT_ORDER]
             if order[-1] <= 0 or any(a < b for a, b in zip(order, order[1:])):

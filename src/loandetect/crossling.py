@@ -17,7 +17,7 @@ only its mean feature distance and its column keys. After counting, one
 table of per-key log-probabilities replaces the interning tables, and
 comparability sums a pair's log-probability from that table in column
 order. The aligner tables the column scores of a pair before its DP, from
-symbol distances memoised per inventory (``ipa.symbol_distance``).
+symbol distances memoised by symbol pair (``ipa.symbol_distance``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .config import RunConfig
-from .ipa import GAP, SymbolInventory, symbol_distance
+from .ipa import GAP, symbol_distance
 from .refiner import detect_wordlist
 from .wordlist import Wordlist
 
@@ -63,12 +63,7 @@ class Alignment:
         return len(self.pairs)
 
 
-def align(
-    x: Word,
-    y: Word,
-    gap_penalty: float = 0.5,
-    inventory: SymbolInventory | None = None,
-) -> Alignment:
+def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
     """Needleman-Wunsch global alignment maximizing summed column scores.
 
     Column score is 1 - dist(a, b) for a symbol pair and -gap_penalty for
@@ -83,7 +78,7 @@ def align(
     rows: dict[str, list[float]] = {}
     for a in x:
         if a not in rows:
-            rows[a] = [1.0 - symbol_distance(a, b, inventory) for b in y]
+            rows[a] = [1.0 - symbol_distance(a, b) for b in y]
     sub = [rows[a] for a in x]
     score = [[0.0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -160,7 +155,6 @@ class ContextModel:
 def build_context_model(
     concepts: Mapping[str, Sequence[Word]],
     cfg: RunConfig | None = None,
-    inventory: SymbolInventory | None = None,
 ) -> ContextModel:
     """Align every unordered word pair within every concept once and tally columns.
 
@@ -186,7 +180,7 @@ def build_context_model(
             for y in words[i + 1 :]:
                 first, second = sorted((x, y))
                 ids = array("i")
-                for a, b, ctx in align(first, second, cfg.gap_penalty, inventory).pairs:
+                for a, b, ctx in align(first, second, cfg.gap_penalty).pairs:
                     c = ctx_of.get(ctx)
                     if c is None:
                         c = ctx_of[ctx] = len(marginals)
@@ -195,7 +189,7 @@ def build_context_model(
                     p = pair_of.get((a, b))
                     if p is None:
                         p = pair_of[(a, b)] = pair_of[(b, a)] = len(pair_dist)
-                        pair_dist.append(symbol_distance(a, b, inventory))
+                        pair_dist.append(symbol_distance(a, b))
                     column = c << 32 | p
                     key = key_of.get(column)
                     if key is None:
@@ -294,12 +288,7 @@ class ScaledResult:
         )
 
 
-def detect_scaled(
-    multi: Wordlist,
-    cfg: RunConfig | None = None,
-    *,
-    inventory: SymbolInventory | None = None,
-) -> ScaledResult:
+def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult:
     """Run basic detection per language, then rescale with concept evidence.
 
     Words whose concept spans fewer than two languages keep their basic
@@ -314,7 +303,7 @@ def detect_scaled(
 
     # the per-language states (every pass's probabilities) are not kept
     # through the alignment work below
-    basic_probs, basic_labels = detect_wordlist(multi, cfg, inventory=inventory)[:2]
+    basic_probs, basic_labels = detect_wordlist(multi, cfg)[:2]
 
     concept_indices: dict[str, list[int]] = {}
     for i, entry in enumerate(multi):
@@ -328,7 +317,7 @@ def detect_scaled(
     }
     model = None
     if alignable:
-        model = build_context_model(alignable, cfg, inventory)
+        model = build_context_model(alignable, cfg)
 
     comp_values: list[float | None] = [None] * len(multi)
     fallback: list[str] = []

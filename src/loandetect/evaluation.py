@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import ConfigError, RunConfig
 from .features import MODES
-from .ipa import SymbolInventory, default_inventory, symbol_distance
+from .ipa import symbol_distance
 from .refiner import detect_wordlist
 from .wordlist import LexicalEntry, Wordlist, make_wordlist, write_tsv
 
@@ -127,9 +127,7 @@ def evaluate_wordlist(
 
 
 def run_ablations(
-    vocab: Wordlist,
-    cfg: RunConfig | None = None,
-    inventory: SymbolInventory | None = None,
+    vocab: Wordlist, cfg: RunConfig | None = None
 ) -> dict[str, EvalReport]:
     """Detect under every mode and evaluate each against the gold labels."""
     cfg = cfg or RunConfig()
@@ -138,7 +136,7 @@ def run_ablations(
     reports: dict[str, EvalReport] = {}
     for mode in MODES:
         mode_cfg = cfg.with_overrides({"mode": mode})
-        _, labels, _ = detect_wordlist(vocab, mode_cfg, inventory=inventory)
+        _, labels, _ = detect_wordlist(vocab, mode_cfg)
         reports[mode] = evaluate_wordlist(vocab, labels)
         log.info("mode %-13s P=%.3f R=%.3f F1=%.3f", mode,
                  reports[mode].precision, reports[mode].recall, reports[mode].f1)
@@ -174,7 +172,6 @@ def run_proportion_experiment(
     cfg: RunConfig | None = None,
     proportions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
     seed: int = 0,
-    inventory: SymbolInventory | None = None,
 ) -> list[tuple[float, EvalReport]]:
     """Detection quality as a function of the available data fraction."""
     cfg = cfg or RunConfig()
@@ -184,7 +181,7 @@ def run_proportion_experiment(
     for proportion in proportions:
         rng = random.Random((seed, proportion).__repr__())
         sample = stratified_sample(vocab, proportion, rng)
-        _, labels, _ = detect_wordlist(sample, cfg, inventory=inventory)
+        _, labels, _ = detect_wordlist(sample, cfg)
         report = evaluate_wordlist(sample, labels)
         rows.append((proportion, report))
         log.info("proportion %.2f: n=%d F1=%.3f", proportion, len(sample), report.f1)
@@ -274,11 +271,9 @@ def _sample_word(grammar: Grammar, rng: random.Random) -> tuple[str, ...]:
     return tuple(symbols)
 
 
-def _nearest_native(
-    symbol: str, native: Sequence[str], inventory: SymbolInventory
-) -> str:
+def _nearest_native(symbol: str, native: Sequence[str]) -> str:
     # deterministic: minimal feature distance, ties broken lexicographically
-    return min(sorted(native), key=lambda s: symbol_distance(symbol, s, inventory))
+    return min(sorted(native), key=lambda s: symbol_distance(symbol, s))
 
 
 def integrate_word(
@@ -286,16 +281,14 @@ def integrate_word(
     native_symbols: frozenset[str],
     probability: float,
     rng: random.Random,
-    inventory: SymbolInventory | None = None,
 ) -> tuple[str, ...]:
     """Adapt a borrowed form: foreign segments become their nearest native
     segment with the given probability."""
-    inv = inventory or default_inventory()
     pool = sorted(native_symbols)
     out: list[str] = []
     for s in word:
         if s not in native_symbols and rng.random() < probability:
-            out.append(_nearest_native(s, pool, inv))
+            out.append(_nearest_native(s, pool))
         else:
             out.append(s)
     return tuple(out)
@@ -337,7 +330,6 @@ def generate_synthetic(
     n_loans: int,
     seed: int,
     integration: float = 0.0,
-    inventory: SymbolInventory | None = None,
 ) -> Wordlist:
     """Gold-labeled monolingual wordlist: sampled natives plus donor loans.
 
@@ -356,7 +348,7 @@ def generate_synthetic(
         n_loans,
         rng,
         taken,
-        mutate=lambda w: integrate_word(w, native_symbols, integration, rng, inventory),
+        mutate=lambda w: integrate_word(w, native_symbols, integration, rng),
     )
     entries = [
         LexicalEntry(
@@ -387,7 +379,6 @@ def generate_synthetic_multilingual(
     n_loans: int,
     seed: int,
     integration: float = 0.0,
-    inventory: SymbolInventory | None = None,
 ) -> Wordlist:
     """Two-language concept-aligned wordlist with recipient-side loans.
 
@@ -429,7 +420,7 @@ def generate_synthetic_multilingual(
         concept += 1
     for _ in range(n_loans):
         b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
-        borrowed = integrate_word(b, native_symbols, integration, rng, inventory)
+        borrowed = integrate_word(b, native_symbols, integration, rng)
         if borrowed in taken_a:
             borrowed = b  # collision after integration: keep the donor form
         taken_a.add(borrowed)

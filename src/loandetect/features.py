@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .ipa import SymbolInventory, cv_pattern
+from .ipa import cv_pattern
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -113,7 +113,6 @@ class CompiledGroup:
         words: Iterable[Word],
         ngram_min: int = NGRAM_MIN,
         ngram_max: int = NGRAM_MAX,
-        inventory: SymbolInventory | None = None,
     ):
         self.words = [tuple(w) for w in words]
         self.ngram_min, self.ngram_max = ngram_min, ngram_max
@@ -133,7 +132,7 @@ class CompiledGroup:
         ]
         self.gram_len = array("i", map(len, gram_ids))
         self.transitions = list(trans_ids)
-        self.cv = [cv_pattern(w, inventory) for w in self.words]
+        self.cv = [cv_pattern(w) for w in self.words]
 
     def gram_tuples(self) -> list[tuple[str, ...]]:
         """The n-gram of every id."""
@@ -197,8 +196,7 @@ class VocabStatistics:
 def build_statistics(group: CompiledGroup) -> VocabStatistics:
     """Count n-grams, transitions, and lengths over the rows of ``group``.
 
-    The n-gram range and the inventory are the group's, fixed when it was
-    compiled. N-gram probabilities are normalized within each n-gram
+    The n-gram range is the group's, fixed when it was compiled. N-gram probabilities are normalized within each n-gram
     length, so for every n the probabilities of the observed n-grams of
     that length sum to 1. The length standard deviation is
     population-based and replaced by 1 when fewer than two words are

@@ -1,9 +1,10 @@
-"""IPA symbol inventory, phonological feature vectors, and syllabification.
+"""IPA symbol table, phonological feature vectors, and syllabification.
 
-The inventory covers the standard pulmonic consonants and vowels (plus
-nasalized vowels, rounded front vowels, and the common tie-bar affricates)
-needed for English, German, French, Italian, Spanish, and Portuguese
-transcriptions. Every symbol carries:
+One built-in table covers the standard pulmonic consonants and vowels
+(plus nasalized vowels, rounded front vowels, and the common tie-bar
+affricates) needed for English, German, French, Italian, Spanish, and
+Portuguese transcriptions; every lookup in the package reads it. Every
+symbol carries:
 
   * a class (``vowel`` or ``consonant``), used by the syllabifier and the
     consonant/vowel template features, and
@@ -12,13 +13,12 @@ transcriptions. Every symbol carries:
     length class), used for symbol-to-symbol distances.
 
 Unknown symbols never abort a run: classification falls back to
-``consonant`` and a per-inventory warning counter is incremented, so the
-pipeline stays usable on unanticipated transcription conventions.
+``consonant`` and the table's ``unknown_seen`` counter is incremented, so
+the pipeline stays usable on unanticipated transcription conventions.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import unicodedata
 from collections import Counter
@@ -214,9 +214,6 @@ class SymbolInventory:
     """
 
     def __init__(self, features: Mapping[str, tuple[str, ...]]):
-        bad = [s for s, f in features.items() if len(f) != FEATURE_DIM]
-        if bad:
-            raise ValueError(f"feature rows with wrong arity: {bad[:5]}")
         self.features: dict[str, tuple[str, ...]] = {
             unicodedata.normalize("NFC", s): tuple(f) for s, f in features.items()
         }
@@ -227,8 +224,6 @@ class SymbolInventory:
         }
         self._max_len = max(len(s) for s in self.features)
         self.unknown_seen: Counter[str] = Counter()
-        # symbol_distance results under this feature table, by symbol pair
-        self._distances: dict[tuple[str, str], float] = {}
 
     # -- lookups --
 
@@ -300,78 +295,51 @@ def default_inventory() -> SymbolInventory:
     return _DEFAULT_INVENTORY
 
 
-def load_feature_table(path: str) -> SymbolInventory:
-    """Build an inventory from a TSV resource (symbol + 8 feature columns)."""
-    table: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if header is None or len(header) != FEATURE_DIM + 1:
-            raise ValueError(
-                f"feature table needs a header with {FEATURE_DIM + 1} columns"
-            )
-        for row in reader:
-            if not row or not row[0]:
-                continue
-            if len(row) != FEATURE_DIM + 1:
-                raise ValueError(f"feature row for {row[0]!r} has {len(row)} columns")
-            table[row[0]] = tuple(row[1:])
-    if not table:
-        raise ValueError("feature table is empty")
-    return SymbolInventory(table)
+# --- Module-level lookups over the one symbol table ---------------------------
 
 
-# --- Module-level conveniences over the default inventory --------------------
+def classify(symbol: str) -> str:
+    return _DEFAULT_INVENTORY.classify(symbol)
 
 
-def classify(symbol: str, inventory: SymbolInventory | None = None) -> str:
-    return (inventory or _DEFAULT_INVENTORY).classify(symbol)
+def feature_vector(symbol: str) -> tuple[str, ...]:
+    return _DEFAULT_INVENTORY.feature_vector(symbol)
 
 
-def feature_vector(
-    symbol: str, inventory: SymbolInventory | None = None
-) -> tuple[str, ...]:
-    return (inventory or _DEFAULT_INVENTORY).feature_vector(symbol)
+def tokenize(text: str) -> list[str]:
+    return _DEFAULT_INVENTORY.tokenize(text)
 
 
-def tokenize(text: str, inventory: SymbolInventory | None = None) -> list[str]:
-    return (inventory or _DEFAULT_INVENTORY).tokenize(text)
+# symbol_distance results, by symbol pair
+_DISTANCES: dict[tuple[str, str], float] = {}
 
 
-def symbol_distance(
-    a: str, b: str, inventory: SymbolInventory | None = None
-) -> float:
+def symbol_distance(a: str, b: str) -> float:
     """Fraction of feature slots on which two symbols disagree.
 
     The gap symbol compares as different in every slot. Symbols outside
-    the inventory get a synthetic all-identity vector so that identical
+    the table get a synthetic all-identity vector so that identical
     unknowns are distance 0 and anything else is distance 1. Results are
-    memoised per inventory.
+    memoised by symbol pair.
     """
-    inv = inventory or _DEFAULT_INVENTORY
     key = (a, b)
-    d = inv._distances.get(key)
+    d = _DISTANCES.get(key)
     if d is None:
-        d = inv._distances[key] = _slot_distance(a, b, inv)
+        d = _DISTANCES[key] = _slot_distance(a, b)
     return d
 
 
-def _slot_distance(a: str, b: str, inv: SymbolInventory) -> float:
+def _slot_distance(a: str, b: str) -> float:
     def vec(sym: str) -> tuple[str, ...]:
         if sym == GAP:
             return GAP_FEATURES
-        try:
-            return inv.feature_vector(sym)
-        except UnknownSymbolError:
-            return tuple(f"?{sym}" for _ in range(FEATURE_DIM))
+        return _DEFAULT_INVENTORY.features.get(sym) or (f"?{sym}",) * FEATURE_DIM
 
     fa, fb = vec(a), vec(b)
     return sum(x != y for x, y in zip(fa, fb)) / FEATURE_DIM
 
 
-def syllabify(
-    word: Sequence[str], inventory: SymbolInventory | None = None
-) -> list[tuple[str, ...]]:
+def syllabify(word: Sequence[str]) -> list[tuple[str, ...]]:
     """Split a symbol sequence into syllables by onset maximization.
 
     Each maximal contiguous vowel run is a nucleus; consonants before a
@@ -380,8 +348,7 @@ def syllabify(
     """
     if not word:
         raise ValueError("cannot syllabify an empty word")
-    inv = inventory or _DEFAULT_INVENTORY
-    is_v = [inv.is_vowel(s) for s in word]
+    is_v = [_DEFAULT_INVENTORY.is_vowel(s) for s in word]
 
     runs: list[tuple[int, int]] = []
     i = 0
@@ -408,7 +375,6 @@ def syllabify(
     return syllables
 
 
-def cv_pattern(word: Iterable[str], inventory: SymbolInventory | None = None) -> str:
+def cv_pattern(word: Iterable[str]) -> str:
     """Map a symbol sequence to its consonant/vowel template string."""
-    inv = inventory or _DEFAULT_INVENTORY
-    return "".join("V" if inv.is_vowel(s) else "C" for s in word)
+    return "".join("V" if _DEFAULT_INVENTORY.is_vowel(s) else "C" for s in word)

@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 
 from .config import RunConfig
 from .features import CompiledGroup, _count_ids, build_statistics, extract_all
-from .ipa import SymbolInventory
 from .scoring import score_all
 from .wordlist import Wordlist, WordlistError, make_wordlist, write_tsv
 
@@ -168,7 +167,6 @@ def detect(
     vocab: Wordlist,
     cfg: RunConfig | None = None,
     *,
-    inventory: SymbolInventory | None = None,
     trace_path: str | Path | None = None,
 ) -> DetectionState:
     """Run the full unsupervised detection loop on one vocabulary."""
@@ -179,7 +177,7 @@ def detect(
     pos_tags = [e.pos for e in vocab]
     # n-grams, transitions and CV patterns never change between passes;
     # only the reference rows do
-    group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max, inventory)
+    group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
     patterns = PatternIndex(words) if cfg.pattern_refinement else None
     state = DetectionState()
 
@@ -236,7 +234,6 @@ def detect_wordlist(
     vocab: Wordlist,
     cfg: RunConfig | None = None,
     *,
-    inventory: SymbolInventory | None = None,
     trace_path: str | Path | None = None,
 ) -> tuple[list[float], list[int], dict[str, DetectionState]]:
     """Detect per language and pool results back into input order.
@@ -261,7 +258,7 @@ def detect_wordlist(
             trace = base if len(groups) == 1 else base.with_name(
                 f"{base.stem}.{lang}{base.suffix}"
             )
-        state = states[lang] = detect(sub, cfg, inventory=inventory, trace_path=trace)
+        state = states[lang] = detect(sub, cfg, trace_path=trace)
         averaged, loans = state.averaged, state.loans
         for local, global_i in enumerate(indices):
             probabilities[global_i] = averaged[local]

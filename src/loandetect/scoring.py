@@ -29,8 +29,9 @@ Every stage reads its constants (``weights``, ``pos_weights``,
 ``polarity``, ``gamma``, ``center``, ``anomaly_thresholds``,
 ``anomaly_boosts``) from a ``RunConfig``; ``RunConfig.validate`` is the
 only place they are checked: it requires a weight for every feature of
-the mode and every POS category. The scorer never reads ``mode``: the
-columns present decide what is weighted.
+the mode and every POS category, core-feature weights that sum above 0
+and polarities of -1 or 1. The scorer never reads ``mode``: the columns
+present decide what is weighted.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .ipa import SymbolInventory, tokenize
+from .ipa import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -136,9 +136,7 @@ def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
     return Wordlist(entries=tuple(entries), language=language)
 
 
-def normalize_ipa(
-    raw: str, inventory: SymbolInventory | None = None
-) -> tuple[str, ...]:
+def normalize_ipa(raw: str) -> tuple[str, ...]:
     """Remove length/stress markers, separators and whitespace, then tokenize.
 
     Separators are the syllable boundary ``.``, the morpheme boundary
@@ -154,7 +152,7 @@ def normalize_ipa(
     text = "".join(text.split())
     if not text:
         raise EmptyTranscriptionError(raw)
-    return tuple(tokenize(text, inventory))
+    return tuple(tokenize(text))
 
 
 def load_wordlist(
@@ -163,7 +161,6 @@ def load_wordlist(
     *,
     delimiter: str = "\t",
     lenient_pos: bool = False,
-    inventory: SymbolInventory | None = None,
 ) -> Wordlist:
     """Parse a delimited wordlist file into a validated Wordlist.
 
@@ -182,7 +179,7 @@ def load_wordlist(
         colmap.update(schema)
 
     try:
-        return _parse_rows(path, delimiter, colmap, lenient_pos, inventory)
+        return _parse_rows(path, delimiter, colmap, lenient_pos)
     except csv.Error as exc:
         raise WordlistError(f"unparseable delimited file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -194,7 +191,6 @@ def _parse_rows(
     delimiter: str,
     colmap: Mapping[str, str],
     lenient_pos: bool,
-    inventory: SymbolInventory | None,
 ) -> Wordlist:
     entries: list[LexicalEntry] = []
     errors: list[tuple[int, str]] = []
@@ -225,7 +221,7 @@ def _parse_rows(
                 errors.append((rownum, "missing IPA"))
                 continue
             try:
-                ipa = normalize_ipa(raw_ipa, inventory)
+                ipa = normalize_ipa(raw_ipa)
             except EmptyTranscriptionError:
                 errors.append((rownum, f"IPA empty after normalization: {raw_ipa!r}"))
                 continue

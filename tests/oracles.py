@@ -279,7 +279,7 @@ class BfContextModel:
         return (count + self.smoothing) / (marginal + self.smoothing * k)
 
 
-def bf_build_context_model(concepts, gap_penalty=0.5, smoothing=0.1, inventory=None):
+def bf_build_context_model(concepts, gap_penalty=0.5, smoothing=0.1):
     """Align every unordered word pair of every concept and observe its columns."""
     model = BfContextModel(smoothing)
     for concept in sorted(concepts):
@@ -287,7 +287,7 @@ def bf_build_context_model(concepts, gap_penalty=0.5, smoothing=0.1, inventory=N
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
                 first, second = sorted((words[i], words[j]))
-                for a, b, ctx in align(first, second, gap_penalty, inventory).pairs:
+                for a, b, ctx in align(first, second, gap_penalty).pairs:
                     model.observe(a, b, ctx)
     return model
 
@@ -297,26 +297,26 @@ def bf_alignment_logprob(pairs, model):
     return sum(math.log(model.probability(a, b, ctx)) for a, b, ctx in pairs)
 
 
-def bf_feature_distance(pairs, inventory=None):
+def bf_feature_distance(pairs):
     """Mean symbol distance over the columns (gaps count 1)."""
     if len(pairs) == 0:
         return 0.0
-    return sum(symbol_distance(a, b, inventory) for a, b, _ in pairs) / len(pairs)
+    return sum(symbol_distance(a, b) for a, b, _ in pairs) / len(pairs)
 
 
-def bf_divergence(x, y, model, lam=0.5, gap_penalty=0.5, inventory=None):
+def bf_divergence(x, y, model, lam=0.5, gap_penalty=0.5):
     """D = lam * D_feat - (1 - lam) * (1/L) * log P_align, on the pair aligned
     again in canonical order (smaller word first)."""
     if not 0 <= lam <= 1:
         raise ValueError("lambda weight must be in [0, 1]")
     first, second = sorted((tuple(x), tuple(y)))
-    pairs = align(first, second, gap_penalty, inventory).pairs
-    d_feat = bf_feature_distance(pairs, inventory)
+    pairs = align(first, second, gap_penalty).pairs
+    d_feat = bf_feature_distance(pairs)
     logp = bf_alignment_logprob(pairs, model)
     return lam * d_feat - (1.0 - lam) * logp / len(pairs)
 
 
-def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5, inventory=None):
+def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5):
     """Min-max normalized mean divergence of each word against the others."""
     if len(concept_words) < 2:
         raise ValueError("comparability needs at least two words in the concept")
@@ -325,9 +325,7 @@ def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5, inventory=N
     div = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            div[i][j] = div[j][i] = bf_divergence(
-                words[i], words[j], model, lam, gap_penalty, inventory
-            )
+            div[i][j] = div[j][i] = bf_divergence(words[i], words[j], model, lam, gap_penalty)
     raws = [sum(div[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)]
     lo, hi = min(raws), max(raws)
     if hi - lo == 0:

@@ -7,6 +7,7 @@ import pytest
 from loandetect.cli import main
 from loandetect.config import RunConfig, load_config, parse_config_text
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
+from loandetect.features import CORE_FEATURES
 from loandetect.wordlist import load_wordlist, read_report, write_wordlist
 
 from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
@@ -151,6 +152,29 @@ def test_non_finite_setting_exit_code(vocab_file, tmp_path):
         ["detect", "--input", str(vocab_file), "--output", str(out), "--set", "center=nan"]
     )
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["polarity_avg_trans_prob=0"],
+        ["mode=aug"] + [f"weight_{n}=0" for n in CORE_FEATURES],
+        ["threshold_beta=10"],
+        ["threshold_beta=-3"],
+    ],
+)
+@pytest.mark.parametrize("command", ["detect", "detect-xl"])
+def test_out_of_range_setting_exit_code(command, settings, vocab_file, multi_file, tmp_path,
+                                        capsys):
+    out = tmp_path / "report.tsv"
+    source = multi_file if command == "detect-xl" else vocab_file
+    argv = [command, "--input", str(source), "--output", str(out)]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
     assert not out.exists()
 
 

@@ -14,6 +14,8 @@ from loandetect.config import (
     load_config,
     parse_config_text,
 )
+from loandetect.crossling import dynamic_threshold
+from loandetect.features import CORE_FEATURES, NGRAM_FEATURES, TRANSITION_FEATURES
 
 
 def test_published_defaults():
@@ -132,6 +134,54 @@ def test_non_finite_map_value_rejected(prefix, value):
     key = next(iter(current))
     with pytest.raises(ConfigError, match=f"{prefix}{key} must be finite"):
         RunConfig(**{attr: {**current, key: value}})
+
+
+@pytest.mark.parametrize("sign", ["0", "2", "7", "-2"])
+def test_polarity_other_than_one_rejected(sign):
+    # score_all reads only the sign, so 0 or 7 would silently mean +1
+    with pytest.raises(ConfigError, match="polarity of avg_trans_prob must be -1 or 1"):
+        RunConfig().with_overrides({"polarity_avg_trans_prob": sign})
+    for accepted in ("-1", "1"):
+        assert RunConfig().with_overrides({"polarity_avg_trans_prob": accepted})
+
+
+@pytest.mark.parametrize(
+    "mode, weights",
+    [
+        # the segmental weights keep the aug mode's own sum above 0
+        ("aug", {n: "0" for n in CORE_FEATURES}),
+        # the dropped core features pull the core mass below 0
+        ("no_ngram", {n: "-1" for n in NGRAM_FEATURES}),
+        ("no_transition", {n: "-1" for n in TRANSITION_FEATURES}),
+    ],
+)
+def test_core_weight_mass_must_be_positive(mode, weights):
+    # score_all rescales every mode's weights to the core mass
+    overrides = {"mode": mode, **{f"weight_{n}": v for n, v in weights.items()}}
+    with pytest.raises(ConfigError, match="core-feature weights must sum above 0"):
+        RunConfig().with_overrides(overrides)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.5, 10.0), (0.5, -3.0), (0.5, 0.51), (0.5, -0.51), (0.2, 0.25), (0.9, -0.11),
+     (0.0, 0.01), (1.0, -0.01)],
+)
+def test_threshold_beta_outside_alpha_bound_rejected(alpha, beta):
+    with pytest.raises(ConfigError, match="threshold_beta must satisfy"):
+        RunConfig(threshold_alpha=alpha, threshold_beta=beta)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.5, 0.2), (0.35, 0.2), (0.5, 0.0), (0.5, 0.5), (0.5, -0.5), (0.2, -0.2), (0.8, 0.2),
+     (0.0, 0.0), (1.0, 0.0)],
+)
+def test_threshold_beta_inside_alpha_bound_accepted(alpha, beta):
+    cfg = RunConfig(threshold_alpha=alpha, threshold_beta=beta)
+    for b in (0.0, 1.0):
+        for c in (0.0, 1.0):
+            assert 0.0 <= dynamic_threshold(b, c, cfg.threshold_alpha, cfg.threshold_beta) <= 1.0
 
 
 def test_with_overrides_coercion():

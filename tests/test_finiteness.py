@@ -1,0 +1,134 @@
+"""Every configuration that ``RunConfig.validate`` accepts yields finite outputs.
+
+A Hypothesis property draws every field from inside the range that
+``validate`` accepts, in all four modes, runs ``detect`` and ``detect-xl``
+on small generated wordlists, and requires every written probability,
+comparability, composite and threshold to be finite and in [0, 1] and every
+label to be 0 or 1. Fields that are only bounded on one side are drawn up
+to a cap a few orders of magnitude beyond their defaults.
+"""
+
+import math
+from functools import lru_cache
+
+from hypothesis import assume, given, settings, strategies as st
+
+from loandetect.config import _WEIGHT_ORDER, ConfigError, RunConfig
+from loandetect.crossling import detect_scaled
+from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
+from loandetect.features import MODES, SEGMENTAL_FEATURES
+from loandetect.refiner import detect_wordlist
+from loandetect.scoring import ALL_FEATURES
+from loandetect.wordlist import POS_CATEGORIES
+
+from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
+
+UNIT = st.floats(0.0, 1.0)
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def positive(cap):
+    return st.floats(0.0, cap, exclude_min=True)
+
+
+def per_feature(values):
+    return st.fixed_dictionaries({name: values for name in ALL_FEATURES})
+
+
+@st.composite
+def weights(draw, mode):
+    if mode == "full":
+        # validate requires rare_ngram >= rare_transition >= ... >= len_z > 0
+        core = sorted(draw(st.lists(positive(100.0), min_size=6, max_size=6)), reverse=True)
+        out = dict(zip(_WEIGHT_ORDER, core))
+        out.update({name: draw(st.floats(-100.0, 100.0)) for name in SEGMENTAL_FEATURES})
+        return out
+    return draw(per_feature(st.floats(-100.0, 100.0)))
+
+
+@st.composite
+def accepted_configs(draw):
+    mode = draw(st.sampled_from(MODES))
+    ngram_min = draw(st.integers(1, 4))
+    ngram_eps = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))
+    trans_eps = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))
+    alpha = draw(UNIT)
+    spread = min(alpha, 1.0 - alpha)
+    fields = dict(
+        mode=mode,
+        seed=draw(st.integers(0, 2**31)),
+        ngram_min=ngram_min,
+        ngram_max=draw(st.integers(ngram_min, ngram_min + 8)),
+        rare_ngram_eps1=ngram_eps[0],
+        rare_ngram_eps2=ngram_eps[1],
+        rare_trans_eps1=trans_eps[0],
+        rare_trans_eps2=trans_eps[1],
+        rare_ngram_c1=draw(st.floats(0.0, 1e4)),
+        rare_ngram_c2=draw(st.floats(0.0, 1e4)),
+        rare_trans_c1=draw(st.floats(0.0, 1e4)),
+        rare_trans_c2=draw(st.floats(0.0, 1e4)),
+        weights=draw(weights(mode)),
+        pos_weights=draw(st.fixed_dictionaries(
+            {pos: st.floats(0.0, 1.0, exclude_min=True) for pos in POS_CATEGORIES}
+        )),
+        polarity=draw(per_feature(st.sampled_from([-1, 1]))),
+        gamma=draw(positive(1e3)),
+        center=draw(st.floats(-100.0, 100.0)),
+        anomaly_thresholds=draw(per_feature(st.floats(-100.0, 100.0))),
+        anomaly_boosts=draw(per_feature(st.floats(0.0, 1e3))),
+        tau=draw(OPEN_UNIT),
+        max_iterations=draw(st.integers(1, 4)),
+        convergence_fraction=draw(UNIT),
+        pattern_refinement=draw(st.booleans()),
+        pattern_from_iteration=draw(st.integers(1, 4)),
+        pattern_high_cut=draw(UNIT),
+        pattern_low_cut=draw(UNIT),
+        pattern_down_factor=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        pattern_up_factor=draw(positive(1e3)),
+        pattern_smoothing=draw(positive(1e3)),
+        gap_penalty=draw(st.floats(-100.0, 100.0)),
+        divergence_lambda=draw(UNIT),
+        composite_w1=draw(positive(1e3)),
+        composite_w2=draw(positive(1e3)),
+        threshold_alpha=alpha,
+        threshold_beta=draw(st.floats(-spread, spread)),
+        context_smoothing=draw(positive(1e3)),
+        baseline_threshold=draw(UNIT),
+    )
+    try:
+        return RunConfig(**fields)
+    except ConfigError:
+        # the mode's weights, or the core ones, sum to 0 or below
+        assume(False)
+
+
+@lru_cache(maxsize=None)
+def wordlists(seed):
+    mono = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=seed)
+    multi = generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 8, 4, seed=seed)
+    return mono, multi
+
+
+def in_unit_interval(values):
+    return all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(accepted_configs(), st.integers(0, 2))
+def test_every_accepted_config_yields_probabilities_in_unit_interval(cfg, seed):
+    mono, multi = wordlists(seed)
+
+    probs, labels, states = detect_wordlist(mono, cfg)
+    assert in_unit_interval(probs)
+    assert set(labels) <= {0, 1}
+    for state in states.values():  # the per-pass values the trace writes
+        for snap in state.snapshots:
+            assert in_unit_interval(snap.probabilities)
+            assert in_unit_interval(snap.averaged)
+
+    r = detect_scaled(multi, cfg)
+    assert in_unit_interval(r.basic)
+    assert in_unit_interval([c for c in r.comparability if c is not None])
+    assert in_unit_interval(r.composite)
+    assert in_unit_interval(r.thresholds)
+    assert set(r.predicted) <= {0, 1} and set(r.basic_predicted) <= {0, 1}

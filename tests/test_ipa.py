@@ -14,7 +14,6 @@ from loandetect.ipa import (
     cv_pattern,
     default_inventory,
     feature_vector,
-    load_feature_table,
     symbol_distance,
     syllabify,
     tokenize,
@@ -89,8 +88,7 @@ def _plain_distance(fa, fb):
 
 
 def test_memoised_symbol_distance_matches_plain_count():
-    inv = SymbolInventory(dict(INV.features))
-    vectors = dict(inv.features)
+    vectors = dict(INV.features)
     vectors[GAP] = ("gap",) * FEATURE_DIM
     vectors["☃"] = tuple(f"?☃{i}" for i in range(FEATURE_DIM))
     symbols = sorted(vectors)
@@ -98,23 +96,7 @@ def test_memoised_symbol_distance_matches_plain_count():
         for a in symbols:
             for b in symbols:
                 want = 0.0 if a == b else _plain_distance(vectors[a], vectors[b])
-                assert symbol_distance(a, b, inv) == want, (a, b)
-    # the module-level default inventory gives the same answers
-    for a in ("p", "ã", GAP, "☃"):
-        for b in ("b", "ɔ̃", GAP, "☃"):
-            assert symbol_distance(a, b) == symbol_distance(a, b, inv)
-
-
-def test_symbol_distance_memo_is_per_inventory():
-    base = dict(INV.features)
-    other = dict(base)
-    other["p"] = ("x",) * FEATURE_DIM
-    inv_a, inv_b = SymbolInventory(base), SymbolInventory(other)
-    for _ in range(2):
-        assert symbol_distance("p", "b", inv_a) == pytest.approx(1 / 8)
-        assert symbol_distance("p", "b", inv_b) == 1.0
-        assert symbol_distance("p", "p", inv_b) == 0.0
-    assert symbol_distance("p", "b") == pytest.approx(1 / 8)
+                assert symbol_distance(a, b) == want, (a, b)
 
 
 def test_syllabify_alternating_cv():
@@ -182,25 +164,6 @@ def test_tokenize_unknown_cluster_single_token():
     toks = inv.tokenize("☃̃a")
     assert toks == ["☃̃", "a"]
     assert inv.unknown_seen["☃̃"] == 1
-
-
-def test_feature_table_roundtrip(tmp_path):
-    path = tmp_path / "features.tsv"
-    rows = ["symbol\t" + "\t".join(f"f{i}" for i in range(FEATURE_DIM))]
-    rows.append("p\tvoiceless\tbilabial\tplosive\tnone\tnone\tnone\toral\tshort")
-    rows.append("a\tvoiced\tnone\tvowel\topen\tfront\tunrounded\toral\tshort")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    inv = load_feature_table(path)
-    assert inv.classify("a") == "vowel"
-    assert inv.classify("p") == "consonant"
-    assert inv.feature_vector("p")[0] == "voiceless"
-
-
-def test_feature_table_rejects_bad_arity(tmp_path):
-    path = tmp_path / "features.tsv"
-    path.write_text("symbol\tf0\np\tx\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_feature_table(path)
 
 
 def test_tokenize_deterministic_random_strings():
