@@ -136,10 +136,6 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
-    if len(vocab.languages()) < 2:
-        log.warning(
-            "input contains a single language; scaled output equals basic output"
-        )
     result = crossling.detect_scaled(vocab, cfg)
     write_scaled_report(
         vocab,

@@ -17,7 +17,9 @@ every mapping, and requires a weight for every feature of the mode and
 for every POS category, so the pipeline never meets a missing or
 non-finite constant. It also keeps every probability, composite and
 threshold in [0, 1]: polarities are -1 or 1, the core-feature weights
-sum above 0, and ``threshold_beta`` is bounded by ``threshold_alpha``.
+sum above 0, ``threshold_beta`` is bounded by ``threshold_alpha``, the two
+composite weights have a finite sum and ``context_smoothing`` is bounded
+so the context model's denominators stay finite.
 The mapping fields are read-only views, so a validated config stays
 valid.
 """
@@ -26,13 +28,16 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from .features import CORE_FEATURES, MODES, feature_names
-from .scoring import ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS
+from .scoring import (
+    ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS, _coefficients,
+)
 from .wordlist import POS_CATEGORIES
 
 log = logging.getLogger(__name__)
@@ -57,6 +62,11 @@ _MAP_PREFIXES = {
     "anomaly_boost_": "anomaly_boosts",
 }
 _PREFIX_OF = {attr: prefix for prefix, attr in _MAP_PREFIXES.items()}
+
+# The context model's denominator is marginal + smoothing * k, with k (the
+# distinct symbol pairs) and the marginal held in 32-bit ints: up to this
+# smoothing that sum stays finite.
+MAX_CONTEXT_SMOOTHING = sys.float_info.max / 2**31
 
 
 class ConfigError(ValueError):
@@ -174,8 +184,10 @@ class RunConfig:
             raise ConfigError("divergence_lambda must be in [0, 1]")
         if self.composite_w1 <= 0 or self.composite_w2 <= 0:
             raise ConfigError("composite weights must be positive")
-        if self.context_smoothing <= 0:
-            raise ConfigError("context_smoothing must be positive")
+        if not math.isfinite(self.composite_w1 + self.composite_w2):
+            raise ConfigError("composite_w1 + composite_w2 must be finite")
+        if not 0 < self.context_smoothing <= MAX_CONTEXT_SMOOTHING:
+            raise ConfigError(f"context_smoothing must be in (0, {MAX_CONTEXT_SMOOTHING!r}]")
         if self.pattern_smoothing <= 0:
             raise ConfigError("pattern_smoothing must be positive")
         if self.pattern_from_iteration < 1:  # pass 0 has no native split to refine against
@@ -206,6 +218,8 @@ class RunConfig:
         # the mass scoring rescales every mode's weights to
         if sum(self.weights[n] for n in CORE_FEATURES if n in self.weights) <= 0:
             raise ConfigError("the core-feature weights must sum above 0")
+        if not all(map(math.isfinite, _coefficients(names, self))):
+            raise ConfigError(f"the {self.mode} mode weights rescale beyond the float range")
         if self.mode == "full":
             order = [self.weights[n] for n in _WEIGHT_ORDER]
             if order[-1] <= 0 or any(a < b for a, b in zip(order, order[1:])):

@@ -8,7 +8,9 @@ context windows turns alignments into log-probabilities; combining those
 with mean feature distance yields a divergence, whose per-concept min-max
 normalized average is the comparability score C. The composite score
 fuses C with the basic model's borrowing probability B, and a dynamic
-per-word threshold decides the label.
+per-word threshold decides the label. ``detect_scaled`` alone decides
+which words get this evidence: those whose concept spans two or more
+languages; every other word keeps its basic classification.
 
 Each unordered word pair of a concept is aligned once, while the context
 model is counted. Every column is interned to an int key (its context id
@@ -25,7 +27,8 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .config import RunConfig
@@ -235,12 +238,15 @@ def comparability(
     if k < 2:
         raise ValueError("comparability needs at least two words in the concept")
     logp = model.logp
-    div = [[0.0] * k for _ in range(k)]
+    # each word's divergences in the other words' index order: sum() adds in that order
+    divs: list[list[float]] = [[] for _ in range(k)]
     for i, row in enumerate(concept_rows):
         for j, (d_feat, ids) in enumerate(row, start=i + 1):
             total = sum([logp[key] for key in ids])
-            div[i][j] = div[j][i] = lam * d_feat - (1.0 - lam) * total / len(ids)
-    raws = [sum(div[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)]
+            d = lam * d_feat - (1.0 - lam) * total / len(ids)
+            divs[i].append(d)
+            divs[j].append(d)
+    raws = [sum(d) / (k - 1) for d in divs]
     lo, hi = min(raws), max(raws)
     if hi - lo == 0:
         return [0.0] * len(raws)
@@ -274,25 +280,26 @@ class ScaledResult:
     predicted: list[int]
     basic_predicted: list[int]
     fallback_concepts: list[str]
-    # words the basic model calls loans but the scaled model calls native,
-    # and the reverse (scaled-only loans)
-    basic_only_loans: list[int] = field(default_factory=list)
-    scaled_only_loans: list[int] = field(default_factory=list)
 
     def asymmetry_summary(self) -> str:
+        pairs = Counter(zip(self.basic_predicted, self.predicted))
         return (
             "asymmetry diagnostic: "
-            f"{len(self.basic_only_loans)} word(s) loan under the basic model "
+            f"{pairs[1, 0]} word(s) loan under the basic model "
             "but native under the scaled model; "
-            f"{len(self.scaled_only_loans)} word(s) loan under the scaled model only"
+            f"{pairs[0, 1]} word(s) loan under the scaled model only"
         )
 
 
 def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult:
     """Run basic detection per language, then rescale with concept evidence.
 
-    Words whose concept spans fewer than two languages keep their basic
-    classification (S = B, threshold = tau); their comparability is None.
+    The one place that decides concepts: every entry needs a concept id
+    (``MissingConceptError`` names the rows from 1). Each word starts at
+    the basic model's values (S = B, threshold = tau, the basic label, no
+    C); one loop over the sorted concepts writes C, S, theta and the label
+    of every word whose concept spans two or more languages. The other
+    concepts fall back, with a warning when none spans two languages.
     """
     cfg = cfg or RunConfig()
     if len(multi) == 0:
@@ -303,75 +310,39 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
 
     # the per-language states (every pass's probabilities) are not kept
     # through the alignment work below
-    basic_probs, basic_labels = detect_wordlist(multi, cfg)[:2]
+    basic, basic_labels = detect_wordlist(multi, cfg)[:2]
 
-    concept_indices: dict[str, list[int]] = {}
+    members: dict[str, list[int]] = {}
     for i, entry in enumerate(multi):
-        concept_indices.setdefault(entry.concept_id, []).append(i)
-
+        members.setdefault(entry.concept_id, []).append(i)
     # context model over every concept with at least two entries
     alignable = {
-        c: [multi.entries[i].ipa for i in idxs]
-        for c, idxs in concept_indices.items()
-        if len(idxs) >= 2
+        c: [multi.entries[i].ipa for i in idxs] for c, idxs in members.items() if len(idxs) >= 2
     }
-    model = None
-    if alignable:
-        model = build_context_model(alignable, cfg)
+    model = build_context_model(alignable, cfg) if alignable else None
 
-    comp_values: list[float | None] = [None] * len(multi)
+    n = len(multi)
+    comp: list[float | None] = [None] * n
+    scores, thresholds, predicted = list(basic), [cfg.tau] * n, list(basic_labels)
     fallback: list[str] = []
-    for concept in sorted(concept_indices):
-        idxs = concept_indices[concept]
-        langs = {multi.entries[i].language for i in idxs}
-        if len(idxs) < 2 or len(langs) < 2 or model is None:
+    for concept in sorted(members):
+        idxs = members[concept]
+        if len({multi.entries[i].language for i in idxs}) < 2:
             fallback.append(concept)
             continue
+        # two languages imply two entries, so the model holds the concept
         cs = comparability(model.rows[concept], model, cfg.divergence_lambda)
         for i, c in zip(idxs, cs):
-            comp_values[i] = c
-    if fallback:
-        log.info(
-            "%d concept(s) lack cross-linguistic counterparts; "
-            "falling back to basic classification",
-            len(fallback),
-        )
-
-    composites: list[float] = []
-    thresholds: list[float] = []
-    predicted: list[int] = []
-    for i in range(len(multi)):
-        c = comp_values[i]
-        b = basic_probs[i]
-        if c is None:
-            composites.append(b)
-            thresholds.append(cfg.tau)
-            predicted.append(int(b >= cfg.tau))
-        else:
+            b = basic[i]
             s = composite(b, c, cfg.composite_w1, cfg.composite_w2)
             theta = dynamic_threshold(b, c, cfg.threshold_alpha, cfg.threshold_beta)
-            composites.append(s)
-            thresholds.append(theta)
-            predicted.append(classify(s, theta))
-
-    result = ScaledResult(
-        basic=basic_probs,
-        comparability=comp_values,
-        composite=composites,
-        thresholds=thresholds,
-        predicted=predicted,
-        basic_predicted=basic_labels,
-        fallback_concepts=fallback,
-        basic_only_loans=[
-            i
-            for i in range(len(multi))
-            if basic_labels[i] == 1 and predicted[i] == 0
-        ],
-        scaled_only_loans=[
-            i
-            for i in range(len(multi))
-            if basic_labels[i] == 0 and predicted[i] == 1
-        ],
+            comp[i], scores[i], thresholds[i], predicted[i] = c, s, theta, classify(s, theta)
+    if len(fallback) == len(members):
+        log.warning("no concept spans two languages; scaled output equals basic output")
+    elif fallback:
+        log.info("%d concept(s) lack cross-linguistic counterparts; "
+                 "falling back to basic classification", len(fallback))
+    return ScaledResult(
+        basic=basic, comparability=comp, composite=scores, thresholds=thresholds,
+        predicted=predicted, basic_predicted=basic_labels, fallback_concepts=fallback,
     )
-    log.info(result.asymmetry_summary())
-    return result

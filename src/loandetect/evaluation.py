@@ -14,7 +14,7 @@ import json
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -224,32 +224,25 @@ class Grammar:
 
 
 def load_grammar(path: str | Path) -> Grammar:
+    """A ``Grammar`` from a JSON object of its fields; absent fields keep their
+    defaults, and an unknown key is an ``InvalidGrammarError``."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # undecodable bytes or malformed JSON
         raise InvalidGrammarError(f"grammar file {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidGrammarError(f"grammar file {path} must hold a JSON object")
+    kinds = {f.name: type(f.default) for f in fields(Grammar)}
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise InvalidGrammarError(f"grammar file {path} has unknown key(s) {unknown}")
     try:
-        return Grammar(
-            language=data["language"],
-            consonants=tuple(data["consonants"]),
-            vowels=tuple(data["vowels"]),
-            templates=tuple(data.get("templates", ("CV", "CVC"))),
-            template_weights=(
-                tuple(data["template_weights"]) if "template_weights" in data else None
-            ),
-            min_syllables=int(data.get("min_syllables", 1)),
-            max_syllables=int(data.get("max_syllables", 3)),
-            transitions=data.get("transitions"),
-            pos_choices=tuple(data.get("pos_choices", ("noun",))),
-            pos_weights=(
-                tuple(data["pos_weights"]) if "pos_weights" in data else None
-            ),
-        )
-    except KeyError as exc:
-        raise InvalidGrammarError(f"grammar file missing key {exc}") from None
-    except ValueError as exc:
+        return Grammar(**{
+            key: int(value) if kinds[key] is int
+            else tuple(value) if isinstance(value, list) else value
+            for key, value in data.items()
+        })
+    except (TypeError, ValueError) as exc:  # a missing field or a value of the wrong kind
         raise InvalidGrammarError(f"grammar file {path}: {exc}") from None
 
 

@@ -171,4 +171,5 @@ def score_all(
         for r, z, pos in zip(raw, columns["len_z"], pos_tags)
     ]
     factors, masks = _anomaly_factors(names, signals, len(pos_tags), cfg)
-    return [min(p * f, 1.0) for p, f in zip(probs, factors)], masks
+    # a boost cannot lift a zero probability, also when it overflows (0 * inf is nan)
+    return [min(p * f, 1.0) if p else 0.0 for p, f in zip(probs, factors)], masks

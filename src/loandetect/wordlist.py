@@ -3,7 +3,9 @@
 Input files are delimiter-separated text (TSV by default, CSV behind a
 flag) with a header row, UTF-8 encoded; a leading byte-order mark is
 skipped. Expected columns: ``orthography``, ``ipa``, ``language``,
-``pos``, plus optional ``label`` and ``concept``.
+``pos``, plus optional ``label`` and ``concept``. A wordlist holds any
+number of languages with or without concept ids; only
+``crossling.detect_scaled`` reads concepts, and it alone requires them.
 Reports are TSV with a ``#``-prefixed header block echoing the resolved
 configuration of the run that produced them.
 """
@@ -89,7 +91,7 @@ class LexicalEntry:
 
 @dataclass(frozen=True)
 class Wordlist:
-    """An ordered collection of entries from one language (or ``multi``)."""
+    """Entries from one language (or ``multi``); no (language, IPA, concept) twice."""
 
     entries: tuple[LexicalEntry, ...]
     language: str
@@ -103,25 +105,12 @@ class Wordlist:
                     f"duplicate entry {e.language}/{e.ipa_text}/{e.concept_id}"
                 )
             seen.add(key)
-        if self.language == "multi":
-            missing = [i for i, e in enumerate(self.entries) if e.concept_id is None]
-            if missing:
-                raise MalformedRowError(
-                    [(i, "multilingual entry without concept id") for i in missing]
-                )
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def languages(self) -> list[str]:
-        out: list[str] = []
-        for e in self.entries:
-            if e.language not in out:
-                out.append(e.language)
-        return out
 
     def words(self) -> list[tuple[str, ...]]:
         return [e.ipa for e in self.entries]

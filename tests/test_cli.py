@@ -1,14 +1,20 @@
 """CLI surface tests: exit codes, outputs, config round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import loandetect
 from loandetect.cli import main
 from loandetect.config import RunConfig, load_config, parse_config_text
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.features import CORE_FEATURES
-from loandetect.wordlist import load_wordlist, read_report, write_wordlist
+from loandetect.wordlist import load_wordlist, make_wordlist, read_report, write_wordlist
 
 from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
 
@@ -162,6 +168,8 @@ def test_non_finite_setting_exit_code(vocab_file, tmp_path):
         ["mode=aug"] + [f"weight_{n}=0" for n in CORE_FEATURES],
         ["threshold_beta=10"],
         ["threshold_beta=-3"],
+        ["context_smoothing=1e308"],
+        ["composite_w1=1e308", "composite_w2=1e308"],
     ],
 )
 @pytest.mark.parametrize("command", ["detect", "detect-xl"])
@@ -190,6 +198,43 @@ def test_detect_xl_extended_report(multi_file, tmp_path, capsys):
     for column in ("B", "C", "S", "theta", "predicted_label"):
         assert column in header
     assert "asymmetry diagnostic" in capsys.readouterr().out
+
+
+def test_boosts_near_float_max_yield_finite_report(vocab_file, tmp_path):
+    # every probability underflows to 0 and the boost factors overflow to inf
+    out = tmp_path / "report.tsv"
+    argv = ["detect", "--input", str(vocab_file), "--output", str(out),
+            "--set", "gamma=1e308", "--set", "center=100"]
+    for name in CORE_FEATURES:
+        argv += ["--set", f"anomaly_boost_{name}=1e308"]
+    assert main(argv) == 0
+    assert all(r.probability == 0.0 for r in read_report(out))
+
+
+def run_cli(*argv):
+    """The CLI in a fresh process, as a user runs it."""
+    src = str(Path(loandetect.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "loandetect", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_detect_xl_prints_asymmetry_diagnostic_once(multi_file, tmp_path):
+    proc = run_cli("detect-xl", "--input", str(multi_file), "--output", str(tmp_path / "x.tsv"))
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout + proc.stderr).count("asymmetry diagnostic") == 1
+    assert "asymmetry diagnostic" in proc.stdout
+    assert "no concept spans two languages" not in proc.stderr
+
+
+def test_detect_xl_warns_when_no_concept_spans_two_languages(tmp_path):
+    wl = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 10, 3, seed=3)
+    path = tmp_path / "words.tsv"
+    write_wordlist(make_wordlist([replace(e, concept_id=f"c{i}") for i, e in enumerate(wl)]), path)
+    proc = run_cli("detect-xl", "--input", str(path), "--output", str(tmp_path / "x.tsv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("no concept spans two languages") == 1
 
 
 def test_detect_xl_single_language_fallback(vocab_file, tmp_path):
@@ -309,6 +354,11 @@ def _bad_inputs(tmp_path, vocab_file):
     bad_json.write_text("{not json", encoding="utf-8")
     json_list = tmp_path / "list.json"
     json_list.write_text("[]", encoding="utf-8")
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text(
+        '{"language": "toy", "consonants": ["p"], "vowels": ["a"], "max_syllable": 1}',
+        encoding="utf-8",
+    )
     detect = ["detect", "--input", str(vocab_file), "--output", out]
     return [
         ("non-UTF-8 wordlist", ["detect", "--input", str(latin1), "--output", out]),
@@ -329,6 +379,9 @@ def _bad_inputs(tmp_path, vocab_file):
         ("grammar not an object", ["synth", "--native-grammar", str(json_list),
                                    "--donor-grammar", str(json_list), "--seed", "1",
                                    "--output", out]),
+        ("grammar with an unknown key", ["synth", "--native-grammar", str(misspelt),
+                                         "--donor-grammar", str(misspelt), "--seed", "1",
+                                         "--output", out]),
     ]
 
 

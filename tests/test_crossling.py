@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -376,31 +377,40 @@ def test_detect_scaled_identical_strings_across_languages():
 
 
 def test_detect_scaled_missing_concepts_rejected():
-    # multilingual wordlists reject missing concepts at construction time
-    with pytest.raises(Exception) as err:
-        make_wordlist(
-            entries(NATIVE_A[:2], "aaa", ["c0", "c1"])
-            + entries([("z", "u")], "bbb", [None])
-        )
+    # a multilingual list without concepts is a wordlist; detect_scaled rejects it
+    multi = make_wordlist(
+        entries(NATIVE_A[:2], "aaa", ["c0", "c1"]) + entries([("z", "u")], "bbb", [None])
+    )
+    with pytest.raises(MissingConceptError) as err:
+        detect_scaled(multi, RunConfig())
+    assert err.value.rows == [3]
     assert "concept" in str(err.value)
-    # a monolingual list without concepts reaches detect_scaled's own check
+    # so does a monolingual one
     bad = make_wordlist(entries(NATIVE_A[:3], "aaa", ["c0", None, None]))
     with pytest.raises(MissingConceptError) as err2:
         detect_scaled(bad, RunConfig())
     assert err2.value.rows == [2, 3]
 
 
-def test_detect_scaled_asymmetry_diagnostic_consistency():
-    concepts = [f"c{i}" for i in range(len(NATIVE_A))]
-    vocab = make_wordlist(
-        entries(NATIVE_A, "aaa", concepts) + entries(NATIVE_A, "bbb", concepts)
+def summary_of(basic_predicted, predicted):
+    pairs = list(zip(basic_predicted, predicted))
+    return (
+        f"asymmetry diagnostic: {pairs.count((1, 0))} word(s) loan under the basic model "
+        f"but native under the scaled model; {pairs.count((0, 1))} word(s) loan under the "
+        "scaled model only"
     )
+
+
+def test_detect_scaled_asymmetry_diagnostic_consistency():
+    vocab = generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 20, 8, seed=0)
     result = detect_scaled(vocab, RunConfig())
-    for i in result.basic_only_loans:
-        assert result.basic_predicted[i] == 1 and result.predicted[i] == 0
-    for i in result.scaled_only_loans:
-        assert result.basic_predicted[i] == 0 and result.predicted[i] == 1
-    assert "asymmetry diagnostic" in result.asymmetry_summary()
+    assert result.asymmetry_summary() == summary_of(result.basic_predicted, result.predicted)
+    # the counts are of (basic, scaled) label pairs, whatever the other fields hold
+    basic_predicted, predicted = [1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]
+    moved = replace(result, basic_predicted=basic_predicted, predicted=predicted)
+    assert moved.asymmetry_summary() == summary_of(basic_predicted, predicted)
+    assert "3 word(s) loan under the basic" in moved.asymmetry_summary()
+    assert "; 1 word(s) loan under the scaled" in moved.asymmetry_summary()
 
 
 @settings(max_examples=60)
@@ -473,11 +483,28 @@ def test_detect_scaled_comparability_matches_two_alignment_oracle(
     }
     bf = oracles.bf_build_context_model(alignable, gap, smoothing)
     expected = [None] * len(vocab)
+    fallback = []
     for c, idxs in members.items():
-        if len(idxs) >= 2 and len({vocab.entries[i].language for i in idxs}) >= 2:
+        if len({vocab.entries[i].language for i in idxs}) >= 2:
             for i, value in zip(idxs, oracles.bf_comparability(alignable[c], bf, lam, gap)):
                 expected[i] = value
-    assert detect_scaled(vocab, cfg).comparability == expected
+        else:
+            fallback.append(c)
+    result = detect_scaled(vocab, cfg)
+    assert result.comparability == expected
+    assert result.fallback_concepts == sorted(fallback)
+    basic, labels, _ = detect_wordlist(vocab, cfg)
+    assert result.basic == basic and result.basic_predicted == labels
+    for i, c in enumerate(expected):
+        b = basic[i]
+        if c is None:  # a fallback word keeps the basic model's values
+            s, theta, label = b, cfg.tau, labels[i]
+        else:
+            s = composite(b, c, cfg.composite_w1, cfg.composite_w2)
+            theta = dynamic_threshold(b, c, cfg.threshold_alpha, cfg.threshold_beta)
+            label = classify(s, theta)
+        got = (result.composite[i], result.thresholds[i], result.predicted[i])
+        assert got == (s, theta, label)
 
 
 def test_detect_scaled_aligns_each_pair_once(monkeypatch):

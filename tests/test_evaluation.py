@@ -146,6 +146,20 @@ def test_load_grammar_roundtrip(tmp_path):
         load_grammar(path)
 
 
+def test_load_grammar_takes_defaults_from_grammar_and_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "grammar.json"
+    path.write_text('{"language": "toy", "consonants": ["p"], "vowels": ["a"]}', encoding="utf-8")
+    assert load_grammar(path) == Grammar(language="toy", consonants=("p",), vowels=("a",))
+    # misspelt keys are not dropped in favour of the defaults
+    path.write_text(
+        '{"language": "toy", "consonants": ["p"], "vowels": ["a"],'
+        ' "max_syllable": 1, "template": ["CV"]}',
+        encoding="utf-8",
+    )
+    with pytest.raises(InvalidGrammarError, match=r"\['max_syllable', 'template'\]"):
+        load_grammar(path)
+
+
 @pytest.fixture(scope="module")
 def labeled_vocab():
     return generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 30, 8, seed=5)

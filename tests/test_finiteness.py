@@ -4,16 +4,19 @@ A Hypothesis property draws every field from inside the range that
 ``validate`` accepts, in all four modes, runs ``detect`` and ``detect-xl``
 on small generated wordlists, and requires every written probability,
 comparability, composite and threshold to be finite and in [0, 1] and every
-label to be 0 or 1. Fields that are only bounded on one side are drawn up
-to a cap a few orders of magnitude beyond their defaults.
+label to be 0 or 1. ``gamma``, the anomaly boosts and the composite weights
+are drawn up to the float maximum and ``context_smoothing`` up to its
+``validate`` bound; the other fields that are only bounded on one side are
+drawn up to a cap a few orders of magnitude beyond their defaults.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 from hypothesis import assume, given, settings, strategies as st
 
-from loandetect.config import _WEIGHT_ORDER, ConfigError, RunConfig
+from loandetect.config import _WEIGHT_ORDER, MAX_CONTEXT_SMOOTHING, ConfigError, RunConfig
 from loandetect.crossling import detect_scaled
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.features import MODES, SEGMENTAL_FEATURES
@@ -25,6 +28,7 @@ from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
 
 UNIT = st.floats(0.0, 1.0)
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+FLOAT_MAX = sys.float_info.max
 
 
 def positive(cap):
@@ -72,10 +76,10 @@ def accepted_configs(draw):
             {pos: st.floats(0.0, 1.0, exclude_min=True) for pos in POS_CATEGORIES}
         )),
         polarity=draw(per_feature(st.sampled_from([-1, 1]))),
-        gamma=draw(positive(1e3)),
+        gamma=draw(positive(FLOAT_MAX)),
         center=draw(st.floats(-100.0, 100.0)),
         anomaly_thresholds=draw(per_feature(st.floats(-100.0, 100.0))),
-        anomaly_boosts=draw(per_feature(st.floats(0.0, 1e3))),
+        anomaly_boosts=draw(per_feature(st.floats(0.0, FLOAT_MAX))),
         tau=draw(OPEN_UNIT),
         max_iterations=draw(st.integers(1, 4)),
         convergence_fraction=draw(UNIT),
@@ -88,17 +92,18 @@ def accepted_configs(draw):
         pattern_smoothing=draw(positive(1e3)),
         gap_penalty=draw(st.floats(-100.0, 100.0)),
         divergence_lambda=draw(UNIT),
-        composite_w1=draw(positive(1e3)),
-        composite_w2=draw(positive(1e3)),
+        composite_w1=draw(positive(FLOAT_MAX)),
+        composite_w2=draw(positive(FLOAT_MAX)),
         threshold_alpha=alpha,
         threshold_beta=draw(st.floats(-spread, spread)),
-        context_smoothing=draw(positive(1e3)),
+        context_smoothing=draw(positive(MAX_CONTEXT_SMOOTHING)),
         baseline_threshold=draw(UNIT),
     )
     try:
         return RunConfig(**fields)
     except ConfigError:
-        # the mode's weights, or the core ones, sum to 0 or below
+        # the mode's weights, or the core ones, sum to 0 or below, their
+        # rescale factor or the composite weights' sum overflows
         assume(False)
 
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from loandetect.cli import main
 from loandetect.wordlist import (
     EmptyTranscriptionError,
     LexicalEntry,
@@ -127,13 +128,19 @@ def test_load_csv_flag(tmp_path):
     assert wl.entries[0].ipa == ("f", "ʊ", "l")
 
 
-def test_multilingual_requires_concepts(tmp_path):
+def test_multilingual_requires_concepts(tmp_path, capsys):
+    # only detect-xl reads concepts: the list loads and detect runs on it
     path = write_tsv(
         tmp_path,
-        ["a\tpa\tenglish\tnoun\t\tc1", "b\tba\tgerman\tnoun\t\t"],
+        ["a\tpa\tenglish\tnoun\t\tc1", "b\tba\tgerman\tnoun\t\t",
+         "c\tta\tgerman\tnoun\t\t"],
     )
-    with pytest.raises(MalformedRowError):
-        load_wordlist(path)
+    assert [e.concept_id for e in load_wordlist(path)] == ["c1", None, None]
+    assert main(["detect", "--input", str(path), "--output", str(tmp_path / "r.tsv")]) == 0
+    capsys.readouterr()
+    assert main(["detect-xl", "--input", str(path), "--output", str(tmp_path / "x.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rows [2, 3]" in err
 
 
 def test_schema_remap(tmp_path):
