@@ -63,10 +63,12 @@ _MAP_PREFIXES = {
 }
 _PREFIX_OF = {attr: prefix for prefix, attr in _MAP_PREFIXES.items()}
 
-# The context model's denominator is marginal + smoothing * k, with k (the
-# distinct symbol pairs) and the marginal held in 32-bit ints: up to this
-# smoothing that sum stays finite.
-MAX_CONTEXT_SMOOTHING = sys.float_info.max / 2**31
+# Fewer than 2**31 terms of at most this size sum to a finite float. The
+# context model's denominator is marginal + smoothing * k, with k (the
+# distinct symbol pairs) and the marginal held in 32-bit ints; a word's
+# rarity total adds one term of at most rare_*_c1 or rare_*_c2 per n-gram
+# or transition, and a word has fewer than 2**31 of them.
+MAX_CONTEXT_SMOOTHING = MAX_RARITY_C = sys.float_info.max / 2**31
 
 
 class ConfigError(ValueError):
@@ -153,8 +155,8 @@ class RunConfig:
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
         for name in ("rare_ngram_c1", "rare_ngram_c2", "rare_trans_c1", "rare_trans_c2"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= MAX_RARITY_C:
+                raise ConfigError(f"{name} must be in [0, {MAX_RARITY_C!r}]")
         for name in (
             "rare_ngram_eps1",
             "rare_ngram_eps2",

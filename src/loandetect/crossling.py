@@ -295,11 +295,12 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
     """Run basic detection per language, then rescale with concept evidence.
 
     The one place that decides concepts: every entry needs a concept id
-    (``MissingConceptError`` names the rows from 1). Each word starts at
-    the basic model's values (S = B, threshold = tau, the basic label, no
-    C); one loop over the sorted concepts writes C, S, theta and the label
-    of every word whose concept spans two or more languages. The other
-    concepts fall back, with a warning when none spans two languages.
+    (``MissingConceptError`` names the rows from 1, as ``load_wordlist``
+    numbers them). Each word starts at the basic model's values (S = B,
+    threshold = tau, the basic label, no C); one loop over the sorted
+    concepts writes C, S, theta and the label of every word whose concept
+    spans two or more languages. The other concepts fall back, with a
+    warning when none spans two languages.
     """
     cfg = cfg or RunConfig()
     if len(multi) == 0:

@@ -20,10 +20,14 @@ first read, and detection reads none of them.
 
 ``extract_all`` is the one feature path. It reads the rarity constants
 from a ``RunConfig``, whose ``validate`` is the only place they are
-checked, and computes each feature with one kernel over a word's list of
-probabilities (or its CV pattern). It returns feature columns, one list
-per feature of the mode in ``feature_names`` order, which is the form
-``scoring.score_all`` reads.
+checked. The n-gram block and the transition block are one call each of
+``_rarity_entropy``: one loop per word over the word's ids reads each
+probability once and adds its rarity term and its ``-p log2 p`` term to
+two running totals. ``avg_trans_prob`` is ``sum()`` of the word's
+transition probabilities, and the segmental features of ``aug`` mode are
+one kernel per word over its CV pattern or symbols. It returns feature
+columns, one list per feature of the mode in ``feature_names`` order,
+which is the form ``scoring.score_all`` reads.
 """
 
 from __future__ import annotations
@@ -253,41 +257,45 @@ def _count_ids(word_ids: Sequence[Sequence[int]], rows: Iterable[int], size: int
 
 
 # --- Feature kernels --------------------------------------------------------------
-# Each takes what one word contributes: the probabilities of its n-grams or
-# transitions, in order, or its CV pattern.
 
 
-def _rarity(probs: Sequence[float], eps1: float, eps2: float, c1: float, c2: float) -> float:
-    """Mean two-tier rarity penalty over a word's n-gram or transition probabilities.
+def _rarity_entropy(
+    word_ids: Sequence[Sequence[int]],
+    rows: Sequence[int],
+    probs: Sequence[float],
+    eps1: float,
+    eps2: float,
+    c1: float,
+    c2: float,
+) -> tuple[list[float], list[float]]:
+    """Rarity and entropy columns of ``rows``, whose ids are ``word_ids[r]``.
 
-    Each probability p contributes c1*(eps1-p) when p < eps1, else
-    c2*(eps2-p) when p < eps2, else nothing; no probabilities score 0.
+    One loop per row reads each id's probability p once. The rarity is
+    the mean two-tier penalty: p adds c1*(eps1-p) when p < eps1, else
+    c2*(eps2-p) when p < eps2, else nothing. The entropy is -sum p log2 p
+    (0 log 0 = 0). A row without ids scores 0 on both. The columns are
+    allocated at their final size, not grown by appends, whose
+    reallocations leave freed buffers in the heap and raise a run's peak
+    RSS.
     """
-    if not probs:
-        return 0.0
-    total = 0.0
-    for p in probs:
-        if p < eps1:
-            total += c1 * (eps1 - p)
-        elif p < eps2:
-            total += c2 * (eps2 - p)
-    return total / len(probs)
-
-
-def _entropy(probs: Sequence[float]) -> float:
-    """-sum p log2 p over the probabilities (0 log 0 = 0)."""
-    total = 0.0
-    for p in probs:
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
-
-
-def _mean(probs: Sequence[float]) -> float:
-    """Arithmetic mean; no probabilities give 0."""
-    if not probs:
-        return 0.0
-    return sum(probs) / len(probs)
+    rarity = [0.0] * len(rows)
+    entropy = [0.0] * len(rows)
+    log2 = math.log2
+    for k, r in enumerate(rows):
+        ids = word_ids[r]
+        total = h = 0.0
+        for i in ids:
+            p = probs[i]
+            if p < eps1:
+                total += c1 * (eps1 - p)
+            elif p < eps2:
+                total += c2 * (eps2 - p)
+            if p > 0.0:
+                h -= p * log2(p)
+        if ids:
+            rarity[k] = total / len(ids)
+        entropy[k] = h
+    return rarity, entropy
 
 
 def _cv_anomaly(cv: str, templates: frozenset[str]) -> float:
@@ -341,7 +349,11 @@ def extract_all(
     One column per feature of ``cfg.mode``, in ``feature_names`` order,
     each holding one value per row. ``group`` must share the id tables of
     ``stats.group`` (the same compiled words, any rows) and be compiled
-    for ``cfg``'s n-gram range; each word reads its probabilities by id.
+    for ``cfg``'s n-gram range. Each block (n-grams, transitions) is one
+    ``_rarity_entropy`` pass over the rows' ids, which reads each
+    probability once by id; ``avg_trans_prob`` is ``sum()`` over the
+    word's transition probabilities in id order, as from Python 3.12 on
+    ``sum()`` is compensated and a running total would change its bits.
     Words of length 1 have no n-grams or transitions; their sequence
     features are 0.
     """
@@ -352,37 +364,33 @@ def extract_all(
             f"group compiled for n-grams {group.ngram_min}..{group.ngram_max}, "
             f"asked for {cfg.ngram_min}..{cfg.ngram_max}"
         )
-    columns: dict[str, list[float]] = {name: [] for name in feature_names(cfg.mode)}
-    with_ngrams = "rare_ngram_score" in columns
-    with_trans = "rare_transition_score" in columns
-    gram_p, trans_p = stats.ngram_probs, stats.trans_probs
+    names = feature_names(cfg.mode)
+    rows, words = group.rows, group.words
+    columns: dict[str, list[float]] = {}
+    if "rare_ngram_score" in names:
+        columns["rare_ngram_score"], columns["ngram_entropy"] = _rarity_entropy(
+            group.word_grams, rows, stats.ngram_probs,
+            cfg.rare_ngram_eps1, cfg.rare_ngram_eps2, cfg.rare_ngram_c1, cfg.rare_ngram_c2,
+        )
+    if "rare_transition_score" in names:
+        trans_p = stats.trans_probs
+        columns["rare_transition_score"], columns["trans_entropy"] = _rarity_entropy(
+            group.word_trans, rows, trans_p,
+            cfg.rare_trans_eps1, cfg.rare_trans_eps2, cfg.rare_trans_c1, cfg.rare_trans_c2,
+        )
+        columns["avg_trans_prob"] = [
+            sum(map(trans_p.__getitem__, ids)) / len(ids) if ids else 0.0
+            for ids in map(group.word_trans.__getitem__, rows)
+        ]
     mean, std = stats.length_mean, stats.length_std
-    aug = cfg.mode == "aug"
-    if aug:
+    columns["len_z"] = [(len(words[r]) - mean) / std for r in rows]
+    if cfg.mode == "aug":
         templates, freq = stats.cv_templates, stats.symbol_freq
-
-    for r in group.rows:
-        word = group.words[r]
-        if with_ngrams:
-            probs = [gram_p[g] for g in group.word_grams[r]]
-            columns["rare_ngram_score"].append(_rarity(
-                probs, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
-                cfg.rare_ngram_c1, cfg.rare_ngram_c2,
-            ))
-            columns["ngram_entropy"].append(_entropy(probs))
-        if with_trans:
-            probs = [trans_p[t] for t in group.word_trans[r]]
-            columns["rare_transition_score"].append(_rarity(
-                probs, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
-                cfg.rare_trans_c1, cfg.rare_trans_c2,
-            ))
-            columns["trans_entropy"].append(_entropy(probs))
-            columns["avg_trans_prob"].append(_mean(probs))
-        columns["len_z"].append((len(word) - mean) / std)
-        if aug:
-            cv = group.cv[r]
-            columns["cv_anomaly"].append(_cv_anomaly(cv, templates))
-            columns["char_dist_anomaly"].append(_char_dist(word, [freq.get(s, 0.0) for s in word]))
-            columns["cluster_score"].append(_cluster(cv))
-            columns["vowel_ratio"].append(_vowel_ratio(cv))
+        cvs = [group.cv[r] for r in rows]
+        columns["cv_anomaly"] = [_cv_anomaly(cv, templates) for cv in cvs]
+        columns["char_dist_anomaly"] = [
+            _char_dist(words[r], [freq.get(s, 0.0) for s in words[r]]) for r in rows
+        ]
+        columns["cluster_score"] = list(map(_cluster, cvs))
+        columns["vowel_ratio"] = list(map(_vowel_ratio, cvs))
     return columns

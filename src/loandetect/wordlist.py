@@ -158,7 +158,8 @@ def load_wordlist(
     header names. Rows with missing or unnormalizable IPA are collected
     and reported together in a ``MalformedRowError``. Unknown POS values
     raise unless ``lenient_pos`` is set, in which case they map to
-    ``function``.
+    ``function``. Errors number the non-blank lines after the header
+    from 1, so row n is the n-th entry of the wordlist.
     """
     path = Path(path)
     if not path.exists():
@@ -202,9 +203,10 @@ def _parse_rows(
                 return ""
             return row[i].strip()
 
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
+        # blank lines are skipped before counting: row n is the n-th entry,
+        # as crossling.MissingConceptError numbers it
+        rows = (row for row in reader if any(c.strip() for c in row))
+        for rownum, row in enumerate(rows, start=1):
             raw_ipa = cell(row, "ipa")
             if not raw_ipa:
                 errors.append((rownum, "missing IPA"))

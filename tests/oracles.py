@@ -131,6 +131,42 @@ def bf_avg_transition_prob(word, trans):
     return sum(values) / len(values)
 
 
+# --- per-word sequence kernels -------------------------------------------------
+# Per-word references for the n-gram and transition blocks of
+# ``features.extract_all``: one kernel per feature over a word's
+# probabilities in id order. They make the same float operations in the
+# same order as the fused blocks, so the columns must equal them exactly.
+
+
+def bf_rarity(probs, eps1, eps2, c1, c2):
+    """Mean two-tier rarity penalty over a word's probabilities; none score 0."""
+    if not probs:
+        return 0.0
+    total = 0.0
+    for p in probs:
+        if p < eps1:
+            total += c1 * (eps1 - p)
+        elif p < eps2:
+            total += c2 * (eps2 - p)
+    return total / len(probs)
+
+
+def bf_entropy(probs):
+    """-sum p log2 p over the probabilities (0 log 0 = 0)."""
+    total = 0.0
+    for p in probs:
+        if p > 0.0:
+            total -= p * math.log2(p)
+    return total
+
+
+def bf_mean(probs):
+    """Arithmetic mean; no probabilities give 0."""
+    if not probs:
+        return 0.0
+    return sum(probs) / len(probs)
+
+
 # --- segmental block (aug mode) --------------------------------------------------
 # ``vowels`` is the set of symbols that count as vowels; every other symbol
 # is a consonant.

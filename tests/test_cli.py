@@ -170,6 +170,7 @@ def test_non_finite_setting_exit_code(vocab_file, tmp_path):
         ["threshold_beta=-3"],
         ["context_smoothing=1e308"],
         ["composite_w1=1e308", "composite_w2=1e308"],
+        ["rare_ngram_c1=1.7e308", "rare_ngram_eps1=0.9", "rare_ngram_eps2=0.95"],
     ],
 )
 @pytest.mark.parametrize("command", ["detect", "detect-xl"])

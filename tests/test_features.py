@@ -1,17 +1,18 @@
 """Feature extraction tests, checked against the brute-force oracles."""
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loandetect.config import RunConfig
 from loandetect.features import (
+    MODES,
     CompiledGroup,
     EmptyReferenceError,
     _cluster,
-    _entropy,
-    _mean,
-    _rarity,
+    _rarity_entropy,
     _vowel_ratio,
     build_statistics,
     extract_all,
@@ -34,6 +35,16 @@ def statistics(words):
 def feature(reference, word, name, cfg=None):
     """One feature of one word against ``reference``, through the only feature path."""
     return extract_against(reference, [word], cfg)[name][0]
+
+
+def rarity(probs, eps1, eps2, c1, c2):
+    """The rarity ``_rarity_entropy`` gives one word whose ids read ``probs`` in order."""
+    return _rarity_entropy([range(len(probs))], [0], probs, eps1, eps2, c1, c2)[0][0]
+
+
+def entropy(probs):
+    """The entropy ``_rarity_entropy`` gives one word whose ids read ``probs`` in order."""
+    return _rarity_entropy([range(len(probs))], [0], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
 
 
 def ngram_count(stats):
@@ -116,7 +127,7 @@ def test_rare_ngram_score_unseen_bigram():
 def test_rare_ngram_score_two_tier_hand_case():
     # |G(w)| = 2: one n-gram in the second tier at p = 0.01 -> 20*(0.02-0.01),
     # one common -> 0; mean = 0.1 (the bigrams [a, b] and [b, c] of "abc")
-    score = _rarity([0.01, 0.5], 0.005, 0.02, 100.0, 20.0)
+    score = rarity([0.01, 0.5], 0.005, 0.02, 100.0, 20.0)
     assert score == pytest.approx(0.1)
 
 
@@ -147,21 +158,23 @@ def test_ngram_entropy_fair_coin():
 
 def test_rare_transition_examples():
     # one transition at p=0.005 -> 100*(0.01-0.005) = 0.5
-    assert _rarity([0.005], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.5)
+    assert rarity([0.005], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.5)
     # p=0.03 and p=0.10 -> (20*(0.05-0.03) + 0)/2 = 0.2
-    assert _rarity([0.03, 0.10], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.2)
+    assert rarity([0.03, 0.10], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.2)
 
 
 def test_transition_entropy_examples():
-    assert _entropy([1.0]) == 0.0
-    assert _entropy([0.5, 0.5]) == pytest.approx(1.0)
+    assert entropy([1.0]) == 0.0
+    assert entropy([0.5, 0.5]) == pytest.approx(1.0)
 
 
 def test_avg_transition_prob_examples():
     assert feature([("a", "b")], ("a", "b"), "avg_trans_prob") == 1.0
-    assert _mean([0.2, 0.4]) == pytest.approx(0.3)
+    # p(a -> b) = 1/5 and p(b -> c) = 2/5: the mean of 0.2 and 0.4
+    reference = [("a", s) for s in "bdefg"] + [("b", s) for s in "ccdef"]
+    assert feature(reference, ("a", "b", "c"), "avg_trans_prob") == pytest.approx(0.3)
     # unseen transition contributes 0 to the mean
-    assert _mean([0.2, 0.0]) == pytest.approx(0.1)
+    assert feature(reference, ("a", "b", "q"), "avg_trans_prob") == pytest.approx(0.1)
 
 
 def test_length_z_examples():
@@ -220,13 +233,90 @@ def test_rare_scores_monotone_under_small_perturbation():
     # are checked inside branches).
     # one n-gram or transition of probability p, at the default tiers
     for base in (0.0, 0.002, 0.0045, 0.006, 0.015, 0.019):
-        lo = _rarity([base], 0.005, 0.02, 100.0, 20.0)
-        hi = _rarity([base + 4e-4], 0.005, 0.02, 100.0, 20.0)
+        lo = rarity([base], 0.005, 0.02, 100.0, 20.0)
+        hi = rarity([base + 4e-4], 0.005, 0.02, 100.0, 20.0)
         assert hi <= lo
     for base in (0.0, 0.005, 0.009, 0.012, 0.03, 0.045, 0.08):
-        lo = _rarity([base], 0.01, 0.05, 100.0, 20.0)
-        hi = _rarity([base + 9e-4], 0.01, 0.05, 100.0, 20.0)
+        lo = rarity([base], 0.01, 0.05, 100.0, 20.0)
+        hi = rarity([base + 9e-4], 0.01, 0.05, 100.0, 20.0)
         assert hi <= lo
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def tiers(draw):
+    """eps1 < eps2 in [0, 1] and two constants c1, c2."""
+    eps = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))
+    return (*eps, draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e3)))
+
+
+@st.composite
+def extraction_cases(draw):
+    """A config, words with at least one of length 1, reference rows and probed rows."""
+    ngram_eps, trans_eps = draw(tiers()), draw(tiers())
+    ngram_min = draw(st.integers(1, 3))
+    cfg = RunConfig(
+        mode=draw(st.sampled_from(MODES)),
+        ngram_min=ngram_min,
+        ngram_max=draw(st.integers(ngram_min, ngram_min + 6)),
+        **dict(zip(("rare_ngram_eps1", "rare_ngram_eps2", "rare_ngram_c1", "rare_ngram_c2"),
+                   ngram_eps)),
+        **dict(zip(("rare_trans_eps1", "rare_trans_eps2", "rare_trans_c1", "rare_trans_c2"),
+                   trans_eps)),
+    )
+    word = st.lists(st.sampled_from(SYMBOLS[:5]), min_size=1, max_size=8).map(tuple)
+    words = draw(st.lists(word, min_size=1, max_size=12)) + [("a",)]
+    row = st.integers(0, len(words) - 1)
+    reference = sorted(draw(st.lists(row, min_size=1, unique=True)))
+    probed = draw(st.lists(row, max_size=len(words) + 2)) + [len(words) - 1]
+    return cfg, words, reference, probed
+
+
+@settings(max_examples=150, deadline=None)
+@given(extraction_cases())
+def test_extract_all_equals_per_word_references(case):
+    # words outside the reference rows read probability 0 for many of their ids
+    cfg, words, reference, probed = case
+    group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
+    stats = build_statistics(group.subset(reference))
+    columns = extract_all(group.subset(probed), stats, cfg)
+    assert list(columns) == list(feature_names(cfg.mode))
+    for k, r in enumerate(probed):
+        grams = [stats.ngram_probs[g] for g in group.word_grams[r]]
+        trans = [stats.trans_probs[t] for t in group.word_trans[r]]
+        expected = {
+            "rare_ngram_score": oracles.bf_rarity(
+                grams, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
+                cfg.rare_ngram_c1, cfg.rare_ngram_c2,
+            ),
+            "ngram_entropy": oracles.bf_entropy(grams),
+            "rare_transition_score": oracles.bf_rarity(
+                trans, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
+                cfg.rare_trans_c1, cfg.rare_trans_c2,
+            ),
+            "trans_entropy": oracles.bf_entropy(trans),
+            "avg_trans_prob": oracles.bf_mean(trans),
+            "len_z": (len(words[r]) - stats.length_mean) / stats.length_std,
+        }
+        for name, value in expected.items():
+            if name in columns:
+                assert columns[name][k] == value, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rarity_entropy_equals_per_word_references(data):
+    eps1, eps2, c1, c2 = data.draw(tiers())
+    probs = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, eps1, eps2]), UNIT)))
+    ids = st.lists(st.integers(0, len(probs) - 1), max_size=12) if probs else st.just([])
+    word_ids = [array("i", r) for r in data.draw(st.lists(ids, min_size=1, max_size=6))]
+    rows = data.draw(st.lists(st.integers(0, len(word_ids) - 1), max_size=8))
+    rarities, entropies = _rarity_entropy(word_ids, rows, probs, eps1, eps2, c1, c2)
+    expected = [[probs[i] for i in word_ids[r]] for r in rows]
+    assert rarities == [oracles.bf_rarity(p, eps1, eps2, c1, c2) for p in expected]
+    assert entropies == [oracles.bf_entropy(p) for p in expected]
 
 
 def test_extract_mode_contracts():

@@ -5,9 +5,10 @@ A Hypothesis property draws every field from inside the range that
 on small generated wordlists, and requires every written probability,
 comparability, composite and threshold to be finite and in [0, 1] and every
 label to be 0 or 1. ``gamma``, the anomaly boosts and the composite weights
-are drawn up to the float maximum and ``context_smoothing`` up to its
-``validate`` bound; the other fields that are only bounded on one side are
-drawn up to a cap a few orders of magnitude beyond their defaults.
+are drawn up to the float maximum, and ``context_smoothing`` and the four
+rarity constants ``rare_*_c*`` up to their ``validate`` bound; the other
+fields that are only bounded on one side are drawn up to a cap a few
+orders of magnitude beyond their defaults.
 """
 
 import math
@@ -16,7 +17,13 @@ from functools import lru_cache
 
 from hypothesis import assume, given, settings, strategies as st
 
-from loandetect.config import _WEIGHT_ORDER, MAX_CONTEXT_SMOOTHING, ConfigError, RunConfig
+from loandetect.config import (
+    _WEIGHT_ORDER,
+    MAX_CONTEXT_SMOOTHING,
+    MAX_RARITY_C,
+    ConfigError,
+    RunConfig,
+)
 from loandetect.crossling import detect_scaled
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.features import MODES, SEGMENTAL_FEATURES
@@ -67,10 +74,10 @@ def accepted_configs(draw):
         rare_ngram_eps2=ngram_eps[1],
         rare_trans_eps1=trans_eps[0],
         rare_trans_eps2=trans_eps[1],
-        rare_ngram_c1=draw(st.floats(0.0, 1e4)),
-        rare_ngram_c2=draw(st.floats(0.0, 1e4)),
-        rare_trans_c1=draw(st.floats(0.0, 1e4)),
-        rare_trans_c2=draw(st.floats(0.0, 1e4)),
+        rare_ngram_c1=draw(st.floats(0.0, MAX_RARITY_C)),
+        rare_ngram_c2=draw(st.floats(0.0, MAX_RARITY_C)),
+        rare_trans_c1=draw(st.floats(0.0, MAX_RARITY_C)),
+        rare_trans_c2=draw(st.floats(0.0, MAX_RARITY_C)),
         weights=draw(weights(mode)),
         pos_weights=draw(st.fixed_dictionaries(
             {pos: st.floats(0.0, 1.0, exclude_min=True) for pos in POS_CATEGORIES}

@@ -143,6 +143,15 @@ def test_multilingual_requires_concepts(tmp_path, capsys):
     assert err.startswith("error: ") and "rows [2, 3]" in err
 
 
+@pytest.mark.parametrize("pos, message", [("noun", "rows [2]"), ("particle", "row 2:")])
+def test_row_numbers_skip_blank_lines(tmp_path, capsys, pos, message):
+    # the parser and detect-xl number the line after the blank one alike
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t\tc1", "", f"b\tba\tgerman\t{pos}\t\t"])
+    assert main(["detect-xl", "--input", str(path), "--output", str(tmp_path / "x.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_schema_remap(tmp_path):
     path = write_tsv(
         tmp_path,
