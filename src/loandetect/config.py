@@ -13,15 +13,15 @@ its output can be fed back in to reproduce a run.
 masks), refinement and cross-linguistic scaling all read their constants
 off it, and ``RunConfig.validate`` is the only place those constants are
 checked. It rejects NaN and infinite values in every float field and
-every mapping, and requires a weight for every feature of the mode and
-for every POS category, so the pipeline never meets a missing or
-non-finite constant. It also keeps every probability, composite and
-threshold in [0, 1]: polarities are -1 or 1, the core-feature weights
-sum above 0, ``threshold_beta`` is bounded by ``threshold_alpha``, the two
-composite weights have a finite sum and ``context_smoothing`` is bounded
-so the context model's denominators stay finite.
-The mapping fields are read-only views, so a validated config stays
-valid.
+every mapping, and map keys that name no feature or POS category. It
+requires a weight for every feature of the mode and for every POS
+category, so the pipeline never meets a missing, misspelt or non-finite
+constant. It also keeps every probability, composite and threshold in
+[0, 1]: polarities are -1 or 1, the core-feature weights sum above 0,
+``threshold_beta`` is bounded by ``threshold_alpha``, the two composite
+weights have a finite sum and ``context_smoothing`` is bounded so the
+context model's denominators stay finite. The mapping fields are
+read-only views, so a validated config stays valid.
 """
 
 from __future__ import annotations
@@ -142,6 +142,11 @@ class RunConfig:
         for key, value in self.to_flat().items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        for attr, prefix in _PREFIX_OF.items():
+            known = POS_CATEGORIES if attr == "pos_weights" else ALL_FEATURES
+            for key in getattr(self, attr):
+                if key not in known:
+                    raise ConfigError(f"unknown config key {prefix + key!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.model not in MODELS:

@@ -10,29 +10,28 @@ absence itself is the signal.
 
 A language group is compiled once (``CompiledGroup``): every distinct
 n-gram and transition of its words gets an integer id, and each word keeps
-the ids of its n-grams and transitions and its CV pattern. Statistics of a
-reference subset are plain lists indexed by those ids, so a refinement pass
-counts ids and reads each word's probabilities by id instead of hashing
-symbol tuples again. A compiled group is the only input of
-``build_statistics`` and ``extract_all``; the tuple-keyed mappings of
-``VocabStatistics`` (``ngram_prob``, ``trans_prob``) are views built on
-first read, and detection reads none of them.
+the ids of its n-grams and transitions and its CV pattern. A reference is
+a list of the group's rows, whose ids ``build_statistics`` counts into
+plain lists indexed by id, so a refinement pass reads each word's
+probabilities by id instead of hashing symbol tuples again. The
+tuple-keyed mappings of ``VocabStatistics`` (``ngram_prob``,
+``trans_prob``) are views built on first read; detection reads none.
 
-``extract_all`` is the one feature path. It reads the rarity constants
-from a ``RunConfig``, whose ``validate`` is the only place they are
-checked. The n-gram block and the transition block are one call each of
-``_rarity_entropy``: one loop per word over the word's ids reads each
-probability once and adds its rarity term and its ``-p log2 p`` term to
-two running totals. ``avg_trans_prob`` is ``sum()`` of the word's
-transition probabilities, and the segmental features of ``aug`` mode are
-one kernel per word over its CV pattern or symbols. It returns feature
-columns, one list per feature of the mode in ``feature_names`` order,
-which is the form ``scoring.score_all`` reads.
+``extract_all`` is the one feature path. It scores every word of the
+statistics' group and reads the rarity constants from a ``RunConfig``,
+whose ``validate`` is the only place they are checked. The n-gram block
+and the transition block are one call each of ``_rarity_entropy``: one
+loop per word over the word's ids reads each probability once and adds
+its rarity term and its ``-p log2 p`` term to two running totals.
+``avg_trans_prob`` is ``sum()`` of the word's transition probabilities,
+and the segmental features of ``aug`` mode are one kernel per word over
+its CV pattern or symbols. It returns feature columns, one list per
+feature of the mode in ``feature_names`` order, which is the form
+``scoring.score_all`` reads.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from collections import Counter
@@ -101,10 +100,9 @@ class CompiledGroup:
     Every distinct n-gram (n in [ngram_min, ngram_max]) and transition of
     the words gets an integer id. Word ``i`` keeps the ids of its n-grams
     (in ``word_ngrams`` order) in ``word_grams[i]``, of its transitions in
-    ``word_trans[i]``, and its CV pattern in ``cv[i]``. ``rows`` are the
-    words the group stands for: all of them, or those picked by
-    ``subset``, which shares the id tables so that statistics of any
-    subset index the same ids.
+    ``word_trans[i]``, and its CV pattern in ``cv[i]``. A group is built
+    once per word list and never copied: statistics of any reference rows
+    index the same ids.
 
     Ids are kept in arrays and the n-gram tuples are dropped after
     interning (``gram_tuples`` rebuilds them): a tuple and an int object
@@ -120,7 +118,6 @@ class CompiledGroup:
     ):
         self.words = [tuple(w) for w in words]
         self.ngram_min, self.ngram_max = ngram_min, ngram_max
-        self.rows: Sequence[int] = range(len(self.words))
         gram_ids: dict[tuple[str, ...], int] = {}
         trans_ids: dict[tuple[str, str], int] = {}
         self.word_grams = [
@@ -146,16 +143,10 @@ class CompiledGroup:
                 grams[g] = w[i : i + n]
         return grams
 
-    def subset(self, rows: Sequence[int]) -> "CompiledGroup":
-        """The same compiled words, standing for ``rows`` only."""
-        view = copy.copy(self)
-        view.rows = rows
-        return view
-
 
 @dataclass(frozen=True, eq=False)
 class VocabStatistics:
-    """Distributional statistics of a reference word set.
+    """Distributional statistics of the reference ``rows`` of ``group``.
 
     ``ngram_counts``, ``ngram_probs`` and ``trans_probs`` are indexed by
     the ids of ``group``; ids absent from the reference count 0 and have
@@ -165,12 +156,12 @@ class VocabStatistics:
     """
 
     group: CompiledGroup
+    rows: Sequence[int]
     ngram_counts: Sequence[int]
     ngram_probs: Sequence[float]
     trans_probs: Sequence[float]
     length_mean: float
     length_std: float
-    word_count: int
 
     @cached_property
     def ngram_prob(self) -> Mapping[tuple[str, ...], float]:
@@ -186,27 +177,28 @@ class VocabStatistics:
     def cv_templates(self) -> frozenset[str]:
         cvs = self.group.cv
         return frozenset(
-            cvs[r][i : i + 3] for r in self.group.rows for i in range(len(cvs[r]) - 2)
+            cvs[r][i : i + 3] for r in self.rows for i in range(len(cvs[r]) - 2)
         )
 
     @cached_property
     def symbol_freq(self) -> Mapping[str, float]:
         words = self.group.words
-        symbol_count = Counter(chain.from_iterable(words[r] for r in self.group.rows))
+        symbol_count = Counter(chain.from_iterable(words[r] for r in self.rows))
         total = sum(symbol_count.values())
         return {s: c / total for s, c in symbol_count.items()}
 
 
-def build_statistics(group: CompiledGroup) -> VocabStatistics:
-    """Count n-grams, transitions, and lengths over the rows of ``group``.
+def build_statistics(group: CompiledGroup, rows: Sequence[int] | None = None) -> VocabStatistics:
+    """Count n-grams, transitions, and lengths over the words ``rows`` of ``group``.
 
-    The n-gram range is the group's, fixed when it was compiled. N-gram probabilities are normalized within each n-gram
-    length, so for every n the probabilities of the observed n-grams of
-    that length sum to 1. The length standard deviation is
+    ``None`` counts every word. The n-gram range is the group's, fixed
+    when it was compiled. N-gram probabilities are normalized within each
+    n-gram length, so for every n the probabilities of the observed
+    n-grams of that length sum to 1. The length standard deviation is
     population-based and replaced by 1 when fewer than two words are
     available or the variance is zero.
     """
-    rows = group.rows
+    rows = range(len(group.words)) if rows is None else rows
     if not rows:
         raise EmptyReferenceError("reference word set is empty")
 
@@ -239,12 +231,12 @@ def build_statistics(group: CompiledGroup) -> VocabStatistics:
 
     return VocabStatistics(
         group=group,
+        rows=rows,
         ngram_counts=ngram_counts,
         ngram_probs=ngram_probs,
         trans_probs=trans_probs,
         length_mean=mean,
         length_std=std,
-        word_count=len(lengths),
     )
 
 
@@ -261,28 +253,26 @@ def _count_ids(word_ids: Sequence[Sequence[int]], rows: Iterable[int], size: int
 
 def _rarity_entropy(
     word_ids: Sequence[Sequence[int]],
-    rows: Sequence[int],
     probs: Sequence[float],
     eps1: float,
     eps2: float,
     c1: float,
     c2: float,
 ) -> tuple[list[float], list[float]]:
-    """Rarity and entropy columns of ``rows``, whose ids are ``word_ids[r]``.
+    """Rarity and entropy columns of the words whose ids are ``word_ids``.
 
-    One loop per row reads each id's probability p once. The rarity is
+    One loop per word reads each id's probability p once. The rarity is
     the mean two-tier penalty: p adds c1*(eps1-p) when p < eps1, else
     c2*(eps2-p) when p < eps2, else nothing. The entropy is -sum p log2 p
-    (0 log 0 = 0). A row without ids scores 0 on both. The columns are
+    (0 log 0 = 0). A word without ids scores 0 on both. The columns are
     allocated at their final size, not grown by appends, whose
     reallocations leave freed buffers in the heap and raise a run's peak
     RSS.
     """
-    rarity = [0.0] * len(rows)
-    entropy = [0.0] * len(rows)
+    rarity = [0.0] * len(word_ids)
+    entropy = [0.0] * len(word_ids)
     log2 = math.log2
-    for k, r in enumerate(rows):
-        ids = word_ids[r]
+    for k, ids in enumerate(word_ids):
         total = h = 0.0
         for i in ids:
             p = probs[i]
@@ -341,56 +331,51 @@ def feature_names(mode: str) -> tuple[str, ...]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def extract_all(
-    group: CompiledGroup, stats: VocabStatistics, cfg: RunConfig
-) -> dict[str, list[float]]:
-    """Feature columns of the rows of ``group`` against ``stats``.
+def extract_all(stats: VocabStatistics, cfg: RunConfig) -> dict[str, list[float]]:
+    """Feature columns of every word of ``stats.group`` against ``stats``.
 
     One column per feature of ``cfg.mode``, in ``feature_names`` order,
-    each holding one value per row. ``group`` must share the id tables of
-    ``stats.group`` (the same compiled words, any rows) and be compiled
-    for ``cfg``'s n-gram range. Each block (n-grams, transitions) is one
-    ``_rarity_entropy`` pass over the rows' ids, which reads each
+    each holding one value per word of the group. The group must be
+    compiled for ``cfg``'s n-gram range. Each block (n-grams, transitions)
+    is one ``_rarity_entropy`` pass over the words' ids, which reads each
     probability once by id; ``avg_trans_prob`` is ``sum()`` over the
     word's transition probabilities in id order, as from Python 3.12 on
     ``sum()`` is compensated and a running total would change its bits.
     Words of length 1 have no n-grams or transitions; their sequence
     features are 0.
     """
-    if group.word_grams is not stats.group.word_grams:
-        raise ValueError("group does not share the id tables of the statistics")
+    group = stats.group
     if (group.ngram_min, group.ngram_max) != (cfg.ngram_min, cfg.ngram_max):
         raise ValueError(
             f"group compiled for n-grams {group.ngram_min}..{group.ngram_max}, "
             f"asked for {cfg.ngram_min}..{cfg.ngram_max}"
         )
     names = feature_names(cfg.mode)
-    rows, words = group.rows, group.words
+    words = group.words
     columns: dict[str, list[float]] = {}
     if "rare_ngram_score" in names:
         columns["rare_ngram_score"], columns["ngram_entropy"] = _rarity_entropy(
-            group.word_grams, rows, stats.ngram_probs,
+            group.word_grams, stats.ngram_probs,
             cfg.rare_ngram_eps1, cfg.rare_ngram_eps2, cfg.rare_ngram_c1, cfg.rare_ngram_c2,
         )
     if "rare_transition_score" in names:
         trans_p = stats.trans_probs
         columns["rare_transition_score"], columns["trans_entropy"] = _rarity_entropy(
-            group.word_trans, rows, trans_p,
+            group.word_trans, trans_p,
             cfg.rare_trans_eps1, cfg.rare_trans_eps2, cfg.rare_trans_c1, cfg.rare_trans_c2,
         )
         columns["avg_trans_prob"] = [
             sum(map(trans_p.__getitem__, ids)) / len(ids) if ids else 0.0
-            for ids in map(group.word_trans.__getitem__, rows)
+            for ids in group.word_trans
         ]
     mean, std = stats.length_mean, stats.length_std
-    columns["len_z"] = [(len(words[r]) - mean) / std for r in rows]
+    columns["len_z"] = [(len(w) - mean) / std for w in words]
     if cfg.mode == "aug":
         templates, freq = stats.cv_templates, stats.symbol_freq
-        cvs = [group.cv[r] for r in rows]
-        columns["cv_anomaly"] = [_cv_anomaly(cv, templates) for cv in cvs]
+        columns["cv_anomaly"] = [_cv_anomaly(cv, templates) for cv in group.cv]
         columns["char_dist_anomaly"] = [
-            _char_dist(words[r], [freq.get(s, 0.0) for s in words[r]]) for r in rows
+            _char_dist(w, [freq.get(s, 0.0) for s in w]) for w in words
         ]
-        columns["cluster_score"] = list(map(_cluster, cvs))
-        columns["vowel_ratio"] = list(map(_vowel_ratio, cvs))
+        columns["cluster_score"] = list(map(_cluster, group.cv))
+        columns["vowel_ratio"] = list(map(_vowel_ratio, group.cv))
     return columns

@@ -1,10 +1,11 @@
 """Iterative self-training loop: rescore against native candidates until stable.
 
 ``detect`` runs every pass in one loop over ``range(max_iterations)``.
-Pass ``t`` builds statistics from its reference rows: the whole group at
-pass 0, the previous pass's native candidates (averaged probability
-below ``tau``) after that, or the whole group again, with a warning,
-when every word is a loan. It rescores all words, applies pattern-based
+Pass ``t``'s reference is a list of row indices into the group: every
+row at pass 0, the previous pass's native candidates (averaged
+probability below ``tau``) after that, or every row again, with a
+warning, when every word is a loan. It builds statistics from those
+rows, rescores all words against them, applies pattern-based
 probability refinement from pass ``pattern_from_iteration`` on (it reads
 only whether a word's anomaly mask from ``score_all`` is set), averages
 each word's probabilities over all passes so far and thresholds the
@@ -13,20 +14,22 @@ changes by less than ``convergence_fraction`` of its previous size.
 Each pass leaves one ``IterationSnapshot``; that list is the loop's one
 record, and the final ``DetectionState`` values are the last snapshot's.
 
-What never changes between passes is computed once per language group:
-the n-gram and transition ids (``features.CompiledGroup``) and every
-word's surface patterns (``PatternIndex``: 2-symbol prefix, 2-symbol
-suffix and trigrams, interned to ids of their own, with their counts over
-the whole group). A pass counts the pattern ids of the native rows only;
-the loans are the rest of the group, so a pattern's loan count is its
-full count minus its native count and is never built. Pattern likeness
-comes back as one column per pass.
+What never changes between passes is computed once per language group
+and never copied: the n-gram and transition ids
+(``features.CompiledGroup``) and every word's surface patterns
+(``PatternIndex``: 2-symbol prefix, 2-symbol suffix and trigrams,
+interned to ids of their own, with their counts over the whole group).
+A pass counts the pattern ids of the native rows only; the loans are the
+rest of the group, so a pattern's loan count is its full count minus its
+native count and is never built. Pattern likeness comes back as one
+column per pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -182,19 +185,21 @@ def detect(
     state = DetectionState()
 
     for t in range(cfg.max_iterations):
-        reference = group
+        reference: Sequence[int] = range(len(words))
         if t:
             native_rows = [i for i in range(len(words)) if i not in state.loans]
             if native_rows:
-                reference = group.subset(native_rows)
+                reference = native_rows
             else:
                 state.warnings.append(
                     f"iteration {t}: all words classified as borrowed; "
                     "falling back to full-vocabulary statistics"
                 )
                 log.warning("[%s] %s", vocab.language, state.warnings[-1])
-        columns = extract_all(group, build_statistics(reference), cfg)
-        probs, masks = score_all(columns, pos_tags, cfg)
+        # the feature columns are freed as soon as they are scored
+        probs, masks = score_all(
+            extract_all(build_statistics(group, reference), cfg), pos_tags, cfg
+        )
         if patterns is not None and t >= cfg.pattern_from_iteration:
             # pattern_from_iteration >= 1, so native_rows is this pass's; the
             # loans are the rest of the group: their counts are never built
@@ -240,25 +245,28 @@ def detect_wordlist(
 
     Monolingual wordlists run as a single group. Returns the final
     averaged probability and binary label per entry, plus the per-language
-    detection states.
+    detection states. With several languages, each one's trace goes
+    beside ``trace_path`` as ``<stem>.<language><suffix>``; every such
+    path is checked before the first group runs.
     """
     cfg = cfg or RunConfig()
     groups: dict[str, list[int]] = {}
     for i, entry in enumerate(vocab):
         groups.setdefault(entry.language, []).append(i)
+    base = None if trace_path is None else Path(trace_path)
+    traces = dict.fromkeys(groups, base)
+    if base is not None and len(groups) > 1:
+        for lang in groups:
+            if any(sep and sep in lang for sep in ("/", os.sep, os.altsep, "\0")):
+                raise WordlistError(f"language {lang!r} cannot be part of a trace file name")
+            traces[lang] = base.with_name(f"{base.stem}.{lang}{base.suffix}")
     probabilities = [0.0] * len(vocab)
     labels = [0] * len(vocab)
     states: dict[str, DetectionState] = {}
     for lang in sorted(groups):
         indices = groups[lang]
         sub = make_wordlist([vocab.entries[i] for i in indices])
-        trace = None
-        if trace_path is not None:
-            base = Path(trace_path)
-            trace = base if len(groups) == 1 else base.with_name(
-                f"{base.stem}.{lang}{base.suffix}"
-            )
-        state = states[lang] = detect(sub, cfg, trace_path=trace)
+        state = states[lang] = detect(sub, cfg, trace_path=traces[lang])
         averaged, loans = state.averaged, state.loans
         for local, global_i in enumerate(indices):
             probabilities[global_i] = averaged[local]

@@ -112,9 +112,6 @@ class Wordlist:
     def __iter__(self):
         return iter(self.entries)
 
-    def words(self) -> list[tuple[str, ...]]:
-        return [e.ipa for e in self.entries]
-
 
 def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
     """Wrap entries in a Wordlist, deriving the language tag."""

@@ -148,10 +148,11 @@ def extract_against(reference, words, cfg=None):
 
     The reference and the probed words are compiled as one group, and the
     probed rows read the reference rows' probabilities by id: an n-gram or
-    transition the reference lacks reads 0.
+    transition the reference lacks reads 0. The probed rows are sliced out
+    of the group's full columns.
     """
     cfg = cfg or RunConfig()
     reference, words = list(reference), list(words)
     group = CompiledGroup(reference + words, cfg.ngram_min, cfg.ngram_max)
-    stats = build_statistics(group.subset(range(len(reference))))
-    return extract_all(group.subset(range(len(reference), len(group.words))), stats, cfg)
+    columns = extract_all(build_statistics(group, range(len(reference))), cfg)
+    return {name: column[len(reference) :] for name, column in columns.items()}

@@ -495,10 +495,10 @@ def bf_detect(vocab, cfg):
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
 
     def rescore(reference):
-        return score_all(extract_all(group, build_statistics(reference), cfg), pos_tags, cfg)
+        return score_all(extract_all(build_statistics(group, reference), cfg), pos_tags, cfg)
 
     # pass 0: statistics from the full vocabulary
-    probs, _ = rescore(group)
+    probs, _ = rescore(range(n))
     history = [[p] for p in probs]
     loans = {i for i in range(n) if history[i][0] >= cfg.tau}
     passes = [(tuple(h[0] for h in history), tuple(h[0] for h in history), frozenset(loans))]
@@ -506,7 +506,7 @@ def bf_detect(vocab, cfg):
     t = 1
     while t < cfg.max_iterations and not converged:
         natives = [i for i in range(n) if i not in loans]
-        reference = group.subset(natives) if natives else group
+        reference = natives if natives else range(n)
         probs, masks = rescore(reference)
         if cfg.pattern_refinement and t >= cfg.pattern_from_iteration:
             native_words = [words[i] for i in natives]

@@ -171,6 +171,7 @@ def test_non_finite_setting_exit_code(vocab_file, tmp_path):
         ["context_smoothing=1e308"],
         ["composite_w1=1e308", "composite_w2=1e308"],
         ["rare_ngram_c1=1.7e308", "rare_ngram_eps1=0.9", "rare_ngram_eps2=0.95"],
+        ["weight_rare_ngram_scor=5"],
     ],
 )
 @pytest.mark.parametrize("command", ["detect", "detect-xl"])
@@ -298,6 +299,23 @@ def test_detect_trace_flag(vocab_file, tmp_path):
     assert code == 0
     assert trace.exists()
     assert trace.read_text(encoding="utf-8").startswith("iteration\tword")
+
+
+def test_detect_trace_rejects_language_unfit_for_a_file_name(vocab_file, tmp_path, capsys):
+    entries = load_wordlist(vocab_file).entries
+    mixed = make_wordlist(
+        [replace(e, language="de" if i % 2 else "en/gb") for i, e in enumerate(entries)]
+    )
+    source = tmp_path / "v.tsv"
+    write_wordlist(mixed, source)
+    report, trace = tmp_path / "r.tsv", tmp_path / "tr.tsv"
+    argv = ["detect", "--input", str(source), "--output", str(report)]
+    assert main(argv + ["--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "en/gb" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.tsv", "words.tsv"]
+    assert main(argv) == 0
+    assert report.exists()
 
 
 def test_synth_deterministic_files(tmp_path):

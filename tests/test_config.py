@@ -237,6 +237,24 @@ def test_with_overrides_rejects_unknown_key():
         RunConfig().with_overrides({"pattern_refinement": "maybe"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weight_rare_ngram_scor", "5"),
+        ("polarity_avg_trans_pro", "1"),
+        ("pos_weight_nounn", "0.5"),
+        ("anomaly_threshold_lenz", "0.1"),
+    ],
+)
+def test_misspelt_map_key_rejected(key, value, tmp_path):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        RunConfig().with_overrides({key: value})
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        load_config(path)
+
+
 def test_dump_parse_roundtrip():
     cfg = RunConfig().with_overrides({"tau": "0.37", "weight_len_z": "0.02"})
     values = parse_config_text(cfg.dump())

@@ -39,12 +39,12 @@ def feature(reference, word, name, cfg=None):
 
 def rarity(probs, eps1, eps2, c1, c2):
     """The rarity ``_rarity_entropy`` gives one word whose ids read ``probs`` in order."""
-    return _rarity_entropy([range(len(probs))], [0], probs, eps1, eps2, c1, c2)[0][0]
+    return _rarity_entropy([range(len(probs))], probs, eps1, eps2, c1, c2)[0][0]
 
 
 def entropy(probs):
     """The entropy ``_rarity_entropy`` gives one word whose ids read ``probs`` in order."""
-    return _rarity_entropy([range(len(probs))], [0], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
+    return _rarity_entropy([range(len(probs))], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
 
 
 def ngram_count(stats):
@@ -280,10 +280,10 @@ def test_extract_all_equals_per_word_references(case):
     # words outside the reference rows read probability 0 for many of their ids
     cfg, words, reference, probed = case
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
-    stats = build_statistics(group.subset(reference))
-    columns = extract_all(group.subset(probed), stats, cfg)
+    stats = build_statistics(group, reference)
+    columns = extract_all(stats, cfg)
     assert list(columns) == list(feature_names(cfg.mode))
-    for k, r in enumerate(probed):
+    for r in probed:
         grams = [stats.ngram_probs[g] for g in group.word_grams[r]]
         trans = [stats.trans_probs[t] for t in group.word_trans[r]]
         expected = {
@@ -302,7 +302,7 @@ def test_extract_all_equals_per_word_references(case):
         }
         for name, value in expected.items():
             if name in columns:
-                assert columns[name][k] == value, name
+                assert columns[name][r] == value, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,7 +313,9 @@ def test_rarity_entropy_equals_per_word_references(data):
     ids = st.lists(st.integers(0, len(probs) - 1), max_size=12) if probs else st.just([])
     word_ids = [array("i", r) for r in data.draw(st.lists(ids, min_size=1, max_size=6))]
     rows = data.draw(st.lists(st.integers(0, len(word_ids) - 1), max_size=8))
-    rarities, entropies = _rarity_entropy(word_ids, rows, probs, eps1, eps2, c1, c2)
+    rarities, entropies = _rarity_entropy(
+        [word_ids[r] for r in rows], probs, eps1, eps2, c1, c2
+    )
     expected = [[probs[i] for i in word_ids[r]] for r in rows]
     assert rarities == [oracles.bf_rarity(p, eps1, eps2, c1, c2) for p in expected]
     assert entropies == [oracles.bf_entropy(p) for p in expected]
@@ -373,8 +375,8 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
         group = CompiledGroup(vocab)
         rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
         reference = [vocab[i] for i in rows]
-        stats = build_statistics(group.subset(rows))
-        assert stats.word_count == len(rows)
+        stats = build_statistics(group, rows)
+        assert len(stats.rows) == len(rows)
         assert ngram_count(stats) == oracles.bf_ngram_counts(reference)
         assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference)
         assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
@@ -395,11 +397,11 @@ def test_compiled_extract_all_matches_bruteforce_features():
         group = CompiledGroup(vocab)
         rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
         reference = [vocab[i] for i in rows]
-        stats = build_statistics(group.subset(rows))
+        stats = build_statistics(group, rows)
         probs = oracles.bf_ngram_probs(reference)
         trans = oracles.bf_transition_probs(reference)
         mean, std = oracles.bf_length_stats(reference)
-        columns = extract_all(group, stats, cfg)
+        columns = extract_all(stats, cfg)
         assert columns == extract_against(reference, vocab, cfg)
         assert list(columns) == list(feature_names("aug"))
         assert all(len(column) == len(vocab) for column in columns.values())
@@ -438,7 +440,4 @@ def test_compiled_group_rejects_other_ngram_range():
     group = CompiledGroup([("a", "b", "c")])
     stats = build_statistics(group)
     with pytest.raises(ValueError):
-        extract_all(group, stats, RunConfig(ngram_max=3))
-    # the same words compiled again do not share the id tables of the statistics
-    with pytest.raises(ValueError):
-        extract_all(CompiledGroup([("a", "b", "c")]), stats, RunConfig())
+        extract_all(stats, RunConfig(ngram_max=3))

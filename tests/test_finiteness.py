@@ -4,11 +4,13 @@ A Hypothesis property draws every field from inside the range that
 ``validate`` accepts, in all four modes, runs ``detect`` and ``detect-xl``
 on small generated wordlists, and requires every written probability,
 comparability, composite and threshold to be finite and in [0, 1] and every
-label to be 0 or 1. ``gamma``, the anomaly boosts and the composite weights
-are drawn up to the float maximum, and ``context_smoothing`` and the four
-rarity constants ``rare_*_c*`` up to their ``validate`` bound; the other
-fields that are only bounded on one side are drawn up to a cap a few
-orders of magnitude beyond their defaults.
+label to be 0 or 1. Every float field without a tighter ``validate``
+bound is drawn over the whole float range its sign allows: ``gamma``, the
+anomaly boosts, the composite weights, ``pattern_up_factor`` and
+``pattern_smoothing`` up to the float maximum, and the weights,
+``center``, the anomaly thresholds and ``gap_penalty`` over ±the float
+maximum. ``context_smoothing`` and the four rarity constants
+``rare_*_c*`` are drawn up to their ``validate`` bound.
 """
 
 import math
@@ -38,6 +40,9 @@ OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 FLOAT_MAX = sys.float_info.max
 
 
+FINITE = st.floats(-FLOAT_MAX, FLOAT_MAX)
+
+
 def positive(cap):
     return st.floats(0.0, cap, exclude_min=True)
 
@@ -50,11 +55,11 @@ def per_feature(values):
 def weights(draw, mode):
     if mode == "full":
         # validate requires rare_ngram >= rare_transition >= ... >= len_z > 0
-        core = sorted(draw(st.lists(positive(100.0), min_size=6, max_size=6)), reverse=True)
+        core = sorted(draw(st.lists(positive(FLOAT_MAX), min_size=6, max_size=6)), reverse=True)
         out = dict(zip(_WEIGHT_ORDER, core))
-        out.update({name: draw(st.floats(-100.0, 100.0)) for name in SEGMENTAL_FEATURES})
+        out.update({name: draw(FINITE) for name in SEGMENTAL_FEATURES})
         return out
-    return draw(per_feature(st.floats(-100.0, 100.0)))
+    return draw(per_feature(FINITE))
 
 
 @st.composite
@@ -84,8 +89,8 @@ def accepted_configs(draw):
         )),
         polarity=draw(per_feature(st.sampled_from([-1, 1]))),
         gamma=draw(positive(FLOAT_MAX)),
-        center=draw(st.floats(-100.0, 100.0)),
-        anomaly_thresholds=draw(per_feature(st.floats(-100.0, 100.0))),
+        center=draw(FINITE),
+        anomaly_thresholds=draw(per_feature(FINITE)),
         anomaly_boosts=draw(per_feature(st.floats(0.0, FLOAT_MAX))),
         tau=draw(OPEN_UNIT),
         max_iterations=draw(st.integers(1, 4)),
@@ -95,9 +100,9 @@ def accepted_configs(draw):
         pattern_high_cut=draw(UNIT),
         pattern_low_cut=draw(UNIT),
         pattern_down_factor=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        pattern_up_factor=draw(positive(1e3)),
-        pattern_smoothing=draw(positive(1e3)),
-        gap_penalty=draw(st.floats(-100.0, 100.0)),
+        pattern_up_factor=draw(positive(FLOAT_MAX)),
+        pattern_smoothing=draw(positive(FLOAT_MAX)),
+        gap_penalty=draw(FINITE),
         divergence_lambda=draw(UNIT),
         composite_w1=draw(positive(FLOAT_MAX)),
         composite_w2=draw(positive(FLOAT_MAX)),
