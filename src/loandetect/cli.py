@@ -8,9 +8,12 @@ Configuration resolves defaults -> --config file -> CLI flags;
 same name and ``--set`` any key. The fully resolved configuration is
 echoed into every report header, and ``--print-config`` dumps the same
 keys in config-file format and exits; ``main`` resolves the
-configuration once and hands it to the subcommand. Exit
-codes: 0 success, 1 input/validation error (an unreadable or unwritable
-path the user named included), 2 internal error.
+configuration once and hands it to the subcommand. Before any work,
+each subcommand refuses a path it would write that it also reads (the
+input, the config file, the grammars) or writes twice (the output and
+``detect``'s per-language traces). Exit codes: 0 success, 1
+input/validation error (an unreadable or unwritable path the user named
+and a path clash included), 2 internal error.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .evaluation import (
     run_proportion_experiment,
 )
 from .features import MODES
-from .refiner import detect_wordlist
+from .refiner import detect_wordlist, trace_paths
 from .wordlist import (
     Wordlist,
     WordlistError,
@@ -119,9 +122,35 @@ def _require_output(args: argparse.Namespace) -> Path:
     return Path(args.output)
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    if a.resolve() == b.resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return False
+
+
+def _check_paths(args: argparse.Namespace, writes: list[Path]) -> None:
+    """Raise ``WordlistError`` when a path in ``writes`` is a file the
+    command reads or another path in ``writes``."""
+    reads = [
+        Path(path)
+        for path in (getattr(args, name, None) for name in _READ_FLAGS)
+        if path
+    ]
+    for i, path in enumerate(writes):
+        if any(_same_file(path, read) for read in reads):
+            raise WordlistError(f"{path} is both read and written")
+        if any(_same_file(path, other) for other in writes[:i]):
+            raise WordlistError(f"{path} would be written twice")
+
+
 def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
+    traces = trace_paths((e.language for e in vocab), args.trace)
+    _check_paths(args, [output, *filter(None, traces.values())])
     if cfg.model == "uns":
         if args.trace:
             raise ConfigError("--trace needs the autbor model: the uns model has no passes")
@@ -134,8 +163,9 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
-    vocab = _load_input(args)
     output = _require_output(args)
+    _check_paths(args, [output])
+    vocab = _load_input(args)
     result = crossling.detect_scaled(vocab, cfg)
     write_scaled_report(
         vocab,
@@ -155,6 +185,7 @@ def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not args.input:
         raise WordlistError("--input is required")
+    _check_paths(args, [Path(args.output)] if args.output else [])
     rows = read_report(args.input)
     if not rows:
         raise WordlistError("report is empty")
@@ -176,8 +207,9 @@ def _write_eval_tsv(report: EvalReport, path: Path) -> None:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    vocab = _load_input(args)
     output = _require_output(args)
+    _check_paths(args, [output])
+    vocab = _load_input(args)
     reports = run_ablations(vocab, cfg)
     evaluation.write_mode_table(reports, output)
     for mode, report in reports.items():
@@ -187,8 +219,9 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
-    vocab = _load_input(args)
     output = _require_output(args)
+    _check_paths(args, [output])
+    vocab = _load_input(args)
     try:
         proportions = [float(p) for p in args.proportions.split(",")]
     except ValueError:
@@ -203,6 +236,7 @@ def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     output = _require_output(args)
+    _check_paths(args, [output])
     native = load_grammar(args.native_grammar)
     donor = load_grammar(args.donor_grammar)
     if args.multilingual:
@@ -278,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     return parser
 
+
+# the flags naming files a command reads
+_READ_FLAGS = ("input", "config", "native_grammar", "donor_grammar")
 
 # commands whose detection is refiner.detect_wordlist, whatever the model key says
 _AUTBOR_ONLY = ("detect-xl", "ablate", "experiment")

@@ -12,14 +12,18 @@ per-word threshold decides the label. ``detect_scaled`` alone decides
 which words get this evidence: those whose concept spans two or more
 languages; every other word keeps its basic classification.
 
-Each unordered word pair of a concept is aligned once, while the context
-model is counted. Every column is interned to an int key (its context id
+Each distinct unordered word pair of a concept is aligned once, while
+the context model is counted; a pair that occurs again in the concept (a
+word two languages share) counts the columns of its first alignment
+again. That memo is kept per concept, so it never grows past one
+concept's pairs. Every column is interned to an int key (its context id
 and the id of its unordered symbol pair), and the model keeps per pair
 only its mean feature distance and its column keys. After counting, one
 table of per-key log-probabilities replaces the interning tables, and
 comparability sums a pair's log-probability from that table in column
 order. The aligner tables the column scores of a pair before its DP, from
-symbol distances memoised by symbol pair (``ipa.symbol_distance``).
+symbol distances memoised by symbol pair (``ipa.symbol_distance``), and
+fills each DP cell with plain comparisons.
 """
 
 from __future__ import annotations
@@ -83,18 +87,22 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
         if a not in rows:
             rows[a] = [1.0 - symbol_distance(a, b) for b in y]
     sub = [rows[a] for a in x]
-    score = [[0.0] * (m + 1) for _ in range(n + 1)]
+    # each cell takes the first best of match, gap on a-track, gap on b-track
+    score = [[0.0] + [-gap_penalty * j for j in range(1, m + 1)]]
     for i in range(1, n + 1):
-        score[i][0] = -gap_penalty * i
-    for j in range(1, m + 1):
-        score[0][j] = -gap_penalty * j
-    for i in range(1, n + 1):
-        prev, cur, sub_row = score[i - 1], score[i], sub[i - 1]
-        for j in range(1, m + 1):
-            match = prev[j - 1] + sub_row[j - 1]
-            gap_a = cur[j - 1] - gap_penalty  # consume y, gap on a-track
-            gap_b = prev[j] - gap_penalty  # consume x, gap on b-track
-            cur[j] = max(match, gap_a, gap_b)
+        left = -gap_penalty * i
+        cur = [left]
+        for diag, up, s in zip(score[-1], score[-1][1:], sub[i - 1]):
+            best = diag + s
+            gap = left - gap_penalty  # consume y, gap on a-track
+            if gap > best:
+                best = gap
+            gap = up - gap_penalty  # consume x, gap on b-track
+            if gap > best:
+                best = gap
+            cur.append(best)
+            left = best
+        score.append(cur)
 
     columns: list[tuple[str, str]] = []
     i, j = n, m
@@ -159,11 +167,14 @@ def build_context_model(
     concepts: Mapping[str, Sequence[Word]],
     cfg: RunConfig | None = None,
 ) -> ContextModel:
-    """Align every unordered word pair within every concept once and tally columns.
+    """Align each distinct unordered word pair of each concept once and tally
+    the columns of every pair.
 
-    A column's key interns its context id and the id of its unordered
-    symbol pair; the interning tables are dropped once every pair is
-    counted, before the log-probability table is built.
+    A pair that repeats within its concept shares the row entry of its
+    first occurrence, and its columns are counted again. A column's key
+    interns its context id and the id of its unordered symbol pair; the
+    interning tables are dropped once every pair is counted, before the
+    log-probability table is built.
     """
     cfg = cfg or RunConfig()
     ctx_of: dict[Context, int] = {}
@@ -177,13 +188,22 @@ def build_context_model(
     rows: dict[str, list[list[tuple[float, array]]]] = {}
     for concept in sorted(concepts):
         words = [tuple(w) for w in concepts[concept]]
+        aligned: dict[tuple[Word, Word], tuple[float, array]] = {}  # sorted pair -> row entry
         concept_rows = []
         for i, x in enumerate(words):
             row = []
             for y in words[i + 1 :]:
-                first, second = sorted((x, y))
+                pair = (x, y) if x <= y else (y, x)
+                entry = aligned.get(pair)
+                if entry is not None:
+                    # a repeated pair: its columns count again, unaligned
+                    for key in entry[1]:
+                        counts[key] += 1
+                        marginals[key_ctx[key]] += 1
+                    row.append(entry)
+                    continue
                 ids = array("i")
-                for a, b, ctx in align(first, second, cfg.gap_penalty).pairs:
+                for a, b, ctx in align(*pair, cfg.gap_penalty).pairs:
                     c = ctx_of.get(ctx)
                     if c is None:
                         c = ctx_of[ctx] = len(marginals)
@@ -203,7 +223,8 @@ def build_context_model(
                     counts[key] += 1
                     ids.append(key)
                 d_feat = sum([pair_dist[key_pair[key]] for key in ids]) / len(ids)
-                row.append((d_feat, ids))
+                entry = aligned[pair] = (d_feat, ids)
+                row.append(entry)
             concept_rows.append(row)
         rows[concept] = concept_rows
     if not counts:

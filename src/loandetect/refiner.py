@@ -14,6 +14,16 @@ changes by less than ``convergence_fraction`` of its previous size.
 Each pass leaves one ``IterationSnapshot``; that list is the loop's one
 record, and the final ``DetectionState`` values are the last snapshot's.
 
+A pass whose reference rows and refinement flag (and, when it refines,
+native rows) are those of the last pass that computed takes that pass's
+probabilities unchanged: statistics, features, scores and pattern
+likeness would all come out the same. It still logs the all-loans
+warning when it falls back and still leaves its snapshot. From pass 2
+on, such a pass follows a pass whose loan set did not change, so under
+the default early stop (any ``convergence_fraction`` above 0), which
+ends the loop there, it never runs; only pass 1 can repeat pass 0, when
+pass 0 found no loan or only loans, and the loop then stops after it.
+
 What never changes between passes is computed once per language group
 and never copied: the n-gram and transition ids
 (``features.CompiledGroup``) and every word's surface patterns
@@ -183,38 +193,45 @@ def detect(
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
     patterns = PatternIndex(words) if cfg.pattern_refinement else None
     state = DetectionState()
+    every_row = list(range(len(words)))
+    # what the last computed pass read: its reference rows and, when it
+    # refined, its native rows; a pass that reads the same takes its probabilities
+    last_read = None
 
     for t in range(cfg.max_iterations):
-        reference: Sequence[int] = range(len(words))
+        native_rows = every_row
         if t:
-            native_rows = [i for i in range(len(words)) if i not in state.loans]
-            if native_rows:
-                reference = native_rows
-            else:
+            native_rows = [i for i in every_row if i not in state.loans]
+            if not native_rows:
                 state.warnings.append(
                     f"iteration {t}: all words classified as borrowed; "
                     "falling back to full-vocabulary statistics"
                 )
                 log.warning("[%s] %s", vocab.language, state.warnings[-1])
-        # the feature columns are freed as soon as they are scored
-        probs, masks = score_all(
-            extract_all(build_statistics(group, reference), cfg), pos_tags, cfg
-        )
-        if patterns is not None and t >= cfg.pattern_from_iteration:
-            # pattern_from_iteration >= 1, so native_rows is this pass's; the
-            # loans are the rest of the group: their counts are never built
-            native_counts = build_pattern_db(patterns, native_rows)
-            likeness = pattern_likeness(patterns, native_counts, cfg.pattern_smoothing)
-            probs = [
-                refine_probability(p, like, bool(mask), cfg)
-                for p, like, mask in zip(probs, likeness, masks)
-            ]
+        reference = native_rows or every_row
+        refine = patterns is not None and t >= cfg.pattern_from_iteration
+        read = (reference, native_rows if refine else None)
+        if read != last_read:
+            last_read = read
+            # the feature columns are freed as soon as they are scored
+            probs, masks = score_all(
+                extract_all(build_statistics(group, reference), cfg), pos_tags, cfg
+            )
+            if refine:
+                # the loans are the rest of the group: their counts are never built
+                native_counts = build_pattern_db(patterns, native_rows)
+                likeness = pattern_likeness(patterns, native_counts, cfg.pattern_smoothing)
+                probs = [
+                    refine_probability(p, like, bool(mask), cfg)
+                    for p, like, mask in zip(probs, likeness, masks)
+                ]
+            probs = tuple(probs)
         history = zip(*(s.probabilities for s in state.snapshots), probs)
         averaged = tuple(map(average_probabilities, history))
         loans = frozenset(i for i, p in enumerate(averaged) if p >= cfg.tau)
         if t:
             state.converged = check_convergence(state.loans, loans, cfg.convergence_fraction)
-        state.snapshots.append(IterationSnapshot(t, tuple(probs), averaged, loans))
+        state.snapshots.append(IterationSnapshot(t, probs, averaged, loans))
         log.info("iteration %d: |B|=%d, converged=%s", t, len(loans), state.converged)
         if state.converged:
             break
@@ -235,6 +252,26 @@ def _write_trace(vocab: Wordlist, state: DetectionState, path: str | Path) -> No
     write_tsv(path, lines)
 
 
+def trace_paths(
+    languages: Iterable[str], trace_path: str | Path | None
+) -> dict[str, Path | None]:
+    """Where ``detect_wordlist`` writes each language's trace.
+
+    One language writes to ``trace_path`` itself; with several, each one's
+    trace goes beside it as ``<stem>.<language><suffix>``, and a language
+    name that cannot be part of a file name raises ``WordlistError``.
+    """
+    languages = list(dict.fromkeys(languages))
+    base = None if trace_path is None else Path(trace_path)
+    traces = dict.fromkeys(languages, base)
+    if base is not None and len(languages) > 1:
+        for lang in languages:
+            if any(sep and sep in lang for sep in ("/", os.sep, os.altsep, "\0")):
+                raise WordlistError(f"language {lang!r} cannot be part of a trace file name")
+            traces[lang] = base.with_name(f"{base.stem}.{lang}{base.suffix}")
+    return traces
+
+
 def detect_wordlist(
     vocab: Wordlist,
     cfg: RunConfig | None = None,
@@ -245,21 +282,14 @@ def detect_wordlist(
 
     Monolingual wordlists run as a single group. Returns the final
     averaged probability and binary label per entry, plus the per-language
-    detection states. With several languages, each one's trace goes
-    beside ``trace_path`` as ``<stem>.<language><suffix>``; every such
-    path is checked before the first group runs.
+    detection states. Each language's trace goes where ``trace_paths``
+    puts it; every such path is checked before the first group runs.
     """
     cfg = cfg or RunConfig()
     groups: dict[str, list[int]] = {}
     for i, entry in enumerate(vocab):
         groups.setdefault(entry.language, []).append(i)
-    base = None if trace_path is None else Path(trace_path)
-    traces = dict.fromkeys(groups, base)
-    if base is not None and len(groups) > 1:
-        for lang in groups:
-            if any(sep and sep in lang for sep in ("/", os.sep, os.altsep, "\0")):
-                raise WordlistError(f"language {lang!r} cannot be part of a trace file name")
-            traces[lang] = base.with_name(f"{base.stem}.{lang}{base.suffix}")
+    traces = trace_paths(groups, trace_path)
     probabilities = [0.0] * len(vocab)
     labels = [0] * len(vocab)
     states: dict[str, DetectionState] = {}

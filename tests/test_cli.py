@@ -318,6 +318,59 @@ def test_detect_trace_rejects_language_unfit_for_a_file_name(vocab_file, tmp_pat
     assert report.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "detect-xl", "ablate", "experiment", "eval"])
+def test_output_over_an_input_is_refused(command, vocab_file, multi_file, tmp_path,
+                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    source = {"detect-xl": multi_file}.get(command, vocab_file)
+    extra = ["--seed", "5", "--proportions", "1.0"] if command == "experiment" else []
+    if command == "eval":
+        assert main(["detect", "--input", str(vocab_file), "--output", "r.tsv"]) == 0
+        source = tmp_path / "r.tsv"
+    config = tmp_path / "run.cfg"
+    config.write_text("tau = 0.3\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "link.tsv"
+    os.link(source, link)
+    before = {p: p.read_bytes() for p in (source, config)}
+    clashes = [
+        ["--input", source.name, "--output", f"sub/../{source.name}"],
+        ["--input", source.name, "--output", str(link)],  # a hard link: the same file
+    ]
+    if command != "eval":
+        clashes.append(["--input", source.name, "--output", str(config),
+                        "--config", str(config)])
+    for argv in clashes:
+        assert main([command, *argv, *extra]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "both read and written" in err
+        assert {p: p.read_bytes() for p in (source, config)} == before
+    assert main([command, "--input", source.name, "--output", "out.tsv", *extra]) == 0
+
+
+def test_report_over_a_language_trace_is_refused(vocab_file, tmp_path, capsys):
+    entries = load_wordlist(vocab_file).entries
+    mixed = make_wordlist(
+        [replace(e, language="de" if i % 2 else "en") for i, e in enumerate(entries)]
+    )
+    source = tmp_path / "v.tsv"
+    write_wordlist(mixed, source)
+    cases = [(source, "r.de.tsv", "r.tsv"), (source, "r.en.tsv", "r.tsv"),
+             (vocab_file, "r.tsv", "r.tsv")]  # the last has one language
+    for words, report, trace in cases:
+        argv = ["detect", "--input", str(words), "--output", str(tmp_path / report),
+                "--trace", str(tmp_path / trace)]
+        assert main(argv) == 1
+        assert "written twice" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.tsv", "words.tsv"]
+    argv = ["detect", "--input", str(source), "--output", str(tmp_path / "r.en.tsv"),
+            "--trace", str(tmp_path / "t.tsv")]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r.en.tsv", "t.de.tsv", "t.en.tsv", "v.tsv", "words.tsv"
+    ]
+
+
 def test_synth_deterministic_files(tmp_path):
     native, donor = grammar_files(tmp_path)
     out1, out2 = tmp_path / "fix1.tsv", tmp_path / "fix2.tsv"

@@ -517,15 +517,35 @@ def test_detect_scaled_aligns_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(crossling, "align", counting_align)
     vocab = generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3)
+    # a third language repeats both words of the first concept: that concept
+    # holds each of its words twice, and so every one of its pairs twice or more
+    first = [e for e in vocab if e.concept_id == vocab.entries[0].concept_id]
+    vocab = make_wordlist(list(vocab) + [replace(e, language="third") for e in first])
     detect_scaled(vocab, RunConfig())
 
     words: dict[str, list[tuple[str, ...]]] = {}
     for entry in vocab:
         words.setdefault(entry.concept_id, []).append(entry.ipa)
-    expected = Counter()
+    expected, occurrences = Counter(), 0
     for ws in words.values():
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                expected[tuple(sorted((ws[i], ws[j])))] += 1
-    assert sum(expected.values()) > 0
+        pairs = [
+            tuple(sorted((ws[i], ws[j]))) for i in range(len(ws)) for j in range(i + 1, len(ws))
+        ]
+        occurrences += len(pairs)
+        expected.update(set(pairs))
+    assert sum(expected.values()) < occurrences
     assert calls == expected
+
+
+def test_build_context_model_counts_a_repeated_pair_at_every_occurrence(monkeypatch):
+    calls = Counter()
+    real_align = crossling.align
+    monkeypatch.setattr(
+        crossling, "align", lambda x, y, *a: calls.update([(x, y)]) or real_align(x, y, *a)
+    )
+    ab, ac = ("a", "b"), ("a", "c")
+    concepts = {"c": [ac, ab, ab, ac], "d": [ab, ac]}
+    model = build_context_model(concepts)
+    # each distinct sorted pair is aligned once per concept
+    assert calls == {(ab, ac): 2, (ab, ab): 1, (ac, ac): 1}
+    assert_model_matches_oracle(model, concepts, oracles.bf_build_context_model(concepts))

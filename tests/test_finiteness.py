@@ -11,13 +11,21 @@ anomaly boosts, the composite weights, ``pattern_up_factor`` and
 ``center``, the anomaly thresholds and ``gap_penalty`` over ±the float
 maximum. ``context_smoothing`` and the four rarity constants
 ``rare_*_c*`` are drawn up to their ``validate`` bound.
+
+Every drawn config is one that ``validate`` accepts, so Hypothesis filters
+none. ``composite_w2`` is drawn up to the room that ``composite_w1`` leaves
+below the float maximum. One core weight of the mode, the pivot, is drawn
+positive (full mode's largest weight is the pivot); when the weights'
+sums cancel to 0 or below or overflow, every other weight that
+``validate`` sums is halved until it accepts them, which it does at the
+latest once they are too small to move the sums off the pivot.
 """
 
 import math
 import sys
 from functools import lru_cache
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loandetect.config import (
     _WEIGHT_ORDER,
@@ -28,7 +36,7 @@ from loandetect.config import (
 )
 from loandetect.crossling import detect_scaled
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
-from loandetect.features import MODES, SEGMENTAL_FEATURES
+from loandetect.features import CORE_FEATURES, MODES, SEGMENTAL_FEATURES, feature_names
 from loandetect.refiner import detect_wordlist
 from loandetect.scoring import ALL_FEATURES
 from loandetect.wordlist import POS_CATEGORIES
@@ -51,15 +59,38 @@ def per_feature(values):
     return st.fixed_dictionaries({name: values for name in ALL_FEATURES})
 
 
+def headroom(x):
+    """The largest positive float that adds to the positive float ``x`` without overflow."""
+    room = FLOAT_MAX - x
+    while not math.isfinite(x + room):
+        room = math.nextafter(room, 0.0)
+    return max(room, math.ulp(0.0))
+
+
 @st.composite
 def weights(draw, mode):
+    """Every feature's weight, and the pivot: a core weight of the mode drawn positive."""
     if mode == "full":
         # validate requires rare_ngram >= rare_transition >= ... >= len_z > 0
         core = sorted(draw(st.lists(positive(FLOAT_MAX), min_size=6, max_size=6)), reverse=True)
         out = dict(zip(_WEIGHT_ORDER, core))
         out.update({name: draw(FINITE) for name in SEGMENTAL_FEATURES})
-        return out
-    return draw(per_feature(FINITE))
+        return out, _WEIGHT_ORDER[0]
+    out = draw(per_feature(FINITE))
+    pivot = draw(st.sampled_from([n for n in feature_names(mode) if n in CORE_FEATURES]))
+    out[pivot] = draw(positive(FLOAT_MAX))
+    return out, pivot
+
+
+def halved(weights, mode, pivot):
+    """``weights`` with every weight that validate sums, but the pivot, halved;
+    full mode's stay positive."""
+    floor = math.ulp(0.0) if mode == "full" else 0.0
+    summed = set(feature_names(mode)) | set(CORE_FEATURES)
+    return {
+        name: max(w / 2, floor) if name in summed and name != pivot else w
+        for name, w in weights.items()
+    }
 
 
 @st.composite
@@ -70,6 +101,8 @@ def accepted_configs(draw):
     trans_eps = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))
     alpha = draw(UNIT)
     spread = min(alpha, 1.0 - alpha)
+    feature_weights, pivot = draw(weights(mode))
+    composite_w1 = draw(positive(FLOAT_MAX))
     fields = dict(
         mode=mode,
         seed=draw(st.integers(0, 2**31)),
@@ -83,7 +116,7 @@ def accepted_configs(draw):
         rare_ngram_c2=draw(st.floats(0.0, MAX_RARITY_C)),
         rare_trans_c1=draw(st.floats(0.0, MAX_RARITY_C)),
         rare_trans_c2=draw(st.floats(0.0, MAX_RARITY_C)),
-        weights=draw(weights(mode)),
+        weights=feature_weights,
         pos_weights=draw(st.fixed_dictionaries(
             {pos: st.floats(0.0, 1.0, exclude_min=True) for pos in POS_CATEGORIES}
         )),
@@ -104,19 +137,22 @@ def accepted_configs(draw):
         pattern_smoothing=draw(positive(FLOAT_MAX)),
         gap_penalty=draw(FINITE),
         divergence_lambda=draw(UNIT),
-        composite_w1=draw(positive(FLOAT_MAX)),
-        composite_w2=draw(positive(FLOAT_MAX)),
+        composite_w1=composite_w1,
+        composite_w2=draw(positive(headroom(composite_w1))),
         threshold_alpha=alpha,
         threshold_beta=draw(st.floats(-spread, spread)),
         context_smoothing=draw(positive(MAX_CONTEXT_SMOOTHING)),
         baseline_threshold=draw(UNIT),
     )
-    try:
-        return RunConfig(**fields)
-    except ConfigError:
-        # the mode's weights, or the core ones, sum to 0 or below, their
-        # rescale factor or the composite weights' sum overflows
-        assume(False)
+    # Only the weights can still be rejected: their sums cancel to 0 or below
+    # or overflow. Halving the others settles the sums on the positive pivot
+    # by the time they reach 0 (FLOAT_MAX is 2,098 halvings from it).
+    for _ in range(2100):
+        try:
+            return RunConfig(**fields)
+        except ConfigError:
+            fields["weights"] = halved(fields["weights"], mode, pivot)
+    return RunConfig(**fields)
 
 
 @lru_cache(maxsize=None)

@@ -6,12 +6,19 @@ of a ``generate_synthetic`` corpus in each mode, and the ``detect-xl``
 report of a ``generate_synthetic_multilingual`` corpus. Both run with
 ``convergence_fraction = 0``, so every pass runs. A change that alters
 behaviour on purpose updates these hashes and says so in CHANGES.md.
+
+``REPEATING`` pins a third pair of corpora on which passes repeat their
+reference rows: the ``detect`` corpus's pass 2 reads the same rows as
+pass 1 but is the first to refine by patterns, and later passes read the
+rows of the pass before them, so ``refiner.detect`` reuses their
+probabilities.
 """
 
 import hashlib
 
 import pytest
 
+from loandetect import refiner
 from loandetect.cli import main
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.wordlist import write_wordlist
@@ -37,6 +44,11 @@ DETECT = {  # mode: (report, trace)
     ),
 }
 DETECT_XL = "b10e9ddd18633a2999fc89a206177b99bd45ce8a324682f835798039c67d9d69"
+REPEATING = {
+    "report": "303239a3a0367267f7940929fac79252b8e7dc1266521ae1397d3a4ad9fa6aeb",
+    "trace": "bbb5bf33330568926dd5d4c96c6c4ecd860add88e556204bed582aa3485f26d3",
+    "scaled": "f7a7597fc0f4a8abec0be75692a38ae820e462fd3a5a0d4f1f44749cdffcceba",
+}
 
 
 def sha256(path):
@@ -69,3 +81,32 @@ def test_detect_xl_report_is_pinned(tmp_path):
     assert main(["detect-xl", "--input", str(words), "--output", str(report),
                  "--set", "convergence_fraction=0"]) == 0
     assert sha256(report) == DETECT_XL
+
+
+def test_reports_with_repeated_references_are_pinned(tmp_path, monkeypatch):
+    computed = []
+    build = refiner.build_statistics
+    monkeypatch.setattr(refiner, "build_statistics",
+                        lambda *a: computed.append(a[1]) or build(*a))
+    words, multi = tmp_path / "words.tsv", tmp_path / "multi.tsv"
+    write_wordlist(
+        generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 80, 20, seed=6, integration=0.5),
+        words,
+    )
+    write_wordlist(
+        generate_synthetic_multilingual(
+            NATIVE_GRAMMAR, DONOR_GRAMMAR, 40, 12, seed=6, integration=0.5
+        ),
+        multi,
+    )
+    report, trace, scaled = (tmp_path / name for name in ("r.tsv", "t.tsv", "s.tsv"))
+    assert main(["detect", "--input", str(words), "--output", str(report),
+                 "--trace", str(trace), "--set", "convergence_fraction=0"]) == 0
+    # passes 0, 1, 2 (same rows as pass 1, first to refine) and 3 compute
+    assert len(computed) == 4 and computed[1] == computed[2] != computed[3]
+    computed.clear()
+    assert main(["detect-xl", "--input", str(multi), "--output", str(scaled),
+                 "--set", "convergence_fraction=0"]) == 0
+    assert len(computed) < 14  # two languages of seven passes each
+    assert {name: sha256(path) for name, path in
+            [("report", report), ("trace", trace), ("scaled", scaled)]} == REPEATING

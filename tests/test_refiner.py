@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loandetect.config import RunConfig
 from loandetect.refiner import (
@@ -305,6 +305,10 @@ def mixed_vocab(seed, size):
     st.integers(1, 3),
     st.sampled_from([0.0001, 0.3, 0.6]),
 )
+# pass 2 reads the same rows as pass 1 and is the first to refine
+@example(75, 8, 4, 0.0, True, 2, 0.3)
+# every word borrowed: passes 1 and on fall back to every row, pass 1 refining
+@example(75, 8, 4, 0.0, True, 1, 0.0001)
 def test_detect_matches_bruteforce_loop(
     seed, size, max_iterations, fraction, refinement, from_iteration, tau
 ):
@@ -321,6 +325,59 @@ def test_detect_matches_bruteforce_loop(
     expected = oracles.bf_detect(vocab, cfg)
     assert [(s.probabilities, s.averaged, s.loans) for s in state.snapshots] == expected
     assert [s.iteration for s in state.snapshots] == list(range(len(expected)))
+
+
+def counting(monkeypatch, names):
+    """Count the calls ``refiner.detect`` makes to the refiner globals ``names``."""
+    from loandetect import refiner
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(refiner, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(refiner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("refinement", [False, True])
+def test_detect_computes_a_pass_only_when_it_reads_new_rows(monkeypatch, refinement):
+    calls = counting(monkeypatch, ("build_statistics", "extract_all", "score_all"))
+    vocab = mixed_vocab(46, 16)
+    cfg = RunConfig(convergence_fraction=0.0, pattern_refinement=refinement)
+    snaps = detect(vocab, cfg).snapshots
+    assert len(snaps) == cfg.max_iterations
+    assert snaps[-1].loans == snaps[-2].loans  # the loan set reached a fixed point
+    every = frozenset(range(len(vocab)))
+    # pass t reads the natives of pass t - 1, and refines from pattern_from_iteration on
+    reads = [(every, False)] + [
+        (every - s.loans, refinement and t >= cfg.pattern_from_iteration)
+        for t, s in enumerate(snaps[:-1], start=1)
+    ]
+    new = sum(read != before for before, read in zip([None] + reads, reads))
+    assert new < len(snaps)
+    assert calls == dict.fromkeys(calls, new)
+    expected = oracles.bf_detect(vocab, cfg)
+    assert [(s.probabilities, s.averaged, s.loans) for s in snaps] == expected
+
+
+def test_detect_fallback_warns_and_leaves_a_snapshot_on_every_pass(monkeypatch):
+    calls = counting(monkeypatch, ("build_statistics", "pattern_likeness"))
+    vocab = entries_from(TOY_NATIVES + TOY_LOANS)
+    cfg = RunConfig(tau=0.0001, convergence_fraction=0.0, pattern_from_iteration=2)
+    state = detect(vocab, cfg)
+    assert all(s.loans == set(range(len(vocab))) for s in state.snapshots)
+    assert len(state.snapshots) == cfg.max_iterations
+    assert [w.split(":")[0] for w in state.warnings] == [
+        f"iteration {t}" for t in range(1, cfg.max_iterations)
+    ]
+    # pass 0, then pass 2: the same rows, but the first to refine (against no natives)
+    assert calls == {"build_statistics": 2, "pattern_likeness": 1}
+    expected = oracles.bf_detect(vocab, cfg)
+    assert [(s.probabilities, s.averaged, s.loans) for s in state.snapshots] == expected
 
 
 def test_detect_state_is_its_last_snapshot():
