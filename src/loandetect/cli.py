@@ -11,9 +11,10 @@ keys in config-file format and exits; ``main`` resolves the
 configuration once and hands it to the subcommand. Before any work,
 each subcommand refuses a path it would write that it also reads (the
 input, the config file, the grammars) or writes twice (the output and
-``detect``'s per-language traces). Exit codes: 0 success, 1
-input/validation error (an unreadable or unwritable path the user named
-and a path clash included), 2 internal error.
+``detect``'s per-language traces). Each writes its file before it
+prints. Exit codes: 0 success, 1 input/validation error (an unreadable
+or unwritable path the user named, a path clash and a standard output
+closed early included), 2 internal error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pathlib import Path
 from . import baseline, crossling, evaluation
 from .config import MODELS, ConfigError, RunConfig, load_config
 from .evaluation import (
-    EvalReport,
     NoGoldLabelsError,
     format_report_block,
     generate_synthetic,
@@ -35,6 +35,7 @@ from .evaluation import (
     load_grammar,
     run_ablations,
     run_proportion_experiment,
+    write_metrics_table,
 )
 from .features import MODES
 from .refiner import detect_wordlist, trace_paths
@@ -45,6 +46,7 @@ from .wordlist import (
     read_report,
     write_report,
     write_scaled_report,
+    write_table,
     write_wordlist,
 )
 
@@ -194,16 +196,12 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         [r.gold_label for r in rows],
         [r.language for r in rows],
     )
-    block = format_report_block("OVERALL", report)
-    print(block)
     if args.output:
-        _write_eval_tsv(report, Path(args.output))
+        write_metrics_table(
+            "scope", [("overall", report), *report.per_language.items()], args.output
+        )
+    print(format_report_block("OVERALL", report))
     return EXIT_OK
-
-
-def _write_eval_tsv(report: EvalReport, path: Path) -> None:
-    rows = [("overall", report), *report.per_language.items()]
-    evaluation.write_metrics_table("scope", rows, path)
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -211,7 +209,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _check_paths(args, [output])
     vocab = _load_input(args)
     reports = run_ablations(vocab, cfg)
-    evaluation.write_mode_table(reports, output)
+    write_metrics_table("mode", reports.items(), output)
     for mode, report in reports.items():
         print(format_report_block(mode.upper(), report))
         print()
@@ -227,7 +225,8 @@ def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
     except ValueError:
         raise ConfigError(f"--proportions expects numbers, got {args.proportions!r}") from None
     rows = run_proportion_experiment(vocab, cfg, proportions, seed=cfg.seed)
-    evaluation.write_proportion_table(rows, output)
+    header = ["proportion", "precision", "recall", "f1"]
+    write_table(output, header, [(f"{p:.4f}", r.precision, r.recall, r.f1) for p, r in rows])
     for proportion, report in rows:
         print(f"proportion {proportion:.2f}: "
               f"P={report.precision:.3f} R={report.recall:.3f} F1={report.f1:.3f}")
@@ -313,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flags naming files a command reads
+# the flags naming files a command reads, and those naming files it writes
 _READ_FLAGS = ("input", "config", "native_grammar", "donor_grammar")
+_WRITE_FLAGS = ("output", "trace")
 
 # commands whose detection is refiner.detect_wordlist, whatever the model key says
 _AUTBOR_ONLY = ("detect-xl", "ablate", "experiment")
@@ -327,16 +327,14 @@ _INPUT_ERRORS = (
     crossling.MissingConceptError,
     crossling.EmptyDatasetError,
     FileNotFoundError,
+    BrokenPipeError,  # the reader of stdout stopped reading
 )
 
 
 def _on_user_path(exc: OSError, args: argparse.Namespace) -> bool:
     """Whether ``exc`` failed on a path the user named, or on one beside it
     (the per-language traces of ``--trace``)."""
-    named = [
-        getattr(args, name, None)
-        for name in ("input", "output", "config", "trace", "native_grammar", "donor_grammar")
-    ]
+    named = [getattr(args, name, None) for name in (*_READ_FLAGS, *_WRITE_FLAGS)]
     places = {Path(p).absolute().parent for p in named if p}
     failed = [f for f in (exc.filename, exc.filename2) if isinstance(f, (str, bytes))]
     return any(Path(os.fsdecode(f)).absolute().parent in places for f in failed)

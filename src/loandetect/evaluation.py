@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import symbol_distance
 from .refiner import detect_wordlist
-from .wordlist import LexicalEntry, Wordlist, make_wordlist, write_tsv
+from .wordlist import LexicalEntry, Wordlist, make_wordlist, write_table
 
 log = logging.getLogger(__name__)
 
@@ -450,25 +450,8 @@ def write_metrics_table(
     key: str, rows: Iterable[tuple[str, EvalReport]], path: str | Path
 ) -> None:
     """One row of metrics and counts per (name, report), under a ``key`` column."""
-    lines = ["\t".join([key, "precision", "recall", "f1", "tp", "fp", "tn", "fn"])]
-    for name, r in rows:
-        lines.append(
-            f"{name}\t{r.precision:.6f}\t{r.recall:.6f}\t{r.f1:.6f}"
-            f"\t{r.tp}\t{r.fp}\t{r.tn}\t{r.fn}"
-        )
-    write_tsv(path, lines)
-
-
-def write_mode_table(reports: Mapping[str, EvalReport], path: str | Path) -> None:
-    write_metrics_table("mode", reports.items(), path)
-
-
-def write_proportion_table(
-    rows: Sequence[tuple[float, EvalReport]], path: str | Path
-) -> None:
-    lines = ["\t".join(["proportion", "precision", "recall", "f1"])]
-    for proportion, r in rows:
-        lines.append(
-            f"{proportion:.4f}\t{r.precision:.6f}\t{r.recall:.6f}\t{r.f1:.6f}"
-        )
-    write_tsv(path, lines)
+    write_table(
+        path,
+        [key, "precision", "recall", "f1", "tp", "fp", "tn", "fn"],
+        [(name, r.precision, r.recall, r.f1, r.tp, r.fp, r.tn, r.fn) for name, r in rows],
+    )

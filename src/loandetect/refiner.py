@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 from .config import RunConfig
 from .features import CompiledGroup, _count_ids, build_statistics, extract_all
 from .scoring import score_all
-from .wordlist import Wordlist, WordlistError, make_wordlist, write_tsv
+from .wordlist import Wordlist, WordlistError, make_wordlist, write_table
 
 log = logging.getLogger(__name__)
 
@@ -242,14 +242,13 @@ def detect(
 
 
 def _write_trace(vocab: Wordlist, state: DetectionState, path: str | Path) -> None:
-    lines = ["\t".join(["iteration", "word", "P", "P_avg", "in_B"])]
-    for snap in state.snapshots:
-        for i, entry in enumerate(vocab):
-            lines.append(
-                f"{snap.iteration}\t{entry.ipa_text}\t{snap.probabilities[i]:.6f}"
-                f"\t{snap.averaged[i]:.6f}\t{int(i in snap.loans)}"
-            )
-    write_tsv(path, lines)
+    rows = (
+        (snap.iteration, e.ipa_text, snap.probabilities[i], snap.averaged[i],
+         int(i in snap.loans))
+        for snap in state.snapshots
+        for i, e in enumerate(vocab)
+    )
+    write_table(path, ["iteration", "word", "P", "P_avg", "in_B"], rows)
 
 
 def trace_paths(

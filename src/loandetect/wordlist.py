@@ -1,13 +1,15 @@
-"""Wordlist parsing, IPA normalization, and report emission.
+"""Wordlist parsing, IPA normalization, and every file the package writes.
 
 Input files are delimiter-separated text (TSV by default, CSV behind a
 flag) with a header row, UTF-8 encoded; a leading byte-order mark is
 skipped. Expected columns: ``orthography``, ``ipa``, ``language``,
-``pos``, plus optional ``label`` and ``concept``. A wordlist holds any
-number of languages with or without concept ids; only
+``pos``, plus optional ``label`` and ``concept``; an orthography,
+language or concept cell may hold no tab or line break. A wordlist holds
+any number of languages with or without concept ids; only
 ``crossling.detect_scaled`` reads concepts, and it alone requires them.
-Reports are TSV with a ``#``-prefixed header block echoing the resolved
-configuration of the run that produced them.
+Every file the package writes is a ``write_table`` table: reports (their
+``#`` header echoes the run's configuration), traces, metric tables and
+synthetic wordlists.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ipa import tokenize
 
@@ -29,6 +31,11 @@ POS_CATEGORIES = ("noun", "adjective", "verb", "adverb", "function")
 # ASCII colon, primary stress, secondary stress; and the separators: syllable
 # boundary and morpheme boundary. Whitespace goes too.
 _STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ", ".", "+")
+
+# the cells that files written from a wordlist echo as they are, in the order
+# _parse_rows reads them: none may hold a character that ends a table cell or row
+_TEXT_COLUMNS = ("orthography", "language", "concept")
+_BREAKS = frozenset("\t\r\n")
 
 DEFAULT_SCHEMA: Mapping[str, str] = {
     "orthography": "orthography",
@@ -152,7 +159,8 @@ def load_wordlist(
 
     ``schema`` maps the canonical column names (``orthography``, ``ipa``,
     ``language``, ``pos``, ``label``, ``concept``) onto the file's actual
-    header names. Rows with missing or unnormalizable IPA are collected
+    header names. Rows with missing or unnormalizable IPA, or with a tab
+    or line break in the orthography, language or concept, are collected
     and reported together in a ``MalformedRowError``. Unknown POS values
     raise unless ``lenient_pos`` is set, in which case they map to
     ``function``. Errors number the non-blank lines after the header
@@ -204,6 +212,14 @@ def _parse_rows(
         # as crossling.MissingConceptError numbers it
         rows = (row for row in reader if any(c.strip() for c in row))
         for rownum, row in enumerate(rows, start=1):
+            text = (cell(row, "orthography"), cell(row, "language"), cell(row, "concept"))
+            joined = "".join(text)
+            if "\t" in joined or "\n" in joined or "\r" in joined:
+                # such a cell, written back to a report, would split its row
+                broken = [c for c, t in zip(_TEXT_COLUMNS, text) if not _BREAKS.isdisjoint(t)]
+                errors.append((rownum, f"tab or line break in {', '.join(broken)}"))
+                continue
+            orthography, language, concept = text
             raw_ipa = cell(row, "ipa")
             if not raw_ipa:
                 errors.append((rownum, "missing IPA"))
@@ -227,15 +243,14 @@ def _parse_rows(
                     errors.append((rownum, f"label must be 0/1, got {label_text!r}"))
                     continue
                 gold = int(label_text)
-            concept = cell(row, "concept") or None
             entries.append(
                 LexicalEntry(
-                    orthography=cell(row, "orthography"),
+                    orthography=orthography,
                     ipa=ipa,
-                    language=cell(row, "language"),
+                    language=language,
                     pos=pos,
                     gold_label=gold,
-                    concept_id=concept,
+                    concept_id=concept or None,
                 )
             )
     if errors:
@@ -243,16 +258,30 @@ def _parse_rows(
     return make_wordlist(entries)
 
 
-# --- Reports ------------------------------------------------------------------
+# --- Tables -------------------------------------------------------------------
 
 
-def write_tsv(path: str | Path, lines: Sequence[str]) -> None:
-    """Write ``lines`` as a text file, all at once or not at all.
+def write_table(
+    path: str | Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    meta: Mapping[str, object] | None = None,
+) -> None:
+    """Write a table file, all at once or not at all.
 
+    The file holds ``meta`` as sorted ``# key = value`` lines, the
+    tab-joined ``header``, then one line per row: a float cell with six
+    decimals, ``None`` as an empty cell and any other value by ``str``.
     The text goes to a temporary file in the target's directory, which
     then replaces the target, so a failed write never leaves a partial
     file behind. A failure is raised as an ``OSError`` naming ``path``.
     """
+    meta = meta or {}
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
+    lines.append("\t".join(header))
+    for row in rows:
+        cells = ["" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
+        lines.append("\t".join(cells))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -267,40 +296,25 @@ def write_tsv(path: str | Path, lines: Sequence[str]) -> None:
 
 def _write_columns(
     wordlist: Wordlist,
-    columns: Sequence[tuple[str, Sequence[str]]],
+    columns: Mapping[str, Sequence[object]],
     path: str | Path,
     header_meta: Mapping[str, object] | None,
 ) -> None:
-    """A report: ``header_meta`` as sorted ``# key = value`` lines, then one
-    row per word in input order. ``columns`` are (name, formatted cells)
-    between the word and language columns and the gold_label column, which
-    is written when any entry carries a gold label."""
+    """A report: one row per word in input order. ``columns`` map names to
+    cells between the word and language columns and the gold_label
+    column, which is written when any entry carries a gold label."""
     if len(wordlist) == 0:
         raise ValueError("refusing to write an empty report")
-    if any(len(cells) != len(wordlist) for _, cells in columns):
+    if any(len(cells) != len(wordlist) for cells in columns.values()):
         raise ValueError("report columns do not align with the wordlist")
-    columns = [
-        ("word", [e.ipa_text for e in wordlist]),
-        ("language", [e.language for e in wordlist]),
-        *columns,
-    ]
+    columns = {
+        "word": [e.ipa_text for e in wordlist],
+        "language": [e.language for e in wordlist],
+        **columns,
+    }
     if any(e.gold_label is not None for e in wordlist):
-        columns.append(
-            ("gold_label", ["" if e.gold_label is None else str(e.gold_label) for e in wordlist])
-        )
-    meta = header_meta or {}
-    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)]
-    lines.append("\t".join(name for name, _ in columns))
-    lines.extend(map("\t".join, zip(*(cells for _, cells in columns))))
-    write_tsv(path, lines)
-
-
-def _fixed(values: Sequence[float | None]) -> list[str]:
-    return ["" if v is None else f"{v:.6f}" for v in values]
-
-
-def _labels(values: Sequence[int]) -> list[str]:
-    return [str(int(v)) for v in values]
+        columns["gold_label"] = [e.gold_label for e in wordlist]
+    write_table(path, list(columns), zip(*columns.values()), header_meta)
 
 
 def write_report(
@@ -318,7 +332,7 @@ def write_report(
     """
     _write_columns(
         wordlist,
-        [("probability", _fixed(probabilities)), ("predicted_label", _labels(predicted))],
+        {"probability": probabilities, "predicted_label": predicted},
         path,
         header_meta,
     )
@@ -337,14 +351,14 @@ def write_scaled_report(
     """Extended report for the cross-linguistic model (B, C, S, theta columns)."""
     _write_columns(
         wordlist,
-        [
-            ("concept", [e.concept_id or "" for e in wordlist]),
-            ("B", _fixed(basic)),
-            ("C", _fixed(comparability)),
-            ("S", _fixed(composite)),
-            ("theta", _fixed(thresholds)),
-            ("predicted_label", _labels(predicted)),
-        ],
+        {
+            "concept": [e.concept_id for e in wordlist],
+            "B": basic,
+            "C": comparability,
+            "S": composite,
+            "theta": thresholds,
+            "predicted_label": predicted,
+        },
         path,
         header_meta,
     )
@@ -398,12 +412,10 @@ def read_report(path: str | Path) -> list[ReportRow]:
 
 def write_wordlist(wordlist: Wordlist, path: str | Path) -> None:
     """Serialize a wordlist in the standard input format (for synth fixtures)."""
-    lines = ["\t".join(["orthography", "ipa", "language", "pos", "label", "concept"])]
-    for e in wordlist:
-        gold = "" if e.gold_label is None else str(e.gold_label)
-        cells = [e.orthography, e.ipa_text, e.language, e.pos, gold, e.concept_id or ""]
-        lines.append("\t".join(cells))
-    write_tsv(path, lines)
+    header = ["orthography", "ipa", "language", "pos", "label", "concept"]
+    rows = [(e.orthography, e.ipa_text, e.language, e.pos, e.gold_label, e.concept_id)
+            for e in wordlist]
+    write_table(path, header, rows)
 
 
 def strip_gold(wordlist: Wordlist) -> Wordlist:

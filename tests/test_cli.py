@@ -1,5 +1,7 @@
 """CLI surface tests: exit codes, outputs, config round-trips, determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -256,6 +258,44 @@ def test_eval_command(vocab_file, tmp_path, capsys):
     assert "PRECISION" in out and "OVERALL" in out
     lines = summary.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("scope\tprecision")
+
+
+def test_eval_writes_its_table_when_stdout_closes_early(vocab_file, tmp_path, capsys,
+                                                       monkeypatch):
+    report, summary = tmp_path / "report.tsv", tmp_path / "summary.tsv"
+    assert main(["detect", "--input", str(vocab_file), "--output", str(report)]) == 0
+
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["eval", "--input", str(report), "--output", str(summary)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line.lower()]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert summary.read_text(encoding="utf-8").startswith("scope\tprecision")
+
+
+def test_tab_or_line_break_in_a_cell_is_bad_input(multi_file, tmp_path, capsys):
+    with open(multi_file, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh, delimiter="\t"))
+    language, concept = rows[0].index("language"), rows[0].index("concept")
+    bad = [list(row) for row in rows]
+    bad[1][language] += "\tx"
+    bad[2][concept] = bad[2][concept][:1] + "\n" + bad[2][concept][1:]
+    for name, table in (("bad.csv", bad), ("good.csv", rows)):
+        with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(table)
+    report = tmp_path / "scaled.tsv"
+    argv = ["detect-xl", "--csv", "--output", str(report), "--input"]
+    assert main(argv + [str(tmp_path / "bad.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "row 1: tab or line break in language" in err
+    assert "row 2: tab or line break in concept" in err
+    assert not report.exists()
+    assert main(argv + [str(tmp_path / "good.csv")]) == 0
+    assert len(read_report(report)) == len(rows) - 1
 
 
 def test_ablate_command(vocab_file, tmp_path, capsys):

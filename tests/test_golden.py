@@ -12,9 +12,16 @@ reference rows: the ``detect`` corpus's pass 2 reads the same rows as
 pass 1 but is the first to refine by patterns, and later passes read the
 rows of the pass before them, so ``refiner.detect`` reuses their
 probabilities.
+
+``TABLES`` pins every other file the commands write, on the same two
+corpora: the ``eval`` table of the ``detect-xl`` report, the ``ablate``
+and ``experiment`` tables of the ``detect`` corpus, and the wordlists
+``synth`` writes from the same two grammars.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
@@ -48,6 +55,13 @@ REPEATING = {
     "report": "303239a3a0367267f7940929fac79252b8e7dc1266521ae1397d3a4ad9fa6aeb",
     "trace": "bbb5bf33330568926dd5d4c96c6c4ecd860add88e556204bed582aa3485f26d3",
     "scaled": "f7a7597fc0f4a8abec0be75692a38ae820e462fd3a5a0d4f1f44749cdffcceba",
+}
+TABLES = {
+    "eval": "701bc98785efd1a05d75e3fe21b601b28010ed6d67530028e5720f3f90b7cf90",
+    "ablate": "200da985940c8e50861fde30c11701546bfde1faadd7b44f1e57d5e29549125c",
+    "experiment": "3697fc65710a6a774caa77023d2843608748938f666294bbe038b7be126e63a8",
+    "synth": "6ef4b365f65e70f84d35f3d5e8fb47d1ece5303deb5af2c22174e10aa766ef04",
+    "synth_multilingual": "1ba073d449ed03479c2b248664dd9940f18347b1394c56af79f0b554a7479076",
 }
 
 
@@ -110,3 +124,33 @@ def test_reports_with_repeated_references_are_pinned(tmp_path, monkeypatch):
     assert len(computed) < 14  # two languages of seven passes each
     assert {name: sha256(path) for name, path in
             [("report", report), ("trace", trace), ("scaled", scaled)]} == REPEATING
+
+
+def test_tables_and_synthetic_wordlists_are_pinned(tmp_path):
+    words, multi, scaled = (tmp_path / name for name in ("words.tsv", "multi.tsv", "s.tsv"))
+    write_wordlist(
+        generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 150, 40, seed=11, integration=0.3),
+        words,
+    )
+    write_wordlist(
+        generate_synthetic_multilingual(
+            NATIVE_GRAMMAR, DONOR_GRAMMAR, 60, 20, seed=11, integration=0.3
+        ),
+        multi,
+    )
+    grammars = []
+    for grammar in (NATIVE_GRAMMAR, DONOR_GRAMMAR):
+        grammars.append(tmp_path / f"{grammar.language}.json")
+        grammars[-1].write_text(json.dumps(asdict(grammar)), encoding="utf-8")
+    tables = {name: tmp_path / f"{name}.tsv" for name in TABLES}
+    assert main(["detect-xl", "--input", str(multi), "--output", str(scaled),
+                 "--set", "convergence_fraction=0"]) == 0
+    assert main(["eval", "--input", str(scaled), "--output", str(tables["eval"])]) == 0
+    assert main(["ablate", "--input", str(words), "--output", str(tables["ablate"])]) == 0
+    assert main(["experiment", "--input", str(words), "--output", str(tables["experiment"]),
+                 "--seed", "5", "--proportions", "0.5,1.0"]) == 0
+    synth = ["synth", "--native-grammar", str(grammars[0]), "--donor-grammar",
+             str(grammars[1]), "--seed", "11", "--integration", "0.3"]
+    assert main(synth + ["--output", str(tables["synth"])]) == 0
+    assert main(synth + ["--multilingual", "--output", str(tables["synth_multilingual"])]) == 0
+    assert {name: sha256(path) for name, path in tables.items()} == TABLES

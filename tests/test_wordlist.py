@@ -17,6 +17,7 @@ from loandetect.wordlist import (
     read_report,
     strip_gold,
     write_report,
+    write_table,
     write_wordlist,
 )
 
@@ -255,6 +256,32 @@ def test_report_roundtrip_preserves_values(tmp_path):
     assert [r.gold_label for r in rows] == [1, 0, None]
     for got, expected in zip(rows, probs):
         assert got.probability == pytest.approx(expected, abs=5e-7)
+
+
+def test_write_table_formats_each_cell_by_its_type(tmp_path):
+    path = tmp_path / "t.tsv"
+    rows = [(0.5, None, 3, "x"), (1e-7, "", True, "0.2500")]
+    write_table(path, ["a", "b", "c", "d"], rows, meta={"z": 1, "a": 0.25})
+    assert path.read_text(encoding="utf-8") == (
+        "# a = 0.25\n# z = 1\na\tb\tc\td\n0.500000\t\t3\tx\n0.000000\t\tTrue\t0.2500\n"
+    )
+
+
+def test_load_rejects_tab_or_line_break_in_text_cells(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text(
+        "orthography,ipa,language,pos,label,concept\n"
+        '"p\ta",pa,english,noun,,c1\n'
+        'ti,ti,english,noun,,"c\r2"\n'
+        "ku,ku,english,noun,,c3\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedRowError) as info:
+        load_wordlist(path, delimiter=",")
+    assert info.value.rows == [
+        (1, "tab or line break in orthography"),
+        (2, "tab or line break in concept"),
+    ]
 
 
 def test_write_report_refuses_empty(tmp_path):
