@@ -22,8 +22,9 @@ only its mean feature distance and its column keys. After counting, one
 table of per-key log-probabilities replaces the interning tables, and
 comparability sums a pair's log-probability from that table in column
 order. The aligner tables the column scores of a pair before its DP, from
-symbol distances memoised by symbol pair (``ipa.symbol_distance``), and
-fills each DP cell with plain comparisons.
+a memo of ``1 - symbol_distance(a, b)`` per symbol pair that calls
+``ipa.symbol_distance`` once for each pair it has not seen, and fills each
+DP cell with plain comparisons.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ class MissingConceptError(ValueError):
         super().__init__(f"entries without concept id at rows {self.rows[:10]}")
 
 
+# the aligner's column scores 1 - symbol_distance(a, b), by a, then by b
+_SIMILARITIES: dict[str, dict[str, float]] = {}
+
+
 @dataclass(frozen=True)
 class Alignment:
     """Global alignment of two words: (a, b, context) per column."""
@@ -85,7 +90,13 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
     rows: dict[str, list[float]] = {}
     for a in x:
         if a not in rows:
-            rows[a] = [1.0 - symbol_distance(a, b) for b in y]
+            sim = _SIMILARITIES.get(a)
+            if sim is None:
+                sim = _SIMILARITIES[a] = {}
+            for b in y:
+                if b not in sim:
+                    sim[b] = 1.0 - symbol_distance(a, b)
+            rows[a] = list(map(sim.__getitem__, y))
     sub = [rows[a] for a in x]
     # each cell takes the first best of match, gap on a-track, gap on b-track
     score = [[0.0] + [-gap_penalty * j for j in range(1, m + 1)]]

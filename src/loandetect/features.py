@@ -100,9 +100,9 @@ class CompiledGroup:
     Every distinct n-gram (n in [ngram_min, ngram_max]) and transition of
     the words gets an integer id. Word ``i`` keeps the ids of its n-grams
     (in ``word_ngrams`` order) in ``word_grams[i]``, of its transitions in
-    ``word_trans[i]``, and its CV pattern in ``cv[i]``. A group is built
-    once per word list and never copied: statistics of any reference rows
-    index the same ids.
+    ``word_trans[i]``, and its CV pattern in ``cv[i]`` (computed on first
+    read). A group is built once per word list and never copied: statistics
+    of any reference rows index the same ids.
 
     Ids are kept in arrays and the n-gram tuples are dropped after
     interning (``gram_tuples`` rebuilds them): a tuple and an int object
@@ -133,7 +133,11 @@ class CompiledGroup:
         ]
         self.gram_len = array("i", map(len, gram_ids))
         self.transitions = list(trans_ids)
-        self.cv = [cv_pattern(w) for w in self.words]
+
+    @cached_property
+    def cv(self) -> list[str]:
+        """The CV pattern of every word; only ``aug`` mode reads them."""
+        return [cv_pattern(w) for w in self.words]
 
     def gram_tuples(self) -> list[tuple[str, ...]]:
         """The n-gram of every id."""

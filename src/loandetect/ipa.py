@@ -12,9 +12,16 @@ symbol carries:
     (voicing, place, manner, height, backness, rounding, nasality,
     length class), used for symbol-to-symbol distances.
 
-Unknown symbols never abort a run: classification falls back to
-``consonant`` and the table's ``unknown_seen`` counter is incremented, so
-the pipeline stays usable on unanticipated transcription conventions.
+The tokenizer splits a transcription into codepoint groups, as grapheme
+clusters are formed in orthography profiles: a base codepoint plus the
+combining marks, tie-bar partners and attaching modifier letters that
+follow it. Every table symbol is exactly one such group (checked when a
+table is built), so a group is either a table symbol or one unknown token.
+
+Unknown symbols never abort a run: tokenization and classification keep
+them (classification as ``consonant``) and the table's ``unknown_seen``
+counter is incremented, so the pipeline stays usable on unanticipated
+transcription conventions.
 """
 
 from __future__ import annotations
@@ -217,12 +224,19 @@ class SymbolInventory:
         self.features: dict[str, tuple[str, ...]] = {
             unicodedata.normalize("NFC", s): tuple(f) for s, f in features.items()
         }
-        self.symbols = frozenset(self.features)
+        # each symbol mapped to itself: tokens are these string objects, so
+        # a symbol's text and hash are stored once however many words hold it
+        self.symbols: dict[str, str] = {s: s for s in self.features}
         self.classes: dict[str, str] = {
             s: "vowel" if f[2] == "vowel" else "consonant"
             for s, f in self.features.items()
         }
-        self._max_len = max(len(s) for s in self.features)
+        for s in self.symbols:
+            if len(_codepoint_groups(s)) != 1:
+                raise ValueError(
+                    f"table symbol {s!r} is not one codepoint group, "
+                    "so the tokenizer could never produce it"
+                )
         self.unknown_seen: Counter[str] = Counter()
 
     # -- lookups --
@@ -247,45 +261,44 @@ class SymbolInventory:
     # -- tokenization --
 
     def tokenize(self, text: str) -> list[str]:
-        """Group a codepoint string into symbol tokens.
+        """Split a codepoint string (NFC-composed first) into symbol tokens.
 
-        Greedy longest match against the inventory; a match is rejected if
-        it would orphan a following combining mark, tie bar, or attaching
-        modifier. Codepoint runs that match nothing become single unknown
-        tokens (base plus its marks) and are tallied in ``unknown_seen``.
+        Each token is one codepoint group: a base codepoint plus the
+        codepoints after it that attach to it, which are combining marks
+        (tie bars included), ``ATTACHING_MODIFIERS`` and any codepoint right
+        after a tie bar. A group that is a table symbol becomes that
+        symbol's own string object, shared by every word; any other group
+        becomes one unknown token, tallied in ``unknown_seen``.
         """
-        text = unicodedata.normalize("NFC", text)
-        out: list[str] = []
-        i, n = 0, len(text)
-        while i < n:
-            match = None
-            for k in range(min(self._max_len, n - i), 0, -1):
-                cand = text[i : i + k]
-                if cand in self.symbols and not self._attaches(text, i + k):
-                    match = cand
-                    break
-            if match is None:
-                j = i + 1
-                while j < n and self._attaches(text, j):
-                    j += 1
-                match = text[i:j]
-                self.unknown_seen[match] += 1
-                log.debug("unknown IPA token %r", match)
-            out.append(match)
-            i += len(match)
-        return out
+        groups = _codepoint_groups(unicodedata.normalize("NFC", text))
+        tokens = list(map(self.symbols.get, groups))
+        if None in tokens:
+            for i, token in enumerate(tokens):
+                if token is None:
+                    tokens[i] = group = groups[i]
+                    self.unknown_seen[group] += 1
+                    log.debug("unknown IPA token %r", group)
+        return tokens
 
-    @staticmethod
-    def _attaches(text: str, pos: int) -> bool:
-        # True when the codepoint at `pos` continues the preceding symbol.
-        if pos <= 0 or pos >= len(text):
-            return False
-        ch = text[pos]
-        if unicodedata.combining(ch):
-            return True
-        if ch in TIE_BARS or text[pos - 1] in TIE_BARS:
-            return True
-        return ch in ATTACHING_MODIFIERS
+
+def _codepoint_groups(text: str) -> Sequence[str]:
+    """Split ``text`` into codepoint groups (the rule of ``tokenize``).
+
+    When no codepoint can attach, every codepoint is its own group and
+    ``text`` itself is returned.
+    """
+    combining = unicodedata.combining
+    if ATTACHING_MODIFIERS.isdisjoint(text) and not any(map(combining, text)):
+        return text
+    groups: list[str] = []
+    start = 0
+    for p in range(1, len(text)):
+        ch = text[p]
+        if not (combining(ch) or ch in ATTACHING_MODIFIERS or text[p - 1] in TIE_BARS):
+            groups.append(text[start:p])
+            start = p
+    groups.append(text[start:])
+    return groups
 
 
 _DEFAULT_INVENTORY = SymbolInventory(_build_default_features())

@@ -29,8 +29,9 @@ POS_CATEGORIES = ("noun", "adjective", "verb", "adverb", "function")
 
 # Length and stress markers removed during normalization: IPA length mark,
 # ASCII colon, primary stress, secondary stress; and the separators: syllable
-# boundary and morpheme boundary. Whitespace goes too.
-_STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ", ".", "+")
+# boundary and the morpheme boundaries (a kept hyphen would be a token equal to
+# the alignment gap symbol). Whitespace goes too.
+_STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ", ".", "+", "-")
 
 # the cells that files written from a wordlist echo as they are, in the order
 # _parse_rows reads them: none may hold a character that ends a table cell or row
@@ -132,10 +133,10 @@ def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
 def normalize_ipa(raw: str) -> tuple[str, ...]:
     """Remove length/stress markers, separators and whitespace, then tokenize.
 
-    Separators are the syllable boundary ``.``, the morpheme boundary
-    ``+`` and whitespace anywhere in the string, so space-segmented IPA
-    (``"p a t a"``, the CLDF "Segments" form) gives the same tokens as
-    ``"pata"``. Raises ``EmptyTranscriptionError`` when nothing is left.
+    Separators are the syllable boundary ``.``, the morpheme boundaries
+    ``+`` and ``-`` and whitespace anywhere in the string, so
+    space-segmented IPA (``"p a t a"``, the CLDF "Segments" form) gives the
+    same tokens as ``"pata"``. Raises ``EmptyTranscriptionError`` when nothing is left.
     Idempotent: feeding the joined output back in returns the same token
     sequence.
     """

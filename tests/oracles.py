@@ -10,12 +10,58 @@ detection loop, which calls the package's feature extraction and scoring.
 from __future__ import annotations
 
 import math
+import unicodedata
+from collections import Counter
 from typing import NamedTuple
 
 from loandetect.crossling import align
 from loandetect.features import CompiledGroup, build_statistics, extract_all
-from loandetect.ipa import symbol_distance
+from loandetect.ipa import ATTACHING_MODIFIERS, TIE_BARS, symbol_distance
 from loandetect.scoring import score_all
+
+
+# --- tokenization -----------------------------------------------------------------
+
+
+def bf_tokenize(text, symbols):
+    """Greedy longest match against ``symbols``; returns (tokens, unknown tally).
+
+    A candidate is rejected when the codepoint after it attaches to it (a
+    combining mark, a tie bar or what follows one, an attaching modifier);
+    a run that matches nothing is one unknown token, its base plus every
+    attaching codepoint after it.
+    """
+    text = unicodedata.normalize("NFC", text)
+
+    def attaches(pos):
+        if pos <= 0 or pos >= len(text):
+            return False
+        ch = text[pos]
+        if unicodedata.combining(ch):
+            return True
+        if ch in TIE_BARS or text[pos - 1] in TIE_BARS:
+            return True
+        return ch in ATTACHING_MODIFIERS
+
+    max_len = max(len(s) for s in symbols)
+    tokens, unknown = [], Counter()
+    i, n = 0, len(text)
+    while i < n:
+        match = None
+        for k in range(min(max_len, n - i), 0, -1):
+            cand = text[i : i + k]
+            if cand in symbols and not attaches(i + k):
+                match = cand
+                break
+        if match is None:
+            j = i + 1
+            while j < n and attaches(j):
+                j += 1
+            match = text[i:j]
+            unknown[match] += 1
+        tokens.append(match)
+        i += len(match)
+    return tokens, unknown
 
 
 # --- n-gram and transition statistics ------------------------------------------

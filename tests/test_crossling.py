@@ -507,6 +507,23 @@ def test_detect_scaled_comparability_matches_two_alignment_oracle(
         assert got == (s, theta, label)
 
 
+def test_align_computes_each_symbol_pair_distance_once(monkeypatch):
+    calls = Counter()
+
+    def counting_distance(a, b):
+        calls[(a, b)] += 1
+        return symbol_distance(a, b)
+
+    monkeypatch.setattr(crossling, "_SIMILARITIES", {})
+    monkeypatch.setattr(crossling, "symbol_distance", counting_distance)
+    x, y = ("p", "a", "t", "a", "p"), ("b", "a", "d", "a")
+    first = align(x, y)
+    assert align(x, y) == first
+    align(y, x)
+    pairs = {(a, b) for a in x for b in y} | {(b, a) for a in x for b in y}
+    assert calls == Counter(pairs)
+
+
 def test_detect_scaled_aligns_each_pair_once(monkeypatch):
     calls = Counter()
     real_align = crossling.align

@@ -436,6 +436,17 @@ def test_compiled_extract_all_matches_bruteforce_features():
             )
 
 
+def test_cv_patterns_are_computed_only_when_read():
+    words = [("p", "a", "t", "a"), ("s", "t", "r", "a", "k")]
+    group = CompiledGroup(words)
+    for mode in MODES:
+        if mode != "aug":
+            extract_all(build_statistics(group), RunConfig(mode=mode))
+    assert "cv" not in vars(group)
+    extract_all(build_statistics(group), RunConfig(mode="aug"))
+    assert group.cv == [cv_pattern(w) for w in words] == ["CVCV", "CCCVC"]
+
+
 def test_compiled_group_rejects_other_ngram_range():
     group = CompiledGroup([("a", "b", "c")])
     stats = build_statistics(group)

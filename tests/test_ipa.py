@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loandetect.ipa import (
+    ATTACHING_MODIFIERS,
     FEATURE_DIM,
     GAP,
+    TIE_BARS,
     SymbolInventory,
     UnknownSymbolError,
     classify,
@@ -18,6 +20,8 @@ from loandetect.ipa import (
     syllabify,
     tokenize,
 )
+
+import oracles
 
 INV = default_inventory()
 
@@ -172,3 +176,43 @@ def test_tokenize_deterministic_random_strings():
     for _ in range(50):
         text = "".join(rng.choice(pool) for _ in range(rng.randint(1, 10)))
         assert tokenize(text) == tokenize(text)
+
+
+# every codepoint of the table, both tie bars, the attaching modifiers, two
+# combining marks no table symbol holds, and letters outside the table
+_TOKENIZER_ALPHABET = sorted(
+    {ch for sym in INV.symbols for ch in sym}
+    | TIE_BARS
+    | ATTACHING_MODIFIERS
+    | {"\u0301", "\u0325", "Q", "ʘ", "☃", "ǃ"}
+)
+
+
+@given(st.lists(st.sampled_from(_TOKENIZER_ALPHABET), max_size=14).map("".join))
+def test_tokenize_matches_greedy_longest_match_oracle(text):
+    inv = SymbolInventory(INV.features)
+    expected, unknown = oracles.bf_tokenize(text, INV.symbols)
+    assert inv.tokenize(text) == expected
+    assert list(inv.unknown_seen.items()) == list(unknown.items())
+
+
+def test_tokenize_returns_the_tables_own_symbol_objects():
+    # ʃ and ŋ lie outside Latin-1, so slicing them from the text would
+    # give new string objects
+    tokens = tokenize("ʃt͡ʃɛ̃ŋa")
+    assert tokens == ["ʃ", "t͡ʃ", "ɛ̃", "ŋ", "a"]
+    assert all(tok is INV.symbols[tok] for tok in tokens)
+
+
+def test_every_table_symbol_is_one_codepoint_group():
+    # the built-in table passes the check a table is built with
+    SymbolInventory(INV.features)
+    for sym in INV.symbols:
+        assert INV.tokenize(sym) == [sym]
+
+
+def test_symbol_spanning_two_groups_is_rejected():
+    features = dict(INV.features)
+    features["ts"] = features["t͡s"]
+    with pytest.raises(ValueError, match="'ts'"):
+        SymbolInventory(features)

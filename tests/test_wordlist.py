@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from loandetect.cli import main
+from loandetect.ipa import GAP
 from loandetect.wordlist import (
     EmptyTranscriptionError,
     LexicalEntry,
@@ -184,6 +185,18 @@ def test_normalize_ipa_drops_separators():
     assert normalize_ipa("ˈkiː.ki") == ("k", "i", "k", "i")
     assert normalize_ipa("mor+fem") == normalize_ipa("morfem")
     assert normalize_ipa(" t\ta .+ ") == ("t", "a")
+    assert normalize_ipa("pa-ta") == normalize_ipa("pata")
+
+
+@given(st.text(alphabet="pat-ˈː.+ \u0303\u0361ʃ", min_size=1, max_size=12))
+@example("pa-ta")
+@example("t͡-ʃ")
+def test_no_normalized_token_is_the_gap_symbol(raw):
+    try:
+        ipa = normalize_ipa(raw)
+    except EmptyTranscriptionError:
+        return
+    assert GAP not in ipa
 
 
 def test_normalize_ipa_empty_after_stripping():
@@ -196,6 +209,7 @@ def test_normalize_ipa_empty_after_stripping():
 @example("p a t a")  # space-segmented (CLDF "Segments")
 @example("ˈkiː.ki")  # syllable boundary
 @example("mor+fem")  # morpheme boundary
+@example("mor-fem")  # morpheme boundary
 def test_normalize_ipa_idempotent(raw):
     try:
         once = normalize_ipa(raw)
