@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .config import RunConfig
 from .ipa import syllabify
-from .wordlist import Wordlist
+from .wordlist import Wordlist, language_rows
 
 Word = tuple[str, ...]
 
@@ -72,13 +72,9 @@ def detect_wordlist(
     when its nativeness score falls below the baseline threshold.
     """
     cfg = cfg or RunConfig()
-    groups: dict[str, list[int]] = {}
-    for i, entry in enumerate(vocab):
-        groups.setdefault(entry.language, []).append(i)
     probabilities = [0.0] * len(vocab)
     labels = [0] * len(vocab)
-    for lang in sorted(groups):
-        indices = groups[lang]
+    for indices in language_rows(vocab).values():
         scores = nativeness_scores([vocab.entries[i].ipa for i in indices])
         for local, global_i in enumerate(indices):
             probabilities[global_i] = 1.0 - scores[local]

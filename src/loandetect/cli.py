@@ -11,10 +11,12 @@ keys in config-file format and exits; ``main`` resolves the
 configuration once and hands it to the subcommand. Before any work,
 each subcommand refuses a path it would write that it also reads (the
 input, the config file, the grammars) or writes twice (the output and
-``detect``'s per-language traces). Each writes its file before it
-prints. Exit codes: 0 success, 1 input/validation error (an unreadable
-or unwritable path the user named, a path clash and a standard output
-closed early included), 2 internal error.
+``detect``'s per-language traces). Detection writes nothing: ``detect``
+writes each language's trace from the states detection returns, then
+the report. Each command writes its files before it prints. Exit codes:
+0 success, 1 input/validation error (an unreadable or unwritable path
+the user named, a path clash and a standard output closed early
+included), 2 internal error.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Collection
 
 from . import baseline, crossling, evaluation
 from .config import MODELS, ConfigError, RunConfig, load_config
@@ -38,15 +41,17 @@ from .evaluation import (
     write_metrics_table,
 )
 from .features import MODES
-from .refiner import detect_wordlist, trace_paths
+from .refiner import detect_wordlist
 from .wordlist import (
     Wordlist,
     WordlistError,
+    language_rows,
     load_wordlist,
     read_report,
     write_report,
     write_scaled_report,
     write_table,
+    write_trace,
     write_wordlist,
 )
 
@@ -148,17 +153,36 @@ def _check_paths(args: argparse.Namespace, writes: list[Path]) -> None:
             raise WordlistError(f"{path} would be written twice")
 
 
+def trace_paths(languages: Collection[str], trace: str | None) -> dict[str, Path]:
+    """Where ``detect --trace`` writes each language's trace: nowhere
+    without ``trace``, ``trace`` itself for one language and, with
+    several, ``<stem>.<language><suffix>`` beside it for each. A language
+    name that cannot be part of a file name raises ``WordlistError``."""
+    if trace is None:
+        return {}
+    base = Path(trace)
+    if len(languages) == 1:
+        return dict.fromkeys(languages, base)
+    for lang in languages:
+        if any(sep and sep in lang for sep in ("/", os.sep, os.altsep, "\0")):
+            raise WordlistError(f"language {lang!r} cannot be part of a trace file name")
+    return {lang: base.with_name(f"{base.stem}.{lang}{base.suffix}") for lang in languages}
+
+
 def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     vocab = _load_input(args)
     output = _require_output(args)
-    traces = trace_paths((e.language for e in vocab), args.trace)
-    _check_paths(args, [output, *filter(None, traces.values())])
+    rows = language_rows(vocab)
+    traces = trace_paths(rows, args.trace)
+    _check_paths(args, [output, *traces.values()])
     if cfg.model == "uns":
         if args.trace:
             raise ConfigError("--trace needs the autbor model: the uns model has no passes")
         probs, labels = baseline.detect_wordlist(vocab, cfg)
     else:
-        probs, labels, _ = detect_wordlist(vocab, cfg, trace_path=args.trace)
+        probs, labels, states = detect_wordlist(vocab, cfg)
+        for lang, path in traces.items():
+            write_trace([vocab.entries[i] for i in rows[lang]], states[lang], path)
     write_report(vocab, probs, labels, output, header_meta=cfg.to_flat())
     log.info("wrote %s (%d words)", output, len(vocab))
     return EXIT_OK

@@ -46,8 +46,10 @@ log = logging.getLogger(__name__)
 Word = tuple[str, ...]
 Context = tuple[str, str, str, str]
 
-# Boundary sentinel padding context windows at word edges.
-BOUNDARY = "#"
+# Boundary sentinel padding context windows at word edges: the empty string,
+# which no token can be (every codepoint group holds a codepoint), so an
+# input "#" never reads as a word edge.
+BOUNDARY = ""
 
 
 class EmptyDatasetError(ValueError):

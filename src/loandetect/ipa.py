@@ -19,19 +19,16 @@ follow it. Every table symbol is exactly one such group (checked when a
 table is built), so a group is either a table symbol or one unknown token.
 
 Unknown symbols never abort a run: tokenization and classification keep
-them (classification as ``consonant``) and the table's ``unknown_seen``
-counter is incremented, so the pipeline stays usable on unanticipated
-transcription conventions.
+them (classification as ``consonant``), so the pipeline stays usable on
+unanticipated transcription conventions. No lookup changes any state;
+``unknown_symbols`` counts the unknown tokens of a run on demand.
 """
 
 from __future__ import annotations
 
-import logging
 import unicodedata
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
-
-log = logging.getLogger(__name__)
 
 FEATURE_NAMES = (
     "voicing",
@@ -237,17 +234,12 @@ class SymbolInventory:
                     f"table symbol {s!r} is not one codepoint group, "
                     "so the tokenizer could never produce it"
                 )
-        self.unknown_seen: Counter[str] = Counter()
 
     # -- lookups --
 
     def classify(self, symbol: str) -> str:
         """Return ``vowel`` or ``consonant``; unknown symbols count as consonants."""
-        cls = self.classes.get(symbol)
-        if cls is None:
-            self.unknown_seen[symbol] += 1
-            return "consonant"
-        return cls
+        return self.classes.get(symbol, "consonant")
 
     def feature_vector(self, symbol: str) -> tuple[str, ...]:
         try:
@@ -268,17 +260,10 @@ class SymbolInventory:
         (tie bars included), ``ATTACHING_MODIFIERS`` and any codepoint right
         after a tie bar. A group that is a table symbol becomes that
         symbol's own string object, shared by every word; any other group
-        becomes one unknown token, tallied in ``unknown_seen``.
+        is one unknown token, the group itself.
         """
         groups = _codepoint_groups(unicodedata.normalize("NFC", text))
-        tokens = list(map(self.symbols.get, groups))
-        if None in tokens:
-            for i, token in enumerate(tokens):
-                if token is None:
-                    tokens[i] = group = groups[i]
-                    self.unknown_seen[group] += 1
-                    log.debug("unknown IPA token %r", group)
-        return tokens
+        return list(map(self.symbols.get, groups, groups))
 
 
 def _codepoint_groups(text: str) -> Sequence[str]:
@@ -321,6 +306,12 @@ def feature_vector(symbol: str) -> tuple[str, ...]:
 
 def tokenize(text: str) -> list[str]:
     return _DEFAULT_INVENTORY.tokenize(text)
+
+
+def unknown_symbols(tokens: Iterable[str]) -> Counter[str]:
+    """Count the tokens that are not symbols of the table, in first-seen order."""
+    symbols = _DEFAULT_INVENTORY.symbols
+    return Counter(t for t in tokens if t not in symbols)
 
 
 # symbol_distance results, by symbol pair

@@ -33,22 +33,23 @@ A pass counts the pattern ids of the native rows only; the loans are the
 rest of the group, so a pattern's loan count is its full count minus its
 native count and is never built. Pattern likeness comes back as one
 column per pass.
+
+Detection writes nothing: the command line writes the traces from the
+returned states.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import RunConfig
 from .features import CompiledGroup, _count_ids, build_statistics, extract_all
 from .scoring import score_all
-from .wordlist import Wordlist, WordlistError, make_wordlist, write_table
+from .wordlist import Wordlist, WordlistError, language_rows, make_wordlist
 
 log = logging.getLogger(__name__)
 
@@ -176,12 +177,7 @@ class DetectionState:
         return self.snapshots[-1].loans
 
 
-def detect(
-    vocab: Wordlist,
-    cfg: RunConfig | None = None,
-    *,
-    trace_path: str | Path | None = None,
-) -> DetectionState:
+def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
     """Run the full unsupervised detection loop on one vocabulary."""
     cfg = cfg or RunConfig()
     if len(vocab) == 0:
@@ -235,67 +231,25 @@ def detect(
         log.info("iteration %d: |B|=%d, converged=%s", t, len(loans), state.converged)
         if state.converged:
             break
-
-    if trace_path is not None:
-        _write_trace(vocab, state, trace_path)
     return state
 
 
-def _write_trace(vocab: Wordlist, state: DetectionState, path: str | Path) -> None:
-    rows = (
-        (snap.iteration, e.ipa_text, snap.probabilities[i], snap.averaged[i],
-         int(i in snap.loans))
-        for snap in state.snapshots
-        for i, e in enumerate(vocab)
-    )
-    write_table(path, ["iteration", "word", "P", "P_avg", "in_B"], rows)
-
-
-def trace_paths(
-    languages: Iterable[str], trace_path: str | Path | None
-) -> dict[str, Path | None]:
-    """Where ``detect_wordlist`` writes each language's trace.
-
-    One language writes to ``trace_path`` itself; with several, each one's
-    trace goes beside it as ``<stem>.<language><suffix>``, and a language
-    name that cannot be part of a file name raises ``WordlistError``.
-    """
-    languages = list(dict.fromkeys(languages))
-    base = None if trace_path is None else Path(trace_path)
-    traces = dict.fromkeys(languages, base)
-    if base is not None and len(languages) > 1:
-        for lang in languages:
-            if any(sep and sep in lang for sep in ("/", os.sep, os.altsep, "\0")):
-                raise WordlistError(f"language {lang!r} cannot be part of a trace file name")
-            traces[lang] = base.with_name(f"{base.stem}.{lang}{base.suffix}")
-    return traces
-
-
 def detect_wordlist(
-    vocab: Wordlist,
-    cfg: RunConfig | None = None,
-    *,
-    trace_path: str | Path | None = None,
+    vocab: Wordlist, cfg: RunConfig | None = None
 ) -> tuple[list[float], list[int], dict[str, DetectionState]]:
     """Detect per language and pool results back into input order.
 
     Monolingual wordlists run as a single group. Returns the final
     averaged probability and binary label per entry, plus the per-language
-    detection states. Each language's trace goes where ``trace_paths``
-    puts it; every such path is checked before the first group runs.
+    detection states, in ``language_rows`` order.
     """
     cfg = cfg or RunConfig()
-    groups: dict[str, list[int]] = {}
-    for i, entry in enumerate(vocab):
-        groups.setdefault(entry.language, []).append(i)
-    traces = trace_paths(groups, trace_path)
     probabilities = [0.0] * len(vocab)
     labels = [0] * len(vocab)
     states: dict[str, DetectionState] = {}
-    for lang in sorted(groups):
-        indices = groups[lang]
+    for lang, indices in language_rows(vocab).items():
         sub = make_wordlist([vocab.entries[i] for i in indices])
-        state = states[lang] = detect(sub, cfg, trace_path=traces[lang])
+        state = states[lang] = detect(sub, cfg)
         averaged, loans = state.averaged, state.loans
         for local, global_i in enumerate(indices):
             probabilities[global_i] = averaged[local]

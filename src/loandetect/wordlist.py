@@ -7,9 +7,12 @@ skipped. Expected columns: ``orthography``, ``ipa``, ``language``,
 language or concept cell may hold no tab or line break. A wordlist holds
 any number of languages with or without concept ids; only
 ``crossling.detect_scaled`` reads concepts, and it alone requires them.
+``language_rows`` is the one split of a wordlist by language, which
+every per-language detector and the trace writer read.
 Every file the package writes is a ``write_table`` table: reports (their
-``#`` header echoes the run's configuration), traces, metric tables and
-synthetic wordlists.
+``#`` header echoes the run's configuration), the per-pass traces of
+``write_trace``, metric tables and synthetic wordlists. Detection itself
+writes nothing; the command line writes what it returns.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ipa import tokenize
+
+if TYPE_CHECKING:
+    from .refiner import DetectionState
 
 log = logging.getLogger(__name__)
 
@@ -99,20 +105,21 @@ class LexicalEntry:
 
 @dataclass(frozen=True)
 class Wordlist:
-    """Entries from one language (or ``multi``); no (language, IPA, concept) twice."""
+    """Entries from one language (or ``multi``); no (language, IPA, concept)
+    twice: a repeat is refused naming both 1-based rows."""
 
     entries: tuple[LexicalEntry, ...]
     language: str
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, tuple[str, ...], str | None]] = set()
-        for e in self.entries:
-            key = (e.language, e.ipa, e.concept_id)
-            if key in seen:
+        seen: dict[tuple[str, tuple[str, ...], str | None], int] = {}
+        for row, e in enumerate(self.entries, start=1):
+            first = seen.setdefault((e.language, e.ipa, e.concept_id), row)
+            if first != row:
                 raise WordlistError(
-                    f"duplicate entry {e.language}/{e.ipa_text}/{e.concept_id}"
+                    f"duplicate entry {e.language}/{e.ipa_text}/{e.concept_id} "
+                    f"at rows {first} and {row}"
                 )
-            seen.add(key)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -128,6 +135,14 @@ def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
     if not entries:
         language = "empty"
     return Wordlist(entries=tuple(entries), language=language)
+
+
+def language_rows(vocab: Wordlist) -> dict[str, list[int]]:
+    """Each language of ``vocab``, in sorted order, with its row indices in input order."""
+    rows: dict[str, list[int]] = {}
+    for i, entry in enumerate(vocab):
+        rows.setdefault(entry.language, []).append(i)
+    return {lang: rows[lang] for lang in sorted(rows)}
 
 
 def normalize_ipa(raw: str) -> tuple[str, ...]:
@@ -409,6 +424,21 @@ def read_report(path: str | Path) -> list[ReportRow]:
         except ValueError as exc:
             raise WordlistError(f"{path} line {lineno}: {exc}") from None
     return rows
+
+
+def write_trace(
+    entries: Sequence[LexicalEntry], state: DetectionState, path: str | Path
+) -> None:
+    """Write one language's detection passes: a row per pass and word, in
+    pass order, then in the order of ``entries`` (the group ``state`` was
+    detected on)."""
+    rows = (
+        (snap.iteration, e.ipa_text, snap.probabilities[i], snap.averaged[i],
+         int(i in snap.loans))
+        for snap in state.snapshots
+        for i, e in enumerate(entries)
+    )
+    write_table(path, ["iteration", "word", "P", "P_avg", "in_B"], rows)
 
 
 def write_wordlist(wordlist: Wordlist, path: str | Path) -> None:

@@ -543,6 +543,33 @@ def test_unusable_user_path_exit_code(vocab_file, multi_file, tmp_path, capsys):
     assert list(taken.iterdir()) == []
 
 
+def test_failed_detect_leaves_no_trace(vocab_file, tmp_path, monkeypatch, capsys):
+    from loandetect import refiner
+
+    entries = load_wordlist(vocab_file).entries
+    mixed = make_wordlist(
+        [replace(e, language="de" if i % 2 else "en") for i, e in enumerate(entries)]
+    )
+    source = tmp_path / "v.tsv"
+    write_wordlist(mixed, source)
+    detect, calls = refiner.detect, []
+
+    def second_group_fails(*args, **kwargs):
+        calls.append(args[0].language)
+        if len(calls) > 1:
+            raise RuntimeError("bug in the second group")
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(refiner, "detect", second_group_fails)
+    argv = ["detect", "--input", str(source), "--output", str(tmp_path / "r.tsv"),
+            "--trace", str(tmp_path / "t.tsv")]
+    assert main(argv) == 2
+    assert "internal error: bug in the second group" in capsys.readouterr().err
+    # the first group was detected, but a trace is only written once every group is
+    assert calls == ["de", "en"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.tsv", "words.tsv"]
+
+
 def test_internal_os_error_exit_code(vocab_file, tmp_path, monkeypatch, capsys):
     from loandetect import cli
 

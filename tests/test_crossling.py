@@ -26,7 +26,7 @@ from loandetect.crossling import (
 from loandetect.ipa import GAP, symbol_distance
 from loandetect.refiner import detect_wordlist
 from loandetect.evaluation import generate_synthetic_multilingual
-from loandetect.wordlist import LexicalEntry, make_wordlist
+from loandetect.wordlist import LexicalEntry, make_wordlist, normalize_ipa
 
 import oracles
 from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
@@ -83,6 +83,14 @@ def test_context_windows_padded_with_boundary():
     (a0, b0, ctx0), (a1, b1, ctx1) = al.pairs
     assert ctx0 == (BOUNDARY, BOUNDARY, "a", BOUNDARY)
     assert ctx1 == (BOUNDARY, "p", BOUNDARY, BOUNDARY)
+
+
+def test_an_input_hash_is_not_a_word_edge():
+    # "#" is an unknown token, kept as a segment; only BOUNDARY pads the edges
+    al = align(normalize_ipa("pa#ta"), normalize_ipa("pata"))
+    (t_column,) = [ctx for a, b, ctx in al.pairs if a == "t"]
+    assert t_column == ("a", "#", "a", BOUNDARY)
+    assert t_column[-1] == BOUNDARY != "#"
 
 
 def column_logps(model, concept, i, j):

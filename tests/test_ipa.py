@@ -1,6 +1,7 @@
 """Inventory, feature vector, tokenizer, and syllabifier tests."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from loandetect.ipa import (
     symbol_distance,
     syllabify,
     tokenize,
+    unknown_symbols,
 )
 
 import oracles
@@ -39,9 +41,10 @@ def test_classify_glides_are_consonants():
 
 def test_classify_unknown_falls_back_to_consonant():
     inv = SymbolInventory(dict(INV.features))
-    before = sum(inv.unknown_seen.values())
+    before = {name: dict(table) for name, table in vars(inv).items()}
     assert inv.classify("☃") == "consonant"
-    assert sum(inv.unknown_seen.values()) == before + 1
+    # classification keeps no tally: the table is as it was
+    assert vars(inv) == before
 
 
 def test_required_symbols_covered():
@@ -165,9 +168,12 @@ def test_tokenize_groups_affricates_and_nasals():
 
 def test_tokenize_unknown_cluster_single_token():
     inv = SymbolInventory(dict(INV.features))
+    before = {name: dict(table) for name, table in vars(inv).items()}
     toks = inv.tokenize("☃̃a")
     assert toks == ["☃̃", "a"]
-    assert inv.unknown_seen["☃̃"] == 1
+    assert unknown_symbols(toks) == Counter({"☃̃": 1})
+    # tokenization keeps no tally: the table is as it was
+    assert vars(inv) == before
 
 
 def test_tokenize_deterministic_random_strings():
@@ -192,8 +198,9 @@ _TOKENIZER_ALPHABET = sorted(
 def test_tokenize_matches_greedy_longest_match_oracle(text):
     inv = SymbolInventory(INV.features)
     expected, unknown = oracles.bf_tokenize(text, INV.symbols)
-    assert inv.tokenize(text) == expected
-    assert list(inv.unknown_seen.items()) == list(unknown.items())
+    tokens = inv.tokenize(text)
+    assert tokens == expected
+    assert list(unknown_symbols(tokens).items()) == list(unknown.items())
 
 
 def test_tokenize_returns_the_tables_own_symbol_objects():

@@ -17,7 +17,7 @@ from loandetect.refiner import (
     refine_probability,
 )
 from loandetect.scoring import score_all
-from loandetect.wordlist import LexicalEntry, make_wordlist
+from loandetect.wordlist import LexicalEntry, make_wordlist, write_trace
 
 import oracles
 from fixtures import extract_against
@@ -391,7 +391,8 @@ def test_detect_state_is_its_last_snapshot():
 def test_detect_trace_file(tmp_path):
     vocab = entries_from(TOY_NATIVES + TOY_LOANS)
     trace = tmp_path / "trace.tsv"
-    state = detect(vocab, RunConfig(), trace_path=trace)
+    state = detect(vocab, RunConfig())
+    write_trace(vocab.entries, state, trace)
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "iteration\tword\tP\tP_avg\tin_B"
     assert len(lines) == 1 + len(vocab) * len(state.snapshots)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from loandetect.cli import main
+from loandetect.crossling import BOUNDARY
 from loandetect.ipa import GAP
 from loandetect.wordlist import (
     EmptyTranscriptionError,
@@ -12,6 +13,7 @@ from loandetect.wordlist import (
     UnknownPOSError,
     Wordlist,
     WordlistError,
+    language_rows,
     load_wordlist,
     make_wordlist,
     normalize_ipa,
@@ -116,8 +118,25 @@ def test_load_rejects_duplicate_entries(tmp_path):
         tmp_path,
         ["a\tpa\tenglish\tnoun\t\t", "b\tpa\tenglish\tverb\t\t"],
     )
-    with pytest.raises(WordlistError):
+    with pytest.raises(WordlistError, match="at rows 1 and 2$"):
         load_wordlist(path)
+    # rows count the non-blank lines after the header, as every load error does
+    path = write_tsv(
+        tmp_path,
+        ["a\tpa\tenglish\tnoun\t\t", "", "b\tta\tenglish\tnoun\t\t",
+         "c\tta\tenglish\tverb\t\t"],
+    )
+    with pytest.raises(WordlistError, match="duplicate entry english/ta/None at rows 2 and 3$"):
+        load_wordlist(path)
+
+
+def test_language_rows_sorts_languages_and_keeps_input_order():
+    entries = [
+        LexicalEntry(orthography=w, ipa=tuple(w), language=lang, pos="noun")
+        for w, lang in [("pa", "zz"), ("ta", "aa"), ("ka", "zz"), ("ma", "mm"), ("na", "aa")]
+    ]
+    rows = language_rows(make_wordlist(entries))
+    assert list(rows.items()) == [("aa", [1, 4]), ("mm", [3]), ("zz", [0, 2])]
 
 
 def test_load_csv_flag(tmp_path):
@@ -196,7 +215,8 @@ def test_no_normalized_token_is_the_gap_symbol(raw):
         ipa = normalize_ipa(raw)
     except EmptyTranscriptionError:
         return
-    assert GAP not in ipa
+    # the alignment sentinels: the gap symbol and the word-edge padding
+    assert GAP not in ipa and BOUNDARY not in ipa
 
 
 def test_normalize_ipa_empty_after_stripping():
