@@ -8,15 +8,20 @@ Configuration resolves defaults -> --config file -> CLI flags;
 same name and ``--set`` any key. The fully resolved configuration is
 echoed into every report header, and ``--print-config`` dumps the same
 keys in config-file format and exits; ``main`` resolves the
-configuration once and hands it to the subcommand. Before any work,
-each subcommand refuses a path it would write that it also reads (the
-input, the config file, the grammars) or writes twice (the output and
-``detect``'s per-language traces). Detection writes nothing: ``detect``
-writes each language's trace from the states detection returns, then
-the report. Each command writes its files before it prints. Exit codes:
-0 success, 1 input/validation error (an unreadable or unwritable path
-the user named, a path clash and a standard output closed early
-included), 2 internal error.
+configuration once and hands it to the subcommand. Before the input is
+read, ``main`` refuses an ``--output`` or ``--trace`` that names no file
+or is a directory; before any work, each subcommand refuses a path it
+would write that is a directory, that it also reads (the input, the
+config file, the grammars) or that it writes twice (the output and
+``detect``'s per-language traces). Detection writes nothing: ``detect`` writes each language's
+trace from the states detection returns, then the report. Each command
+writes its files before it prints. Only ``eval``, ``ablate``,
+``experiment`` and ``synth`` import ``evaluation``, and only ``detect``
+with the ``uns`` model imports ``baseline``: ``detect`` with the
+default model and ``detect-xl`` load neither. Exit codes: 0 success,
+1 input/validation error (an unreadable or unwritable path the user
+named, a path clash and a standard output closed early included),
+2 internal error.
 """
 
 from __future__ import annotations
@@ -28,18 +33,8 @@ import sys
 from pathlib import Path
 from typing import Collection
 
-from . import baseline, crossling, evaluation
+from . import crossling
 from .config import MODELS, ConfigError, RunConfig, load_config
-from .evaluation import (
-    NoGoldLabelsError,
-    format_report_block,
-    generate_synthetic,
-    generate_synthetic_multilingual,
-    load_grammar,
-    run_ablations,
-    run_proportion_experiment,
-    write_metrics_table,
-)
 from .features import MODES
 from .refiner import detect_wordlist
 from .wordlist import (
@@ -139,18 +134,33 @@ def _same_file(a: Path, b: Path) -> bool:
 
 
 def _check_paths(args: argparse.Namespace, writes: list[Path]) -> None:
-    """Raise ``WordlistError`` when a path in ``writes`` is a file the
-    command reads or another path in ``writes``."""
+    """Raise ``WordlistError`` when a path in ``writes`` is a directory, a
+    file the command reads or another path in ``writes``."""
     reads = [
         Path(path)
         for path in (getattr(args, name, None) for name in _READ_FLAGS)
         if path
     ]
     for i, path in enumerate(writes):
+        if path.is_dir():
+            raise WordlistError(f"{path} is a directory")
         if any(_same_file(path, read) for read in reads):
             raise WordlistError(f"{path} is both read and written")
         if any(_same_file(path, other) for other in writes[:i]):
             raise WordlistError(f"{path} would be written twice")
+
+
+def _check_write_flags(args: argparse.Namespace) -> None:
+    """Raise ``WordlistError`` when a path given to a write flag names no
+    file (as ``""`` and ``.`` do) or is an existing directory."""
+    for flag in _WRITE_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if not Path(path).name:
+            raise WordlistError(f"--{flag} {path!r} names no file")
+        if Path(path).is_dir():
+            raise WordlistError(f"--{flag} {path} is a directory")
 
 
 def trace_paths(languages: Collection[str], trace: str | None) -> dict[str, Path]:
@@ -178,6 +188,8 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.model == "uns":
         if args.trace:
             raise ConfigError("--trace needs the autbor model: the uns model has no passes")
+        from . import baseline
+
         probs, labels = baseline.detect_wordlist(vocab, cfg)
     else:
         probs, labels, states = detect_wordlist(vocab, cfg)
@@ -209,13 +221,15 @@ def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .evaluation import evaluate, format_report_block, write_metrics_table
+
     if not args.input:
         raise WordlistError("--input is required")
     _check_paths(args, [Path(args.output)] if args.output else [])
     rows = read_report(args.input)
     if not rows:
         raise WordlistError("report is empty")
-    report = evaluation.evaluate(
+    report = evaluate(
         [r.predicted_label for r in rows],
         [r.gold_label for r in rows],
         [r.language for r in rows],
@@ -229,6 +243,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .evaluation import format_report_block, run_ablations, write_metrics_table
+
     output = _require_output(args)
     _check_paths(args, [output])
     vocab = _load_input(args)
@@ -241,6 +257,8 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .evaluation import run_proportion_experiment
+
     output = _require_output(args)
     _check_paths(args, [output])
     vocab = _load_input(args)
@@ -258,6 +276,8 @@ def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .evaluation import generate_synthetic, generate_synthetic_multilingual, load_grammar
+
     output = _require_output(args)
     _check_paths(args, [output])
     native = load_grammar(args.native_grammar)
@@ -346,8 +366,6 @@ _AUTBOR_ONLY = ("detect-xl", "ablate", "experiment")
 _INPUT_ERRORS = (
     WordlistError,
     ConfigError,
-    NoGoldLabelsError,
-    evaluation.InvalidGrammarError,
     crossling.MissingConceptError,
     crossling.EmptyDatasetError,
     FileNotFoundError,
@@ -381,6 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if cfg.model != "autbor" and args.command in _AUTBOR_ONLY:
             raise ConfigError(f"{args.command} runs the autbor model only, not {cfg.model!r}")
+        _check_write_flags(args)
         return args.func(args, cfg)
     except Exception as exc:
         if isinstance(exc, _INPUT_ERRORS) or (

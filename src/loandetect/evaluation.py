@@ -22,17 +22,17 @@ from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import symbol_distance
 from .refiner import detect_wordlist
-from .wordlist import LexicalEntry, Wordlist, make_wordlist, write_table
+from .wordlist import LexicalEntry, Wordlist, WordlistError, make_wordlist, write_table
 
 log = logging.getLogger(__name__)
 
 
-class NoGoldLabelsError(ValueError):
-    pass
+class NoGoldLabelsError(WordlistError):
+    """The wordlist or report holds no gold label to score against."""
 
 
-class InvalidGrammarError(ValueError):
-    pass
+class InvalidGrammarError(ConfigError):
+    """A synthetic-corpus grammar, or a request made of one, cannot be used."""
 
 
 @dataclass(frozen=True)

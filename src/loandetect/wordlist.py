@@ -21,6 +21,7 @@ import csv
 import logging
 import os
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -218,25 +219,29 @@ def _parse_rows(
                     f"missing required column {colmap[canonical]!r} in {path}"
                 )
 
-        def cell(row: list[str], canonical: str) -> str:
-            i = index.get(colmap[canonical])
-            if i is None or i >= len(row):
-                return ""
-            return row[i].strip()
-
-        # blank lines are skipped before counting: row n is the n-th entry,
-        # as crossling.MissingConceptError numbers it
-        rows = (row for row in reader if any(c.strip() for c in row))
-        for rownum, row in enumerate(rows, start=1):
-            text = (cell(row, "orthography"), cell(row, "language"), cell(row, "concept"))
-            joined = "".join(text)
+        # each row is cut or padded to one empty cell past the header: a
+        # missing trailing cell reads as empty, and an optional column the
+        # header lacks reads that extra cell
+        width = len(header)
+        columns = ("orthography", "ipa", "language", "pos", "label", "concept")
+        cells = itemgetter(*(index.get(colmap[name], width) for name in columns))
+        pad = ("",) * (width + 1)
+        rownum = 0
+        for row in reader:
+            # blank lines are skipped before counting: row n is the n-th entry,
+            # as crossling.MissingConceptError numbers it
+            if not "".join(row).strip():
+                continue
+            rownum += 1
+            row[width:] = pad[min(len(row), width):]
+            orthography, raw_ipa, language, pos, label_text, concept = map(str.strip, cells(row))
+            joined = orthography + language + concept
             if "\t" in joined or "\n" in joined or "\r" in joined:
                 # such a cell, written back to a report, would split its row
+                text = (orthography, language, concept)
                 broken = [c for c, t in zip(_TEXT_COLUMNS, text) if not _BREAKS.isdisjoint(t)]
                 errors.append((rownum, f"tab or line break in {', '.join(broken)}"))
                 continue
-            orthography, language, concept = text
-            raw_ipa = cell(row, "ipa")
             if not raw_ipa:
                 errors.append((rownum, "missing IPA"))
                 continue
@@ -245,14 +250,13 @@ def _parse_rows(
             except EmptyTranscriptionError:
                 errors.append((rownum, f"IPA empty after normalization: {raw_ipa!r}"))
                 continue
-            pos = cell(row, "pos").lower()
+            pos = pos.lower()
             if pos not in POS_CATEGORIES:
                 if lenient_pos:
                     log.warning("row %d: unknown POS %r mapped to 'function'", rownum, pos)
                     pos = "function"
                 else:
                     raise UnknownPOSError(pos, rownum)
-            label_text = cell(row, "label")
             gold: int | None = None
             if label_text != "":
                 if label_text not in ("0", "1"):

@@ -471,7 +471,21 @@ def _bad_inputs(tmp_path, vocab_file):
         '{"language": "toy", "consonants": ["p"], "vowels": ["a"], "max_syllable": 1}',
         encoding="utf-8",
     )
+    unlabelled = tmp_path / "unlabelled.tsv"
+    unlabelled.write_text(
+        "orthography\tipa\tlanguage\tpos\n" + "".join(
+            f"{w}\t{w}\ttoy\tnoun\n" for w in ("pata", "kisu", "mela", "tori")
+        ),
+        encoding="utf-8",
+    )
+    unscored = tmp_path / "unscored.tsv"
+    unscored.write_text(
+        "word\tlanguage\tprobability\tpredicted_label\nab\ttoy\t0.5\t1\n", encoding="utf-8"
+    )
+    folder = tmp_path / "folder"
+    folder.mkdir()
     detect = ["detect", "--input", str(vocab_file), "--output", out]
+    detect_xl = ["detect-xl", "--input", str(vocab_file), "--output"]
     return [
         ("non-UTF-8 wordlist", ["detect", "--input", str(latin1), "--output", out]),
         ("wordlist without entries", ["detect", "--input", str(header_only), "--output", out]),
@@ -494,6 +508,17 @@ def _bad_inputs(tmp_path, vocab_file):
         ("grammar with an unknown key", ["synth", "--native-grammar", str(misspelt),
                                          "--donor-grammar", str(misspelt), "--seed", "1",
                                          "--output", out]),
+        ("report without gold labels", ["eval", "--input", str(unscored)]),
+        ("ablate without gold labels", ["ablate", "--input", str(unlabelled), "--output", out]),
+        ("experiment without gold labels", ["experiment", "--input", str(unlabelled),
+                                            "--output", out, "--seed", "1"]),
+        ("empty trace path", detect + ["--trace", ""]),
+        ("trace path without a name", detect + ["--trace", "."]),
+        ("detect output without a name", detect[:-1] + ["."]),
+        ("detect output a directory", detect[:-1] + [str(folder)]),
+        ("detect-xl empty output", detect_xl + [""]),
+        ("detect-xl output without a name", detect_xl + ["."]),
+        ("detect-xl output a directory", detect_xl + [str(folder)]),
     ]
 
 
@@ -502,6 +527,24 @@ def test_bad_input_exit_code(vocab_file, tmp_path, capsys):
         assert main(argv) == 1, label
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err, label
+        assert err.count("\n") == 1, label
+    # a refused run writes no report, table or trace
+    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "folder").iterdir()) == []
+
+
+def test_write_path_is_checked_before_the_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tsv")
+    cases = [
+        (["detect", "--input", missing, "--output", "."], "names no file"),
+        (["detect", "--input", missing, "--output", str(tmp_path / "r.tsv"),
+          "--trace", str(tmp_path)], "is a directory"),
+        (["detect-xl", "--input", missing, "--output", str(tmp_path)], "is a directory"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "missing.tsv" not in err, argv
 
 
 def test_internal_value_error_exit_code(vocab_file, tmp_path, monkeypatch, capsys):
@@ -519,6 +562,9 @@ def test_internal_value_error_exit_code(vocab_file, tmp_path, monkeypatch, capsy
 def test_unusable_user_path_exit_code(vocab_file, multi_file, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.mkdir()
+    # the second language's trace path (languages run in sorted order)
+    second_trace = tmp_path / "t.reca.tsv"
+    second_trace.mkdir()
     cases = [
         ("detect output is a directory",
          ["detect", "--input", str(vocab_file), "--output", str(taken)]),
@@ -527,6 +573,9 @@ def test_unusable_user_path_exit_code(vocab_file, multi_file, tmp_path, capsys):
         ("trace is a directory",
          ["detect", "--input", str(vocab_file), "--output", str(tmp_path / "r.tsv"),
           "--trace", str(taken)]),
+        ("a per-language trace is a directory",
+         ["detect", "--input", str(multi_file), "--output", str(tmp_path / "r.tsv"),
+          "--trace", str(tmp_path / "t.tsv")]),
         ("input is a directory",
          ["detect", "--input", str(taken), "--output", str(tmp_path / "r.tsv")]),
         ("output directory missing",
@@ -536,11 +585,12 @@ def test_unusable_user_path_exit_code(vocab_file, multi_file, tmp_path, capsys):
         assert main(argv) == 1, label
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err, label
-    # a failed write leaves neither a partial report nor its temporary file
+    # a failed write leaves neither a partial report nor its temporary file,
+    # and a refused trace path leaves no other language's trace
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["multi.tsv", "taken", "words.tsv"]
+        ["multi.tsv", "t.reca.tsv", "taken", "words.tsv"]
     )
-    assert list(taken.iterdir()) == []
+    assert list(taken.iterdir()) == list(second_trace.iterdir()) == []
 
 
 def test_failed_detect_leaves_no_trace(vocab_file, tmp_path, monkeypatch, capsys):

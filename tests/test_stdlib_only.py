@@ -1,12 +1,20 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and a
+detection run imports nothing it does not use."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import loandetect
+from loandetect.evaluation import generate_synthetic_multilingual
+from loandetect.wordlist import write_wordlist
+
+from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
 
 
 def test_package_imports_only_stdlib():
@@ -53,3 +61,47 @@ def test_detection_layers_write_no_files(layer):
         found += [f"line {node.lineno}: {name}" for name in names
                   if name == "open" or name.startswith("write_")]
     assert found == []
+
+
+def _fresh_process(script: str) -> object:
+    """Run ``script`` in a fresh interpreter, with ``loaded()`` naming the
+    loandetect modules imported so far; return what it prints as JSON."""
+    src = str(Path(loandetect.__file__).resolve().parent.parent)
+    prelude = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('loandetect'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_evaluation_baseline_or_cli():
+    loaded, unresolved = _fresh_process(
+        "import loandetect\n"
+        "print(json.dumps([loaded(), [n for n in loandetect.__all__ if not hasattr(loandetect, n)]]))\n"
+    )
+    assert "loandetect" in loaded
+    assert not {"loandetect.evaluation", "loandetect.baseline", "loandetect.cli"} & set(loaded)
+    assert unresolved == []
+
+
+@pytest.mark.parametrize("command", ["detect", "detect-xl"])
+def test_cli_detection_loads_no_evaluation_or_baseline(command, tmp_path):
+    source = tmp_path / "multi.tsv"
+    write_wordlist(
+        generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3), source
+    )
+    argv = [command, "--input", str(source), "--output", str(tmp_path / "r.tsv")]
+    code, loaded = _fresh_process(
+        "from loandetect.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, loaded()]))\n"
+    )
+    assert code == 0
+    assert "loandetect.refiner" in loaded
+    assert not {"loandetect.evaluation", "loandetect.baseline"} & set(loaded)

@@ -113,6 +113,42 @@ def test_load_unknown_pos_strict_vs_lenient(tmp_path):
     assert wl.entries[0].pos == "function"
 
 
+def test_load_short_row_reads_missing_cells_as_empty(tmp_path):
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t1", "b\tta\tenglish\tnoun"])
+    first, second = load_wordlist(path).entries
+    assert (first.gold_label, first.concept_id) == (1, None)
+    assert (second.gold_label, second.concept_id) == (None, None)
+
+
+def test_load_long_row_ignores_extra_cells(tmp_path):
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t0\tc1\textra\t9"])
+    assert load_wordlist(path).entries == (
+        LexicalEntry(orthography="a", ipa=("p", "a"), language="english", pos="noun",
+                     gold_label=0, concept_id="c1"),
+    )
+    # an extra cell is not read as an optional column the header lacks
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t1\tc1"],
+                     header="orthography\tipa\tlanguage\tpos")
+    assert load_wordlist(path).entries == (
+        LexicalEntry(orthography="a", ipa=("p", "a"), language="english", pos="noun"),
+    )
+
+
+def test_load_row_of_orthography_only_is_missing_ipa(tmp_path):
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t\t", "lonely"])
+    with pytest.raises(MalformedRowError) as err:
+        load_wordlist(path)
+    assert err.value.rows == [(2, "missing IPA")]
+
+
+def test_load_row_without_pos_cell_is_unknown_pos(tmp_path):
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t\t", "b\tta\tenglish"])
+    with pytest.raises(UnknownPOSError) as err:
+        load_wordlist(path)
+    assert (err.value.row, err.value.value) == (2, "")
+    assert str(err.value) == "row 2: unknown POS ''"
+
+
 def test_load_rejects_duplicate_entries(tmp_path):
     path = write_tsv(
         tmp_path,
