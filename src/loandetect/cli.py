@@ -8,17 +8,18 @@ Configuration resolves defaults -> --config file -> CLI flags;
 same name and ``--set`` any key. The fully resolved configuration is
 echoed into every report header, and ``--print-config`` dumps the same
 keys in config-file format and exits; ``main`` resolves the
-configuration once and hands it to the subcommand. Before the input is
-read, ``main`` refuses an ``--output`` or ``--trace`` that names no file
-or is a directory; before any work, each subcommand refuses a path it
-would write that is a directory, that it also reads (the input, the
-config file, the grammars) or that it writes twice (the output and
-``detect``'s per-language traces). Detection writes nothing: ``detect`` writes each language's
-trace from the states detection returns, then the report. Each command
-writes its files before it prints. Only ``eval``, ``ablate``,
-``experiment`` and ``synth`` import ``evaluation``, and only ``detect``
-with the ``uns`` model imports ``baseline``: ``detect`` with the
-default model and ``detect-xl`` load neither. Exit codes: 0 success,
+configuration once and hands it to the subcommand. Before it reads its
+input, each subcommand refuses a path it would write that names no file
+(as ``""`` and ``.`` do), that is a directory, that it also reads (the
+input, the config file, the grammars) or that it writes twice (the
+output and ``detect``'s per-language traces, which are checked once the
+input names its languages, before detection). Detection writes nothing:
+``detect`` writes each language's trace from the states detection
+returns, then the report. Each command writes its files before it
+prints. Only ``eval``, ``ablate``, ``experiment`` and ``synth`` import
+``evaluation``, and only ``detect`` with the ``uns`` model imports
+``baseline``: ``detect`` with the default model and ``detect-xl`` load
+neither. Exit codes: 0 success,
 1 input/validation error (an unreadable or unwritable path the user
 named, a path clash and a standard output closed early included),
 2 internal error.
@@ -134,33 +135,23 @@ def _same_file(a: Path, b: Path) -> bool:
 
 
 def _check_paths(args: argparse.Namespace, writes: list[Path]) -> None:
-    """Raise ``WordlistError`` when a path in ``writes`` is a directory, a
-    file the command reads or another path in ``writes``."""
+    """Raise ``WordlistError`` when a path in ``writes`` names no file, is
+    a directory, is a file the command reads or is another path in
+    ``writes``."""
     reads = [
         Path(path)
         for path in (getattr(args, name, None) for name in _READ_FLAGS)
         if path
     ]
     for i, path in enumerate(writes):
+        if not path.name:
+            raise WordlistError(f"{str(path)!r} names no file")
         if path.is_dir():
             raise WordlistError(f"{path} is a directory")
         if any(_same_file(path, read) for read in reads):
             raise WordlistError(f"{path} is both read and written")
         if any(_same_file(path, other) for other in writes[:i]):
             raise WordlistError(f"{path} would be written twice")
-
-
-def _check_write_flags(args: argparse.Namespace) -> None:
-    """Raise ``WordlistError`` when a path given to a write flag names no
-    file (as ``""`` and ``.`` do) or is an existing directory."""
-    for flag in _WRITE_FLAGS:
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
-        if not Path(path).name:
-            raise WordlistError(f"--{flag} {path!r} names no file")
-        if Path(path).is_dir():
-            raise WordlistError(f"--{flag} {path} is a directory")
 
 
 def trace_paths(languages: Collection[str], trace: str | None) -> dict[str, Path]:
@@ -180,8 +171,9 @@ def trace_paths(languages: Collection[str], trace: str | None) -> dict[str, Path
 
 
 def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
-    vocab = _load_input(args)
     output = _require_output(args)
+    _check_paths(args, [output] + ([Path(args.trace)] if args.trace is not None else []))
+    vocab = _load_input(args)
     rows = language_rows(vocab)
     traces = trace_paths(rows, args.trace)
     _check_paths(args, [output, *traces.values()])
@@ -225,7 +217,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if not args.input:
         raise WordlistError("--input is required")
-    _check_paths(args, [Path(args.output)] if args.output else [])
+    _check_paths(args, [Path(args.output)] if args.output is not None else [])
     rows = read_report(args.input)
     if not rows:
         raise WordlistError("report is empty")
@@ -399,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if cfg.model != "autbor" and args.command in _AUTBOR_ONLY:
             raise ConfigError(f"{args.command} runs the autbor model only, not {cfg.model!r}")
-        _check_write_flags(args)
         return args.func(args, cfg)
     except Exception as exc:
         if isinstance(exc, _INPUT_ERRORS) or (

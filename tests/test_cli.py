@@ -540,6 +540,7 @@ def test_write_path_is_checked_before_the_input_is_read(tmp_path, capsys):
         (["detect", "--input", missing, "--output", str(tmp_path / "r.tsv"),
           "--trace", str(tmp_path)], "is a directory"),
         (["detect-xl", "--input", missing, "--output", str(tmp_path)], "is a directory"),
+        (["eval", "--input", missing, "--output", ""], "names no file"),
     ]
     for argv, message in cases:
         assert main(argv) == 1, argv
