@@ -16,6 +16,8 @@ plain lists indexed by id, so a refinement pass reads each word's
 probabilities by id instead of hashing symbol tuples again. The
 tuple-keyed mappings of ``VocabStatistics`` (``ngram_prob``,
 ``trans_prob``) are views built on first read; detection reads none.
+N-grams are interned by integer keys made from a prefix id and a symbol
+id, not by symbol tuples (see ``CompiledGroup``).
 
 ``extract_all`` is the one feature path. It scores every word of the
 statistics' group and reads the rarity constants from a ``RunConfig``,
@@ -86,7 +88,10 @@ def _spans(length: int, nmin: int, nmax: int) -> Iterator[tuple[int, int]]:
 def word_ngrams(
     word: Word, nmin: int = NGRAM_MIN, nmax: int = NGRAM_MAX
 ) -> list[tuple[str, ...]]:
-    """Multiset of the word's contiguous n-grams for n in [nmin, min(nmax, |w|)]."""
+    """Multiset of the word's contiguous n-grams for n in [nmin, min(nmax, |w|)].
+
+    ``CompiledGroup`` keeps their ids in this order without building them.
+    """
     return [tuple(word[i : i + n]) for i, n in _spans(len(word), nmin, nmax)]
 
 
@@ -104,10 +109,19 @@ class CompiledGroup:
     read). A group is built once per word list and never copied: statistics
     of any reference rows index the same ids.
 
-    Ids are kept in arrays and the n-gram tuples are dropped after
-    interning (``gram_tuples`` rebuilds them): a tuple and an int object
-    per distinct n-gram, held for a whole run, would cost more memory
-    than the per-pass statistics they replace.
+    Each distinct symbol gets an int id, and an n-gram (n >= 2) is
+    interned by the int ``prefix * n_symbols + last``, where ``prefix`` is
+    the id of its (n-1)-gram prefix, in one dict per length. The
+    multiplier is the group's symbol count, not a fixed shift, because
+    unknown tokens make that count depend on the input. Lengths below
+    ``ngram_min`` get prefix-only ids, which no statistic counts. No tuple
+    is built per occurrence: a dict keyed by n-gram tuples set the peak
+    memory of a whole detection run.
+
+    Ids are kept in arrays and the interning dicts are dropped after
+    compiling (``gram_tuples`` rebuilds the n-grams from word order): an
+    entry per distinct n-gram, held for a whole run, would cost more
+    memory than the per-pass statistics it serves.
     """
 
     def __init__(
@@ -118,20 +132,44 @@ class CompiledGroup:
     ):
         self.words = [tuple(w) for w in words]
         self.ngram_min, self.ngram_max = ngram_min, ngram_max
-        gram_ids: dict[tuple[str, ...], int] = {}
+        symbol_ids: dict[str, int] = {}
+        for w in self.words:
+            for s in w:
+                symbol_ids.setdefault(s, len(symbol_ids))
+        base = len(symbol_ids)
+        # keys[n] maps an n-gram's key, prefix * base + last symbol, to its
+        # id: a group id from ngram_min on, a prefix-only id below it
+        keys: list[dict[int, int]] = [{} for _ in range(ngram_max + 1)]
+        gram_len = array("i")
+        self.word_grams = []
+        for w in self.words:
+            symbols = [symbol_ids[s] for s in w]
+            grams = array("i")
+            prefixes = symbols  # a symbol's id is its unigram's prefix id
+            for n in range(min(ngram_min, 2), min(ngram_max, len(w)) + 1):
+                if n == 1:
+                    level = symbols
+                else:
+                    level = [p * base + s for p, s in zip(prefixes, symbols[n - 1 :])]
+                ids = keys[n]
+                if n < ngram_min:
+                    prefixes = [ids.setdefault(k, len(ids)) for k in level]
+                    continue
+                prefixes = []
+                for k in level:
+                    g = ids.get(k)
+                    if g is None:
+                        g = ids[k] = len(gram_len)
+                        gram_len.append(n)
+                    prefixes.append(g)
+                grams.extend(prefixes)
+            self.word_grams.append(grams)
         trans_ids: dict[tuple[str, str], int] = {}
-        self.word_grams = [
-            array("i", [
-                gram_ids.setdefault(g, len(gram_ids))
-                for g in word_ngrams(w, ngram_min, ngram_max)
-            ])
-            for w in self.words
-        ]
         self.word_trans = [
             array("i", [trans_ids.setdefault(t, len(trans_ids)) for t in word_transitions(w)])
             for w in self.words
         ]
-        self.gram_len = array("i", map(len, gram_ids))
+        self.gram_len = gram_len
         self.transitions = list(trans_ids)
 
     @cached_property

@@ -389,6 +389,45 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
             assert p == stats.trans_prob.get(group.transitions[t], 0.0)
 
 
+def test_interning_equals_bruteforce_for_every_ngram_range():
+    # small alphabets repeat n-grams; one-symbol words fall below ngram_min
+    rng = random.Random(21)
+    for _ in range(300):
+        nmin = rng.randint(1, 3)
+        max_len = rng.randint(1, 9)
+        nmax = rng.randint(nmin, max_len + 2)
+        alphabet = SYMBOLS[: rng.randint(1, len(SYMBOLS))]
+        vocab = [
+            tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        vocab += rng.sample(vocab, rng.randint(0, len(vocab)))
+        group = CompiledGroup(vocab, nmin, nmax)
+        ids_of = {}
+        for w, ids in zip(vocab, group.word_grams):
+            grams = oracles.bf_word_ngrams(w, nmin, nmax)
+            assert len(ids) == len(grams)
+            for g, i in zip(grams, ids):
+                ids_of.setdefault(g, set()).add(i)
+        # equal n-grams share one id, and different ones never do
+        assert all(len(ids) == 1 for ids in ids_of.values())
+        id_of = {g: i for g, (i,) in ids_of.items()}
+        assert sorted(id_of.values()) == list(range(len(group.gram_len)))
+        tuples = group.gram_tuples()
+        assert {g: i for i, g in enumerate(tuples)} == id_of
+        assert list(group.gram_len) == [len(g) for g in tuples]
+
+        rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
+        reference = [vocab[r] for r in rows]
+        stats = build_statistics(group, rows)
+        counts = oracles.bf_ngram_counts(reference, nmin, nmax)
+        assert ngram_count(stats) == counts
+        assert {g: stats.ngram_counts[i] for g, i in id_of.items()} == {
+            g: counts.get(g, 0) for g in id_of
+        }
+        assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference, nmin, nmax)
+
+
 def test_compiled_extract_all_matches_bruteforce_features():
     rng = random.Random(77)
     cfg = RunConfig(mode="aug")

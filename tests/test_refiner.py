@@ -421,22 +421,28 @@ def test_detect_empty_wordlist_rejected():
 
 @pytest.mark.parametrize("mode", ["full", "no_ngram", "no_transition", "aug"])
 def test_detect_compiles_each_word_once(monkeypatch, mode):
-    from loandetect import features
+    from loandetect import features, refiner
 
-    calls = []
-    real = features.word_ngrams
-    monkeypatch.setattr(
-        features, "word_ngrams", lambda w, *a: calls.append(w) or real(w, *a)
-    )
+    built = []
+
+    class Recorded(features.CompiledGroup):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
     def no_tuple_views(self):
         raise AssertionError("detect read the tuple-keyed statistics")
 
+    monkeypatch.setattr(refiner, "CompiledGroup", Recorded)
     monkeypatch.setattr(features.CompiledGroup, "gram_tuples", no_tuple_views)
     vocab = entries_from(TOY_NATIVES + TOY_LOANS)
-    state = detect(vocab, RunConfig(mode=mode, convergence_fraction=0.0))
-    assert len(state.snapshots) == RunConfig().max_iterations
-    assert sorted(calls) == sorted(e.ipa for e in vocab)
+    cfg = RunConfig(mode=mode, convergence_fraction=0.0)
+    state = detect(vocab, cfg)
+    assert len(state.snapshots) == cfg.max_iterations
+    # one group over the words, in input order, for every pass
+    assert len(built) == 1
+    assert built[0].words == [tuple(e.ipa) for e in vocab]
+    assert (built[0].ngram_min, built[0].ngram_max) == (cfg.ngram_min, cfg.ngram_max)
 
 
 # Detection of a three-language corpus with 15% cross-language words. Besides
