@@ -6,7 +6,7 @@
 # probability.
 
 from loandetect import RunConfig, detect
-from loandetect.wordlist import LexicalEntry, make_wordlist, normalize_ipa
+from loandetect.wordlist import LexicalEntry, Wordlist, normalize_ipa
 
 ROWS = [
     # orthography, ipa, pos
@@ -30,7 +30,7 @@ entries = [
     LexicalEntry(orth, normalize_ipa(ipa), "demo", pos)
     for orth, ipa, pos in ROWS
 ]
-vocab = make_wordlist(entries)
+vocab = Wordlist(entries)
 
 cfg = RunConfig()
 state = detect(vocab, cfg)

@@ -13,7 +13,7 @@
 # get C = 0.
 
 from loandetect import RunConfig, detect_scaled
-from loandetect.wordlist import LexicalEntry, make_wordlist, normalize_ipa
+from loandetect.wordlist import LexicalEntry, Wordlist, normalize_ipa
 
 NATIVES = {
     "aaa": ["pati", "tuka", "kipa", "tapa", "kuti", "pika",
@@ -39,7 +39,7 @@ for lang, words in NATIVES.items():
 for concept, forms in LOANS.items():
     for lang, w in forms.items():
         entries.append(LexicalEntry(w, normalize_ipa(w), lang, "noun", 1, concept))
-vocab = make_wordlist(entries)
+vocab = Wordlist(entries)
 
 # Two of the exposed empirical knobs are adjusted for this miniature
 # corpus: the alignment-probability term of the divergence is noisy with

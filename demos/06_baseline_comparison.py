@@ -12,7 +12,7 @@ from loandetect import RunConfig
 from loandetect.baseline import detect_wordlist as baseline_detect, stem_of
 from loandetect.evaluation import evaluate_wordlist
 from loandetect.refiner import detect_wordlist
-from loandetect.wordlist import LexicalEntry, make_wordlist, normalize_ipa
+from loandetect.wordlist import LexicalEntry, Wordlist, normalize_ipa
 
 STEMS = ["pata", "tiku", "kapa"]
 ENDINGS = ["", "ka", "ki", "tu", "ma"]
@@ -25,7 +25,7 @@ entries = [
     LexicalEntry(text, normalize_ipa(text), "demo", "noun", gold, None)
     for text, gold in rows
 ]
-vocab = make_wordlist(entries)
+vocab = Wordlist(entries)
 cfg = RunConfig()
 
 _, main_labels, _ = detect_wordlist(vocab, cfg)

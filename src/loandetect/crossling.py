@@ -72,10 +72,6 @@ class Alignment:
 
     pairs: tuple[tuple[str, str, Context], ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.pairs)
-
 
 def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
     """Needleman-Wunsch global alignment maximizing summed column scores.

@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import symbol_distance
 from .refiner import detect_wordlist
-from .wordlist import LexicalEntry, Wordlist, WordlistError, make_wordlist, write_table
+from .wordlist import LexicalEntry, Wordlist, WordlistError, write_table
 
 log = logging.getLogger(__name__)
 
@@ -164,7 +164,7 @@ def stratified_sample(
         k = max(1, round(proportion * len(indices)))
         chosen.extend(indices[:k])
     chosen.sort()
-    return make_wordlist([vocab.entries[i] for i in chosen])
+    return Wordlist([vocab.entries[i] for i in chosen])
 
 
 def run_proportion_experiment(
@@ -362,7 +362,7 @@ def generate_synthetic(
         )
         for w in loans
     ]
-    return make_wordlist(entries)
+    return Wordlist(entries)
 
 
 def generate_synthetic_multilingual(
@@ -420,7 +420,7 @@ def generate_synthetic_multilingual(
         add(borrowed, recipient_grammar.language, donor_grammar, 1)
         add(b, donor_grammar.language, donor_grammar, 0)
         concept += 1
-    return make_wordlist(entries)
+    return Wordlist(entries)
 
 
 # --- Plot-ready tables ----------------------------------------------------------

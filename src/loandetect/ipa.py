@@ -371,7 +371,7 @@ def syllabify(word: Sequence[str]) -> list[tuple[str, ...]]:
 
     syllables: list[tuple[str, ...]] = []
     prev_end = 0
-    for _, (start, end) in enumerate(runs):
+    for _, end in runs:
         syllables.append(tuple(word[prev_end:end]))
         prev_end = end
     if prev_end < len(word):

@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 from .config import RunConfig
 from .features import CompiledGroup, _count_ids, build_statistics, extract_all
 from .scoring import score_all
-from .wordlist import Wordlist, WordlistError, language_rows, make_wordlist
+from .wordlist import Wordlist, WordlistError, language_rows
 
 log = logging.getLogger(__name__)
 
@@ -197,7 +197,8 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
     for t in range(cfg.max_iterations):
         native_rows = every_row
         if t:
-            native_rows = [i for i in every_row if i not in state.loans]
+            previous_loans = state.loans
+            native_rows = [i for i in every_row if i not in previous_loans]
             if not native_rows:
                 state.warnings.append(
                     f"iteration {t}: all words classified as borrowed; "
@@ -248,7 +249,7 @@ def detect_wordlist(
     labels = [0] * len(vocab)
     states: dict[str, DetectionState] = {}
     for lang, indices in language_rows(vocab).items():
-        sub = make_wordlist([vocab.entries[i] for i in indices])
+        sub = Wordlist([vocab.entries[i] for i in indices])
         state = states[lang] = detect(sub, cfg)
         averaged, loans = state.averaged, state.loans
         for local, global_i in enumerate(indices):

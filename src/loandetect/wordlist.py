@@ -3,10 +3,13 @@
 Input files are delimiter-separated text (TSV by default, CSV behind a
 flag) with a header row, UTF-8 encoded; a leading byte-order mark is
 skipped. Expected columns: ``orthography``, ``ipa``, ``language``,
-``pos``, plus optional ``label`` and ``concept``; an orthography,
-language or concept cell may hold no tab or line break. A wordlist holds
-any number of languages with or without concept ids; only
-``crossling.detect_scaled`` reads concepts, and it alone requires them.
+``pos``, plus optional ``label`` and ``concept``, each named once in the
+header. TSV cells are read literally, as ``write_table`` writes them;
+CSV quoting applies only to CSV, and a quoted CSV orthography, language
+or concept cell may hold no tab or line break. Every row needs a
+language. A ``Wordlist`` is its entries, in any number of languages with
+or without concept ids, and its ``language`` tag is derived from them;
+only ``crossling.detect_scaled`` reads concepts, and it alone requires them.
 ``language_rows`` is the one split of a wordlist by language, which
 every per-language detector and the trace writer read.
 Every file the package writes is a ``write_table`` table: reports (their
@@ -40,19 +43,12 @@ POS_CATEGORIES = ("noun", "adjective", "verb", "adverb", "function")
 # the alignment gap symbol). Whitespace goes too.
 _STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ", ".", "+", "-")
 
+# the input columns, required ones first, in the order _parse_rows reads them
+_COLUMNS = ("orthography", "ipa", "language", "pos", "label", "concept")
 # the cells that files written from a wordlist echo as they are, in the order
 # _parse_rows reads them: none may hold a character that ends a table cell or row
 _TEXT_COLUMNS = ("orthography", "language", "concept")
 _BREAKS = frozenset("\t\r\n")
-
-DEFAULT_SCHEMA: Mapping[str, str] = {
-    "orthography": "orthography",
-    "ipa": "ipa",
-    "language": "language",
-    "pos": "pos",
-    "label": "label",
-    "concept": "concept",
-}
 
 
 class WordlistError(ValueError):
@@ -70,10 +66,14 @@ class MalformedRowError(WordlistError):
 
 
 class UnknownPOSError(WordlistError):
-    def __init__(self, value: str, row: int):
+    """A POS outside ``POS_CATEGORIES``; ``row`` is the loader's 1-based row,
+    ``None`` for an entry built directly."""
+
+    def __init__(self, value: str, row: int | None = None):
         self.value = value
         self.row = row
-        super().__init__(f"row {row}: unknown POS {value!r}")
+        where = "" if row is None else f"row {row}: "
+        super().__init__(f"{where}unknown POS {value!r}")
 
 
 class EmptyTranscriptionError(WordlistError):
@@ -94,8 +94,10 @@ class LexicalEntry:
     def __post_init__(self) -> None:
         if not self.ipa:
             raise EmptyTranscriptionError(self.orthography)
+        if not self.language.strip():
+            raise WordlistError("missing language")
         if self.pos not in POS_CATEGORIES:
-            raise UnknownPOSError(self.pos, -1)
+            raise UnknownPOSError(self.pos)
         if self.gold_label not in (None, 0, 1):
             raise WordlistError(f"gold label must be 0/1, got {self.gold_label!r}")
 
@@ -106,13 +108,13 @@ class LexicalEntry:
 
 @dataclass(frozen=True)
 class Wordlist:
-    """Entries from one language (or ``multi``); no (language, IPA, concept)
+    """A sequence of entries, stored as a tuple; no (language, IPA, concept)
     twice: a repeat is refused naming both 1-based rows."""
 
     entries: tuple[LexicalEntry, ...]
-    language: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
         seen: dict[tuple[str, tuple[str, ...], str | None], int] = {}
         for row, e in enumerate(self.entries, start=1):
             first = seen.setdefault((e.language, e.ipa, e.concept_id), row)
@@ -122,20 +124,19 @@ class Wordlist:
                     f"at rows {first} and {row}"
                 )
 
+    @property
+    def language(self) -> str:
+        """The entries' one language, ``multi`` for several, ``empty`` for none."""
+        langs = {e.language for e in self.entries}
+        if len(langs) == 1:
+            return langs.pop()
+        return "multi" if langs else "empty"
+
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-
-def make_wordlist(entries: Sequence[LexicalEntry]) -> Wordlist:
-    """Wrap entries in a Wordlist, deriving the language tag."""
-    langs = {e.language for e in entries}
-    language = langs.pop() if len(langs) == 1 else "multi"
-    if not entries:
-        language = "empty"
-    return Wordlist(entries=tuple(entries), language=language)
 
 
 def language_rows(vocab: Wordlist) -> dict[str, list[int]]:
@@ -167,64 +168,58 @@ def normalize_ipa(raw: str) -> tuple[str, ...]:
 
 def load_wordlist(
     path: str | Path,
-    schema: Mapping[str, str] | None = None,
     *,
     delimiter: str = "\t",
     lenient_pos: bool = False,
 ) -> Wordlist:
     """Parse a delimited wordlist file into a validated Wordlist.
 
-    ``schema`` maps the canonical column names (``orthography``, ``ipa``,
-    ``language``, ``pos``, ``label``, ``concept``) onto the file's actual
-    header names. Rows with missing or unnormalizable IPA, or with a tab
-    or line break in the orthography, language or concept, are collected
-    and reported together in a ``MalformedRowError``. Unknown POS values
-    raise unless ``lenient_pos`` is set, in which case they map to
-    ``function``. Errors number the non-blank lines after the header
-    from 1, so row n is the n-th entry of the wordlist.
+    The header names the columns ``orthography``, ``ipa``, ``language``,
+    ``pos`` and optionally ``label`` and ``concept``, each once; other
+    columns are ignored. Tab-delimited cells are read literally; any
+    other delimiter reads CSV quoting. Rows with missing or unnormalizable
+    IPA, a missing language, a bad label, or a tab or line break in the
+    orthography, language or concept, are collected and reported together
+    in a ``MalformedRowError``. Unknown POS values raise unless
+    ``lenient_pos`` is set, in which case they map to ``function``. Errors
+    number the non-blank lines after the header from 1, so row n is the
+    n-th entry of the wordlist.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    colmap = dict(DEFAULT_SCHEMA)
-    if schema:
-        colmap.update(schema)
-
     try:
-        return _parse_rows(path, delimiter, colmap, lenient_pos)
+        return _parse_rows(path, delimiter, lenient_pos)
     except csv.Error as exc:
         raise WordlistError(f"unparseable delimited file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise WordlistError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _parse_rows(
-    path: Path,
-    delimiter: str,
-    colmap: Mapping[str, str],
-    lenient_pos: bool,
-) -> Wordlist:
+def _parse_rows(path: Path, delimiter: str, lenient_pos: bool) -> Wordlist:
     entries: list[LexicalEntry] = []
     errors: list[tuple[int, str]] = []
+    # a tab-delimited cell is literal, as write_table writes it
+    quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
     # utf-8-sig: a byte-order mark would otherwise glue onto the first column name
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh, delimiter=delimiter, quoting=quoting)
         header = next(reader, None)
         if header is None:
-            return make_wordlist([])
-        index = {name.strip(): i for i, name in enumerate(header)}
-        for canonical in ("orthography", "ipa", "language", "pos"):
-            if colmap[canonical] not in index:
-                raise WordlistError(
-                    f"missing required column {colmap[canonical]!r} in {path}"
-                )
+            return Wordlist(())
+        index: dict[str, int] = {}
+        for i, name in enumerate(map(str.strip, header)):
+            if index.setdefault(name, i) != i and name in _COLUMNS:
+                raise WordlistError(f"column {name!r} appears twice in the header of {path}")
+        for name in _COLUMNS[:4]:
+            if name not in index:
+                raise WordlistError(f"missing required column {name!r} in {path}")
 
         # each row is cut or padded to one empty cell past the header: a
         # missing trailing cell reads as empty, and an optional column the
         # header lacks reads that extra cell
         width = len(header)
-        columns = ("orthography", "ipa", "language", "pos", "label", "concept")
-        cells = itemgetter(*(index.get(colmap[name], width) for name in columns))
+        cells = itemgetter(*(index.get(name, width) for name in _COLUMNS))
         pad = ("",) * (width + 1)
         rownum = 0
         for row in reader:
@@ -263,19 +258,16 @@ def _parse_rows(
                     errors.append((rownum, f"label must be 0/1, got {label_text!r}"))
                     continue
                 gold = int(label_text)
-            entries.append(
-                LexicalEntry(
-                    orthography=orthography,
-                    ipa=ipa,
-                    language=language,
-                    pos=pos,
-                    gold_label=gold,
-                    concept_id=concept or None,
-                )
-            )
+            try:
+                entry = LexicalEntry(orthography, ipa, language, pos, gold, concept or None)
+            except WordlistError as exc:
+                # what only the entry checks: a missing language
+                errors.append((rownum, str(exc)))
+                continue
+            entries.append(entry)
     if errors:
         raise MalformedRowError(errors)
-    return make_wordlist(entries)
+    return Wordlist(entries)
 
 
 # --- Tables -------------------------------------------------------------------
@@ -447,12 +439,11 @@ def write_trace(
 
 def write_wordlist(wordlist: Wordlist, path: str | Path) -> None:
     """Serialize a wordlist in the standard input format (for synth fixtures)."""
-    header = ["orthography", "ipa", "language", "pos", "label", "concept"]
     rows = [(e.orthography, e.ipa_text, e.language, e.pos, e.gold_label, e.concept_id)
             for e in wordlist]
-    write_table(path, header, rows)
+    write_table(path, _COLUMNS, rows)
 
 
 def strip_gold(wordlist: Wordlist) -> Wordlist:
     """Copy of the wordlist with gold labels removed (for blind runs)."""
-    return make_wordlist([replace(e, gold_label=None) for e in wordlist])
+    return Wordlist([replace(e, gold_label=None) for e in wordlist])

@@ -13,7 +13,7 @@ import random
 from loandetect.config import RunConfig
 from loandetect.evaluation import Grammar
 from loandetect.features import CompiledGroup, build_statistics, extract_all
-from loandetect.wordlist import LexicalEntry, Wordlist, make_wordlist
+from loandetect.wordlist import LexicalEntry, Wordlist
 
 # POS profile for synthetic native vocabulary (loans are nouns, the most
 # borrowable class).
@@ -54,7 +54,7 @@ def _wordlist(natives, loans, rng, language="toy"):
         )
     for w in sorted(loans):
         entries.append(LexicalEntry("".join(w), w, language, "noun", 1, None))
-    return make_wordlist(entries)
+    return Wordlist(entries)
 
 
 # --- n-gram-signal fixture ------------------------------------------------------

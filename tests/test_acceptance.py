@@ -30,7 +30,7 @@ from loandetect.features import CompiledGroup, build_statistics
 from loandetect.ipa import GAP, symbol_distance
 from loandetect.refiner import detect, detect_wordlist
 from loandetect.scoring import score_all
-from loandetect.wordlist import LexicalEntry, make_wordlist
+from loandetect.wordlist import LexicalEntry, Wordlist
 
 import oracles
 from fixtures import (
@@ -229,14 +229,14 @@ def test_acceptance_4_pipeline_convergence():
         generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 40, 10, SEPARABLE_SEED),
         ngram_signal_fixture(7),
         transition_signal_fixture(7),
-        make_wordlist(
+        Wordlist(
             [
                 LexicalEntry("a", ("a",), "edge", "noun", None, None),
                 LexicalEntry("pa", ("p", "a"), "edge", "verb", None, None),
                 LexicalEntry("zdri", ("z", "d", "r", "i"), "edge", "noun", None, None),
             ]
         ),
-        make_wordlist([LexicalEntry("pa", ("p", "a"), "single", "noun", None, None)]),
+        Wordlist([LexicalEntry("pa", ("p", "a"), "single", "noun", None, None)]),
     ]
     checked = 0
     for vocab in vocabularies:

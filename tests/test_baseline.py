@@ -9,7 +9,7 @@ from loandetect.baseline import (
     stem_of,
 )
 from loandetect.config import RunConfig
-from loandetect.wordlist import LexicalEntry, make_wordlist
+from loandetect.wordlist import LexicalEntry, Wordlist
 
 
 def test_stem_of_three_syllables():
@@ -108,7 +108,7 @@ def test_detect_wordlist_threshold_and_probability():
         ("p", "a", "t", "a", "m", "u"),
         ("z", "u", "m", "i"),
     ]
-    vocab = make_wordlist(
+    vocab = Wordlist(
         [
             LexicalEntry("".join(w), tuple(w), "toy", "noun", None, None)
             for w in words

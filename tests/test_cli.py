@@ -16,7 +16,7 @@ from loandetect.cli import main
 from loandetect.config import RunConfig, load_config, parse_config_text
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.features import CORE_FEATURES
-from loandetect.wordlist import load_wordlist, make_wordlist, read_report, write_wordlist
+from loandetect.wordlist import Wordlist, load_wordlist, read_report, write_wordlist
 
 from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
 
@@ -235,7 +235,7 @@ def test_detect_xl_prints_asymmetry_diagnostic_once(multi_file, tmp_path):
 def test_detect_xl_warns_when_no_concept_spans_two_languages(tmp_path):
     wl = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 10, 3, seed=3)
     path = tmp_path / "words.tsv"
-    write_wordlist(make_wordlist([replace(e, concept_id=f"c{i}") for i, e in enumerate(wl)]), path)
+    write_wordlist(Wordlist([replace(e, concept_id=f"c{i}") for i, e in enumerate(wl)]), path)
     proc = run_cli("detect-xl", "--input", str(path), "--output", str(tmp_path / "x.tsv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("no concept spans two languages") == 1
@@ -343,7 +343,7 @@ def test_detect_trace_flag(vocab_file, tmp_path):
 
 def test_detect_trace_rejects_language_unfit_for_a_file_name(vocab_file, tmp_path, capsys):
     entries = load_wordlist(vocab_file).entries
-    mixed = make_wordlist(
+    mixed = Wordlist(
         [replace(e, language="de" if i % 2 else "en/gb") for i, e in enumerate(entries)]
     )
     source = tmp_path / "v.tsv"
@@ -390,7 +390,7 @@ def test_output_over_an_input_is_refused(command, vocab_file, multi_file, tmp_pa
 
 def test_report_over_a_language_trace_is_refused(vocab_file, tmp_path, capsys):
     entries = load_wordlist(vocab_file).entries
-    mixed = make_wordlist(
+    mixed = Wordlist(
         [replace(e, language="de" if i % 2 else "en") for i, e in enumerate(entries)]
     )
     source = tmp_path / "v.tsv"
@@ -598,7 +598,7 @@ def test_failed_detect_leaves_no_trace(vocab_file, tmp_path, monkeypatch, capsys
     from loandetect import refiner
 
     entries = load_wordlist(vocab_file).entries
-    mixed = make_wordlist(
+    mixed = Wordlist(
         [replace(e, language="de" if i % 2 else "en") for i, e in enumerate(entries)]
     )
     source = tmp_path / "v.tsv"

@@ -26,7 +26,7 @@ from loandetect.crossling import (
 from loandetect.ipa import GAP, symbol_distance
 from loandetect.refiner import detect_wordlist
 from loandetect.evaluation import generate_synthetic_multilingual
-from loandetect.wordlist import LexicalEntry, make_wordlist, normalize_ipa
+from loandetect.wordlist import LexicalEntry, Wordlist, normalize_ipa
 
 import oracles
 from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
@@ -37,14 +37,14 @@ SYMBOLS = ["p", "b", "t", "d", "k", "s", "m", "a", "i", "u"]
 def test_align_identity_all_match():
     word = ("p", "a", "t", "a")
     al = align(word, word)
-    assert al.length == len(word)
+    assert len(al.pairs) == len(word)
     assert all(a == b for a, b, _ in al.pairs)
     assert oracles.bf_tracks(al.pairs, GAP) == (word, word)
 
 
 def test_align_forced_single_insertion():
     al = align(("a",), ("a", "b"))
-    assert al.length == 2
+    assert len(al.pairs) == 2
     assert oracles.bf_tracks(al.pairs, GAP) == (("a",), ("a", "b"))
     gaps = [(a, b) for a, b, _ in al.pairs if GAP in (a, b)]
     assert len(gaps) == 1
@@ -56,7 +56,7 @@ def test_align_never_gaps_both_tracks():
         x = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(1, 6)))
         y = tuple(rng.choice(SYMBOLS) for _ in range(rng.randint(1, 6)))
         al = align(x, y)
-        assert al.length >= max(len(x), len(y))
+        assert len(al.pairs) >= max(len(x), len(y))
         for a, b, _ in al.pairs:
             assert not (a == GAP and b == GAP)
         assert oracles.bf_tracks(al.pairs, GAP) == (x, y)
@@ -235,9 +235,9 @@ def test_divergence_boundary_weights():
     d_feat = oracles.bf_feature_distance(al.pairs)
     logp = oracles.bf_alignment_logprob(al.pairs, model)
     assert oracles.bf_divergence(x, y, model, lam=1.0) == pytest.approx(d_feat)
-    assert oracles.bf_divergence(x, y, model, lam=0.0) == pytest.approx(-logp / al.length)
+    assert oracles.bf_divergence(x, y, model, lam=0.0) == pytest.approx(-logp / len(al.pairs))
     mid = oracles.bf_divergence(x, y, model, lam=0.5)
-    assert mid == pytest.approx(0.5 * d_feat - 0.5 * logp / al.length)
+    assert mid == pytest.approx(0.5 * d_feat - 0.5 * logp / len(al.pairs))
 
 
 def test_divergence_symmetric():
@@ -360,7 +360,7 @@ NATIVE_A = [
 
 def test_detect_scaled_single_language_equals_basic():
     concepts = [f"c{i}" for i in range(len(NATIVE_A))]
-    vocab = make_wordlist(entries(NATIVE_A, "aaa", concepts))
+    vocab = Wordlist(entries(NATIVE_A, "aaa", concepts))
     result = detect_scaled(vocab, RunConfig())
     probs, labels, _ = detect_wordlist(vocab, RunConfig())
     assert result.basic == pytest.approx(probs)
@@ -372,7 +372,7 @@ def test_detect_scaled_single_language_equals_basic():
 
 def test_detect_scaled_identical_strings_across_languages():
     concepts = [f"c{i}" for i in range(len(NATIVE_A))]
-    vocab = make_wordlist(
+    vocab = Wordlist(
         entries(NATIVE_A, "aaa", concepts) + entries(NATIVE_A, "bbb", concepts)
     )
     cfg = RunConfig()
@@ -386,7 +386,7 @@ def test_detect_scaled_identical_strings_across_languages():
 
 def test_detect_scaled_missing_concepts_rejected():
     # a multilingual list without concepts is a wordlist; detect_scaled rejects it
-    multi = make_wordlist(
+    multi = Wordlist(
         entries(NATIVE_A[:2], "aaa", ["c0", "c1"]) + entries([("z", "u")], "bbb", [None])
     )
     with pytest.raises(MissingConceptError) as err:
@@ -394,7 +394,7 @@ def test_detect_scaled_missing_concepts_rejected():
     assert err.value.rows == [3]
     assert "concept" in str(err.value)
     # so does a monolingual one
-    bad = make_wordlist(entries(NATIVE_A[:3], "aaa", ["c0", None, None]))
+    bad = Wordlist(entries(NATIVE_A[:3], "aaa", ["c0", None, None]))
     with pytest.raises(MissingConceptError) as err2:
         detect_scaled(bad, RunConfig())
     assert err2.value.rows == [2, 3]
@@ -429,12 +429,12 @@ def test_detect_scaled_asymmetry_diagnostic_consistency():
 def test_alignment_roundtrip_property(x, y):
     al = align(tuple(x), tuple(y))
     assert oracles.bf_tracks(al.pairs, GAP) == (tuple(x), tuple(y))
-    assert al.length >= max(len(x), len(y))
+    assert len(al.pairs) >= max(len(x), len(y))
 
 
 def concept_wordlist(concepts):
     """A wordlist of (language, word) members, concept ``c<i>`` per list."""
-    return make_wordlist(
+    return Wordlist(
         [
             LexicalEntry(
                 orthography="".join(word),
@@ -545,7 +545,7 @@ def test_detect_scaled_aligns_each_pair_once(monkeypatch):
     # a third language repeats both words of the first concept: that concept
     # holds each of its words twice, and so every one of its pairs twice or more
     first = [e for e in vocab if e.concept_id == vocab.entries[0].concept_id]
-    vocab = make_wordlist(list(vocab) + [replace(e, language="third") for e in first])
+    vocab = Wordlist(list(vocab) + [replace(e, language="third") for e in first])
     detect_scaled(vocab, RunConfig())
 
     words: dict[str, list[tuple[str, ...]]] = {}

@@ -17,7 +17,7 @@ from loandetect.refiner import (
     refine_probability,
 )
 from loandetect.scoring import score_all
-from loandetect.wordlist import LexicalEntry, make_wordlist, write_trace
+from loandetect.wordlist import LexicalEntry, Wordlist, write_trace
 
 import oracles
 from fixtures import extract_against
@@ -36,7 +36,7 @@ def entries_from(words, language="toy", pos="noun", labels=None, concepts=False)
                 concept_id=f"{language}-{i}" if concepts else None,
             )
         )
-    return make_wordlist(out)
+    return Wordlist(out)
 
 
 def by_pattern(index, words, counts):
@@ -289,7 +289,7 @@ def mixed_vocab(seed, size):
     while len(texts) < size:
         alphabet = "ptkaiu" if rng.random() < 0.7 else "zʒdøy"
         texts.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7))))
-    return make_wordlist([
+    return Wordlist([
         LexicalEntry(t, tuple(t), "toy", rng.choice(["noun", "verb", "function"]), None, None)
         for t in sorted(texts)
     ])
@@ -403,7 +403,7 @@ def test_detect_wordlist_groups_by_language():
     b = entries_from(
         [("z", "u"), ("d", "u", "z"), ("ʒ", "u", "d")], language="bbb", concepts=True
     )
-    vocab = make_wordlist(list(a.entries) + list(b.entries))
+    vocab = Wordlist(list(a.entries) + list(b.entries))
     probs, labels, states = detect_wordlist(vocab, RunConfig())
     assert set(states) == {"aaa", "bbb"}
     assert len(probs) == len(vocab)
@@ -413,10 +413,8 @@ def test_detect_wordlist_groups_by_language():
 
 
 def test_detect_empty_wordlist_rejected():
-    from loandetect.wordlist import Wordlist
-
     with pytest.raises(ValueError):
-        detect(Wordlist(entries=(), language="empty"), RunConfig())
+        detect(Wordlist(()), RunConfig())
 
 
 @pytest.mark.parametrize("mode", ["full", "no_ngram", "no_transition", "aug"])
@@ -453,7 +451,7 @@ _HASH_SEED_RUN = r"""
 import random, sys
 from loandetect.config import RunConfig
 from loandetect.refiner import PatternIndex, build_pattern_db, detect_wordlist, pattern_likeness
-from loandetect.wordlist import LexicalEntry, make_wordlist, write_report
+from loandetect.wordlist import LexicalEntry, Wordlist, write_report
 
 rng = random.Random(1)
 languages = {"aa": ("ptkmnsl", "aiu"), "bb": ("bdgzvʃ", "eoøy"), "cc": ("ptkbdfs", "aeiou")}
@@ -466,7 +464,7 @@ for lang, shape in languages.items():
         if w not in seen:
             seen.add(w)
             entries.append(LexicalEntry("".join(w), w, lang, "noun", None, f"c{len(seen)}"))
-vocab = make_wordlist(entries)
+vocab = Wordlist(entries)
 probs, labels, _ = detect_wordlist(vocab, RunConfig(convergence_fraction=0.0))
 write_report(vocab, probs, labels, sys.argv[1])
 index = PatternIndex([e.ipa for e in entries])

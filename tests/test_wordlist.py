@@ -15,7 +15,6 @@ from loandetect.wordlist import (
     WordlistError,
     language_rows,
     load_wordlist,
-    make_wordlist,
     normalize_ipa,
     read_report,
     strip_gold,
@@ -72,7 +71,7 @@ def test_load_bom_header_matches_plain_file(tmp_path):
 
 
 def test_read_report_skips_bom(tmp_path):
-    wl = make_wordlist([LexicalEntry("ab", ("a", "b"), "x", "noun", 1)])
+    wl = Wordlist([LexicalEntry("ab", ("a", "b"), "x", "noun", 1)])
     path = tmp_path / "report.tsv"
     write_report(wl, [0.75], [1], path)
     bom = tmp_path / "bom.tsv"
@@ -171,7 +170,7 @@ def test_language_rows_sorts_languages_and_keeps_input_order():
         LexicalEntry(orthography=w, ipa=tuple(w), language=lang, pos="noun")
         for w, lang in [("pa", "zz"), ("ta", "aa"), ("ka", "zz"), ("ma", "mm"), ("na", "aa")]
     ]
-    rows = language_rows(make_wordlist(entries))
+    rows = language_rows(Wordlist(entries))
     assert list(rows.items()) == [("aa", [1, 4]), ("mm", [3]), ("zz", [0, 2])]
 
 
@@ -209,22 +208,70 @@ def test_row_numbers_skip_blank_lines(tmp_path, capsys, pos, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_schema_remap(tmp_path):
+def test_load_reports_missing_language_with_other_malformed_rows(tmp_path, capsys):
     path = write_tsv(
         tmp_path,
-        ["full\tfʊl\tenglish\tadjective"],
-        header="word\ttranscription\tlang\tcategory",
+        ["a\tpa\t\tnoun\t\t", "b\tba\t  \tnoun\t\t", "c\t\tenglish\tnoun\t\t",
+         "d\tda\tenglish\tnoun\t\t"],
     )
-    wl = load_wordlist(
-        path,
-        schema={
-            "orthography": "word",
-            "ipa": "transcription",
-            "language": "lang",
-            "pos": "category",
-        },
+    with pytest.raises(MalformedRowError) as err:
+        load_wordlist(path)
+    assert err.value.rows == [(1, "missing language"), (2, "missing language"),
+                              (3, "missing IPA")]
+    # a nameless group would have named its trace file "t..tsv"
+    trace = tmp_path / "t.tsv"
+    args = ["detect", "--input", str(path), "--output", str(tmp_path / "r.tsv"),
+            "--trace", str(trace)]
+    assert main(args) == 1
+    assert "missing language" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["words.tsv"]
+
+
+@pytest.mark.parametrize("language", ["", " ", "\t"])
+def test_entry_refuses_blank_language(language):
+    with pytest.raises(WordlistError, match="^missing language$"):
+        LexicalEntry("pa", ("p", "a"), language, "noun")
+
+
+def test_unknown_pos_names_a_row_only_when_loaded(tmp_path):
+    with pytest.raises(UnknownPOSError) as err:
+        LexicalEntry("pa", ("p", "a"), "english", "x")
+    assert (err.value.row, str(err.value)) == (None, "unknown POS 'x'")
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\t\t", "b\tba\tenglish\tx\t\t"])
+    with pytest.raises(UnknownPOSError) as err:
+        load_wordlist(path)
+    assert (err.value.row, str(err.value)) == (2, "row 2: unknown POS 'x'")
+
+
+def test_load_rejects_repeated_column(tmp_path):
+    for header in ("orthography\tipa\tlanguage\tpos\tipa",
+                   "orthography\tipa\tlanguage\tpos\t ipa ",
+                   "ipa\torthography\tipa\tlanguage\tpos"):
+        path = write_tsv(tmp_path, ["a\tpa\tenglish\tnoun\tta"], header=header)
+        with pytest.raises(WordlistError) as err:
+            load_wordlist(path)
+        assert "'ipa' appears twice" in str(err.value) and str(path) in str(err.value)
+    # a column the loader does not read may repeat
+    path = write_tsv(tmp_path, ["a\tx\tpa\tenglish\ty\tnoun"],
+                     header="orthography\tnote\tipa\tlanguage\tnote\tpos")
+    assert load_wordlist(path).entries == (
+        LexicalEntry(orthography="a", ipa=("p", "a"), language="english", pos="noun"),
     )
-    assert wl.entries[0].ipa == ("f", "ʊ", "l")
+
+
+def test_load_reads_tsv_quotes_literally_and_csv_quoted(tmp_path):
+    path = write_tsv(
+        tmp_path,
+        ['"ti\tti\tenglish\tnoun\t\t', '"a" b\tpa\tenglish\tnoun\t\t',
+         'ku\tku\tenglish\tnoun\t\tc"3'],
+    )
+    wl = load_wordlist(path)
+    assert [e.orthography for e in wl] == ['"ti', '"a" b', "ku"]
+    assert [e.concept_id for e in wl] == [None, None, 'c"3']
+    # quoting still applies to CSV
+    path = tmp_path / "words.csv"
+    path.write_text('orthography,ipa,language,pos\n"a, ""b""",pa,english,noun\n', encoding="utf-8")
+    assert [e.orthography for e in load_wordlist(path, delimiter=",")] == ['a, "b"']
 
 
 def test_normalize_ipa_examples():
@@ -301,7 +348,7 @@ def entry(ipa, label=None, language="english", pos="noun", concept=None):
 
 
 def test_write_report_threshold_and_columns(tmp_path):
-    wl = make_wordlist([entry("pa", label=1), entry("ti", label=0)])
+    wl = Wordlist([entry("pa", label=1), entry("ti", label=0)])
     path = tmp_path / "report.tsv"
     write_report(wl, [0.8, 0.0], [1, 0], path, header_meta={"tau": 0.3})
     text = path.read_text(encoding="utf-8")
@@ -313,7 +360,7 @@ def test_write_report_threshold_and_columns(tmp_path):
 
 
 def test_report_roundtrip_preserves_values(tmp_path):
-    wl = make_wordlist(
+    wl = Wordlist(
         [entry("pa", label=1), entry("ti", label=0), entry("ku")]
     )
     probs = [0.123456789, 0.5, 0.000001]
@@ -355,16 +402,18 @@ def test_load_rejects_tab_or_line_break_in_text_cells(tmp_path):
 
 
 def test_write_report_refuses_empty(tmp_path):
-    wl = Wordlist(entries=(), language="empty")
+    wl = Wordlist(())
     with pytest.raises(ValueError):
         write_report(wl, [], [], tmp_path / "r.tsv")
 
 
 def test_wordlist_roundtrip_via_writer(tmp_path):
-    wl = make_wordlist(
+    wl = Wordlist(
         [
             entry("pat͡ʃi", label=0, concept="c1"),
             entry("zdra", label=1, language="german", concept="c1"),
+            # TSV cells are literal: quotes come back as written
+            LexicalEntry('"a" b', ("p", "a"), 'x"y', "noun", None, '"c2'),
         ]
     )
     path = tmp_path / "words.tsv"
@@ -374,8 +423,20 @@ def test_wordlist_roundtrip_via_writer(tmp_path):
     assert again.language == "multi"
 
 
+def test_wordlist_derives_its_language():
+    pa = entry("pa")
+    assert Wordlist([pa]).language == "english"
+    assert Wordlist([pa, entry("ta", language="german")]).language == "multi"
+    assert Wordlist(()).language == "empty"
+    # any sequence of entries is stored as a tuple
+    assert Wordlist([pa]) == Wordlist((pa,))
+    assert Wordlist([pa]).entries == (pa,)
+    with pytest.raises(TypeError):
+        Wordlist([pa], language="german")
+
+
 def test_strip_gold():
-    wl = make_wordlist([entry("pa", label=1)])
+    wl = Wordlist([entry("pa", label=1)])
     blind = strip_gold(wl)
     assert blind.entries[0].gold_label is None
 
