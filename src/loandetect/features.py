@@ -16,8 +16,8 @@ plain lists indexed by id, so a refinement pass reads each word's
 probabilities by id instead of hashing symbol tuples again. The
 tuple-keyed mappings of ``VocabStatistics`` (``ngram_prob``,
 ``trans_prob``) are views built on first read; detection reads none.
-N-grams are interned by integer keys made from a prefix id and a symbol
-id, not by symbol tuples (see ``CompiledGroup``).
+N-grams and transitions are interned as slices of a per-word string of
+one character per symbol, not as symbol tuples (see ``CompiledGroup``).
 
 ``extract_all`` is the one feature path. It scores every word of the
 statistics' group and reads the rarity constants from a ``RunConfig``,
@@ -39,7 +39,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ipa import cv_pattern
@@ -90,13 +90,15 @@ def word_ngrams(
 ) -> list[tuple[str, ...]]:
     """Multiset of the word's contiguous n-grams for n in [nmin, min(nmax, |w|)].
 
-    ``CompiledGroup`` keeps their ids in this order without building them.
+    ``CompiledGroup`` keeps their ids in this order, interning the same
+    spans of the word's symbol string instead of building these tuples.
     """
     return [tuple(word[i : i + n]) for i, n in _spans(len(word), nmin, nmax)]
 
 
-def word_transitions(word: Word) -> list[tuple[str, str]]:
-    return [(word[i], word[i + 1]) for i in range(len(word) - 1)]
+def _split(ids: array, sizes: list[int]) -> list[array]:
+    """``ids`` cut into consecutive arrays of ``sizes``."""
+    return [ids[end - k : end] for k, end in zip(sizes, accumulate(sizes))]
 
 
 class CompiledGroup:
@@ -109,19 +111,20 @@ class CompiledGroup:
     read). A group is built once per word list and never copied: statistics
     of any reference rows index the same ids.
 
-    Each distinct symbol gets an int id, and an n-gram (n >= 2) is
-    interned by the int ``prefix * n_symbols + last``, where ``prefix`` is
-    the id of its (n-1)-gram prefix, in one dict per length. The
-    multiplier is the group's symbol count, not a fixed shift, because
-    unknown tokens make that count depend on the input. Lengths below
-    ``ngram_min`` get prefix-only ids, which no statistic counts. No tuple
-    is built per occurrence: a dict keyed by n-gram tuples set the peak
-    memory of a whole detection run.
+    Each distinct symbol, unknown tokens included, is one character
+    (``chr`` of its first-occurrence number), and a word is the string of
+    its symbols' characters. An n-gram is interned as a slice of it, one
+    ``setdefault`` per occurrence over the (start, stop) spans of the
+    word's length in ``word_ngrams`` order, so ids number n-grams by first
+    occurrence and ``gram_len`` is each key's length; transitions are the
+    2-character slices. No tuple is built per occurrence: a dict keyed by
+    n-gram tuples set the peak memory of a whole detection run.
 
-    Ids are kept in arrays and the interning dicts are dropped after
-    compiling (``gram_tuples`` rebuilds the n-grams from word order): an
-    entry per distinct n-gram, held for a whole run, would cost more
-    memory than the per-pass statistics it serves.
+    All ids are collected in flat lists and packed into arrays once the
+    interning dict is dropped (``gram_tuples`` rebuilds the n-grams from
+    word order): arrays made beside its keys scatter over the heap and
+    raise the run's peak, and the dict, held for a whole run, would cost
+    more memory than the per-pass statistics it serves.
     """
 
     def __init__(
@@ -132,45 +135,28 @@ class CompiledGroup:
     ):
         self.words = [tuple(w) for w in words]
         self.ngram_min, self.ngram_max = ngram_min, ngram_max
-        symbol_ids: dict[str, int] = {}
-        for w in self.words:
-            for s in w:
-                symbol_ids.setdefault(s, len(symbol_ids))
-        base = len(symbol_ids)
-        # keys[n] maps an n-gram's key, prefix * base + last symbol, to its
-        # id: a group id from ngram_min on, a prefix-only id below it
-        keys: list[dict[int, int]] = [{} for _ in range(ngram_max + 1)]
-        gram_len = array("i")
-        self.word_grams = []
-        for w in self.words:
-            symbols = [symbol_ids[s] for s in w]
-            grams = array("i")
-            prefixes = symbols  # a symbol's id is its unigram's prefix id
-            for n in range(min(ngram_min, 2), min(ngram_max, len(w)) + 1):
-                if n == 1:
-                    level = symbols
-                else:
-                    level = [p * base + s for p, s in zip(prefixes, symbols[n - 1 :])]
-                ids = keys[n]
-                if n < ngram_min:
-                    prefixes = [ids.setdefault(k, len(ids)) for k in level]
-                    continue
-                prefixes = []
-                for k in level:
-                    g = ids.get(k)
-                    if g is None:
-                        g = ids[k] = len(gram_len)
-                        gram_len.append(n)
-                    prefixes.append(g)
-                grams.extend(prefixes)
-            self.word_grams.append(grams)
-        trans_ids: dict[tuple[str, str], int] = {}
-        self.word_trans = [
-            array("i", [trans_ids.setdefault(t, len(trans_ids)) for t in word_transitions(w)])
-            for w in self.words
+        code: dict[str, str] = {}
+        strings = [
+            "".join([code.setdefault(s, chr(len(code))) for s in w]) for w in self.words
         ]
-        self.gram_len = gram_len
-        self.transitions = list(trans_ids)
+        # spans[k]: the (start, stop) of every n-gram of a k-symbol word
+        spans = [
+            [(i, i + n) for i, n in _spans(k, ngram_min, ngram_max)]
+            for k in range(max(map(len, strings), default=0) + 1)
+        ]
+        ids: dict[str, int] = {}
+        grams = [ids.setdefault(s[a:b], len(ids)) for s in strings for a, b in spans[len(s)]]
+        self.gram_len = array("i", map(len, ids))
+        ids = {}
+        trans = [
+            ids.setdefault(s[i : i + 2], len(ids)) for s in strings for i in range(len(s) - 1)
+        ]
+        symbols = list(code)
+        self.transitions = [(symbols[ord(a)], symbols[ord(b)]) for a, b in ids]
+        del ids, code
+        grams, trans = array("i", grams), array("i", trans)
+        self.word_grams = _split(grams, [len(spans[len(s)]) for s in strings])
+        self.word_trans = _split(trans, [max(len(s) - 1, 0) for s in strings])
 
     @cached_property
     def cv(self) -> list[str]:

@@ -27,8 +27,8 @@ pass 0 found no loan or only loans, and the loop then stops after it.
 What never changes between passes is computed once per language group
 and never copied: the n-gram and transition ids
 (``features.CompiledGroup``) and every word's surface patterns
-(``PatternIndex``: 2-symbol prefix, 2-symbol suffix and trigrams,
-interned to ids of their own, with their counts over the whole group).
+(``PatternIndex``: 2-symbol prefix, 2-symbol suffix and trigrams, read
+off the group's transition ids, with their counts over the whole group).
 A pass counts the pattern ids of the native rows only; the loans are the
 rest of the group, so a pattern's loan count is its full count minus its
 native count and is never built. Pattern likeness comes back as one
@@ -53,37 +53,39 @@ from .wordlist import Wordlist, WordlistError, language_rows
 
 log = logging.getLogger(__name__)
 
-Word = tuple[str, ...]
-
 
 class PatternIndex:
     """The typed surface patterns of a language group's words, interned once.
 
     A word of two or more symbols has a 2-symbol prefix, a 2-symbol suffix
-    and its trigrams (3-symbol segments); shorter words have none. Every
-    distinct (kind, pattern) gets an integer id in an id space of its own,
-    so the index does not depend on the n-gram range of the features.
+    and its trigrams (3-symbol segments); shorter words have none. Read off
+    ``group``'s transition ids, the prefix is a word's first transition, the
+    suffix its last and a trigram two consecutive ones. Every distinct
+    (kind, pattern) gets an integer id in an id space of its own, so the
+    index does not depend on the n-gram range of the features.
     ``patterns[i]`` holds word ``i``'s ids, prefix, suffix, then its
     trigrams in order, as a multiset (a repeated trigram repeats);
     ``distinct[i]`` holds each of them once; ``full_counts`` counts every
     id over the whole group.
     """
 
-    def __init__(self, words: Iterable[Word]):
-        ids: dict[tuple[str, Word], int] = {}
+    def __init__(self, group: CompiledGroup):
+        base = len(group.transitions)
+        ids: dict[int, int] = {}
         self.patterns = [
-            array("i", [ids.setdefault(p, len(ids)) for p in _typed_patterns(tuple(w))])
-            for w in words
+            array("i", [ids.setdefault(k, len(ids)) for k in _pattern_keys(t, base)])
+            for t in group.word_trans
         ]
         self.distinct = [array("i", dict.fromkeys(p)) for p in self.patterns]
         self.full_counts = _count_ids(self.patterns, range(len(self.patterns)), len(ids))
 
 
-def _typed_patterns(word: Word) -> list[tuple[str, Word]]:
-    if len(word) < 2:
+def _pattern_keys(trans: Sequence[int], base: int) -> list[int]:
+    """Keys of the prefix, suffix and trigrams of a word with transition ids
+    ``trans``: t, ``base + t`` and, for transitions (a, b), ``(2 + a) * base + b``."""
+    if not trans:
         return []
-    trigrams = [("trigram", word[i : i + 3]) for i in range(len(word) - 2)]
-    return [("prefix", word[:2]), ("suffix", word[-2:])] + trigrams
+    return [trans[0], base + trans[-1]] + [(2 + a) * base + b for a, b in zip(trans, trans[1:])]
 
 
 def build_pattern_db(index: PatternIndex, rows: Iterable[int]) -> list[int]:
@@ -187,7 +189,7 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
     # n-grams, transitions and CV patterns never change between passes;
     # only the reference rows do
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
-    patterns = PatternIndex(words) if cfg.pattern_refinement else None
+    patterns = PatternIndex(group) if cfg.pattern_refinement else None
     state = DetectionState()
     every_row = list(range(len(words)))
     # what the last computed pass read: its reference rows and, when it

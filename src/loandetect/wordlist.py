@@ -77,7 +77,7 @@ class UnknownPOSError(WordlistError):
 
 
 class EmptyTranscriptionError(WordlistError):
-    """IPA string empty after marker stripping."""
+    """IPA without symbols, as built or after markers and separators are stripped."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,9 @@ class LexicalEntry:
 
     def __post_init__(self) -> None:
         if not self.ipa:
-            raise EmptyTranscriptionError(self.orthography)
+            raise EmptyTranscriptionError(
+                f"entry {self.orthography!r} has an empty IPA transcription"
+            )
         if not self.language.strip():
             raise WordlistError("missing language")
         if self.pos not in POS_CATEGORIES:
@@ -162,7 +164,9 @@ def normalize_ipa(raw: str) -> tuple[str, ...]:
         text = text.replace(marker, "")
     text = "".join(text.split())
     if not text:
-        raise EmptyTranscriptionError(raw)
+        raise EmptyTranscriptionError(
+            f"IPA {raw!r} has nothing left after stripping markers and separators"
+        )
     return tuple(tokenize(text))
 
 
@@ -178,12 +182,12 @@ def load_wordlist(
     ``pos`` and optionally ``label`` and ``concept``, each once; other
     columns are ignored. Tab-delimited cells are read literally; any
     other delimiter reads CSV quoting. Rows with missing or unnormalizable
-    IPA, a missing language, a bad label, or a tab or line break in the
+    IPA, a missing language, an unknown POS (``function`` under
+    ``lenient_pos``), a bad label, or a tab or line break in the
     orthography, language or concept, are collected and reported together
-    in a ``MalformedRowError``. Unknown POS values raise unless
-    ``lenient_pos`` is set, in which case they map to ``function``. Errors
-    number the non-blank lines after the header from 1, so row n is the
-    n-th entry of the wordlist.
+    in a ``MalformedRowError``, or in an ``UnknownPOSError`` when one
+    unknown POS is the file's only fault. Errors number the non-blank
+    lines after the header from 1, so row n is the n-th entry.
     """
     path = Path(path)
     if not path.exists():
@@ -199,6 +203,7 @@ def load_wordlist(
 def _parse_rows(path: Path, delimiter: str, lenient_pos: bool) -> Wordlist:
     entries: list[LexicalEntry] = []
     errors: list[tuple[int, str]] = []
+    unknown_pos: UnknownPOSError | None = None  # raised alone if it is the one fault
     # a tab-delimited cell is literal, as write_table writes it
     quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
     # utf-8-sig: a byte-order mark would otherwise glue onto the first column name
@@ -251,7 +256,9 @@ def _parse_rows(path: Path, delimiter: str, lenient_pos: bool) -> Wordlist:
                     log.warning("row %d: unknown POS %r mapped to 'function'", rownum, pos)
                     pos = "function"
                 else:
-                    raise UnknownPOSError(pos, rownum)
+                    errors.append((rownum, f"unknown POS {pos!r}"))
+                    unknown_pos = UnknownPOSError(pos, rownum)
+                    continue
             gold: int | None = None
             if label_text != "":
                 if label_text not in ("0", "1"):
@@ -265,6 +272,8 @@ def _parse_rows(path: Path, delimiter: str, lenient_pos: bool) -> Wordlist:
                 errors.append((rownum, str(exc)))
                 continue
             entries.append(entry)
+    if len(errors) == 1 and unknown_pos is not None:
+        raise unknown_pos
     if errors:
         raise MalformedRowError(errors)
     return Wordlist(entries)

@@ -436,6 +436,20 @@ def bf_pattern_counts(words):
     return prefixes, suffixes, trigrams
 
 
+def bf_typed_patterns(word):
+    """The word's (kind, pattern) list: prefix, suffix, then every trigram in order.
+
+    Words shorter than two symbols have none.
+    """
+    word = tuple(word)
+    if len(word) < 2:
+        return []
+    typed = [("prefix", word[0:2]), ("suffix", word[-2:])]
+    for i in range(0, len(word) - 2):
+        typed.append(("trigram", word[i : i + 3]))
+    return typed
+
+
 def bf_pattern_likeness(word, native_words, loan_words, epsilon=1.0):
     """Mean over the word's distinct typed patterns of N / (N + B + epsilon).
 

@@ -19,7 +19,8 @@ from loandetect.features import (
     feature_names,
     word_ngrams,
 )
-from loandetect.ipa import cv_pattern
+from loandetect.ipa import cv_pattern, default_inventory
+from loandetect.wordlist import normalize_ipa
 
 import oracles
 from fixtures import extract_against
@@ -389,6 +390,33 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
             assert p == stats.trans_prob.get(group.transitions[t], 0.0)
 
 
+def assert_interning_equals_bruteforce(vocab, nmin, nmax, rows):
+    group = CompiledGroup(vocab, nmin, nmax)
+    ids_of = {}
+    for w, ids in zip(vocab, group.word_grams):
+        grams = oracles.bf_word_ngrams(w, nmin, nmax)
+        assert len(ids) == len(grams)
+        for g, i in zip(grams, ids):
+            ids_of.setdefault(g, set()).add(i)
+    # equal n-grams share one id, and different ones never do
+    assert all(len(ids) == 1 for ids in ids_of.values())
+    id_of = {g: i for g, (i,) in ids_of.items()}
+    assert sorted(id_of.values()) == list(range(len(group.gram_len)))
+    tuples = group.gram_tuples()
+    assert {g: i for i, g in enumerate(tuples)} == id_of
+    assert list(group.gram_len) == [len(g) for g in tuples]
+
+    reference = [vocab[r] for r in rows]
+    stats = build_statistics(group, rows)
+    counts = oracles.bf_ngram_counts(reference, nmin, nmax)
+    assert ngram_count(stats) == counts
+    assert {g: stats.ngram_counts[i] for g, i in id_of.items()} == {
+        g: counts.get(g, 0) for g in id_of
+    }
+    assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference, nmin, nmax)
+    assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
+
+
 def test_interning_equals_bruteforce_for_every_ngram_range():
     # small alphabets repeat n-grams; one-symbol words fall below ngram_min
     rng = random.Random(21)
@@ -402,30 +430,32 @@ def test_interning_equals_bruteforce_for_every_ngram_range():
             for _ in range(rng.randint(1, 12))
         ]
         vocab += rng.sample(vocab, rng.randint(0, len(vocab)))
-        group = CompiledGroup(vocab, nmin, nmax)
-        ids_of = {}
-        for w, ids in zip(vocab, group.word_grams):
-            grams = oracles.bf_word_ngrams(w, nmin, nmax)
-            assert len(ids) == len(grams)
-            for g, i in zip(grams, ids):
-                ids_of.setdefault(g, set()).add(i)
-        # equal n-grams share one id, and different ones never do
-        assert all(len(ids) == 1 for ids in ids_of.values())
-        id_of = {g: i for g, (i,) in ids_of.items()}
-        assert sorted(id_of.values()) == list(range(len(group.gram_len)))
-        tuples = group.gram_tuples()
-        assert {g: i for i, g in enumerate(tuples)} == id_of
-        assert list(group.gram_len) == [len(g) for g in tuples]
-
         rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
-        reference = [vocab[r] for r in rows]
-        stats = build_statistics(group, rows)
-        counts = oracles.bf_ngram_counts(reference, nmin, nmax)
-        assert ngram_count(stats) == counts
-        assert {g: stats.ngram_counts[i] for g, i in id_of.items()} == {
-            g: counts.get(g, 0) for g in id_of
-        }
-        assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference, nmin, nmax)
+        assert_interning_equals_bruteforce(vocab, nmin, nmax, rows)
+
+
+def test_interning_past_one_byte_symbol_codes():
+    # more than 256 distinct symbols, table symbols and unknown tokens alike,
+    # take the words' one-character-per-symbol strings past the one-byte range
+    unknown = normalize_ipa("".join(chr(0x4E00 + k) for k in range(200)) + "\U0001F600")
+    symbols = sorted(default_inventory().features) + list(unknown)
+    rng = random.Random(256)
+    for _ in range(30):
+        nmin = rng.randint(1, 3)
+        nmax = rng.randint(nmin, 10)
+        alphabet = rng.sample(symbols, rng.randint(257, len(symbols)))
+        # every symbol once, then words over a few symbols that repeat n-grams
+        vocab = [tuple(alphabet[i : i + 5]) for i in range(0, len(alphabet), 5)]
+        few = alphabet[-3:]
+        vocab += [
+            tuple(rng.choice(few) for _ in range(rng.randint(1, 9))) for _ in range(20)
+        ]
+        rng.shuffle(vocab)
+        rows = sorted(rng.sample(range(len(vocab)), rng.randint(1, len(vocab))))
+        assert_interning_equals_bruteforce(vocab, nmin, nmax, rows)
+    # symbol codes through the surrogate range and past the basic plane
+    vocab = [(f"s{k}", f"s{k + 1}", f"s{k}") for k in range(0, 70_000, 2)]
+    assert_interning_equals_bruteforce(vocab, 1, 3, range(0, len(vocab), 3))
 
 
 def test_compiled_extract_all_matches_bruteforce_features():

@@ -2,7 +2,8 @@
 
 A change meant to keep behaviour (a speed-up, a refactor) must leave every
 byte of these reports as it was: the ``detect`` report and ``--trace`` file
-of a ``generate_synthetic`` corpus in each mode, and the ``detect-xl``
+of a ``generate_synthetic`` corpus in each mode and, in mode ``full``,
+with the n-gram ranges 1..10 and 3..4, and the ``detect-xl``
 report of a ``generate_synthetic_multilingual`` corpus. Both run with
 ``convergence_fraction = 0``, so every pass runs. A change that alters
 behaviour on purpose updates these hashes and says so in CHANGES.md.
@@ -50,6 +51,16 @@ DETECT = {  # mode: (report, trace)
         "20cf879995e30328cf2d9ff9b6fe8892bdf41864e1c265fc80d79acdffcc440d",
     ),
 }
+NGRAM_RANGES = {  # --set overrides: (report, trace), in mode full
+    ("ngram_min=1",): (
+        "ee5a22264707bfb6f6c7ec4a3c8ed928eb0cb7fefdc048368902742ba3330edc",
+        "005eec459c7ac1ef1d77f2179a2d1635d9a940aa5d1abed70e96d1a7af7a22fd",
+    ),
+    ("ngram_min=3", "ngram_max=4"): (
+        "ab4e70807f8fd8ef6d87794b2fa435e0998def32e37b60bcc101417f6dbcc6db",
+        "fb2eed6421a8549a112243779917e3ef43e7a9623052ee4490273fea1fbf9374",
+    ),
+}
 DETECT_XL = "b10e9ddd18633a2999fc89a206177b99bd45ce8a324682f835798039c67d9d69"
 REPEATING = {
     "report": "303239a3a0367267f7940929fac79252b8e7dc1266521ae1397d3a4ad9fa6aeb",
@@ -81,6 +92,20 @@ def test_detect_report_and_trace_are_pinned(tmp_path, mode):
                  "--trace", str(trace), "--mode", mode,
                  "--set", "convergence_fraction=0"]) == 0
     assert (sha256(report), sha256(trace)) == DETECT[mode]
+
+
+@pytest.mark.parametrize("overrides", sorted(NGRAM_RANGES))
+def test_detect_off_the_default_ngram_range_is_pinned(tmp_path, overrides):
+    words = tmp_path / "words.tsv"
+    write_wordlist(
+        generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 150, 40, seed=11, integration=0.3),
+        words,
+    )
+    report, trace = tmp_path / "report.tsv", tmp_path / "trace.tsv"
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["detect", "--input", str(words), "--output", str(report),
+                 "--trace", str(trace), "--set", "convergence_fraction=0", *sets]) == 0
+    assert (sha256(report), sha256(trace)) == NGRAM_RANGES[overrides]
 
 
 def test_detect_xl_report_is_pinned(tmp_path):

@@ -1,11 +1,13 @@
 """Refinement loop tests: pattern databases, likeness, and the detect loop."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loandetect.config import RunConfig
+from loandetect.features import CompiledGroup
 from loandetect.refiner import (
     PatternIndex,
     average_probabilities,
@@ -55,9 +57,40 @@ def by_pattern(index, words, counts):
     return tables
 
 
+def test_pattern_index_equals_bruteforce_for_every_ngram_range():
+    # the patterns come from the transition ids, which every n-gram range keeps
+    rng = random.Random(23)
+    for nmin, nmax in [(2, 2), (3, 3), (3, 10), (1, 4), (2, 10)] * 30:
+        words = [
+            tuple(rng.choice("pta") for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        # one- and two-symbol words, and a trigram repeated in one word
+        words += [("a",), ("p", "a"), ("t", "a", "t", "a", "t")]
+        rng.shuffle(words)
+        index = PatternIndex(CompiledGroup(words, nmin, nmax))
+        typed_of = {}
+        for w, ids in zip(words, index.patterns):
+            typed = oracles.bf_typed_patterns(w)
+            assert len(ids) == len(typed)
+            for p, i in zip(typed, ids):
+                typed_of.setdefault(i, set()).add(p)
+        # equal typed patterns share one id, and different ones never do
+        assert sorted(typed_of) == list(range(len(index.full_counts)))
+        assert all(len(typed) == 1 for typed in typed_of.values())
+        pattern = {i: p for i, (p,) in typed_of.items()}
+        assert len(set(pattern.values())) == len(pattern)
+        for w, ids, distinct in zip(words, index.patterns, index.distinct):
+            typed = oracles.bf_typed_patterns(w)
+            assert Counter(pattern[i] for i in ids) == Counter(typed)
+            assert [pattern[i] for i in distinct] == list(dict.fromkeys(typed))
+        full = Counter(p for w in words for p in oracles.bf_typed_patterns(w))
+        assert {pattern[i]: c for i, c in enumerate(index.full_counts)} == full
+
+
 def test_build_pattern_db_four_symbol_word():
     words = [("a", "b", "c", "d")]
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     prefixes, suffixes, trigrams = by_pattern(index, words, build_pattern_db(index, [0]))
     assert prefixes == {("a", "b"): 1}
     assert suffixes == {("c", "d"): 1}
@@ -66,9 +99,9 @@ def test_build_pattern_db_four_symbol_word():
 
 def test_build_pattern_db_empty():
     words = [("a", "b", "c")]
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     assert by_pattern(index, words, build_pattern_db(index, [])) == ({}, {}, {})
-    assert PatternIndex([]).full_counts == []
+    assert PatternIndex(CompiledGroup([])).full_counts == []
 
 
 def test_build_pattern_db_matches_bruteforce():
@@ -77,7 +110,7 @@ def test_build_pattern_db_matches_bruteforce():
         tuple(rng.choice("ptkaiu") for _ in range(rng.randint(1, 7)))
         for _ in range(5)
     ]
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     rows = [0, 2, 3]
     db = by_pattern(index, words, build_pattern_db(index, rows))
     assert db == oracles.bf_pattern_counts([words[i] for i in rows])
@@ -86,7 +119,7 @@ def test_build_pattern_db_matches_bruteforce():
 
 def test_word_patterns_typed_and_deduplicated():
     words = [("a", "b"), ("a",), ("a", "b", "a", "b", "a")]
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     # prefix and suffix of a 2-symbol word are the same symbols, two patterns
     assert len(index.distinct[0]) == 2
     assert by_pattern(index, words, build_pattern_db(index, [0])) == (
@@ -100,7 +133,7 @@ def test_word_patterns_typed_and_deduplicated():
 def likeness_of(natives, loans, word, epsilon):
     """Likeness of ``word`` in a group of ``natives``, ``loans`` and the word, as a loan."""
     words = list(natives) + list(loans) + [word]
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     native_counts = build_pattern_db(index, range(len(natives)))
     return pattern_likeness(index, native_counts, epsilon)[-1]
 
@@ -108,7 +141,7 @@ def likeness_of(natives, loans, word, epsilon):
 def test_pattern_likeness_hand_fraction():
     # single pattern with N=10, B=0, eps=1 -> 10/11
     words = [("a", "b")] * 10
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     likeness = pattern_likeness(index, build_pattern_db(index, range(10)), 1.0)
     # the length-2 word has prefix == suffix == (a, b): both lookups 10/11
     assert likeness[0] == pytest.approx(10 / 11)
@@ -121,19 +154,19 @@ def test_pattern_likeness_all_unseen():
 def test_pattern_likeness_symmetry_limit():
     # equal counts on both sides, eps -> 0: likeness -> 1/2
     words = [("a", "b", "c")] * 14
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     likeness = pattern_likeness(index, build_pattern_db(index, range(7)), 1e-9)
     assert likeness[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_pattern_likeness_no_patterns_neutral():
     words = [("a", "b"), ("a",)]
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     assert pattern_likeness(index, build_pattern_db(index, [0]), 1.0)[1] == 0.5
 
 
 def test_pattern_likeness_requires_positive_smoothing():
-    index = PatternIndex([("a", "b")])
+    index = PatternIndex(CompiledGroup([("a", "b")]))
     with pytest.raises(ValueError):
         pattern_likeness(index, build_pattern_db(index, [0]), 0.0)
 
@@ -148,7 +181,7 @@ def test_pattern_likeness_matches_bruteforce(texts, data, epsilon):
     # a three-letter alphabet repeats trigrams within and across words
     words = [tuple(t) for t in texts]
     natives = data.draw(st.sets(st.integers(0, len(words) - 1)))
-    index = PatternIndex(words)
+    index = PatternIndex(CompiledGroup(words))
     likeness = pattern_likeness(index, build_pattern_db(index, sorted(natives)), epsilon)
     native_words = [w for i, w in enumerate(words) if i in natives]
     loan_words = [w for i, w in enumerate(words) if i not in natives]
@@ -431,7 +464,15 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
     def no_tuple_views(self):
         raise AssertionError("detect read the tuple-keyed statistics")
 
+    indexed = []
+
+    class RecordedIndex(refiner.PatternIndex):
+        def __init__(self, group):
+            super().__init__(group)
+            indexed.append(group)
+
     monkeypatch.setattr(refiner, "CompiledGroup", Recorded)
+    monkeypatch.setattr(refiner, "PatternIndex", RecordedIndex)
     monkeypatch.setattr(features.CompiledGroup, "gram_tuples", no_tuple_views)
     vocab = entries_from(TOY_NATIVES + TOY_LOANS)
     cfg = RunConfig(mode=mode, convergence_fraction=0.0)
@@ -441,6 +482,8 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
     assert len(built) == 1
     assert built[0].words == [tuple(e.ipa) for e in vocab]
     assert (built[0].ngram_min, built[0].ngram_max) == (cfg.ngram_min, cfg.ngram_max)
+    # the surface patterns are read off that group, not interned again
+    assert len(indexed) == 1 and indexed[0] is built[0]
 
 
 # Detection of a three-language corpus with 15% cross-language words. Besides
@@ -450,6 +493,7 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
 _HASH_SEED_RUN = r"""
 import random, sys
 from loandetect.config import RunConfig
+from loandetect.features import CompiledGroup
 from loandetect.refiner import PatternIndex, build_pattern_db, detect_wordlist, pattern_likeness
 from loandetect.wordlist import LexicalEntry, Wordlist, write_report
 
@@ -467,7 +511,7 @@ for lang, shape in languages.items():
 vocab = Wordlist(entries)
 probs, labels, _ = detect_wordlist(vocab, RunConfig(convergence_fraction=0.0))
 write_report(vocab, probs, labels, sys.argv[1])
-index = PatternIndex([e.ipa for e in entries])
+index = PatternIndex(CompiledGroup([e.ipa for e in entries]))
 native = build_pattern_db(index, [i for i, y in enumerate(labels) if not y])
 print(pattern_likeness(index, native))
 """

@@ -243,6 +243,35 @@ def test_unknown_pos_names_a_row_only_when_loaded(tmp_path):
     assert (err.value.row, str(err.value)) == (2, "row 2: unknown POS 'x'")
 
 
+def test_unknown_pos_is_named_with_the_other_malformed_rows(tmp_path, capsys):
+    path = write_tsv(
+        tmp_path, ["a\t\tenglish\tnoun\t\t", "b\tba\tenglish\tparticle\t\t", "c\tca\t\tnoun\t\t"]
+    )
+    with pytest.raises(MalformedRowError) as err:
+        load_wordlist(path)
+    assert err.value.rows == [(1, "missing IPA"), (2, "unknown POS 'particle'"),
+                              (3, "missing language")]
+    with pytest.raises(MalformedRowError) as err:
+        load_wordlist(path, lenient_pos=True)
+    assert [row for row, _ in err.value.rows] == [1, 3]
+    # two unknown POS values and nothing else are two malformed rows
+    path = write_tsv(tmp_path, ["a\tpa\tenglish\tx\t\t", "b\tba\tenglish\ty\t\t"])
+    with pytest.raises(MalformedRowError) as err:
+        load_wordlist(path)
+    assert err.value.rows == [(1, "unknown POS 'x'"), (2, "unknown POS 'y'")]
+    assert main(["detect", "--input", str(path), "--output", str(tmp_path / "r.tsv")]) == 1
+    assert "2 malformed row(s)" in capsys.readouterr().err
+
+
+def test_empty_transcription_says_what_is_wrong():
+    with pytest.raises(EmptyTranscriptionError) as err:
+        LexicalEntry("pa", (), "en", "noun")
+    assert str(err.value) == "entry 'pa' has an empty IPA transcription"
+    with pytest.raises(EmptyTranscriptionError) as err:
+        normalize_ipa("ː.")
+    assert str(err.value) == "IPA 'ː.' has nothing left after stripping markers and separators"
+
+
 def test_load_rejects_repeated_column(tmp_path):
     for header in ("orthography\tipa\tlanguage\tpos\tipa",
                    "orthography\tipa\tlanguage\tpos\t ipa ",
