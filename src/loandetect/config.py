@@ -193,6 +193,8 @@ class RunConfig:
             raise ConfigError("composite weights must be positive")
         if not math.isfinite(self.composite_w1 + self.composite_w2):
             raise ConfigError("composite_w1 + composite_w2 must be finite")
+        if self.gap_penalty < 0:  # a negative penalty rewards gaps over any match
+            raise ConfigError("gap_penalty must be >= 0")
         if not 0 < self.context_smoothing <= MAX_CONTEXT_SMOOTHING:
             raise ConfigError(f"context_smoothing must be in (0, {MAX_CONTEXT_SMOOTHING!r}]")
         if self.pattern_smoothing <= 0:

@@ -12,14 +12,15 @@ per-word threshold decides the label. ``detect_scaled`` alone decides
 which words get this evidence: those whose concept spans two or more
 languages; every other word keeps its basic classification.
 
-Each distinct unordered word pair of a concept is aligned once, while
-the context model is counted; a pair that occurs again in the concept (a
-word two languages share) counts the columns of its first alignment
-again. That memo is kept per concept, so it never grows past one
-concept's pairs. Every column is interned to an int key (its context id
-and the id of its unordered symbol pair), and the model keeps per pair
-only its mean feature distance and its column keys. After counting, one
-table of per-key log-probabilities replaces the interning tables, and
+Each distinct unordered word pair of a concept is aligned once; a pair
+that occurs again in the concept (a word two languages share) reuses the
+column keys of its first alignment. That memo is kept per concept, so it
+never grows past one concept's pairs. Each column gets an int key (its
+context id and the id of its sorted symbol pair) when its pair is
+aligned, and the keys are counted once, after every pair is aligned, a
+repeated pair's keys as often as the pair occurs. The model keeps per
+pair only its mean feature distance and its column keys; one table of
+per-key log-probabilities replaces the interning tables, and
 comparability sums a pair's log-probability from that table in column
 order. The aligner tables the column scores of a pair before its DP, from
 a memo of ``1 - symbol_distance(a, b)`` per symbol pair that calls
@@ -115,29 +116,20 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
 
     columns: list[tuple[str, str]] = []
     i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            current = score[i][j]
-            match = score[i - 1][j - 1] + sub[i - 1][j - 1]
-            if math.isclose(current, match, abs_tol=1e-12):
-                columns.append((x[i - 1], y[j - 1]))
-                i, j = i - 1, j - 1
-                continue
-            if math.isclose(current, score[i][j - 1] - gap_penalty, abs_tol=1e-12):
-                columns.append((GAP, y[j - 1]))
-                j -= 1
-                continue
-            columns.append((x[i - 1], GAP))
-            i -= 1
-            continue
-        if j > 0:
-            columns.append((GAP, y[j - 1]))
+    while i and j:
+        current = score[i][j]
+        if math.isclose(current, score[i - 1][j - 1] + sub[i - 1][j - 1], abs_tol=1e-12):
+            i, j = i - 1, j - 1
+            columns.append((x[i], y[j]))
+        elif math.isclose(current, score[i][j - 1] - gap_penalty, abs_tol=1e-12):
             j -= 1
+            columns.append((GAP, y[j]))
         else:
-            columns.append((x[i - 1], GAP))
             i -= 1
-    columns.reverse()
-    return Alignment(pairs=tuple(_with_contexts(columns)))
+            columns.append((x[i], GAP))
+    # what is left of the longer word goes against gaps
+    lead = [(a, GAP) for a in x[:i]] + [(GAP, b) for b in y[:j]]
+    return Alignment(pairs=tuple(_with_contexts(lead + columns[::-1])))
 
 
 def _with_contexts(
@@ -160,7 +152,8 @@ class ContextModel:
 
     A column key stands for an unordered symbol pair in one context
     window: both orders share a key, because every column is counted in
-    both orders. ``logp[key]`` is its natural-log probability,
+    both orders. Keys are counted once, after every pair is aligned.
+    ``logp[key]`` is its natural-log probability,
     ``log((count + s) / (marginal + s * k))`` with ``s`` the smoothing, the
     marginal the column count of its context and ``k`` the number of
     distinct unordered symbol pairs. ``rows[concept][i][j - i - 1]`` is
@@ -176,70 +169,56 @@ def build_context_model(
     concepts: Mapping[str, Sequence[Word]],
     cfg: RunConfig | None = None,
 ) -> ContextModel:
-    """Align each distinct unordered word pair of each concept once and tally
-    the columns of every pair.
+    """Align each distinct unordered word pair of each concept once, then
+    count the columns of every pair.
 
-    A pair that repeats within its concept shares the row entry of its
-    first occurrence, and its columns are counted again. A column's key
-    interns its context id and the id of its unordered symbol pair; the
-    interning tables are dropped once every pair is counted, before the
-    log-probability table is built.
+    A pair that repeats within its concept shares the column keys of its
+    first occurrence, and its columns count again. A column's key interns
+    its context id and the id of its sorted symbol pair. Once every pair is
+    aligned, the keys of all pair occurrences are counted in one pass; the
+    interning tables are dropped before the log-probability table is built,
+    and each pair's mean feature distance is filled in last.
     """
     cfg = cfg or RunConfig()
     ctx_of: dict[Context, int] = {}
-    pair_of: dict[tuple[str, str], int] = {}  # both orders -> unordered pair id
+    pair_of: dict[tuple[str, str], int] = {}  # sorted symbol pair -> pair id
     key_of: dict[int, int] = {}  # context id << 32 | pair id -> key
-    pair_dist: list[float] = []  # pair id -> symbol distance (the same both ways)
-    marginals = array("i")  # context id -> columns
-    counts = array("i")  # key -> columns
-    key_ctx = array("i")
-    key_pair = array("i")
-    rows: dict[str, list[list[tuple[float, array]]]] = {}
+    keys = array("i")  # the keys of every pair occurrence, a repeated pair's too
+    rows: dict[str, list[list]] = {}
     for concept in sorted(concepts):
         words = [tuple(w) for w in concepts[concept]]
-        aligned: dict[tuple[Word, Word], tuple[float, array]] = {}  # sorted pair -> row entry
-        concept_rows = []
+        aligned: dict[tuple[Word, Word], array] = {}  # sorted word pair -> its keys
+        concept_rows = rows[concept] = []
         for i, x in enumerate(words):
             row = []
             for y in words[i + 1 :]:
                 pair = (x, y) if x <= y else (y, x)
-                entry = aligned.get(pair)
-                if entry is not None:
-                    # a repeated pair: its columns count again, unaligned
-                    for key in entry[1]:
-                        counts[key] += 1
-                        marginals[key_ctx[key]] += 1
-                    row.append(entry)
-                    continue
-                ids = array("i")
-                for a, b, ctx in align(*pair, cfg.gap_penalty).pairs:
-                    c = ctx_of.get(ctx)
-                    if c is None:
-                        c = ctx_of[ctx] = len(marginals)
-                        marginals.append(0)
-                    marginals[c] += 1
-                    p = pair_of.get((a, b))
-                    if p is None:
-                        p = pair_of[(a, b)] = pair_of[(b, a)] = len(pair_dist)
-                        pair_dist.append(symbol_distance(a, b))
-                    column = c << 32 | p
-                    key = key_of.get(column)
-                    if key is None:
-                        key = key_of[column] = len(counts)
-                        counts.append(0)
-                        key_ctx.append(c)
-                        key_pair.append(p)
-                    counts[key] += 1
-                    ids.append(key)
-                d_feat = sum([pair_dist[key_pair[key]] for key in ids]) / len(ids)
-                entry = aligned[pair] = (d_feat, ids)
-                row.append(entry)
+                ids = aligned.get(pair)
+                if ids is None:
+                    ids = aligned[pair] = array("i", [
+                        key_of.setdefault(
+                            ctx_of.setdefault(ctx, len(ctx_of)) << 32
+                            | pair_of.setdefault((a, b) if a <= b else (b, a), len(pair_of)),
+                            len(key_of),
+                        )
+                        for a, b, ctx in align(*pair, cfg.gap_penalty).pairs
+                    ])
+                keys.extend(ids)
+                row.append(ids)
             concept_rows.append(row)
-        rows[concept] = concept_rows
-    if not counts:
+    if not keys:
         raise EmptyDatasetError("no concept contains at least two words")
-    k = len(pair_dist)
-    del ctx_of, pair_of, key_of, pair_dist, key_pair
+    k = len(pair_of)
+    marginals = array("i", [0]) * len(ctx_of)  # context id -> columns
+    del ctx_of
+    pair_dist = [symbol_distance(a, b) for a, b in pair_of]
+    key_dist = array("d", (pair_dist[column & 0xFFFFFFFF] for column in key_of))
+    key_ctx = array("i", (column >> 32 for column in key_of))
+    del pair_of, key_of, pair_dist
+    counts = array("i", [0]) * len(key_ctx)  # key -> columns
+    for key in keys:
+        counts[key] += 1
+        marginals[key_ctx[key]] += 1
     s = cfg.context_smoothing
     logp = array(
         "d",
@@ -248,6 +227,9 @@ def build_context_model(
             for count, c in zip(counts, key_ctx)
         ],
     )
+    for concept_rows in rows.values():
+        for row in concept_rows:
+            row[:] = [(sum([key_dist[key] for key in ids]) / len(ids), ids) for ids in row]
     return ContextModel(logp=logp, rows=rows)
 
 

@@ -28,7 +28,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .ipa import tokenize
+from .ipa import GAP, tokenize
 
 if TYPE_CHECKING:
     from .refiner import DetectionState
@@ -96,6 +96,13 @@ class LexicalEntry:
             raise EmptyTranscriptionError(
                 f"entry {self.orthography!r} has an empty IPA transcription"
             )
+        # the aligner's gap symbol and word-edge padding; loaded IPA holds neither
+        for token in (GAP, ""):
+            if token in self.ipa:
+                raise WordlistError(
+                    f"entry {self.orthography!r} holds the token {token!r}, "
+                    "which the aligner reserves"
+                )
         if not self.language.strip():
             raise WordlistError("missing language")
         if self.pos not in POS_CATEGORIES:

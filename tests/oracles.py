@@ -2,9 +2,10 @@
 
 Everything here is written as plainly as possible (nested loops, explicit
 recursion, no shared code with the package) so it can serve as an oracle
-for the optimized paths. The exceptions are the two-alignment scaled
-model, which calls the package's aligner and symbol distance, and the
-detection loop, which calls the package's feature extraction and scoring.
+for the optimized paths. The exceptions are the exact aligner, which
+calls the package's symbol distance, the two-alignment scaled model,
+which calls the package's aligner and symbol distance, and the detection
+loop, which calls the package's feature extraction and scoring.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 from loandetect.crossling import align
 from loandetect.features import CompiledGroup, build_statistics, extract_all
-from loandetect.ipa import ATTACHING_MODIFIERS, TIE_BARS, symbol_distance
+from loandetect.ipa import ATTACHING_MODIFIERS, GAP, TIE_BARS, symbol_distance
 from loandetect.scoring import score_all
 
 
@@ -305,6 +307,45 @@ def bf_best_alignment_score(x, y, column_score, gap_penalty):
         return max(options)
 
     return best(0, 0)
+
+
+def bf_align(x, y, gap_penalty):
+    """The columns (a, b) of the alignment ``align`` documents, by full enumeration.
+
+    Scores every global alignment in exact ``Fraction`` arithmetic (symbol
+    distances are multiples of 1/8) and, among the best, returns the one
+    whose columns, read from the end, prefer a substitution, then a gap on
+    the first track, then a gap on the second. Exponential, fine for
+    |x|, |y| <= 5.
+    """
+    x, y = tuple(x), tuple(y)
+    gap = Fraction(gap_penalty)
+    # every alignment of x[:i] and y[:j] as (score, kinds, columns), the last
+    # two read from the end; kind 0 is a substitution, 1 a gap on the first
+    # track, 2 a gap on the second
+    prefixes = {(0, 0): [(Fraction(0), (), ())]}
+    for i in range(len(x) + 1):
+        for j in range(len(y) + 1):
+            if i == 0 and j == 0:
+                continue
+            out = []
+            if i > 0 and j > 0:
+                sim = 1 - Fraction(symbol_distance(x[i - 1], y[j - 1]))
+                column = (x[i - 1], y[j - 1])
+                for score, kinds, columns in prefixes[i - 1, j - 1]:
+                    out.append((score + sim, (0,) + kinds, (column,) + columns))
+            if j > 0:
+                column = (GAP, y[j - 1])
+                for score, kinds, columns in prefixes[i, j - 1]:
+                    out.append((score - gap, (1,) + kinds, (column,) + columns))
+            if i > 0:
+                column = (x[i - 1], GAP)
+                for score, kinds, columns in prefixes[i - 1, j]:
+                    out.append((score - gap, (2,) + kinds, (column,) + columns))
+            prefixes[i, j] = out
+    # the best score first, then the preferred kinds
+    _, _, columns = min(prefixes[len(x), len(y)], key=lambda a: (-a[0], a[1]))
+    return list(reversed(columns))
 
 
 def bf_column_score_sum(pairs, column_score, gap_penalty, gap):

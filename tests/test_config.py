@@ -77,6 +77,9 @@ def test_scalar_validation():
         {"ngram_min": 0},
         {"pos_weights": dict(RunConfig().pos_weights, noun=2.0)},
         {"mode": "no_ngram", "weights": {n: 0.0 for n in RunConfig().weights}},
+        # a negative penalty rewards gaps: align(pata, pta, -1) pairs no symbol
+        {"gap_penalty": -1.0},
+        {"gap_penalty": -1e-9},
     ],
 )
 def test_execution_and_range_validation(overrides):
@@ -87,6 +90,8 @@ def test_execution_and_range_validation(overrides):
 def test_execution_and_range_limits_accepted():
     RunConfig(ngram_min=3, ngram_max=3)
     RunConfig(ngram_min=1, ngram_max=1)
+    RunConfig(gap_penalty=0.0)
+    RunConfig(gap_penalty=0.5)
 
 
 @pytest.mark.parametrize(

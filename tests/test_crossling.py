@@ -78,6 +78,18 @@ def test_align_score_equals_exhaustive_enumeration():
         assert got == pytest.approx(best, abs=1e-9)
 
 
+def test_align_tie_order_equals_exact_oracle():
+    # few symbols, one of them twice, so that ties are common, and one unknown token
+    alphabet = ["p", "t", "a", "a", "ʘ̃"]
+    rng = random.Random(29)
+    for _ in range(1000):
+        x = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+        y = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+        gap = rng.choice([0.0, 0.25, 0.5, 1.0])
+        got = [(a, b) for a, b, _ in align(x, y, gap).pairs]
+        assert got == oracles.bf_align(x, y, gap), (x, y, gap)
+
+
 def test_context_windows_padded_with_boundary():
     al = align(("p", "a"), ("p", "a"))
     (a0, b0, ctx0), (a1, b1, ctx1) = al.pairs

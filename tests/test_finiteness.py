@@ -6,9 +6,9 @@ on small generated wordlists, and requires every written probability,
 comparability, composite and threshold to be finite and in [0, 1] and every
 label to be 0 or 1. Every float field without a tighter ``validate``
 bound is drawn over the whole float range its sign allows: ``gamma``, the
-anomaly boosts, the composite weights, ``pattern_up_factor`` and
-``pattern_smoothing`` up to the float maximum, and the weights,
-``center``, the anomaly thresholds and ``gap_penalty`` over ±the float
+anomaly boosts, ``gap_penalty``, the composite weights,
+``pattern_up_factor`` and ``pattern_smoothing`` up to the float maximum,
+and the weights, ``center`` and the anomaly thresholds over ±the float
 maximum. ``context_smoothing`` and the four rarity constants
 ``rare_*_c*`` are drawn up to their ``validate`` bound.
 
@@ -135,7 +135,7 @@ def accepted_configs(draw):
         pattern_down_factor=draw(st.floats(0.0, 1.0, exclude_min=True)),
         pattern_up_factor=draw(positive(FLOAT_MAX)),
         pattern_smoothing=draw(positive(FLOAT_MAX)),
-        gap_penalty=draw(FINITE),
+        gap_penalty=draw(st.floats(0.0, FLOAT_MAX)),
         divergence_lambda=draw(UNIT),
         composite_w1=composite_w1,
         composite_w2=draw(positive(headroom(composite_w1))),

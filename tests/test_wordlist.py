@@ -1,5 +1,7 @@
 """Wordlist loading, normalization, and report round-trip tests."""
 
+import json
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -231,6 +233,32 @@ def test_load_reports_missing_language_with_other_malformed_rows(tmp_path, capsy
 def test_entry_refuses_blank_language(language):
     with pytest.raises(WordlistError, match="^missing language$"):
         LexicalEntry("pa", ("p", "a"), language, "noun")
+
+
+@pytest.mark.parametrize("token", [GAP, BOUNDARY])
+def test_entry_refuses_the_tokens_the_aligner_reserves(token, tmp_path, capsys):
+    message = f"entry 'pa' holds the token {token!r}, which the aligner reserves"
+    with pytest.raises(WordlistError) as err:
+        LexicalEntry("pa", ("p", token, "a"), "en", "noun")
+    assert str(err.value) == message
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(
+        json.dumps({"language": "reca", "consonants": ["p", token], "vowels": ["a"]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "fixture.tsv"
+    argv = ["synth", "--native-grammar", str(grammar), "--donor-grammar", str(grammar),
+            "--seed", "1", "--output", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry ") and "which the aligner reserves" in err
+    assert not out.exists()
+
+
+def test_loaded_entries_hold_no_reserved_token(tmp_path):
+    # the loader drops hyphens, and every token it makes holds a codepoint
+    path = write_tsv(tmp_path, ["a\tpa-ta\ten\tnoun\t\t", "b\tp a - t a\ten\tnoun\t\tc1"])
+    assert [e.ipa for e in load_wordlist(path)] == [("p", "a", "t", "a")] * 2
 
 
 def test_unknown_pos_names_a_row_only_when_loaded(tmp_path):
