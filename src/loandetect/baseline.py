@@ -23,7 +23,6 @@ Word = tuple[str, ...]
 @dataclass(frozen=True)
 class StemIndex:
     stem_following: Mapping[str, frozenset[str]]
-    stem_count: Mapping[str, int]
 
 
 def stem_of(word: Word) -> tuple[str, list[str]]:
@@ -39,15 +38,10 @@ def stem_of(word: Word) -> tuple[str, list[str]]:
 
 def build_stem_index(words: Sequence[Word]) -> StemIndex:
     following: dict[str, set[str]] = defaultdict(set)
-    counts: dict[str, int] = defaultdict(int)
     for w in words:
         stem, rest = stem_of(w)
-        counts[stem] += 1
         following[stem].update(rest)
-    return StemIndex(
-        stem_following={s: frozenset(f) for s, f in following.items()},
-        stem_count=dict(counts),
-    )
+    return StemIndex(stem_following={s: frozenset(f) for s, f in following.items()})
 
 
 def nativeness_scores(words: Sequence[Word]) -> list[float]:

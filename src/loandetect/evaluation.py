@@ -86,12 +86,16 @@ def evaluate(
 ) -> EvalReport:
     """Count-based precision/recall/F1 against gold labels.
 
-    Entries with no gold label are skipped; it is an error for every label
-    to be missing. Zero-denominator metrics come back as 0 with the
-    ``degenerate`` flag set rather than raising, so sweeps stay runnable.
+    Entries with no gold label are skipped; every label missing is an
+    error, and so is a label other than 0/1 (a ``ValueError``).
+    Zero-denominator metrics come back as 0 with the ``degenerate`` flag
+    set rather than raising, so sweeps stay runnable.
     """
     if len(predictions) != len(gold):
         raise ValueError("predictions and gold labels are not aligned")
+    bad = {*predictions} - {0, 1} | {*gold} - {None, 0, 1}
+    if bad:
+        raise ValueError(f"labels must be 0/1, got {sorted(bad, key=repr)}")
     counts = Counter(
         (languages[i] if languages else "all", p, g)
         for i, (p, g) in enumerate(zip(predictions, gold))
@@ -99,13 +103,10 @@ def evaluate(
     )
     if not counts:
         raise NoGoldLabelsError("no gold labels present")
-    # (tp, fp, tn, fn) per language; other label values count in no cell
+    # (tp, fp, tn, fn) per language
     tallies: dict[str, list[int]] = {}
     for (lang, p, g), n in counts.items():
-        tally = tallies.setdefault(lang, [0, 0, 0, 0])
-        cell = _CELLS.get((p, g))
-        if cell is not None:
-            tally[cell] += n
+        tallies.setdefault(lang, [0, 0, 0, 0])[_CELLS[p, g]] += n
     overall = _metrics(*map(sum, zip(*tallies.values())))
     if languages is None:
         return overall
@@ -332,6 +333,8 @@ def generate_synthetic(
     """
     if n_native < 1 or n_loans < 1:
         raise InvalidGrammarError("need at least one native and one loan")
+    if not 0.0 <= integration <= 1.0:  # NaN fails both comparisons
+        raise InvalidGrammarError(f"integration must be in [0, 1], got {integration!r}")
     rng = random.Random(seed)
     taken: set[tuple[str, ...]] = set()
     natives = _sample_unique(native_grammar, n_native, rng, taken)
@@ -383,6 +386,8 @@ def generate_synthetic_multilingual(
     """
     if n_native < 1 or n_loans < 1:
         raise InvalidGrammarError("need at least one native and one loan concept")
+    if not 0.0 <= integration <= 1.0:  # NaN fails both comparisons
+        raise InvalidGrammarError(f"integration must be in [0, 1], got {integration!r}")
     if recipient_grammar.language == donor_grammar.language:
         raise InvalidGrammarError("grammars must name distinct languages")
     rng = random.Random(seed)

@@ -5,10 +5,12 @@ flag) with a header row, UTF-8 encoded; a leading byte-order mark is
 skipped. Expected columns: ``orthography``, ``ipa``, ``language``,
 ``pos``, plus optional ``label`` and ``concept``, each named once in the
 header. TSV cells are read literally, as ``write_table`` writes them;
-CSV quoting applies only to CSV, and a quoted CSV orthography, language
-or concept cell may hold no tab or line break. Every row needs a
-language. A ``Wordlist`` is its entries, in any number of languages with
-or without concept ids, and its ``language`` tag is derived from them;
+CSV quoting applies only to CSV. The loader only turns cells into values:
+``normalize_ipa`` refuses a blank or all-marker IPA cell, and
+``LexicalEntry`` holds every other row rule, for loaded and built entries
+alike, so ``synth`` writes only what the loader reads. A ``Wordlist`` is
+its entries, in any number of languages with or without concept ids, and
+its ``language`` tag is derived from them;
 only ``crossling.detect_scaled`` reads concepts, and it alone requires them.
 ``language_rows`` is the one split of a wordlist by language, which
 every per-language detector and the trace writer read.
@@ -45,10 +47,11 @@ _STRIP_MARKERS = ("ː", ":", "ˈ", "ˌ", ".", "+", "-")
 
 # the input columns, required ones first, in the order _parse_rows reads them
 _COLUMNS = ("orthography", "ipa", "language", "pos", "label", "concept")
-# the cells that files written from a wordlist echo as they are, in the order
-# _parse_rows reads them: none may hold a character that ends a table cell or row
-_TEXT_COLUMNS = ("orthography", "language", "concept")
+# an entry's text, which written files echo: none may end a table cell or row
+_TEXT_FIELDS = ("orthography", "language", "concept", "IPA")
 _BREAKS = frozenset("\t\r\n")
+# a label cell's gold label; other text goes to the entry as it is, to be refused
+_LABELS = {"": None, "0": 0, "1": 1}
 
 
 class WordlistError(ValueError):
@@ -82,7 +85,15 @@ class EmptyTranscriptionError(WordlistError):
 
 @dataclass(frozen=True)
 class LexicalEntry:
-    """One wordlist row: a word with its transcription and metadata."""
+    """One wordlist row: a word with its transcription and metadata.
+
+    The package's one set of row rules, checked in this order; the first
+    one broken raises a ``WordlistError``: 1. a language that is not blank;
+    2. no tab, CR or LF in the orthography, language, concept or an IPA
+    token; 3. some IPA (``EmptyTranscriptionError``); 4. neither token the
+    aligner reserves (the gap symbol, the empty token); 5. a POS of
+    ``POS_CATEGORIES`` (``UnknownPOSError``); 6. a label of None, int 0 or 1.
+    """
 
     orthography: str
     ipa: tuple[str, ...]
@@ -92,6 +103,13 @@ class LexicalEntry:
     concept_id: str | None = None
 
     def __post_init__(self) -> None:
+        if not self.language.strip():
+            raise WordlistError("missing language")
+        text = (self.orthography, self.language, self.concept_id or "", "".join(self.ipa))
+        joined = "".join(text)
+        if "\t" in joined or "\n" in joined or "\r" in joined:  # faster than a set test
+            broken = [name for name, t in zip(_TEXT_FIELDS, text) if not _BREAKS.isdisjoint(t)]
+            raise WordlistError(f"tab or line break in {', '.join(broken)}")
         if not self.ipa:
             raise EmptyTranscriptionError(
                 f"entry {self.orthography!r} has an empty IPA transcription"
@@ -103,12 +121,11 @@ class LexicalEntry:
                     f"entry {self.orthography!r} holds the token {token!r}, "
                     "which the aligner reserves"
                 )
-        if not self.language.strip():
-            raise WordlistError("missing language")
         if self.pos not in POS_CATEGORIES:
             raise UnknownPOSError(self.pos)
-        if self.gold_label not in (None, 0, 1):
-            raise WordlistError(f"gold label must be 0/1, got {self.gold_label!r}")
+        # True or 1.0 would be written as a label cell the loader refuses
+        if self.gold_label not in (None, 0, 1) or type(self.gold_label) not in (int, type(None)):
+            raise WordlistError(f"label must be 0/1, got {self.gold_label!r}")
 
     @property
     def ipa_text(self) -> str:
@@ -162,15 +179,18 @@ def normalize_ipa(raw: str) -> tuple[str, ...]:
     Separators are the syllable boundary ``.``, the morpheme boundaries
     ``+`` and ``-`` and whitespace anywhere in the string, so
     space-segmented IPA (``"p a t a"``, the CLDF "Segments" form) gives the
-    same tokens as ``"pata"``. Raises ``EmptyTranscriptionError`` when nothing is left.
-    Idempotent: feeding the joined output back in returns the same token
-    sequence.
+    same tokens as ``"pata"``. Raises ``EmptyTranscriptionError`` when
+    nothing is left: ``missing IPA`` for a blank ``raw``, otherwise naming
+    ``raw``. Idempotent: feeding the joined output back in returns the same
+    token sequence.
     """
     text = raw
     for marker in _STRIP_MARKERS:
         text = text.replace(marker, "")
     text = "".join(text.split())
     if not text:
+        if not raw.strip():
+            raise EmptyTranscriptionError("missing IPA")
         raise EmptyTranscriptionError(
             f"IPA {raw!r} has nothing left after stripping markers and separators"
         )
@@ -188,12 +208,14 @@ def load_wordlist(
     The header names the columns ``orthography``, ``ipa``, ``language``,
     ``pos`` and optionally ``label`` and ``concept``, each once; other
     columns are ignored. Tab-delimited cells are read literally; any
-    other delimiter reads CSV quoting. Rows with missing or unnormalizable
-    IPA, a missing language, an unknown POS (``function`` under
-    ``lenient_pos``), a bad label, or a tab or line break in the
-    orthography, language or concept, are collected and reported together
-    in a ``MalformedRowError``, or in an ``UnknownPOSError`` when one
-    unknown POS is the file's only fault. Errors number the non-blank
+    other delimiter reads CSV quoting. The loader only turns cells into
+    values: it strips them, lower-cases the POS (an unknown one becomes
+    ``function`` under ``lenient_pos``), normalizes the IPA with
+    ``normalize_ipa`` and reads the label text ``""``, ``0`` or ``1``.
+    ``normalize_ipa`` and ``LexicalEntry`` judge each row; the rows they
+    refuse are collected, with the first fault of each, and reported
+    together in a ``MalformedRowError``, or in an ``UnknownPOSError`` when
+    one unknown POS is the file's only fault. Errors number the non-blank
     lines after the header from 1, so row n is the n-th entry.
     """
     path = Path(path)
@@ -241,44 +263,20 @@ def _parse_rows(path: Path, delimiter: str, lenient_pos: bool) -> Wordlist:
                 continue
             rownum += 1
             row[width:] = pad[min(len(row), width):]
-            orthography, raw_ipa, language, pos, label_text, concept = map(str.strip, cells(row))
-            joined = orthography + language + concept
-            if "\t" in joined or "\n" in joined or "\r" in joined:
-                # such a cell, written back to a report, would split its row
-                text = (orthography, language, concept)
-                broken = [c for c, t in zip(_TEXT_COLUMNS, text) if not _BREAKS.isdisjoint(t)]
-                errors.append((rownum, f"tab or line break in {', '.join(broken)}"))
-                continue
-            if not raw_ipa:
-                errors.append((rownum, "missing IPA"))
-                continue
-            try:
-                ipa = normalize_ipa(raw_ipa)
-            except EmptyTranscriptionError:
-                errors.append((rownum, f"IPA empty after normalization: {raw_ipa!r}"))
-                continue
+            orthography, raw_ipa, language, pos, label, concept = map(str.strip, cells(row))
             pos = pos.lower()
-            if pos not in POS_CATEGORIES:
-                if lenient_pos:
-                    log.warning("row %d: unknown POS %r mapped to 'function'", rownum, pos)
-                    pos = "function"
-                else:
-                    errors.append((rownum, f"unknown POS {pos!r}"))
-                    unknown_pos = UnknownPOSError(pos, rownum)
-                    continue
-            gold: int | None = None
-            if label_text != "":
-                if label_text not in ("0", "1"):
-                    errors.append((rownum, f"label must be 0/1, got {label_text!r}"))
-                    continue
-                gold = int(label_text)
+            if lenient_pos and pos not in POS_CATEGORIES:
+                log.warning("row %d: unknown POS %r mapped to 'function'", rownum, pos)
+                pos = "function"
             try:
-                entry = LexicalEntry(orthography, ipa, language, pos, gold, concept or None)
+                entries.append(LexicalEntry(
+                    orthography, normalize_ipa(raw_ipa), language, pos,
+                    _LABELS.get(label, label), concept or None,
+                ))
             except WordlistError as exc:
-                # what only the entry checks: a missing language
                 errors.append((rownum, str(exc)))
-                continue
-            entries.append(entry)
+                if isinstance(exc, UnknownPOSError):
+                    unknown_pos = UnknownPOSError(exc.value, rownum)
     if len(errors) == 1 and unknown_pos is not None:
         raise unknown_pos
     if errors:
@@ -402,7 +400,10 @@ class ReportRow:
 
 
 def read_report(path: str | Path) -> list[ReportRow]:
-    """Load a detection report back (used by eval and round-trip checks)."""
+    """Load a detection report back (used by eval and round-trip checks).
+
+    A predicted label other than 0/1, or a gold label other than empty or
+    0/1, is a ``WordlistError`` naming the file and the line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -420,21 +421,19 @@ def read_report(path: str | Path) -> list[ReportRow]:
             header = parts
             continue
         rec = dict(zip(header, parts))
-        gold = rec.get("gold_label", "")
         try:
-            rows.append(
-                ReportRow(
-                    word=rec["word"],
-                    language=rec["language"],
-                    probability=float(rec.get("probability", rec.get("S", "0"))),
-                    predicted_label=int(rec["predicted_label"]),
-                    gold_label=int(gold) if gold not in ("", None) else None,
-                )
-            )
+            word, language, predicted = rec["word"], rec["language"], rec["predicted_label"]
+            probability = float(rec.get("probability", rec.get("S", "0")))
         except KeyError as exc:
             raise WordlistError(f"{path}: report has no column {exc}") from None
         except ValueError as exc:
             raise WordlistError(f"{path} line {lineno}: {exc}") from None
+        gold = rec.get("gold_label", "")
+        for name, label, allowed in (("predicted_label", predicted, ("0", "1")),
+                                     ("gold_label", gold, _LABELS)):
+            if label not in allowed:
+                raise WordlistError(f"{path} line {lineno}: {name} must be 0/1, got {label!r}")
+        rows.append(ReportRow(word, language, probability, int(predicted), _LABELS[gold]))
     return rows
 
 

@@ -482,6 +482,15 @@ def _bad_inputs(tmp_path, vocab_file):
     unscored.write_text(
         "word\tlanguage\tprobability\tpredicted_label\nab\ttoy\t0.5\t1\n", encoding="utf-8"
     )
+    bad_labels = tmp_path / "bad_labels.tsv"
+    bad_labels.write_text(
+        "word\tlanguage\tprobability\tpredicted_label\tgold_label\n"
+        "pa\ttoy\t0.9\t1\t1\nta\ttoy\t0.1\t5\t0\nka\ttoy\t0.1\t0\t2\n",
+        encoding="utf-8",
+    )
+    native, donor = grammar_files(tmp_path)
+    synth = ["synth", "--native-grammar", str(native), "--donor-grammar", str(donor),
+             "--seed", "1", "--output", out]
     folder = tmp_path / "folder"
     folder.mkdir()
     detect = ["detect", "--input", str(vocab_file), "--output", out]
@@ -509,6 +518,10 @@ def _bad_inputs(tmp_path, vocab_file):
                                          "--donor-grammar", str(misspelt), "--seed", "1",
                                          "--output", out]),
         ("report without gold labels", ["eval", "--input", str(unscored)]),
+        ("report label other than 0/1", ["eval", "--input", str(bad_labels)]),
+        ("integration above 1", synth + ["--integration", "1.5"]),
+        ("integration below 0", synth + ["--integration", "-3"]),
+        ("integration NaN", synth + ["--integration", "nan"]),
         ("ablate without gold labels", ["ablate", "--input", str(unlabelled), "--output", out]),
         ("experiment without gold labels", ["experiment", "--input", str(unlabelled),
                                             "--output", out, "--seed", "1"]),

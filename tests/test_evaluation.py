@@ -74,6 +74,14 @@ def test_evaluate_misaligned_rejected():
         evaluate([1], [1, 0])
 
 
+def test_evaluate_refuses_labels_other_than_0_1():
+    with pytest.raises(ValueError, match=r"^labels must be 0/1, got \[2, 5\]$"):
+        evaluate([1, 5, 0], [1, 0, 2])
+    # an unlabelled entry's prediction is checked too
+    with pytest.raises(ValueError, match=r"got \[-1\]$"):
+        evaluate([1, -1], [1, None])
+
+
 def test_generate_synthetic_deterministic():
     a = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 15, 5, seed=3)
     b = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 15, 5, seed=3)
@@ -103,6 +111,14 @@ def test_integration_one_nativizes_all_segments():
     for e in wl:
         if e.gold_label == 1:
             assert set(e.ipa) <= native_symbols
+
+
+@pytest.mark.parametrize("integration", [1.5, -3.0, float("nan"), -1e-9])
+def test_integration_outside_unit_interval_refused(integration):
+    for generate in (generate_synthetic, generate_synthetic_multilingual):
+        with pytest.raises(InvalidGrammarError) as err:
+            generate(NATIVE_GRAMMAR, DONOR_GRAMMAR, 5, 5, seed=2, integration=integration)
+        assert str(err.value) == f"integration must be in [0, 1], got {integration!r}"
 
 
 def test_generate_multilingual_concept_alignment():

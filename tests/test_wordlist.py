@@ -255,6 +255,55 @@ def test_entry_refuses_the_tokens_the_aligner_reserves(token, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_entry_names_the_first_rule_broken():
+    # each step mends the rule the previous step named, and the next is named
+    fields = dict(orthography="p\ta", ipa=(), language=" ", pos="x", gold_label=5)
+    steps = [
+        ("missing language", dict(language="en")),
+        ("tab or line break in orthography", dict(orthography="pa")),
+        ("entry 'pa' has an empty IPA transcription", dict(ipa=("p", GAP))),
+        (f"entry 'pa' holds the token {GAP!r}, which the aligner reserves",
+         dict(ipa=("p", "a"))),
+        ("unknown POS 'x'", dict(pos="noun")),
+        ("label must be 0/1, got 5", dict(gold_label=True)),
+        # written back, True or 1.0 would be a label cell the loader refuses
+        ("label must be 0/1, got True", dict(gold_label=1.0)),
+        ("label must be 0/1, got 1.0", dict(gold_label=1)),
+    ]
+    for message, mend in steps:
+        with pytest.raises(WordlistError) as err:
+            LexicalEntry(**fields)
+        assert str(err.value) == message
+        fields.update(mend)
+    assert LexicalEntry(**fields).gold_label == 1
+
+
+@pytest.mark.parametrize("brk", ["\t", "\r", "\n"])
+@pytest.mark.parametrize("field", ["orthography", "language", "concept", "IPA"])
+def test_entry_refuses_tab_or_line_break(field, brk):
+    text = dict(orthography="pa", language="en", concept="c1", IPA="a")
+    text[field] = f"x{brk}y"
+    with pytest.raises(WordlistError) as err:
+        LexicalEntry(text["orthography"], ("p", text["IPA"]), text["language"], "noun",
+                     None, text["concept"])
+    assert str(err.value) == f"tab or line break in {field}"
+
+
+@pytest.mark.parametrize("grammar, broken", [
+    ({"language": "re\tca", "consonants": ["p", "t"], "vowels": ["a"]}, "language"),
+    ({"language": "reca", "consonants": ["p", "t\nx"], "vowels": ["a"]}, "orthography, IPA"),
+])
+def test_synth_writes_no_row_its_loader_refuses(grammar, broken, tmp_path, capsys):
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps(grammar), encoding="utf-8")
+    out = tmp_path / "fixture.tsv"
+    argv = ["synth", "--native-grammar", str(path), "--donor-grammar", str(path),
+            "--seed", "1", "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: tab or line break in {broken}\n"
+    assert not out.exists()
+
+
 def test_loaded_entries_hold_no_reserved_token(tmp_path):
     # the loader drops hyphens, and every token it makes holds a codepoint
     path = write_tsv(tmp_path, ["a\tpa-ta\ten\tnoun\t\t", "b\tp a - t a\ten\tnoun\t\tc1"])
@@ -298,6 +347,19 @@ def test_empty_transcription_says_what_is_wrong():
     with pytest.raises(EmptyTranscriptionError) as err:
         normalize_ipa("ː.")
     assert str(err.value) == "IPA 'ː.' has nothing left after stripping markers and separators"
+    for blank in ("", " \t"):
+        with pytest.raises(EmptyTranscriptionError, match="^missing IPA$"):
+            normalize_ipa(blank)
+
+
+def test_load_names_normalize_ipa_faults(tmp_path):
+    path = write_tsv(tmp_path, ["a\tˈː\ten\tnoun\t\t", "b\t \ten\tnoun\t\t"])
+    with pytest.raises(MalformedRowError) as err:
+        load_wordlist(path)
+    assert err.value.rows == [
+        (1, "IPA 'ˈː' has nothing left after stripping markers and separators"),
+        (2, "missing IPA"),
+    ]
 
 
 def test_load_rejects_repeated_column(tmp_path):
@@ -432,6 +494,19 @@ def test_report_roundtrip_preserves_values(tmp_path):
         assert got.probability == pytest.approx(expected, abs=5e-7)
 
 
+def test_read_report_refuses_labels_other_than_0_1(tmp_path):
+    header = "word\tlanguage\tprobability\tpredicted_label\tgold_label\n"
+    good = "pa\ten\t0.9\t1\t1\n"
+    for row, message in [("ta\ten\t0.1\t5\t0\n", "line 3: predicted_label must be 0/1, got '5'"),
+                         ("ta\ten\t0.1\t0\t2\n", "line 3: gold_label must be 0/1, got '2'"),
+                         ("ta\ten\t0.1\t\t0\n", "line 3: predicted_label must be 0/1, got ''")]:
+        path = tmp_path / "report.tsv"
+        path.write_text(header + good + row, encoding="utf-8")
+        with pytest.raises(WordlistError) as err:
+            read_report(path)
+        assert str(err.value) == f"{path} {message}"
+
+
 def test_write_table_formats_each_cell_by_its_type(tmp_path):
     path = tmp_path / "t.tsv"
     rows = [(0.5, None, 3, "x"), (1e-7, "", True, "0.2500")]
@@ -447,7 +522,8 @@ def test_load_rejects_tab_or_line_break_in_text_cells(tmp_path):
         "orthography,ipa,language,pos,label,concept\n"
         '"p\ta",pa,english,noun,,c1\n'
         'ti,ti,english,noun,,"c\r2"\n'
-        "ku,ku,english,noun,,c3\n",
+        "ku,ku,english,noun,,c3\n"
+        '"m\na",ma,"engl\tish",noun,,c4\n',
         encoding="utf-8",
     )
     with pytest.raises(MalformedRowError) as info:
@@ -455,6 +531,7 @@ def test_load_rejects_tab_or_line_break_in_text_cells(tmp_path):
     assert info.value.rows == [
         (1, "tab or line break in orthography"),
         (2, "tab or line break in concept"),
+        (4, "tab or line break in orthography, language"),
     ]
 
 
