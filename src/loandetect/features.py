@@ -10,26 +10,41 @@ absence itself is the signal.
 
 A language group is compiled once (``CompiledGroup``): every distinct
 n-gram and transition of its words gets an integer id, and each word keeps
-the ids of its n-grams and transitions and its CV pattern. A reference is
-a list of the group's rows, whose ids ``build_statistics`` counts into
-plain lists indexed by id, so a refinement pass reads each word's
-probabilities by id instead of hashing symbol tuples again. The
-tuple-keyed mappings of ``VocabStatistics`` (``ngram_prob``,
-``trans_prob``) are views built on first read; detection reads none.
-N-grams and transitions are interned as slices of a per-word string of
-one character per symbol, not as symbol tuples (see ``CompiledGroup``).
+the ids of its n-grams and transitions and its CV pattern. N-grams and
+transitions are interned as slices of a per-word string of one character
+per symbol, not as symbol tuples (see ``CompiledGroup``).
+
+Most n-grams occur in one word of the group only (about 87% of the
+distinct n-grams of a 4,000-word list). Such an n-gram counts 1 in a
+reference that holds its word and 0 in one that does not, so its
+probability is 1/T_n or 0, where T_n is the reference's number of n-grams
+of length n. The group therefore folds them: the n-grams that occur more
+than once keep dense ids 0..k-1, and every once-seen n-gram of length n
+shares the slot id k + n - ngram_min. A pass then computes one
+probability per shared id and per slot instead of one per n-gram.
+
+A reference is a set of the group's rows, whose folded n-gram ids and
+transition ids ``build_statistics`` counts into plain lists indexed by id.
+Given the statistics of an earlier reference of the same group, it starts
+from their counts, adds the rows that entered and subtracts the rows that
+left: exact integer arithmetic, so a refinement pass, whose reference
+moves by a few rows, counts only those. The per-n-gram views
+(``ngram_counts``, ``ngram_probs``) and the tuple-keyed mappings
+(``ngram_prob``, ``trans_prob``) of ``VocabStatistics`` are built on first
+read; detection reads none.
 
 ``extract_all`` is the one feature path. It scores every word of the
 statistics' group and reads the rarity constants from a ``RunConfig``,
-whose ``validate`` is the only place they are checked. The n-gram block
-and the transition block are one call each of ``_rarity_entropy``: one
-loop per word over the word's ids reads each probability once and adds
-its rarity term and its ``-p log2 p`` term to two running totals.
-``avg_trans_prob`` is ``sum()`` of the word's transition probabilities,
-and the segmental features of ``aug`` mode are one kernel per word over
-its CV pattern or symbols. It returns feature columns, one list per
-feature of the mode in ``feature_names`` order, which is the form
-``scoring.score_all`` reads.
+whose ``validate`` is the only place they are checked. Each block
+(n-grams, transitions) computes the rarity term and ``p log2 p`` of every
+id's probability once (``_terms``); for n-grams that is one table for the
+reference rows, whose slots read 1/T_n, and one for the other rows, whose
+slots read 0. ``_rarity_entropy`` then adds up each word's table entries
+in one loop per word. ``avg_trans_prob`` is ``sum()`` of the word's
+transition probabilities, and the segmental features of ``aug`` mode are
+one kernel per word over its CV pattern or symbols. It returns feature
+columns, one list per feature of the mode in ``feature_names`` order,
+which is the form ``scoring.score_all`` reads.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ipa import cv_pattern
@@ -105,8 +120,8 @@ class CompiledGroup:
     """A word list interned once for repeated statistics and feature passes.
 
     Every distinct n-gram (n in [ngram_min, ngram_max]) and transition of
-    the words gets an integer id. Word ``i`` keeps the ids of its n-grams
-    (in ``word_ngrams`` order) in ``word_grams[i]``, of its transitions in
+    the words gets an integer id. Word ``i`` keeps its folded n-gram ids
+    (in ``word_ngrams`` order) in ``word_folded[i]``, its transition ids in
     ``word_trans[i]``, and its CV pattern in ``cv[i]`` (computed on first
     read). A group is built once per word list and never copied: statistics
     of any reference rows index the same ids.
@@ -116,15 +131,26 @@ class CompiledGroup:
     its symbols' characters. An n-gram is interned as a slice of it, one
     ``setdefault`` per occurrence over the (start, stop) spans of the
     word's length in ``word_ngrams`` order, so ids number n-grams by first
-    occurrence and ``gram_len`` is each key's length; transitions are the
-    2-character slices. No tuple is built per occurrence: a dict keyed by
-    n-gram tuples set the peak memory of a whole detection run.
+    occurrence; transitions are the 2-character slices. No tuple is built
+    per occurrence: a dict keyed by n-gram tuples set the peak memory of a
+    whole detection run.
+
+    The n-gram ids are then folded. The ``shared`` n-grams, which occur
+    more than once in the group, are renumbered 0..shared-1 in id order,
+    and every n-gram that occurs once takes the slot ``shared + n -
+    ngram_min`` of its length n; ``fold_len`` is the length of each folded
+    id. The unfolded ids stay readable as views built on first read:
+    ``word_grams`` numbers the folded ids again in word order (each slot
+    occurrence is an n-gram of its own), ``gram_tuples`` rebuilds each
+    id's n-gram and ``gram_len`` is its length. Detection reads none of
+    them.
 
     All ids are collected in flat lists and packed into arrays once the
-    interning dict is dropped (``gram_tuples`` rebuilds the n-grams from
-    word order): arrays made beside its keys scatter over the heap and
-    raise the run's peak, and the dict, held for a whole run, would cost
-    more memory than the per-pass statistics it serves.
+    interning dict is dropped: arrays made beside its keys scatter over the
+    heap and raise the run's peak, and the dict, held for a whole run,
+    would cost more memory than the per-pass statistics it serves. For the
+    same reason the folded arrays replace the unfolded ones rather than
+    sit beside them.
     """
 
     def __init__(
@@ -146,7 +172,7 @@ class CompiledGroup:
         ]
         ids: dict[str, int] = {}
         grams = [ids.setdefault(s[a:b], len(ids)) for s in strings for a, b in spans[len(s)]]
-        self.gram_len = array("i", map(len, ids))
+        lengths = list(map(len, ids))
         ids = {}
         trans = [
             ids.setdefault(s[i : i + 2], len(ids)) for s in strings for i in range(len(s) - 1)
@@ -154,8 +180,23 @@ class CompiledGroup:
         symbols = list(code)
         self.transitions = [(symbols[ord(a)], symbols[ord(b)]) for a, b in ids]
         del ids, code
-        grams, trans = array("i", grams), array("i", trans)
-        self.word_grams = _split(grams, [len(spans[len(s)]) for s in strings])
+        # fold the n-grams seen once into one slot per length
+        seen = [0] * len(lengths)
+        for g in grams:
+            seen[g] += 1
+        shared = [c > 1 for c in seen]
+        self.shared = k = sum(shared)
+        fold = [
+            dense - 1 if repeated else k + n - ngram_min
+            for repeated, dense, n in zip(shared, accumulate(shared), lengths)
+        ]
+        self.fold_len = array(
+            "i", [n for repeated, n in zip(shared, lengths) if repeated]
+        ) + array("i", range(ngram_min, ngram_max + 1))
+        del seen, shared, lengths
+        grams, trans = array("i", map(fold.__getitem__, grams)), array("i", trans)
+        del fold
+        self.word_folded = _split(grams, [len(spans[len(s)]) for s in strings])
         self.word_trans = _split(trans, [max(len(s) - 1, 0) for s in strings])
 
     @cached_property
@@ -163,33 +204,93 @@ class CompiledGroup:
         """The CV pattern of every word; only ``aug`` mode reads them."""
         return [cv_pattern(w) for w in self.words]
 
+    @cached_property
+    def word_grams(self) -> list[array]:
+        """Every word's n-gram ids before the fold, numbered by first occurrence."""
+        k, ids = self.shared, {}
+        flat = chain.from_iterable(self.word_folded)
+        # a slot occurrence is an n-gram of its own: key it by its position
+        grams = [ids.setdefault(f if f < k else ~j, len(ids)) for j, f in enumerate(flat)]
+        return _split(array("i", grams), list(map(len, self.word_folded)))
+
+    @cached_property
+    def gram_len(self) -> array:
+        """The length of every n-gram id of ``word_grams``."""
+        return array("i", map(len, self.gram_tuples()))
+
     def gram_tuples(self) -> list[tuple[str, ...]]:
-        """The n-gram of every id."""
-        grams: list[tuple[str, ...]] = [()] * len(self.gram_len)
+        """The n-gram of every id of ``word_grams``."""
+        # ids number n-grams by first occurrence: insertion order is id order
+        grams: dict[int, tuple[str, ...]] = {}
         for w, ids in zip(self.words, self.word_grams):
             for g, (i, n) in zip(ids, _spans(len(w), self.ngram_min, self.ngram_max)):
-                grams[g] = w[i : i + n]
-        return grams
+                grams.setdefault(g, w[i : i + n])
+        return list(grams.values())
 
 
 @dataclass(frozen=True, eq=False)
 class VocabStatistics:
     """Distributional statistics of the reference ``rows`` of ``group``.
 
-    ``ngram_counts``, ``ngram_probs`` and ``trans_probs`` are indexed by
-    the ids of ``group``; ids absent from the reference count 0 and have
-    probability 0. The tuple-keyed mappings and the segmental statistics
-    are computed on first read; the detection loop reads none of them
-    outside ``aug`` mode.
+    ``members[r]`` is 1 when row ``r`` is a reference row. ``gram_counts``
+    is indexed by the folded ids of ``group``: a shared id's reference
+    count, and for a slot the number of the reference's once-seen n-grams
+    of its length. ``gram_totals[n]`` is T_n, the reference's number of
+    n-grams of length n. ``trans_counts`` and ``trans_probs`` are indexed
+    by transition id. Ids absent from the reference count 0 and have
+    probability 0. The per-id views of the unfolded n-grams, the
+    tuple-keyed mappings and the segmental statistics are computed on
+    first read; the detection loop reads none of them outside ``aug``
+    mode.
     """
 
     group: CompiledGroup
     rows: Sequence[int]
-    ngram_counts: Sequence[int]
-    ngram_probs: Sequence[float]
+    members: bytes
+    gram_counts: Sequence[int]
+    gram_totals: Sequence[int]
+    trans_counts: Sequence[int]
     trans_probs: Sequence[float]
     length_mean: float
     length_std: float
+
+    def gram_probs(self) -> list[float]:
+        """The probability of every folded id, computed on each call.
+
+        A shared id's is its count over T_n. A slot's is 1/T_n, which each
+        once-seen n-gram of a reference row has; a once-seen n-gram of any
+        other row has probability 0. Detection keeps each pass's statistics
+        for the next, so the probabilities are not kept with them.
+        """
+        totals, group = self.gram_totals, self.group
+        shared = self.gram_counts[: group.shared]
+        probs = [c / totals[n] if c else 0.0 for c, n in zip(shared, group.fold_len)]
+        return probs + [1 / t if t else 0.0 for t in totals[group.ngram_min :]]
+
+    def _occurrences(self) -> Iterator[tuple[int, int, int]]:
+        """(n-gram id, folded id, its word's ``members`` flag) of every n-gram occurrence."""
+        group = self.group
+        for member, grams, folded in zip(self.members, group.word_grams, group.word_folded):
+            for g, f in zip(grams, folded):
+                yield g, f, member
+
+    @cached_property
+    def ngram_counts(self) -> list[int]:
+        """The reference count of every n-gram id of ``group.word_grams``."""
+        counts, k = [0] * len(self.group.gram_len), self.group.shared
+        for g, f, member in self._occurrences():
+            counts[g] = self.gram_counts[f] if f < k else member
+        return counts
+
+    @cached_property
+    def ngram_probs(self) -> list[float]:
+        """The probability of every n-gram id of ``group.word_grams``."""
+        probs, k = [0.0] * len(self.group.gram_len), self.group.shared
+        by_fold = self.gram_probs()
+        for g, f, member in self._occurrences():
+            if f < k or member:
+                probs[g] = by_fold[f]
+        return probs
 
     @cached_property
     def ngram_prob(self) -> Mapping[tuple[str, ...], float]:
@@ -216,19 +317,41 @@ class VocabStatistics:
         return {s: c / total for s, c in symbol_count.items()}
 
 
-def build_statistics(group: CompiledGroup, rows: Sequence[int] | None = None) -> VocabStatistics:
+def build_statistics(
+    group: CompiledGroup,
+    rows: Sequence[int] | None = None,
+    previous: VocabStatistics | None = None,
+) -> VocabStatistics:
     """Count n-grams, transitions, and lengths over the words ``rows`` of ``group``.
 
-    ``None`` counts every word. The n-gram range is the group's, fixed
-    when it was compiled. N-gram probabilities are normalized within each
-    n-gram length, so for every n the probabilities of the observed
-    n-grams of that length sum to 1. The length standard deviation is
-    population-based and replaced by 1 when fewer than two words are
-    available or the variance is zero.
+    ``None`` counts every word. ``rows`` are distinct row indices of the
+    group; a repeated or out-of-range row is a ``ValueError`` naming it.
+    The n-gram range is the group's, fixed when it was compiled. N-gram
+    probabilities are normalized within each n-gram length, so for every n
+    the probabilities of the observed n-grams of that length sum to 1. The
+    length standard deviation is population-based and replaced by 1 when
+    fewer than two words are available or the variance is zero.
+
+    The n-gram and transition counts start from those of ``previous``,
+    statistics of an earlier reference of the same group, or from zero,
+    and move by the rows that entered and the rows that left since. The
+    counts of ``previous`` are copied, never changed.
     """
     rows = range(len(group.words)) if rows is None else rows
     if not rows:
         raise EmptyReferenceError("reference word set is empty")
+    members = _members(rows, len(group.words))
+    if previous is None:
+        entered, left = rows, ()
+        gram_counts, trans_counts = [0] * len(group.fold_len), [0] * len(group.transitions)
+    elif previous.group is not group:
+        raise ValueError("previous statistics are of another group")
+    else:
+        entered = [r for r in rows if not previous.members[r]]
+        left = [r for r in previous.rows if not members[r]]
+        gram_counts, trans_counts = previous.gram_counts, previous.trans_counts
+    gram_counts = _recount(group.word_folded, gram_counts, entered, left)
+    trans_counts = _recount(group.word_trans, trans_counts, entered, left)
 
     lengths = [len(group.words[r]) for r in rows]
     nmin, nmax = group.ngram_min, group.ngram_max
@@ -237,12 +360,7 @@ def build_statistics(group: CompiledGroup, rows: Sequence[int] | None = None) ->
     for length, count in Counter(lengths).items():
         for n in range(nmin, min(nmax, length) + 1):
             totals_by_len[n] += count * (length - n + 1)
-    ngram_counts = _count_ids(group.word_grams, rows, len(group.gram_len))
-    ngram_probs = [
-        c / totals_by_len[n] if c else 0.0 for c, n in zip(ngram_counts, group.gram_len)
-    ]
 
-    trans_counts = _count_ids(group.word_trans, rows, len(group.transitions))
     out_count: Counter[str] = Counter()
     for (a, _), c in zip(group.transitions, trans_counts):
         out_count[a] += c
@@ -260,56 +378,90 @@ def build_statistics(group: CompiledGroup, rows: Sequence[int] | None = None) ->
     return VocabStatistics(
         group=group,
         rows=rows,
-        ngram_counts=ngram_counts,
-        ngram_probs=ngram_probs,
+        members=members,
+        gram_counts=gram_counts,
+        gram_totals=totals_by_len,
+        trans_counts=trans_counts,
         trans_probs=trans_probs,
         length_mean=mean,
         length_std=std,
     )
 
 
-def _count_ids(word_ids: Sequence[Sequence[int]], rows: Iterable[int], size: int) -> list[int]:
-    counts = [0] * size
+def _members(rows: Iterable[int], size: int) -> bytes:
+    """One byte per row of a group of ``size`` rows: 1 for each of ``rows``.
+
+    ``rows`` must be distinct indices in ``range(size)``: counts that move
+    by the rows entering and leaving a set cannot hold a row twice.
+    """
+    members = bytearray(size)
     for r in rows:
+        if not 0 <= r < size:
+            raise ValueError(f"row {r} is not a row of a group of {size} words")
+        if members[r]:
+            raise ValueError(f"row {r} is given twice")
+        members[r] = 1
+    return bytes(members)
+
+
+def _recount(
+    word_ids: Sequence[Sequence[int]],
+    counts: Sequence[int],
+    entered: Iterable[int],
+    left: Iterable[int],
+) -> list[int]:
+    """A copy of ``counts`` plus the ids of the words ``entered``, minus those of ``left``."""
+    counts = list(counts)
+    for r in entered:
         for i in word_ids[r]:
             counts[i] += 1
+    for r in left:
+        for i in word_ids[r]:
+            counts[i] -= 1
     return counts
 
 
 # --- Feature kernels --------------------------------------------------------------
 
 
+def _terms(
+    probs: Sequence[float], eps1: float, eps2: float, c1: float, c2: float
+) -> tuple[list[float], list[float]]:
+    """The rarity term and ``p log2 p`` of every probability p of ``probs``.
+
+    The rarity term is the two-tier penalty: c1*(eps1-p) when p < eps1,
+    else c2*(eps2-p) when p < eps2, else 0. ``p log2 p`` is 0 at p = 0.
+    """
+    log2 = math.log2
+    rarity = [
+        c1 * (eps1 - p) if p < eps1 else c2 * (eps2 - p) if p < eps2 else 0.0 for p in probs
+    ]
+    return rarity, [p * log2(p) if p > 0.0 else 0.0 for p in probs]
+
+
 def _rarity_entropy(
     word_ids: Sequence[Sequence[int]],
-    probs: Sequence[float],
-    eps1: float,
-    eps2: float,
-    c1: float,
-    c2: float,
+    word_terms: Iterable[tuple[Sequence[float], Sequence[float]]],
 ) -> tuple[list[float], list[float]]:
     """Rarity and entropy columns of the words whose ids are ``word_ids``.
 
-    One loop per word reads each id's probability p once. The rarity is
-    the mean two-tier penalty: p adds c1*(eps1-p) when p < eps1, else
-    c2*(eps2-p) when p < eps2, else nothing. The entropy is -sum p log2 p
-    (0 log 0 = 0). A word without ids scores 0 on both. The columns are
+    ``word_terms`` gives each word the ``_terms`` tables, indexed by id,
+    that its ids read. One loop per word adds its ids' two table entries
+    in id order: the rarity is the mean of the rarity terms and the
+    entropy is -sum p log2 p. A term that the penalty or 0 log 0 skips is
+    0.0 in the table, and adding 0.0 to a running total leaves its bits as
+    they are. A word without ids scores 0 on both. The columns are
     allocated at their final size, not grown by appends, whose
     reallocations leave freed buffers in the heap and raise a run's peak
     RSS.
     """
     rarity = [0.0] * len(word_ids)
     entropy = [0.0] * len(word_ids)
-    log2 = math.log2
-    for k, ids in enumerate(word_ids):
+    for k, (ids, (rare, plogp)) in enumerate(zip(word_ids, word_terms)):
         total = h = 0.0
         for i in ids:
-            p = probs[i]
-            if p < eps1:
-                total += c1 * (eps1 - p)
-            elif p < eps2:
-                total += c2 * (eps2 - p)
-            if p > 0.0:
-                h -= p * log2(p)
+            total += rare[i]
+            h -= plogp[i]
         if ids:
             rarity[k] = total / len(ids)
         entropy[k] = h
@@ -365,8 +517,9 @@ def extract_all(stats: VocabStatistics, cfg: RunConfig) -> dict[str, list[float]
     One column per feature of ``cfg.mode``, in ``feature_names`` order,
     each holding one value per word of the group. The group must be
     compiled for ``cfg``'s n-gram range. Each block (n-grams, transitions)
-    is one ``_rarity_entropy`` pass over the words' ids, which reads each
-    probability once by id; ``avg_trans_prob`` is ``sum()`` over the
+    computes its ids' ``_terms`` once and adds them up per word in one
+    ``_rarity_entropy`` loop; a reference row reads the n-gram slots at
+    1/T_n, any other row at 0. ``avg_trans_prob`` is ``sum()`` over the
     word's transition probabilities in id order, as from Python 3.12 on
     ``sum()`` is compensated and a running total would change its bits.
     Words of length 1 have no n-grams or transitions; their sequence
@@ -382,15 +535,19 @@ def extract_all(stats: VocabStatistics, cfg: RunConfig) -> dict[str, list[float]
     words = group.words
     columns: dict[str, list[float]] = {}
     if "rare_ngram_score" in names:
+        tiers = cfg.rare_ngram_eps1, cfg.rare_ngram_eps2, cfg.rare_ngram_c1, cfg.rare_ngram_c2
+        k = group.shared
+        inside = _terms(stats.gram_probs(), *tiers)
+        slots_outside = _terms([0.0] * (len(group.fold_len) - k), *tiers)
+        outside = tuple(t[:k] + slots for t, slots in zip(inside, slots_outside))
         columns["rare_ngram_score"], columns["ngram_entropy"] = _rarity_entropy(
-            group.word_grams, stats.ngram_probs,
-            cfg.rare_ngram_eps1, cfg.rare_ngram_eps2, cfg.rare_ngram_c1, cfg.rare_ngram_c2,
+            group.word_folded, [inside if m else outside for m in stats.members]
         )
     if "rare_transition_score" in names:
         trans_p = stats.trans_probs
+        tiers = cfg.rare_trans_eps1, cfg.rare_trans_eps2, cfg.rare_trans_c1, cfg.rare_trans_c2
         columns["rare_transition_score"], columns["trans_entropy"] = _rarity_entropy(
-            group.word_trans, trans_p,
-            cfg.rare_trans_eps1, cfg.rare_trans_eps2, cfg.rare_trans_c1, cfg.rare_trans_c2,
+            group.word_trans, repeat(_terms(trans_p, *tiers))
         )
         columns["avg_trans_prob"] = [
             sum(map(trans_p.__getitem__, ids)) / len(ids) if ids else 0.0

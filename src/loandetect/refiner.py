@@ -34,6 +34,14 @@ rest of the group, so a pattern's loan count is its full count minus its
 native count and is never built. Pattern likeness comes back as one
 column per pass.
 
+Counts move by difference. A computed pass hands the statistics of the
+last computed pass to ``build_statistics`` and the native rows and counts
+of the last pass that refined to ``build_pattern_db``; each starts from
+those counts, adds the rows that entered and subtracts the rows that
+left. After pass 1 the loan set moves by a few dozen rows or fewer, so a
+pass counts those instead of every reference row. Pass 0 counts from
+zero through the same code. Earlier counts are copied, never changed.
+
 Detection writes nothing: the command line writes the traces from the
 returned states.
 """
@@ -44,10 +52,10 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import RunConfig
-from .features import CompiledGroup, _count_ids, build_statistics, extract_all
+from .features import CompiledGroup, _members, _recount, build_statistics, extract_all
 from .scoring import score_all
 from .wordlist import Wordlist, WordlistError, language_rows
 
@@ -77,7 +85,7 @@ class PatternIndex:
             for t in group.word_trans
         ]
         self.distinct = [array("i", dict.fromkeys(p)) for p in self.patterns]
-        self.full_counts = _count_ids(self.patterns, range(len(self.patterns)), len(ids))
+        self.full_counts = _recount(self.patterns, [0] * len(ids), range(len(self.patterns)), ())
 
 
 def _pattern_keys(trans: Sequence[int], base: int) -> list[int]:
@@ -88,9 +96,24 @@ def _pattern_keys(trans: Sequence[int], base: int) -> list[int]:
     return [trans[0], base + trans[-1]] + [(2 + a) * base + b for a, b in zip(trans, trans[1:])]
 
 
-def build_pattern_db(index: PatternIndex, rows: Iterable[int]) -> list[int]:
-    """Count the prefixes, suffixes and trigrams of the words ``rows``, by pattern id."""
-    return _count_ids(index.patterns, rows, len(index.full_counts))
+def build_pattern_db(
+    index: PatternIndex,
+    rows: Sequence[int],
+    previous: tuple[Sequence[int], Sequence[int]] | None = None,
+) -> list[int]:
+    """Count the prefixes, suffixes and trigrams of the words ``rows``, by pattern id.
+
+    ``rows`` are distinct rows of the group. ``previous`` is the rows and
+    the counts of an earlier call on ``index``: the counts then start from
+    a copy of its counts and move by the rows that entered and left.
+    """
+    members = _members(rows, len(index.patterns))
+    if previous is None:
+        return _recount(index.patterns, [0] * len(index.full_counts), rows, ())
+    before, counts = previous
+    was = _members(before, len(index.patterns))
+    entered = [r for r in rows if not was[r]]
+    return _recount(index.patterns, counts, entered, [r for r in before if not members[r]])
 
 
 def pattern_likeness(
@@ -195,6 +218,8 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
     # what the last computed pass read: its reference rows and, when it
     # refined, its native rows; a pass that reads the same takes its probabilities
     last_read = None
+    # the counts that the next computed pass moves from
+    stats = pattern_db = None
 
     for t in range(cfg.max_iterations):
         native_rows = every_row
@@ -212,13 +237,13 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
         read = (reference, native_rows if refine else None)
         if read != last_read:
             last_read = read
+            stats = build_statistics(group, reference, stats)
             # the feature columns are freed as soon as they are scored
-            probs, masks = score_all(
-                extract_all(build_statistics(group, reference), cfg), pos_tags, cfg
-            )
+            probs, masks = score_all(extract_all(stats, cfg), pos_tags, cfg)
             if refine:
                 # the loans are the rest of the group: their counts are never built
-                native_counts = build_pattern_db(patterns, native_rows)
+                native_counts = build_pattern_db(patterns, native_rows, pattern_db)
+                pattern_db = (native_rows, native_counts)
                 likeness = pattern_likeness(patterns, native_counts, cfg.pattern_smoothing)
                 probs = [
                     refine_probability(p, like, bool(mask), cfg)

@@ -402,8 +402,10 @@ class ReportRow:
 def read_report(path: str | Path) -> list[ReportRow]:
     """Load a detection report back (used by eval and round-trip checks).
 
-    A predicted label other than 0/1, or a gold label other than empty or
-    0/1, is a ``WordlistError`` naming the file and the line."""
+    The header must hold ``word``, ``language``, ``predicted_label`` and
+    ``probability`` or ``S``. A data line whose cell count differs from the
+    header's, a predicted label other than 0/1, or a gold label other than
+    empty or 0/1, is a ``WordlistError`` naming the file and the line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -419,13 +421,21 @@ def read_report(path: str | Path) -> list[ReportRow]:
         parts = line.split("\t")
         if header is None:
             header = parts
+            missing = [c for c in ("word", "language", "predicted_label") if c not in header]
+            if "probability" not in header and "S" not in header:
+                missing.append("probability or S")
+            if missing:
+                raise WordlistError(f"{path}: report has no column {', '.join(missing)}")
+            score = "probability" if "probability" in header else "S"
             continue
+        if len(parts) != len(header):
+            raise WordlistError(
+                f"{path} line {lineno}: {len(parts)} cells, the header has {len(header)}"
+            )
         rec = dict(zip(header, parts))
+        word, language, predicted = rec["word"], rec["language"], rec["predicted_label"]
         try:
-            word, language, predicted = rec["word"], rec["language"], rec["predicted_label"]
-            probability = float(rec.get("probability", rec.get("S", "0")))
-        except KeyError as exc:
-            raise WordlistError(f"{path}: report has no column {exc}") from None
+            probability = float(rec[score])
         except ValueError as exc:
             raise WordlistError(f"{path} line {lineno}: {exc}") from None
         gold = rec.get("gold_label", "")

@@ -488,6 +488,11 @@ def _bad_inputs(tmp_path, vocab_file):
         "pa\ttoy\t0.9\t1\t1\nta\ttoy\t0.1\t5\t0\nka\ttoy\t0.1\t0\t2\n",
         encoding="utf-8",
     )
+    report_header = "word\tlanguage\tprobability\tpredicted_label\tgold_label\n"
+    short_line = tmp_path / "short_line.tsv"
+    short_line.write_text(report_header + "ta\ten\t0.1\n", encoding="utf-8")
+    long_line = tmp_path / "long_line.tsv"
+    long_line.write_text(report_header + "ta\ten\t0.1\t0\t1\tx\n", encoding="utf-8")
     native, donor = grammar_files(tmp_path)
     synth = ["synth", "--native-grammar", str(native), "--donor-grammar", str(donor),
              "--seed", "1", "--output", out]
@@ -519,6 +524,8 @@ def _bad_inputs(tmp_path, vocab_file):
                                          "--output", out]),
         ("report without gold labels", ["eval", "--input", str(unscored)]),
         ("report label other than 0/1", ["eval", "--input", str(bad_labels)]),
+        ("report line shorter than its header", ["eval", "--input", str(short_line)]),
+        ("report line longer than its header", ["eval", "--input", str(long_line)]),
         ("integration above 1", synth + ["--integration", "1.5"]),
         ("integration below 0", synth + ["--integration", "-3"]),
         ("integration NaN", synth + ["--integration", "nan"]),

@@ -2,17 +2,20 @@
 
 import random
 from array import array
+from itertools import repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loandetect.config import RunConfig
 from loandetect.features import (
+    CORE_FEATURES,
     MODES,
     CompiledGroup,
     EmptyReferenceError,
     _cluster,
     _rarity_entropy,
+    _terms,
     _vowel_ratio,
     build_statistics,
     extract_all,
@@ -38,14 +41,19 @@ def feature(reference, word, name, cfg=None):
     return extract_against(reference, [word], cfg)[name][0]
 
 
+def kernel(word_ids, probs, eps1, eps2, c1, c2):
+    """The columns ``_rarity_entropy`` gives words whose ids all read one table of ``probs``."""
+    return _rarity_entropy(word_ids, repeat(_terms(probs, eps1, eps2, c1, c2)))
+
+
 def rarity(probs, eps1, eps2, c1, c2):
-    """The rarity ``_rarity_entropy`` gives one word whose ids read ``probs`` in order."""
-    return _rarity_entropy([range(len(probs))], probs, eps1, eps2, c1, c2)[0][0]
+    """The rarity the kernel gives one word whose ids read ``probs`` in order."""
+    return kernel([range(len(probs))], probs, eps1, eps2, c1, c2)[0][0]
 
 
 def entropy(probs):
-    """The entropy ``_rarity_entropy`` gives one word whose ids read ``probs`` in order."""
-    return _rarity_entropy([range(len(probs))], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
+    """The entropy the kernel gives one word whose ids read ``probs`` in order."""
+    return kernel([range(len(probs))], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
 
 
 def ngram_count(stats):
@@ -254,12 +262,12 @@ def tiers(draw):
 
 
 @st.composite
-def extraction_cases(draw):
-    """A config, words with at least one of length 1, reference rows and probed rows."""
+def tiered_configs(draw, modes=MODES):
+    """A config of one of ``modes`` with drawn rarity tiers and n-gram range."""
     ngram_eps, trans_eps = draw(tiers()), draw(tiers())
     ngram_min = draw(st.integers(1, 3))
-    cfg = RunConfig(
-        mode=draw(st.sampled_from(MODES)),
+    return RunConfig(
+        mode=draw(st.sampled_from(modes)),
         ngram_min=ngram_min,
         ngram_max=draw(st.integers(ngram_min, ngram_min + 6)),
         **dict(zip(("rare_ngram_eps1", "rare_ngram_eps2", "rare_ngram_c1", "rare_ngram_c2"),
@@ -267,6 +275,12 @@ def extraction_cases(draw):
         **dict(zip(("rare_trans_eps1", "rare_trans_eps2", "rare_trans_c1", "rare_trans_c2"),
                    trans_eps)),
     )
+
+
+@st.composite
+def extraction_cases(draw):
+    """A config, words with at least one of length 1, reference rows and probed rows."""
+    cfg = draw(tiered_configs())
     word = st.lists(st.sampled_from(SYMBOLS[:5]), min_size=1, max_size=8).map(tuple)
     words = draw(st.lists(word, min_size=1, max_size=12)) + [("a",)]
     row = st.integers(0, len(words) - 1)
@@ -314,9 +328,7 @@ def test_rarity_entropy_equals_per_word_references(data):
     ids = st.lists(st.integers(0, len(probs) - 1), max_size=12) if probs else st.just([])
     word_ids = [array("i", r) for r in data.draw(st.lists(ids, min_size=1, max_size=6))]
     rows = data.draw(st.lists(st.integers(0, len(word_ids) - 1), max_size=8))
-    rarities, entropies = _rarity_entropy(
-        [word_ids[r] for r in rows], probs, eps1, eps2, c1, c2
-    )
+    rarities, entropies = kernel([word_ids[r] for r in rows], probs, eps1, eps2, c1, c2)
     expected = [[probs[i] for i in word_ids[r]] for r in rows]
     assert rarities == [oracles.bf_rarity(p, eps1, eps2, c1, c2) for p in expected]
     assert entropies == [oracles.bf_entropy(p) for p in expected]
@@ -388,6 +400,87 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
             assert p == stats.ngram_prob.get(grams[g], 0.0)
         for t, p in enumerate(stats.trans_probs):
             assert p == stats.trans_prob.get(group.transitions[t], 0.0)
+
+
+@st.composite
+def refinement_passes(draw):
+    """A config, words and the reference rows of successive passes: every
+    row, a shrinking chain of subsets, its last set again, random sets, and
+    every row again."""
+    cfg = draw(tiered_configs(("full",)))
+    word = st.lists(st.sampled_from(SYMBOLS[:4]), min_size=1, max_size=8).map(tuple)
+    words = draw(st.lists(word, min_size=1, max_size=12))
+    every = list(range(len(words)))
+    passes = [every]
+    while len(passes[-1]) > 1 and draw(st.booleans()):
+        fewer = st.sets(st.sampled_from(passes[-1]), min_size=1, max_size=len(passes[-1]) - 1)
+        passes.append(sorted(draw(fewer)))
+    passes.append(passes[-1])
+    passes += draw(st.lists(st.lists(st.sampled_from(every), min_size=1, unique=True),
+                            max_size=3))
+    return cfg, words, passes + [every]
+
+
+@settings(max_examples=150, deadline=None)
+@given(refinement_passes())
+@example((RunConfig(ngram_min=1, ngram_max=3), [("p", "a", "p")], [[0], [0], [0]]))
+def test_statistics_built_from_the_last_pass_equal_a_build_from_nothing(case):
+    cfg, words, passes = case
+    nmin, nmax = cfg.ngram_min, cfg.ngram_max
+    group = CompiledGroup(words, nmin, nmax)
+    built, previous = [], None
+    for rows in passes:
+        stats = build_statistics(group, rows, previous)
+        fresh = build_statistics(group, rows)
+        assert stats.gram_counts == fresh.gram_counts
+        assert stats.gram_probs() == fresh.gram_probs()
+        assert stats.trans_counts == fresh.trans_counts
+        assert stats.trans_probs == fresh.trans_probs
+        assert stats.ngram_counts == fresh.ngram_counts
+        assert stats.ngram_probs == fresh.ngram_probs
+        reference = [words[r] for r in rows]
+        grams = oracles.bf_ngram_probs(reference, nmin, nmax)
+        trans = oracles.bf_transition_probs(reference)
+        assert ngram_count(stats) == oracles.bf_ngram_counts(reference, nmin, nmax)
+        assert dict(stats.ngram_prob) == grams
+        assert dict(stats.trans_prob) == trans
+        columns = extract_all(stats, cfg)
+        assert columns == extract_all(fresh, cfg)
+        for w, *values in zip(words, *(columns[name] for name in CORE_FEATURES[:5])):
+            g = [grams.get(x, 0.0) for x in oracles.bf_word_ngrams(w, nmin, nmax)]
+            t = [trans.get(x, 0.0) for x in zip(w, w[1:])]
+            assert values == [
+                oracles.bf_rarity(g, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
+                                  cfg.rare_ngram_c1, cfg.rare_ngram_c2),
+                oracles.bf_entropy(g),
+                oracles.bf_rarity(t, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
+                                  cfg.rare_trans_c1, cfg.rare_trans_c2),
+                oracles.bf_entropy(t),
+                oracles.bf_mean(t),
+            ]
+        built.append((stats, rows))
+        previous = stats
+    # the passes built from a statistics object left its counts as they were
+    for stats, rows in built:
+        fresh = build_statistics(group, rows)
+        assert (stats.gram_counts, stats.trans_counts) == (fresh.gram_counts, fresh.trans_counts)
+        assert stats.gram_probs() == fresh.gram_probs()
+
+
+def test_build_statistics_refuses_rows_outside_its_contract():
+    group = CompiledGroup([("a", "b"), ("b", "c", "a")])
+    for rows, message in [
+        ([0, 1, 0], "row 0 is given twice"),
+        ([1, 2], "row 2 is not a row of a group of 2 words"),
+        ([-1], "row -1 is not a row of a group of 2 words"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            build_statistics(group, rows)
+        assert str(err.value) == message
+        with pytest.raises(ValueError):
+            build_statistics(group, rows, build_statistics(group))
+    with pytest.raises(ValueError, match="another group"):
+        build_statistics(group, [0], build_statistics(CompiledGroup([("a", "b")])))
 
 
 def assert_interning_equals_bruteforce(vocab, nmin, nmax, rows):

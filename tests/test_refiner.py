@@ -117,6 +117,33 @@ def test_build_pattern_db_matches_bruteforce():
     assert by_pattern(index, words, index.full_counts) == oracles.bf_pattern_counts(words)
 
 
+def test_build_pattern_db_from_an_earlier_call_equals_a_count_from_nothing():
+    rng = random.Random(11)
+    for _ in range(50):
+        words = [
+            tuple(rng.choice("ptkaiu") for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(1, 15))
+        ]
+        index = PatternIndex(CompiledGroup(words))
+        every = list(range(len(words)))
+        passes = [every] + [
+            sorted(rng.sample(every, rng.randint(0, len(words)))) for _ in range(4)
+        ] + [[], every]
+        built, previous = [], None
+        for rows in passes:
+            counts = build_pattern_db(index, rows, previous)
+            assert counts == build_pattern_db(index, rows)
+            assert by_pattern(index, words, counts) == oracles.bf_pattern_counts(
+                [words[r] for r in rows]
+            )
+            built.append((counts, list(counts)))
+            previous = (rows, counts)
+        # the later calls left every earlier count as it was
+        assert all(counts == kept for counts, kept in built)
+    with pytest.raises(ValueError, match="row 0 is given twice"):
+        build_pattern_db(index, [0, 0])
+
+
 def test_word_patterns_typed_and_deduplicated():
     words = [("a", "b"), ("a",), ("a", "b", "a", "b", "a")]
     index = PatternIndex(CompiledGroup(words))

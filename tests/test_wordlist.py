@@ -12,6 +12,7 @@ from loandetect.wordlist import (
     EmptyTranscriptionError,
     LexicalEntry,
     MalformedRowError,
+    ReportRow,
     UnknownPOSError,
     Wordlist,
     WordlistError,
@@ -505,6 +506,32 @@ def test_read_report_refuses_labels_other_than_0_1(tmp_path):
         with pytest.raises(WordlistError) as err:
             read_report(path)
         assert str(err.value) == f"{path} {message}"
+
+
+def test_read_report_names_a_line_of_another_width(tmp_path):
+    # a short line used to lose its last cells and blame the header
+    header = "word\tlanguage\tprobability\tpredicted_label\tgold_label\n"
+    good = "pa\ten\t0.9\t1\t1\n"
+    path = tmp_path / "report.tsv"
+    for row, count in [("ta\ten\t0.1\n", 3), ("ta\ten\t0.1\t0\t1\tx\n", 6)]:
+        path.write_text(header + good + row, encoding="utf-8")
+        with pytest.raises(WordlistError) as err:
+            read_report(path)
+        assert str(err.value) == f"{path} line 3: {count} cells, the header has 5"
+
+
+def test_read_report_checks_the_header_for_its_columns(tmp_path):
+    path = tmp_path / "report.tsv"
+    for text, missing in [
+        ("word\tS\nab\t0.5\n", "language, predicted_label"),
+        ("word\tlanguage\tpredicted_label\n", "probability or S"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(WordlistError) as err:
+            read_report(path)
+        assert str(err.value) == f"{path}: report has no column {missing}"
+    path.write_text("word\tlanguage\tS\tpredicted_label\nab\ten\t0.25\t1\n", encoding="utf-8")
+    assert read_report(path) == [ReportRow("ab", "en", 0.25, 1, None)]
 
 
 def test_write_table_formats_each_cell_by_its_type(tmp_path):
