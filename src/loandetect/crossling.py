@@ -22,10 +22,12 @@ repeated pair's keys as often as the pair occurs. The model keeps per
 pair only its mean feature distance and its column keys; one table of
 per-key log-probabilities replaces the interning tables, and
 comparability sums a pair's log-probability from that table in column
-order. The aligner tables the column scores of a pair before its DP, from
-a memo of ``1 - symbol_distance(a, b)`` per symbol pair that calls
-``ipa.symbol_distance`` once for each pair it has not seen, and fills each
-DP cell with plain comparisons.
+order. The aligner scores in integers, so its traceback finds ties
+exactly at any gap penalty. It tables the column scores of a pair before
+its DP, from a memo of each symbol pair's integer score (the feature
+slots on which the two agree, scaled to the penalty's denominator), which
+calls ``ipa.symbol_distance`` once for each symbol pair it has not seen at
+that denominator, and fills each DP cell with plain comparisons.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .config import RunConfig
-from .ipa import GAP, symbol_distance
+from .ipa import FEATURE_DIM, GAP, symbol_distance
 from .refiner import detect_wordlist
 from .wordlist import Wordlist
 
@@ -63,8 +65,10 @@ class MissingConceptError(ValueError):
         super().__init__(f"entries without concept id at rows {self.rows[:10]}")
 
 
-# the aligner's column scores 1 - symbol_distance(a, b), by a, then by b
-_SIMILARITIES: dict[str, dict[str, float]] = {}
+# the aligner's column score of a and b, the number of feature slots on which
+# they agree times the gap penalty's denominator, by that denominator, then by
+# a, then by b: scaled once per symbol pair, not once per pair of words
+_SIMILARITIES: dict[int, dict[str, dict[str, int]]] = {}
 
 
 @dataclass(frozen=True)
@@ -81,33 +85,42 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
     a gap. Traceback ties prefer substitution, then a gap on the first
     word's track, then a gap on the second's, making the result
     deterministic.
+
+    Scores are exact integers: every column score times ``FEATURE_DIM *
+    den``, where ``gap_penalty`` is ``num / den`` in lowest terms. A symbol
+    pair scores its agreeing feature slots times ``den`` and a gap scores
+    ``-num * FEATURE_DIM``, so equal totals compare equal however large
+    the penalty and whether or not it is a binary fraction.
     """
     if not x or not y:
         raise ValueError("cannot align empty words")
     n, m = len(x), len(y)
+    num, den = gap_penalty.as_integer_ratio()
+    gap_score = num * FEATURE_DIM
     # substitution score of every cell, one row per distinct symbol of x
-    rows: dict[str, list[float]] = {}
+    rows: dict[str, list[int]] = {}
+    scores = _SIMILARITIES.setdefault(den, {})
     for a in x:
         if a not in rows:
-            sim = _SIMILARITIES.get(a)
+            sim = scores.get(a)
             if sim is None:
-                sim = _SIMILARITIES[a] = {}
+                sim = scores[a] = {}
             for b in y:
                 if b not in sim:
-                    sim[b] = 1.0 - symbol_distance(a, b)
+                    sim[b] = den * (FEATURE_DIM - round(FEATURE_DIM * symbol_distance(a, b)))
             rows[a] = list(map(sim.__getitem__, y))
     sub = [rows[a] for a in x]
     # each cell takes the first best of match, gap on a-track, gap on b-track
-    score = [[0.0] + [-gap_penalty * j for j in range(1, m + 1)]]
+    score = [[-gap_score * j for j in range(m + 1)]]
     for i in range(1, n + 1):
-        left = -gap_penalty * i
+        left = -gap_score * i
         cur = [left]
         for diag, up, s in zip(score[-1], score[-1][1:], sub[i - 1]):
             best = diag + s
-            gap = left - gap_penalty  # consume y, gap on a-track
+            gap = left - gap_score  # consume y, gap on a-track
             if gap > best:
                 best = gap
-            gap = up - gap_penalty  # consume x, gap on b-track
+            gap = up - gap_score  # consume x, gap on b-track
             if gap > best:
                 best = gap
             cur.append(best)
@@ -118,10 +131,10 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
     i, j = n, m
     while i and j:
         current = score[i][j]
-        if math.isclose(current, score[i - 1][j - 1] + sub[i - 1][j - 1], abs_tol=1e-12):
+        if current == score[i - 1][j - 1] + sub[i - 1][j - 1]:
             i, j = i - 1, j - 1
             columns.append((x[i], y[j]))
-        elif math.isclose(current, score[i][j - 1] - gap_penalty, abs_tol=1e-12):
+        elif current == score[i][j - 1] - gap_score:
             j -= 1
             columns.append((GAP, y[j]))
         else:

@@ -28,10 +28,10 @@ transition ids ``build_statistics`` counts into plain lists indexed by id.
 Given the statistics of an earlier reference of the same group, it starts
 from their counts, adds the rows that entered and subtracts the rows that
 left: exact integer arithmetic, so a refinement pass, whose reference
-moves by a few rows, counts only those. The per-n-gram views
-(``ngram_counts``, ``ngram_probs``) and the tuple-keyed mappings
-(``ngram_prob``, ``trans_prob``) of ``VocabStatistics`` are built on first
-read; detection reads none.
+moves by a few rows, counts only those. The folded ids are the group's
+only n-gram numbering. The tuple-keyed mappings of ``VocabStatistics``
+(``ngram_prob``, ``trans_prob``) are built from them on first read;
+detection reads neither.
 
 ``extract_all`` is the one feature path. It scores every word of the
 statistics' group and reads the rarity constants from a ``RunConfig``,
@@ -139,11 +139,9 @@ class CompiledGroup:
     more than once in the group, are renumbered 0..shared-1 in id order,
     and every n-gram that occurs once takes the slot ``shared + n -
     ngram_min`` of its length n; ``fold_len`` is the length of each folded
-    id. The unfolded ids stay readable as views built on first read:
-    ``word_grams`` numbers the folded ids again in word order (each slot
-    occurrence is an n-gram of its own), ``gram_tuples`` rebuilds each
-    id's n-gram and ``gram_len`` is its length. Detection reads none of
-    them.
+    id. The folded ids are the group's only n-gram numbering; an n-gram's
+    symbols are the span of its word at its position in ``word_ngrams``
+    order.
 
     All ids are collected in flat lists and packed into arrays once the
     interning dict is dropped: arrays made beside its keys scatter over the
@@ -204,29 +202,6 @@ class CompiledGroup:
         """The CV pattern of every word; only ``aug`` mode reads them."""
         return [cv_pattern(w) for w in self.words]
 
-    @cached_property
-    def word_grams(self) -> list[array]:
-        """Every word's n-gram ids before the fold, numbered by first occurrence."""
-        k, ids = self.shared, {}
-        flat = chain.from_iterable(self.word_folded)
-        # a slot occurrence is an n-gram of its own: key it by its position
-        grams = [ids.setdefault(f if f < k else ~j, len(ids)) for j, f in enumerate(flat)]
-        return _split(array("i", grams), list(map(len, self.word_folded)))
-
-    @cached_property
-    def gram_len(self) -> array:
-        """The length of every n-gram id of ``word_grams``."""
-        return array("i", map(len, self.gram_tuples()))
-
-    def gram_tuples(self) -> list[tuple[str, ...]]:
-        """The n-gram of every id of ``word_grams``."""
-        # ids number n-grams by first occurrence: insertion order is id order
-        grams: dict[int, tuple[str, ...]] = {}
-        for w, ids in zip(self.words, self.word_grams):
-            for g, (i, n) in zip(ids, _spans(len(w), self.ngram_min, self.ngram_max)):
-                grams.setdefault(g, w[i : i + n])
-        return list(grams.values())
-
 
 @dataclass(frozen=True, eq=False)
 class VocabStatistics:
@@ -238,10 +213,9 @@ class VocabStatistics:
     of its length. ``gram_totals[n]`` is T_n, the reference's number of
     n-grams of length n. ``trans_counts`` and ``trans_probs`` are indexed
     by transition id. Ids absent from the reference count 0 and have
-    probability 0. The per-id views of the unfolded n-grams, the
-    tuple-keyed mappings and the segmental statistics are computed on
-    first read; the detection loop reads none of them outside ``aug``
-    mode.
+    probability 0. The tuple-keyed mappings and the segmental statistics
+    are computed on first read; the detection loop reads none of them
+    outside ``aug`` mode.
     """
 
     group: CompiledGroup
@@ -267,35 +241,21 @@ class VocabStatistics:
         probs = [c / totals[n] if c else 0.0 for c, n in zip(shared, group.fold_len)]
         return probs + [1 / t if t else 0.0 for t in totals[group.ngram_min :]]
 
-    def _occurrences(self) -> Iterator[tuple[int, int, int]]:
-        """(n-gram id, folded id, its word's ``members`` flag) of every n-gram occurrence."""
-        group = self.group
-        for member, grams, folded in zip(self.members, group.word_grams, group.word_folded):
-            for g, f in zip(grams, folded):
-                yield g, f, member
-
-    @cached_property
-    def ngram_counts(self) -> list[int]:
-        """The reference count of every n-gram id of ``group.word_grams``."""
-        counts, k = [0] * len(self.group.gram_len), self.group.shared
-        for g, f, member in self._occurrences():
-            counts[g] = self.gram_counts[f] if f < k else member
-        return counts
-
-    @cached_property
-    def ngram_probs(self) -> list[float]:
-        """The probability of every n-gram id of ``group.word_grams``."""
-        probs, k = [0.0] * len(self.group.gram_len), self.group.shared
-        by_fold = self.gram_probs()
-        for g, f, member in self._occurrences():
-            if f < k or member:
-                probs[g] = by_fold[f]
-        return probs
-
     @cached_property
     def ngram_prob(self) -> Mapping[tuple[str, ...], float]:
-        grams, counts = self.group.gram_tuples(), self.ngram_counts
-        return {grams[g]: p for g, p in enumerate(self.ngram_probs) if counts[g]}
+        """The probability of every n-gram of the reference, keyed by its symbols.
+
+        A word's n-gram is in the reference when its id is shared and
+        counts, or is a slot and the word is a reference row.
+        """
+        group, counts, probs = self.group, self.gram_counts, self.gram_probs()
+        k, nmin, nmax = group.shared, group.ngram_min, group.ngram_max
+        prob: dict[tuple[str, ...], float] = {}
+        for w, member, folded in zip(group.words, self.members, group.word_folded):
+            for (i, n), f in zip(_spans(len(w), nmin, nmax), folded):
+                if counts[f] if f < k else member:
+                    prob[w[i : i + n]] = probs[f]
+        return prob
 
     @cached_property
     def trans_prob(self) -> Mapping[tuple[str, str], float]:

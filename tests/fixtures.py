@@ -1,4 +1,4 @@
-"""Frozen synthetic fixtures for the acceptance suite, and a feature helper.
+"""Frozen synthetic fixtures for the acceptance suite, and feature helpers.
 
 All builders are deterministic in their seed. The expected performance
 bands asserted in the acceptance tests were established by running the
@@ -14,6 +14,8 @@ from loandetect.config import RunConfig
 from loandetect.evaluation import Grammar
 from loandetect.features import CompiledGroup, build_statistics, extract_all
 from loandetect.wordlist import LexicalEntry, Wordlist
+
+import oracles
 
 # POS profile for synthetic native vocabulary (loans are nouns, the most
 # borrowable class).
@@ -156,3 +158,22 @@ def extract_against(reference, words, cfg=None):
     group = CompiledGroup(reference + words, cfg.ngram_min, cfg.ngram_max)
     columns = extract_all(build_statistics(group, range(len(reference))), cfg)
     return {name: column[len(reference) :] for name, column in columns.items()}
+
+
+def ngram_count(stats):
+    """The reference's n-gram counts keyed by n-gram, as ``oracles.bf_ngram_counts`` keys them.
+
+    Read off the folded ids: a shared id counts ``stats.gram_counts``, and
+    a once-seen n-gram, which shares its length's slot, counts 1 in a
+    reference row and 0 elsewhere.
+    """
+    group = stats.group
+    counts = {}
+    for w, member, folded in zip(group.words, stats.members, group.word_folded):
+        grams = oracles.bf_word_ngrams(w, group.ngram_min, group.ngram_max)
+        assert len(grams) == len(folded)
+        for g, f in zip(grams, folded):
+            count = stats.gram_counts[f] if f < group.shared else member
+            if count:
+                counts[g] = count
+    return counts

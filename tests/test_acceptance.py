@@ -40,6 +40,7 @@ from fixtures import (
     SCALED_SEED,
     SEPARABLE_SEED,
     extract_against,
+    ngram_count,
     ngram_signal_fixture,
     transition_signal_fixture,
 )
@@ -136,9 +137,7 @@ def test_acceptance_2_feature_oracle_equivalence():
         stats = build_statistics(CompiledGroup(vocab))
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
-        grams = stats.group.gram_tuples()
-        counts = {grams[g]: c for g, c in enumerate(stats.ngram_counts) if c}
-        assert counts == oracles.bf_ngram_counts(vocab)
+        assert ngram_count(stats) == oracles.bf_ngram_counts(vocab)
         mean, std = oracles.bf_length_stats(vocab)
         assert abs(stats.length_mean - mean) < 1e-9
         assert abs(stats.length_std - std) < 1e-9

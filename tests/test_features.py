@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from collections import Counter
 from itertools import repeat
 
 import pytest
@@ -26,7 +27,7 @@ from loandetect.ipa import cv_pattern, default_inventory
 from loandetect.wordlist import normalize_ipa
 
 import oracles
-from fixtures import extract_against
+from fixtures import extract_against, ngram_count
 
 SYMBOLS = ["p", "t", "k", "m", "n", "s", "a", "i", "u", "e"]
 VOWELS = {"a", "i", "u", "e"}
@@ -54,12 +55,6 @@ def rarity(probs, eps1, eps2, c1, c2):
 def entropy(probs):
     """The entropy the kernel gives one word whose ids read ``probs`` in order."""
     return kernel([range(len(probs))], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
-
-
-def ngram_count(stats):
-    """The reference's n-gram counts keyed by n-gram, as the oracle keys them."""
-    grams = stats.group.gram_tuples()
-    return {grams[g]: c for g, c in enumerate(stats.ngram_counts) if c}
 
 
 def random_vocab(rng, max_words=20, max_len=8):
@@ -299,7 +294,10 @@ def test_extract_all_equals_per_word_references(case):
     columns = extract_all(stats, cfg)
     assert list(columns) == list(feature_names(cfg.mode))
     for r in probed:
-        grams = [stats.ngram_probs[g] for g in group.word_grams[r]]
+        grams = [
+            stats.ngram_prob.get(g, 0.0)
+            for g in oracles.bf_word_ngrams(words[r], cfg.ngram_min, cfg.ngram_max)
+        ]
         trans = [stats.trans_probs[t] for t in group.word_trans[r]]
         expected = {
             "rare_ngram_score": oracles.bf_rarity(
@@ -394,10 +392,13 @@ def test_compiled_subset_statistics_equal_bruteforce_exactly():
         assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference)
         assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
         assert (stats.length_mean, stats.length_std) == oracles.bf_length_stats(reference)
-        # every id outside the reference reads probability 0
-        grams = group.gram_tuples()
-        for g, p in enumerate(stats.ngram_probs):
-            assert p == stats.ngram_prob.get(grams[g], 0.0)
+        # every n-gram outside the reference reads probability 0: a shared
+        # id's probability, and a slot's in a reference row, is its n-gram's
+        probs = stats.gram_probs()
+        for w, member, folded in zip(vocab, stats.members, group.word_folded):
+            for g, f in zip(word_ngrams(w), folded):
+                p = probs[f] if f < group.shared or member else 0.0
+                assert p == stats.ngram_prob.get(g, 0.0)
         for t, p in enumerate(stats.trans_probs):
             assert p == stats.trans_prob.get(group.transitions[t], 0.0)
 
@@ -436,8 +437,8 @@ def test_statistics_built_from_the_last_pass_equal_a_build_from_nothing(case):
         assert stats.gram_probs() == fresh.gram_probs()
         assert stats.trans_counts == fresh.trans_counts
         assert stats.trans_probs == fresh.trans_probs
-        assert stats.ngram_counts == fresh.ngram_counts
-        assert stats.ngram_probs == fresh.ngram_probs
+        assert ngram_count(stats) == ngram_count(fresh)
+        assert stats.ngram_prob == fresh.ngram_prob
         reference = [words[r] for r in rows]
         grams = oracles.bf_ngram_probs(reference, nmin, nmax)
         trans = oracles.bf_transition_probs(reference)
@@ -485,27 +486,32 @@ def test_build_statistics_refuses_rows_outside_its_contract():
 
 def assert_interning_equals_bruteforce(vocab, nmin, nmax, rows):
     group = CompiledGroup(vocab, nmin, nmax)
+    k = group.shared
+    seen = Counter(g for w in vocab for g in oracles.bf_word_ngrams(w, nmin, nmax))
     ids_of = {}
-    for w, ids in zip(vocab, group.word_grams):
+    for w, folded in zip(vocab, group.word_folded):
         grams = oracles.bf_word_ngrams(w, nmin, nmax)
-        assert len(ids) == len(grams)
-        for g, i in zip(grams, ids):
-            ids_of.setdefault(g, set()).add(i)
-    # equal n-grams share one id, and different ones never do
+        assert len(folded) == len(grams)
+        for g, f in zip(grams, folded):
+            if seen[g] > 1:
+                ids_of.setdefault(g, set()).add(f)
+            else:  # a once-seen n-gram takes the slot of its length
+                assert f == k + len(g) - nmin
+    # equal n-grams seen twice or more share one id below ``shared``, numbered
+    # by first occurrence, and different ones never do
     assert all(len(ids) == 1 for ids in ids_of.values())
     id_of = {g: i for g, (i,) in ids_of.items()}
-    assert sorted(id_of.values()) == list(range(len(group.gram_len)))
-    tuples = group.gram_tuples()
-    assert {g: i for i, g in enumerate(tuples)} == id_of
-    assert list(group.gram_len) == [len(g) for g in tuples]
+    assert list(id_of.values()) == list(range(k))
+    assert list(group.fold_len) == [len(g) for g in id_of] + list(range(nmin, nmax + 1))
 
     reference = [vocab[r] for r in rows]
     stats = build_statistics(group, rows)
     counts = oracles.bf_ngram_counts(reference, nmin, nmax)
     assert ngram_count(stats) == counts
-    assert {g: stats.ngram_counts[i] for g, i in id_of.items()} == {
-        g: counts.get(g, 0) for g in id_of
-    }
+    assert stats.gram_counts[:k] == [counts.get(g, 0) for g in id_of]
+    assert stats.gram_counts[k:] == [
+        sum(1 for g in counts if seen[g] == 1 and len(g) == n) for n in range(nmin, nmax + 1)
+    ]
     assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference, nmin, nmax)
     assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
 

@@ -4,7 +4,8 @@ A change meant to keep behaviour (a speed-up, a refactor) must leave every
 byte of these reports as it was: the ``detect`` report and ``--trace`` file
 of a ``generate_synthetic`` corpus in each mode and, in mode ``full``,
 with the n-gram ranges 1..10 and 3..4, and the ``detect-xl``
-report of a ``generate_synthetic_multilingual`` corpus. Both run with
+report of a ``generate_synthetic_multilingual`` corpus at the gap penalties
+0.5 (the default), 0.3 and 1.0. Both run with
 ``convergence_fraction = 0``, so every pass runs. A change that alters
 behaviour on purpose updates these hashes and says so in CHANGES.md.
 
@@ -62,6 +63,10 @@ NGRAM_RANGES = {  # --set overrides: (report, trace), in mode full
     ),
 }
 DETECT_XL = "b10e9ddd18633a2999fc89a206177b99bd45ce8a324682f835798039c67d9d69"
+GAP_PENALTIES = {  # --set gap_penalty: detect-xl report
+    "0.3": "0f6635fe7dbe2e7d6b03b11329aaad9eb09229fff194f7aaf5932447c7e7ce1c",
+    "1.0": "53bd7deb130b00ea4e5fbedcb3cc4e152147b3fa024c357df08a20e801e717ff",
+}
 REPEATING = {
     "report": "303239a3a0367267f7940929fac79252b8e7dc1266521ae1397d3a4ad9fa6aeb",
     "trace": "bbb5bf33330568926dd5d4c96c6c4ecd860add88e556204bed582aa3485f26d3",
@@ -108,7 +113,8 @@ def test_detect_off_the_default_ngram_range_is_pinned(tmp_path, overrides):
     assert (sha256(report), sha256(trace)) == NGRAM_RANGES[overrides]
 
 
-def test_detect_xl_report_is_pinned(tmp_path):
+def detect_xl(tmp_path, *sets):
+    """sha256 of the ``detect-xl`` report of the pinned multilingual corpus."""
     words = tmp_path / "multi.tsv"
     write_wordlist(
         generate_synthetic_multilingual(
@@ -118,8 +124,18 @@ def test_detect_xl_report_is_pinned(tmp_path):
     )
     report = tmp_path / "scaled.tsv"
     assert main(["detect-xl", "--input", str(words), "--output", str(report),
-                 "--set", "convergence_fraction=0"]) == 0
-    assert sha256(report) == DETECT_XL
+                 "--set", "convergence_fraction=0", *sets]) == 0
+    return sha256(report)
+
+
+def test_detect_xl_report_is_pinned(tmp_path):
+    assert detect_xl(tmp_path) == DETECT_XL
+
+
+@pytest.mark.parametrize("penalty", sorted(GAP_PENALTIES))
+def test_detect_xl_off_the_default_gap_penalty_is_pinned(tmp_path, penalty):
+    # 0.3 is not a binary fraction, so a float sum of its gap scores is inexact
+    assert detect_xl(tmp_path, "--set", f"gap_penalty={penalty}") == GAP_PENALTIES[penalty]
 
 
 def test_reports_with_repeated_references_are_pinned(tmp_path, monkeypatch):

@@ -488,6 +488,7 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
             super().__init__(*args)
             built.append(self)
 
+    @property
     def no_tuple_views(self):
         raise AssertionError("detect read the tuple-keyed statistics")
 
@@ -500,7 +501,8 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
 
     monkeypatch.setattr(refiner, "CompiledGroup", Recorded)
     monkeypatch.setattr(refiner, "PatternIndex", RecordedIndex)
-    monkeypatch.setattr(features.CompiledGroup, "gram_tuples", no_tuple_views)
+    monkeypatch.setattr(features.VocabStatistics, "ngram_prob", no_tuple_views)
+    monkeypatch.setattr(features.VocabStatistics, "trans_prob", no_tuple_views)
     vocab = entries_from(TOY_NATIVES + TOY_LOANS)
     cfg = RunConfig(mode=mode, convergence_fraction=0.0)
     state = detect(vocab, cfg)
@@ -513,16 +515,18 @@ def test_detect_compiles_each_word_once(monkeypatch, mode):
     assert len(indexed) == 1 and indexed[0] is built[0]
 
 
-# Detection of a three-language corpus with 15% cross-language words. Besides
-# the report, it prints every word's pattern likeness against the final
-# native/loan split: on a corpus this small no likeness sits close enough to a
-# 0.3/0.7 cut for a last-bit difference to change the report itself.
+# Detection of a three-language corpus with 15% cross-language words, whose
+# concept ids span the languages. Besides the report and the detect-xl report,
+# it prints every word's pattern likeness against the final native/loan split:
+# on a corpus this small no likeness sits close enough to a 0.3/0.7 cut for a
+# last-bit difference to change the report itself.
 _HASH_SEED_RUN = r"""
 import random, sys
 from loandetect.config import RunConfig
+from loandetect.crossling import detect_scaled
 from loandetect.features import CompiledGroup
 from loandetect.refiner import PatternIndex, build_pattern_db, detect_wordlist, pattern_likeness
-from loandetect.wordlist import LexicalEntry, Wordlist, write_report
+from loandetect.wordlist import LexicalEntry, Wordlist, write_report, write_scaled_report
 
 rng = random.Random(1)
 languages = {"aa": ("ptkmnsl", "aiu"), "bb": ("bdgzvʃ", "eoøy"), "cc": ("ptkbdfs", "aeiou")}
@@ -536,8 +540,12 @@ for lang, shape in languages.items():
             seen.add(w)
             entries.append(LexicalEntry("".join(w), w, lang, "noun", None, f"c{len(seen)}"))
 vocab = Wordlist(entries)
-probs, labels, _ = detect_wordlist(vocab, RunConfig(convergence_fraction=0.0))
+cfg = RunConfig(convergence_fraction=0.0)
+probs, labels, _ = detect_wordlist(vocab, cfg)
 write_report(vocab, probs, labels, sys.argv[1])
+scaled = detect_scaled(vocab, cfg)
+write_scaled_report(vocab, scaled.basic, scaled.comparability, scaled.composite,
+                    scaled.thresholds, scaled.predicted, sys.argv[2])
 index = PatternIndex(CompiledGroup([e.ipa for e in entries]))
 native = build_pattern_db(index, [i for i, y in enumerate(labels) if not y])
 print(pattern_likeness(index, native))
@@ -556,11 +564,13 @@ def test_detect_wordlist_independent_of_string_hashing(tmp_path):
     outputs = []
     for hash_seed in ("1", "2", "3"):
         report = tmp_path / f"report-{hash_seed}.tsv"
+        scaled = tmp_path / f"scaled-{hash_seed}.tsv"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_RUN, str(report)],
+            [sys.executable, "-c", _HASH_SEED_RUN, str(report), str(scaled)],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        outputs.append((report.read_bytes(), proc.stdout))
+        outputs.append((report.read_bytes(), scaled.read_bytes(), proc.stdout))
     assert len(outputs[0][0].splitlines()) == 1 + 360
+    assert len(outputs[0][1].splitlines()) == 1 + 360
     assert outputs[0] == outputs[1] == outputs[2]
