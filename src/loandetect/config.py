@@ -325,7 +325,7 @@ def load_config(
         if not p.exists():
             raise FileNotFoundError(p)
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8-sig")  # a leading BOM is no part of a key
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
         file_values = parse_config_text(text)

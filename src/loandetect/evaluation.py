@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -208,20 +210,62 @@ class Grammar:
     pos_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.consonants or not self.vowels:
-            raise InvalidGrammarError("grammar needs consonants and vowels")
+        """Refuse a grammar that ``synth`` could not sample words from."""
+        if not (self.consonants and self.vowels and self.templates and self.pos_choices):
+            raise InvalidGrammarError("grammar needs consonants, vowels, templates and pos")
+        names = (self.language, *self.consonants, *self.vowels, *self.pos_choices)
+        if not all(isinstance(s, str) for s in names):
+            raise InvalidGrammarError("language, symbols and pos choices must be strings")
         for t in self.templates:
             if not t or set(t) - {"C", "V"}:
                 raise InvalidGrammarError(f"bad template {t!r}")
-        if self.template_weights is not None and len(self.template_weights) != len(
-            self.templates
+        for name, weights, choices in (
+            ("template", self.template_weights, self.templates),
+            ("pos", self.pos_weights, self.pos_choices),
         ):
-            raise InvalidGrammarError("template weights do not match templates")
+            if weights is None:
+                continue
+            if len(weights) != len(choices):
+                raise InvalidGrammarError(f"{name} weights do not match {name} choices")
+            _drawable(f"{name} weights", weights)
         if not 1 <= self.min_syllables <= self.max_syllables:
             raise InvalidGrammarError("bad syllable count range")
+        rows = self.transitions or {}
+        if not isinstance(rows, Mapping) or not all(isinstance(r, Mapping) for r in rows.values()):
+            raise InvalidGrammarError("transitions must map symbols to rows of weights")
+        # a row is drawn over each pool whose slot can follow its symbol's, in
+        # a template or from a template's last slot to the next one's first
+        pools = {"C": self.consonants, "V": self.vowels}
+        live = [t for t, w in zip(self.templates, self.template_weights or repeat(1)) if w]
+        follows = {pair for t in live for pair in zip(t, t[1:])}
+        follows |= {(t[-1], u[0]) for t in live for u in live if self.max_syllables > 1}
+        for prev, row in rows.items():
+            _drawable(f"transition row {prev!r}", row.values(), positive=False)
+            for a, b in sorted(follows):
+                if prev in pools[a]:
+                    # a symbol the row does not name weighs 1
+                    weights = [row.get(s, 1.0) for s in pools[b]]
+                    _drawable(f"transition row {prev!r} over the {b} pool", weights)
 
     def inventory_symbols(self) -> frozenset[str]:
         return frozenset(self.consonants) | frozenset(self.vowels)
+
+
+# the fields a grammar file gives as JSON lists
+_LIST_KEYS = {
+    "consonants", "vowels", "templates", "template_weights", "pos_choices", "pos_weights"
+}
+
+
+def _drawable(name: str, weights: Iterable[object], positive: bool = True) -> None:
+    """Refuse a weight that is not a finite number >= 0 and, if ``positive``,
+    weights whose sum is not a finite number above 0."""
+    weights = list(weights)
+    for w in weights:
+        if type(w) not in (int, float) or not 0 <= w < math.inf:
+            raise InvalidGrammarError(f"{name}: weight {w!r} is not a finite number >= 0")
+    if positive and not 0 < sum(weights) < math.inf:
+        raise InvalidGrammarError(f"{name} must sum to a finite number above 0")
 
 
 def load_grammar(path: str | Path) -> Grammar:
@@ -237,10 +281,14 @@ def load_grammar(path: str | Path) -> Grammar:
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise InvalidGrammarError(f"grammar file {path} has unknown key(s) {unknown}")
+    for key, value in data.items():
+        if key in _LIST_KEYS and not isinstance(value, (list, type(None))):
+            raise InvalidGrammarError(f"grammar file {path}: {key} must be a list")
+        if kinds[key] is int and type(value) is not int:
+            raise InvalidGrammarError(f"grammar file {path}: {key} must be an integer")
     try:
         return Grammar(**{
-            key: int(value) if kinds[key] is int
-            else tuple(value) if isinstance(value, list) else value
+            key: tuple(value) if isinstance(value, list) else value
             for key, value in data.items()
         })
     except (TypeError, ValueError) as exc:  # a missing field or a value of the wrong kind

@@ -139,7 +139,9 @@ class CompiledGroup:
     more than once in the group, are renumbered 0..shared-1 in id order,
     and every n-gram that occurs once takes the slot ``shared + n -
     ngram_min`` of its length n; ``fold_len`` is the length of each folded
-    id. The folded ids are the group's only n-gram numbering; an n-gram's
+    id. There is one slot per length n from ``ngram_min`` to
+    ``min(ngram_max, longest word)``, as no n-gram is longer than its word.
+    The folded ids are the group's only n-gram numbering; an n-gram's
     symbols are the span of its word at its position in ``word_ngrams``
     order.
 
@@ -163,10 +165,10 @@ class CompiledGroup:
         strings = [
             "".join([code.setdefault(s, chr(len(code))) for s in w]) for w in self.words
         ]
+        longest = max(map(len, strings), default=0)
         # spans[k]: the (start, stop) of every n-gram of a k-symbol word
         spans = [
-            [(i, i + n) for i, n in _spans(k, ngram_min, ngram_max)]
-            for k in range(max(map(len, strings), default=0) + 1)
+            [(i, i + n) for i, n in _spans(k, ngram_min, ngram_max)] for k in range(longest + 1)
         ]
         ids: dict[str, int] = {}
         grams = [ids.setdefault(s[a:b], len(ids)) for s in strings for a, b in spans[len(s)]]
@@ -190,7 +192,7 @@ class CompiledGroup:
         ]
         self.fold_len = array(
             "i", [n for repeated, n in zip(shared, lengths) if repeated]
-        ) + array("i", range(ngram_min, ngram_max + 1))
+        ) + array("i", range(ngram_min, min(ngram_max, longest) + 1))
         del seen, shared, lengths
         grams, trans = array("i", map(fold.__getitem__, grams)), array("i", trans)
         del fold
@@ -315,8 +317,9 @@ def build_statistics(
 
     lengths = [len(group.words[r]) for r in rows]
     nmin, nmax = group.ngram_min, group.ngram_max
-    # each word of length L has L - n + 1 n-grams of every length n <= L
-    totals_by_len = [0] * (nmax + 1)
+    # each word of length L has L - n + 1 n-grams of every length n <= L;
+    # T_n is kept up to the longest slot length, which no word exceeds
+    totals_by_len = [0] * (nmin + len(group.fold_len) - group.shared)
     for length, count in Counter(lengths).items():
         for n in range(nmin, min(nmax, length) + 1):
             totals_by_len[n] += count * (length - n + 1)

@@ -3,31 +3,36 @@
 One built-in table covers the standard pulmonic consonants and vowels
 (plus nasalized vowels, rounded front vowels, and the common tie-bar
 affricates) needed for English, German, French, Italian, Spanish, and
-Portuguese transcriptions; every lookup in the package reads it. Every
-symbol carries:
+Portuguese transcriptions; every lookup in the package reads it. It is
+built once, at import, into three module constants:
 
-  * a class (``vowel`` or ``consonant``), used by the syllabifier and the
-    consonant/vowel template features, and
-  * a fixed-length vector of 8 categorical phonological features
-    (voicing, place, manner, height, backness, rounding, nasality,
-    length class), used for symbol-to-symbol distances.
+  * ``FEATURES`` maps each symbol to its 8 categorical phonological
+    features (voicing, place, manner, height, backness, rounding,
+    nasality, length class), used for symbol-to-symbol distances;
+  * ``SYMBOLS`` maps each symbol to itself, the string object every
+    token of that symbol is;
+  * ``VOWELS`` holds the symbols of ``vowel`` manner, which the
+    syllabifier and the CV templates read; every other token, unknown
+    ones included, is a consonant.
 
 The tokenizer splits a transcription into codepoint groups, as grapheme
 clusters are formed in orthography profiles: a base codepoint plus the
 combining marks, tie-bar partners and attaching modifier letters that
-follow it. Every table symbol is exactly one such group (checked when a
-table is built), so a group is either a table symbol or one unknown token.
+follow it. Every table symbol is exactly one such group (``_check_table``
+runs on the table at import), so a group is either a table symbol or one
+unknown token.
 
-Unknown symbols never abort a run: tokenization and classification keep
-them (classification as ``consonant``), so the pipeline stays usable on
-unanticipated transcription conventions. No lookup changes any state;
-``unknown_symbols`` counts the unknown tokens of a run on demand.
+Unknown symbols never abort a run: tokenization keeps them, so the
+pipeline stays usable on unanticipated transcription conventions. No
+lookup changes any state; ``unknown_symbols`` counts the unknown tokens of
+a run on demand.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 FEATURE_NAMES = (
@@ -67,10 +72,6 @@ ATTACHING_MODIFIERS = frozenset(
         "ⁿ",  # ⁿ nasal release
     }
 )
-
-
-class UnknownSymbolError(KeyError):
-    """Raised when a feature vector is requested for an uncovered symbol."""
 
 
 # --- Static feature tables ---------------------------------------------------
@@ -208,64 +209,6 @@ def _build_default_features() -> dict[str, tuple[str, ...]]:
     return table
 
 
-class SymbolInventory:
-    """Symbol set with class and feature lookups plus a tokenizer.
-
-    ``features`` maps each symbol (possibly multi-codepoint, NFC form) to
-    a tuple of ``FEATURE_DIM`` categorical codes. The class map is derived
-    from the manner slot: ``vowel`` manner means vowel, everything else is
-    a consonant.
-    """
-
-    def __init__(self, features: Mapping[str, tuple[str, ...]]):
-        self.features: dict[str, tuple[str, ...]] = {
-            unicodedata.normalize("NFC", s): tuple(f) for s, f in features.items()
-        }
-        # each symbol mapped to itself: tokens are these string objects, so
-        # a symbol's text and hash are stored once however many words hold it
-        self.symbols: dict[str, str] = {s: s for s in self.features}
-        self.classes: dict[str, str] = {
-            s: "vowel" if f[2] == "vowel" else "consonant"
-            for s, f in self.features.items()
-        }
-        for s in self.symbols:
-            if len(_codepoint_groups(s)) != 1:
-                raise ValueError(
-                    f"table symbol {s!r} is not one codepoint group, "
-                    "so the tokenizer could never produce it"
-                )
-
-    # -- lookups --
-
-    def classify(self, symbol: str) -> str:
-        """Return ``vowel`` or ``consonant``; unknown symbols count as consonants."""
-        return self.classes.get(symbol, "consonant")
-
-    def feature_vector(self, symbol: str) -> tuple[str, ...]:
-        try:
-            return self.features[symbol]
-        except KeyError:
-            raise UnknownSymbolError(symbol) from None
-
-    def is_vowel(self, symbol: str) -> bool:
-        return self.classify(symbol) == "vowel"
-
-    # -- tokenization --
-
-    def tokenize(self, text: str) -> list[str]:
-        """Split a codepoint string (NFC-composed first) into symbol tokens.
-
-        Each token is one codepoint group: a base codepoint plus the
-        codepoints after it that attach to it, which are combining marks
-        (tie bars included), ``ATTACHING_MODIFIERS`` and any codepoint right
-        after a tie bar. A group that is a table symbol becomes that
-        symbol's own string object, shared by every word; any other group
-        is one unknown token, the group itself.
-        """
-        groups = _codepoint_groups(unicodedata.normalize("NFC", text))
-        return list(map(self.symbols.get, groups, groups))
-
-
 def _codepoint_groups(text: str) -> Sequence[str]:
     """Split ``text`` into codepoint groups (the rule of ``tokenize``).
 
@@ -286,32 +229,49 @@ def _codepoint_groups(text: str) -> Sequence[str]:
     return groups
 
 
-_DEFAULT_INVENTORY = SymbolInventory(_build_default_features())
+def _check_table(features: Mapping[str, tuple[str, ...]]) -> None:
+    """Refuse a table symbol the tokenizer could never produce."""
+    for s in features:
+        if unicodedata.normalize("NFC", s) != s or len(_codepoint_groups(s)) != 1:
+            raise ValueError(
+                f"table symbol {s!r} is not one NFC codepoint group, "
+                "so the tokenizer could never produce it"
+            )
 
 
-def default_inventory() -> SymbolInventory:
-    return _DEFAULT_INVENTORY
+# symbol -> its FEATURE_DIM categorical codes
+FEATURES: dict[str, tuple[str, ...]] = _build_default_features()
+_check_table(FEATURES)
+# each symbol mapped to itself: tokens are these string objects, so a
+# symbol's text and hash are stored once however many words hold it
+SYMBOLS: dict[str, str] = {s: s for s in FEATURES}
+# the symbols of ``vowel`` manner; every other token is a consonant
+VOWELS: frozenset[str] = frozenset(s for s, f in FEATURES.items() if f[2] == "vowel")
 
 
-# --- Module-level lookups over the one symbol table ---------------------------
-
-
-def classify(symbol: str) -> str:
-    return _DEFAULT_INVENTORY.classify(symbol)
-
-
-def feature_vector(symbol: str) -> tuple[str, ...]:
-    return _DEFAULT_INVENTORY.feature_vector(symbol)
+def default_inventory() -> SimpleNamespace:
+    """``FEATURES`` as ``.features``: kept only for the benchmark's
+    ``perfbench/child.py``, which reads ``default_inventory().features``."""
+    return SimpleNamespace(features=FEATURES)
 
 
 def tokenize(text: str) -> list[str]:
-    return _DEFAULT_INVENTORY.tokenize(text)
+    """Split a codepoint string (NFC-composed first) into symbol tokens.
+
+    Each token is one codepoint group: a base codepoint plus the
+    codepoints after it that attach to it, which are combining marks (tie
+    bars included), ``ATTACHING_MODIFIERS`` and any codepoint right after a
+    tie bar. A group that is a table symbol becomes that symbol's own
+    string object, shared by every word; any other group is one unknown
+    token, the group itself.
+    """
+    groups = _codepoint_groups(unicodedata.normalize("NFC", text))
+    return list(map(SYMBOLS.get, groups, groups))
 
 
 def unknown_symbols(tokens: Iterable[str]) -> Counter[str]:
     """Count the tokens that are not symbols of the table, in first-seen order."""
-    symbols = _DEFAULT_INVENTORY.symbols
-    return Counter(t for t in tokens if t not in symbols)
+    return Counter(t for t in tokens if t not in SYMBOLS)
 
 
 # symbol_distance results, by symbol pair
@@ -337,7 +297,7 @@ def _slot_distance(a: str, b: str) -> float:
     def vec(sym: str) -> tuple[str, ...]:
         if sym == GAP:
             return GAP_FEATURES
-        return _DEFAULT_INVENTORY.features.get(sym) or (f"?{sym}",) * FEATURE_DIM
+        return FEATURES.get(sym) or (f"?{sym}",) * FEATURE_DIM
 
     fa, fb = vec(a), vec(b)
     return sum(x != y for x, y in zip(fa, fb)) / FEATURE_DIM
@@ -352,33 +312,13 @@ def syllabify(word: Sequence[str]) -> list[tuple[str, ...]]:
     """
     if not word:
         raise ValueError("cannot syllabify an empty word")
-    is_v = [_DEFAULT_INVENTORY.is_vowel(s) for s in word]
-
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(word):
-        if is_v[i]:
-            j = i
-            while j < len(word) and is_v[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-
-    if not runs:
-        return [tuple(word)]
-
-    syllables: list[tuple[str, ...]] = []
-    prev_end = 0
-    for _, end in runs:
-        syllables.append(tuple(word[prev_end:end]))
-        prev_end = end
-    if prev_end < len(word):
-        syllables[-1] = syllables[-1] + tuple(word[prev_end:])
-    return syllables
+    is_v = [s in VOWELS for s in word]
+    last = max((i for i, v in enumerate(is_v) if v), default=0)
+    # a syllable ends where a vowel run does, unless no vowel follows
+    cuts = [0, *(i for i in range(1, last) if is_v[i - 1] and not is_v[i]), len(word)]
+    return [tuple(word[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def cv_pattern(word: Iterable[str]) -> str:
     """Map a symbol sequence to its consonant/vowel template string."""
-    return "".join("V" if _DEFAULT_INVENTORY.is_vowel(s) else "C" for s in word)
+    return "".join("V" if s in VOWELS else "C" for s in word)

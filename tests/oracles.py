@@ -11,6 +11,7 @@ loop, which calls the package's feature extraction and scoring.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter
 from fractions import Fraction
@@ -64,6 +65,18 @@ def bf_tokenize(text, symbols):
         tokens.append(match)
         i += len(match)
     return tokens, unknown
+
+
+def bf_syllabify(word, vowels):
+    """Onset maximization read off the CV string: every consonant run with
+    the vowel run after it is a syllable, and trailing consonants join the
+    last one; a word without vowels is one syllable."""
+    cv = "".join("V" if s in vowels else "C" for s in word)
+    spans = [m.span() for m in re.finditer("C*V+", cv)]
+    if not spans:
+        return [tuple(word)]
+    spans[-1] = (spans[-1][0], len(word))
+    return [tuple(word[a:b]) for a, b in spans]
 
 
 # --- n-gram and transition statistics ------------------------------------------

@@ -496,6 +496,20 @@ def _bad_inputs(tmp_path, vocab_file):
     native, donor = grammar_files(tmp_path)
     synth = ["synth", "--native-grammar", str(native), "--donor-grammar", str(donor),
              "--seed", "1", "--output", out]
+    grammar = json.loads(native.read_text(encoding="utf-8"))
+    unusable = []
+    for name, extra in [
+        ("zero_templates", {"template_weights": [0] * len(grammar["templates"])}),
+        ("short_pos", {"pos_choices": ["noun", "verb"], "pos_weights": [1]}),
+        ("string_transition", {"transitions": {grammar["consonants"][0]: {"a": "x"}}}),
+        ("float_syllables", {"min_syllables": 1.7}),
+        ("string_symbols", {"consonants": "t͡ʃk"}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**grammar, **extra}), encoding="utf-8")
+        unusable.append((f"grammar with {name}", ["synth", "--native-grammar", str(path),
+                                                  "--donor-grammar", str(donor), "--seed", "1",
+                                                  "--output", out]))
     folder = tmp_path / "folder"
     folder.mkdir()
     detect = ["detect", "--input", str(vocab_file), "--output", out]
@@ -539,6 +553,7 @@ def _bad_inputs(tmp_path, vocab_file):
         ("detect-xl empty output", detect_xl + [""]),
         ("detect-xl output without a name", detect_xl + ["."]),
         ("detect-xl output a directory", detect_xl + [str(folder)]),
+        *unusable,
     ]
 
 

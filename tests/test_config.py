@@ -283,3 +283,14 @@ def test_load_config_layering(tmp_path):
     assert cfg.seed == 9  # override beats file
     with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "missing.cfg")
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\ufefftau = 0.4\nseed = 5\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.tau, cfg.seed) == (0.4, 5)
+    # a BOM anywhere but the start is still no key
+    path.write_text("seed = 5\n\ufefftau = 0.4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(repr("\ufefftau"))):
+        load_config(path)

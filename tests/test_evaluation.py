@@ -1,5 +1,8 @@
 """Metrics, experiment harness, and synthetic generator tests."""
 
+import json
+import math
+
 import pytest
 
 from loandetect.config import RunConfig
@@ -145,6 +148,64 @@ def test_grammar_validation():
             language="x", consonants=("p",), vowels=("a",),
             min_syllables=3, max_syllables=2,
         )
+
+
+def test_grammar_refuses_weights_no_draw_can_use():
+    base = dict(language="x", consonants=("p", "t"), vowels=("a", "i"))
+    for extra in [
+        dict(template_weights=(0, 0)),
+        dict(template_weights=(1, math.nan)),
+        dict(template_weights=(1, math.inf)),
+        dict(template_weights=(1e308, 1e308)),  # each finite, the sum not
+        dict(template_weights=(True, 1)),
+        dict(template_weights=(1,)),
+        dict(pos_weights=(-1,)),
+        dict(pos_choices=("noun", "verb"), pos_weights=(1,)),
+        dict(pos_choices=()),
+        dict(templates=()),
+        dict(consonants=(1, 2)),
+        dict(language=5),
+        dict(transitions="pa"),
+        dict(transitions={"p": "ai"}),
+        dict(transitions={"p": {"a": "x"}}),
+        dict(transitions={"p": {"x": -1}}),
+        dict(transitions={"p": {"a": 0, "i": 0}}),  # a vowel follows p in CV
+        dict(transitions={"a": {"p": 0, "t": 0}}),  # a consonant follows a in CVC
+    ]:
+        with pytest.raises(InvalidGrammarError):
+            Grammar(**{**base, **extra})
+    # zero weights are kept where no draw reads only them
+    donor = Grammar(language="y", consonants=("b", "d"), vowels=("o", "u"))
+    for extra in [
+        dict(template_weights=(0, 1)),
+        dict(transitions={"p": {"a": 0}}),
+        dict(transitions={"a": {"a": 0, "i": 0}}),  # no template puts a vowel after one
+        dict(templates=("CV", "CVV"), template_weights=(1, 0),
+             transitions={"a": {"a": 0, "i": 0}}),
+        dict(templates=("CVC",), max_syllables=1, transitions={"t": {"p": 0, "t": 0}}),
+    ]:
+        wl = generate_synthetic(Grammar(**base, **extra), donor, 6, 2, seed=1)
+        assert len(wl) == 8
+
+
+def test_load_grammar_refuses_values_of_the_wrong_kind(tmp_path):
+    path = tmp_path / "grammar.json"
+    base = {"language": "toy", "consonants": ["p"], "vowels": ["a"]}
+    for key, value in [
+        ("consonants", "t͡ʃk"),  # would be read one codepoint, a bare tie bar too, per symbol
+        ("templates", "CV"),
+        ("pos_weights", 1),
+        ("pos_choices", "noun"),
+        ("min_syllables", 1.7),
+        ("max_syllables", True),
+        ("min_syllables", "2"),
+    ]:
+        path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+        with pytest.raises(InvalidGrammarError, match=key):
+            load_grammar(path)
+    # null leaves an optional weight list at its default
+    path.write_text(json.dumps({**base, "template_weights": None}), encoding="utf-8")
+    assert load_grammar(path) == Grammar(language="toy", consonants=("p",), vowels=("a",))
 
 
 def test_load_grammar_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loandetect.config import RunConfig
+from loandetect.evaluation import generate_synthetic
 from loandetect.features import (
     CORE_FEATURES,
     MODES,
@@ -23,11 +24,11 @@ from loandetect.features import (
     feature_names,
     word_ngrams,
 )
-from loandetect.ipa import cv_pattern, default_inventory
+from loandetect.ipa import FEATURES, cv_pattern
 from loandetect.wordlist import normalize_ipa
 
 import oracles
-from fixtures import extract_against, ngram_count
+from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR, extract_against, ngram_count
 
 SYMBOLS = ["p", "t", "k", "m", "n", "s", "a", "i", "u", "e"]
 VOWELS = {"a", "i", "u", "e"}
@@ -502,7 +503,9 @@ def assert_interning_equals_bruteforce(vocab, nmin, nmax, rows):
     assert all(len(ids) == 1 for ids in ids_of.values())
     id_of = {g: i for g, (i,) in ids_of.items()}
     assert list(id_of.values()) == list(range(k))
-    assert list(group.fold_len) == [len(g) for g in id_of] + list(range(nmin, nmax + 1))
+    # one slot per length up to the longest word, past which no n-gram lies
+    slot_lens = list(range(nmin, min(nmax, max(map(len, vocab))) + 1))
+    assert list(group.fold_len) == [len(g) for g in id_of] + slot_lens
 
     reference = [vocab[r] for r in rows]
     stats = build_statistics(group, rows)
@@ -510,7 +513,7 @@ def assert_interning_equals_bruteforce(vocab, nmin, nmax, rows):
     assert ngram_count(stats) == counts
     assert stats.gram_counts[:k] == [counts.get(g, 0) for g in id_of]
     assert stats.gram_counts[k:] == [
-        sum(1 for g in counts if seen[g] == 1 and len(g) == n) for n in range(nmin, nmax + 1)
+        sum(1 for g in counts if seen[g] == 1 and len(g) == n) for n in slot_lens
     ]
     assert dict(stats.ngram_prob) == oracles.bf_ngram_probs(reference, nmin, nmax)
     assert dict(stats.trans_prob) == oracles.bf_transition_probs(reference)
@@ -537,7 +540,7 @@ def test_interning_past_one_byte_symbol_codes():
     # more than 256 distinct symbols, table symbols and unknown tokens alike,
     # take the words' one-character-per-symbol strings past the one-byte range
     unknown = normalize_ipa("".join(chr(0x4E00 + k) for k in range(200)) + "\U0001F600")
-    symbols = sorted(default_inventory().features) + list(unknown)
+    symbols = sorted(FEATURES) + list(unknown)
     rng = random.Random(256)
     for _ in range(30):
         nmin = rng.randint(1, 3)
@@ -613,6 +616,26 @@ def test_cv_patterns_are_computed_only_when_read():
     assert "cv" not in vars(group)
     extract_all(build_statistics(group), RunConfig(mode="aug"))
     assert group.cv == [cv_pattern(w) for w in words] == ["CVCV", "CCCVC"]
+
+
+def test_ngram_max_past_the_longest_word_changes_nothing():
+    # the n-gram tables end at the longest word whatever ngram_max asks for
+    wordlist = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 200, 50, 1)
+    words = [e.ipa for e in wordlist]
+    longest = max(map(len, words))
+    capped = CompiledGroup(words, 2, longest)
+    wide = CompiledGroup(words, 2, 10**6)
+    assert max(wide.fold_len) == longest
+    assert list(wide.fold_len) == list(capped.fold_len)
+    assert wide.word_folded == capped.word_folded
+    rows = range(0, len(words), 2)
+    stats = build_statistics(wide, rows)
+    assert len(stats.gram_totals) == longest + 1
+    assert stats.gram_totals == build_statistics(capped, rows).gram_totals
+    for mode in MODES:
+        assert extract_all(stats, RunConfig(mode=mode, ngram_max=10**6)) == extract_all(
+            build_statistics(capped, rows), RunConfig(mode=mode, ngram_max=longest)
+        )
 
 
 def test_compiled_group_rejects_other_ngram_range():

@@ -61,6 +61,15 @@ NGRAM_RANGES = {  # --set overrides: (report, trace), in mode full
         "ab4e70807f8fd8ef6d87794b2fa435e0998def32e37b60bcc101417f6dbcc6db",
         "fb2eed6421a8549a112243779917e3ef43e7a9623052ee4490273fea1fbf9374",
     ),
+    # past the corpus's longest word (12 symbols); the second range holds no n-gram
+    ("ngram_max=1000",): (
+        "157390dc12a91d9b256d83ebfe52a184cfb6620e395fbb249c67488af50b86a9",
+        "cfede7499956efe7a7de694a73c8a4146ef988147c1661bc4faca70cf134d871",
+    ),
+    ("ngram_min=13", "ngram_max=20"): (
+        "7d8858f8d8ca2a800c35a69b6ca94f4364af60c00a0b3d442cb427a68e83e429",
+        "012735a29cfa9f6e42cfcd9adfd23c55ddbcf3782f4b264215a4ffd02b16e488",
+    ),
 }
 DETECT_XL = "b10e9ddd18633a2999fc89a206177b99bd45ce8a324682f835798039c67d9d69"
 GAP_PENALTIES = {  # --set gap_penalty: detect-xl report

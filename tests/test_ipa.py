@@ -1,4 +1,4 @@
-"""Inventory, feature vector, tokenizer, and syllabifier tests."""
+"""Symbol table, feature vector, tokenizer, and syllabifier tests."""
 
 import random
 from collections import Counter
@@ -6,17 +6,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from loandetect import ipa
 from loandetect.ipa import (
     ATTACHING_MODIFIERS,
     FEATURE_DIM,
+    FEATURES,
     GAP,
+    SYMBOLS,
     TIE_BARS,
-    SymbolInventory,
-    UnknownSymbolError,
-    classify,
+    VOWELS,
+    _check_table,
     cv_pattern,
-    default_inventory,
-    feature_vector,
     symbol_distance,
     syllabify,
     tokenize,
@@ -25,54 +25,59 @@ from loandetect.ipa import (
 
 import oracles
 
-INV = default_inventory()
+
+def _tables():
+    """Copies of the three symbol constants, to show a lookup changed none."""
+    return dict(FEATURES), dict(SYMBOLS), set(VOWELS)
 
 
 def test_classify_basic():
-    assert classify("a") == "vowel"
-    assert classify("f") == "consonant"
-    assert classify("ã") == "vowel"
+    assert "a" in VOWELS and "ã" in VOWELS
+    assert "f" not in VOWELS
+    assert cv_pattern(["f", "a", "ã"]) == "CVV"
 
 
 def test_classify_glides_are_consonants():
-    assert classify("j") == "consonant"
-    assert classify("w") == "consonant"
+    assert "j" not in VOWELS
+    assert "w" not in VOWELS
 
 
 def test_classify_unknown_falls_back_to_consonant():
-    inv = SymbolInventory(dict(INV.features))
-    before = {name: dict(table) for name, table in vars(inv).items()}
-    assert inv.classify("☃") == "consonant"
-    # classification keeps no tally: the table is as it was
-    assert vars(inv) == before
+    before = _tables()
+    assert cv_pattern(["☃"]) == "C"
+    assert syllabify(["☃", "a"]) == [("☃", "a")]
+    # classification keeps no tally: the tables are as they were
+    assert _tables() == before
 
 
 def test_required_symbols_covered():
     for sym in ("ã", "ɔ̃", "ø", "y", "œ", "x", "ɣ", "ʃ", "ʒ", "ʁ", "ɲ"):
-        assert sym in INV.symbols, sym
+        assert sym in SYMBOLS, sym
     for sym in ("ã", "ɔ̃", "ø", "y", "œ"):
-        assert INV.classify(sym) == "vowel"
+        assert sym in VOWELS, sym
 
 
 def test_every_symbol_has_class_and_features():
-    for sym in INV.symbols:
-        assert INV.classify(sym) in ("vowel", "consonant")
-        assert len(INV.feature_vector(sym)) == FEATURE_DIM
+    assert SYMBOLS.keys() == FEATURES.keys() and VOWELS <= SYMBOLS.keys()
+    for sym, features in FEATURES.items():
+        assert len(features) == FEATURE_DIM
+        assert (features[2] == "vowel") == (sym in VOWELS)
 
 
 def test_feature_vector_voicing_minimal_pair():
-    p, b = feature_vector("p"), feature_vector("b")
+    p, b = FEATURES["p"], FEATURES["b"]
     diffs = [i for i in range(FEATURE_DIM) if p[i] != b[i]]
     assert diffs == [0]  # voicing slot only
 
 
 def test_feature_vector_deterministic():
-    assert feature_vector("a") == feature_vector("a")
+    # building the table again gives the same symbols and vectors, in order
+    assert list(ipa._build_default_features().items()) == list(FEATURES.items())
 
 
 def test_feature_vector_unknown_raises():
-    with pytest.raises(UnknownSymbolError):
-        feature_vector("☃")
+    with pytest.raises(KeyError):
+        FEATURES["☃"]
 
 
 def test_symbol_distance_hand_counts():
@@ -95,7 +100,7 @@ def _plain_distance(fa, fb):
 
 
 def test_memoised_symbol_distance_matches_plain_count():
-    vectors = dict(INV.features)
+    vectors = dict(FEATURES)
     vectors[GAP] = ("gap",) * FEATURE_DIM
     vectors["☃"] = tuple(f"?☃{i}" for i in range(FEATURE_DIM))
     symbols = sorted(vectors)
@@ -147,6 +152,17 @@ def test_syllabify_concatenation_roundtrip(word):
 
 @given(
     st.lists(
+        st.sampled_from(["p", "t", "s", "a", "i", "ã", "ɔ̃", "j", "☃", "t͡ʃ"]),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_syllabify_matches_cv_oracle(word):
+    assert syllabify(word) == oracles.bf_syllabify(word, VOWELS)
+
+
+@given(
+    st.lists(
         st.sampled_from(["p", "t", "k", "s", "a", "i", "u"]),
         min_size=1,
         max_size=12,
@@ -167,18 +183,17 @@ def test_tokenize_groups_affricates_and_nasals():
 
 
 def test_tokenize_unknown_cluster_single_token():
-    inv = SymbolInventory(dict(INV.features))
-    before = {name: dict(table) for name, table in vars(inv).items()}
-    toks = inv.tokenize("☃̃a")
+    before = _tables()
+    toks = tokenize("☃̃a")
     assert toks == ["☃̃", "a"]
     assert unknown_symbols(toks) == Counter({"☃̃": 1})
-    # tokenization keeps no tally: the table is as it was
-    assert vars(inv) == before
+    # tokenization keeps no tally: the tables are as they were
+    assert _tables() == before
 
 
 def test_tokenize_deterministic_random_strings():
     rng = random.Random(99)
-    pool = list(INV.symbols)
+    pool = list(SYMBOLS)
     for _ in range(50):
         text = "".join(rng.choice(pool) for _ in range(rng.randint(1, 10)))
         assert tokenize(text) == tokenize(text)
@@ -187,7 +202,7 @@ def test_tokenize_deterministic_random_strings():
 # every codepoint of the table, both tie bars, the attaching modifiers, two
 # combining marks no table symbol holds, and letters outside the table
 _TOKENIZER_ALPHABET = sorted(
-    {ch for sym in INV.symbols for ch in sym}
+    {ch for sym in SYMBOLS for ch in sym}
     | TIE_BARS
     | ATTACHING_MODIFIERS
     | {"\u0301", "\u0325", "Q", "ʘ", "☃", "ǃ"}
@@ -196,9 +211,8 @@ _TOKENIZER_ALPHABET = sorted(
 
 @given(st.lists(st.sampled_from(_TOKENIZER_ALPHABET), max_size=14).map("".join))
 def test_tokenize_matches_greedy_longest_match_oracle(text):
-    inv = SymbolInventory(INV.features)
-    expected, unknown = oracles.bf_tokenize(text, INV.symbols)
-    tokens = inv.tokenize(text)
+    expected, unknown = oracles.bf_tokenize(text, SYMBOLS)
+    tokens = tokenize(text)
     assert tokens == expected
     assert list(unknown_symbols(tokens).items()) == list(unknown.items())
 
@@ -208,18 +222,23 @@ def test_tokenize_returns_the_tables_own_symbol_objects():
     # give new string objects
     tokens = tokenize("ʃt͡ʃɛ̃ŋa")
     assert tokens == ["ʃ", "t͡ʃ", "ɛ̃", "ŋ", "a"]
-    assert all(tok is INV.symbols[tok] for tok in tokens)
+    assert all(tok is SYMBOLS[tok] for tok in tokens)
 
 
 def test_every_table_symbol_is_one_codepoint_group():
-    # the built-in table passes the check a table is built with
-    SymbolInventory(INV.features)
-    for sym in INV.symbols:
-        assert INV.tokenize(sym) == [sym]
+    # the built-in table passes the check it is given at import
+    _check_table(FEATURES)
+    for sym in SYMBOLS:
+        assert tokenize(sym) == [sym]
 
 
 def test_symbol_spanning_two_groups_is_rejected():
-    features = dict(INV.features)
+    features = dict(FEATURES)
     features["ts"] = features["t͡s"]
     with pytest.raises(ValueError, match="'ts'"):
-        SymbolInventory(features)
+        _check_table(features)
+    # one group, but decomposed: the tokenizer composes ã before it looks up
+    features = dict(FEATURES)
+    features["a\u0303"] = features["ã"]
+    with pytest.raises(ValueError, match="NFC"):
+        _check_table(features)
