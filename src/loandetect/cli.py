@@ -274,14 +274,8 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     _check_paths(args, [output])
     native = load_grammar(args.native_grammar)
     donor = load_grammar(args.donor_grammar)
-    if args.multilingual:
-        vocab = generate_synthetic_multilingual(
-            native, donor, args.n_native, args.n_loans, cfg.seed, args.integration
-        )
-    else:
-        vocab = generate_synthetic(
-            native, donor, args.n_native, args.n_loans, cfg.seed, args.integration
-        )
+    generate = generate_synthetic_multilingual if args.multilingual else generate_synthetic
+    vocab = generate(native, donor, args.n_native, args.n_loans, cfg.seed, args.integration)
     write_wordlist(vocab, output)
     log.info("wrote %s (%d entries)", output, len(vocab))
     return EXIT_OK

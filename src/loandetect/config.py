@@ -302,16 +302,20 @@ def _format_value(value: object) -> str:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment, and a key set
+    twice is a ``ConfigError``."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {lines[key]}")
+        out[key], lines[key] = value, lineno
     return out
 
 

@@ -5,7 +5,10 @@ optional bigram transition weighting, labels donor-grammar words as loans,
 and can pass loans through an integration mutator that replaces segments
 foreign to the recipient inventory with their phonologically nearest
 native segment. Grammars are plain dataclasses, loadable from JSON so
-fixtures stay versionable.
+fixtures stay versionable. Every generated row must load back as itself:
+a word whose written IPA ``normalize_ipa`` reads as other tokens (a symbol
+that splits, merges with its neighbour, vanishes or is not NFC) is an
+``InvalidGrammarError`` naming the grammar, the word and that reading.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import logging
 import math
 import random
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
@@ -24,7 +28,7 @@ from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import symbol_distance
 from .refiner import detect_wordlist
-from .wordlist import LexicalEntry, Wordlist, WordlistError, write_table
+from .wordlist import LexicalEntry, Wordlist, WordlistError, normalize_ipa, write_table
 
 log = logging.getLogger(__name__)
 
@@ -309,13 +313,8 @@ def _sample_word(grammar: Grammar, rng: random.Random) -> tuple[str, ...]:
             if grammar.transitions and prev in grammar.transitions:
                 row = grammar.transitions[prev]
                 weights = [row.get(s, 1.0) for s in pool]
-            symbols.append(rng.choices(list(pool), weights=weights)[0])
+            symbols.append(rng.choices(pool, weights=weights)[0])
     return tuple(symbols)
-
-
-def _nearest_native(symbol: str, native: Sequence[str]) -> str:
-    # deterministic: minimal feature distance, ties broken lexicographically
-    return min(sorted(native), key=lambda s: symbol_distance(symbol, s))
 
 
 def integrate_word(
@@ -325,15 +324,14 @@ def integrate_word(
     rng: random.Random,
 ) -> tuple[str, ...]:
     """Adapt a borrowed form: foreign segments become their nearest native
-    segment with the given probability."""
+    segment with the given probability (minimal feature distance, ties
+    broken lexicographically)."""
     pool = sorted(native_symbols)
-    out: list[str] = []
-    for s in word:
-        if s not in native_symbols and rng.random() < probability:
-            out.append(_nearest_native(s, pool))
-        else:
-            out.append(s)
-    return tuple(out)
+    return tuple(
+        min(pool, key=lambda t: symbol_distance(s, t))
+        if s not in native_symbols and rng.random() < probability else s
+        for s in word
+    )
 
 
 def _sample_unique(
@@ -354,15 +352,37 @@ def _sample_unique(
         w = _sample_word(grammar, rng)
         if mutate is not None:
             w = mutate(w)
-        if w in taken:
-            continue
-        taken.add(w)
-        words.append(w)
+        if w not in taken:
+            taken.add(w)
+            words.append(w)
     return words
 
 
-def _pos_for(grammar: Grammar, rng: random.Random) -> str:
-    return rng.choices(list(grammar.pos_choices), weights=grammar.pos_weights)[0]
+def _check_request(n_native: int, n_loans: int, integration: float) -> None:
+    if n_native < 1 or n_loans < 1:
+        raise InvalidGrammarError("need at least one native and one loan")
+    if not 0.0 <= integration <= 1.0:  # NaN fails both comparisons
+        raise InvalidGrammarError(f"integration must be in [0, 1], got {integration!r}")
+
+
+def _entry(word, language, grammar, label, rng, concept=None) -> LexicalEntry:
+    """The row of a word sampled from ``grammar``, with a POS drawn from it;
+    the row must load back as itself (see the module docstring)."""
+    text = "".join(word)
+    pos = rng.choices(grammar.pos_choices, weights=grammar.pos_weights)[0]
+    entry = LexicalEntry(text, word, language, pos, label, concept)
+    try:
+        read = normalize_ipa(text)
+    except WordlistError:  # nothing left after stripping markers
+        read = ()
+    if read != word:
+        # a word that NFC changes looks the same as its read-back; escape both
+        show = repr if unicodedata.is_normalized("NFC", text) else ascii
+        raise InvalidGrammarError(
+            f"grammar {grammar.language!r} writes the word {show(text)} of symbols {show(word)}, "
+            f"which loads back as {show(read)}"
+        )
+    return entry
 
 
 def generate_synthetic(
@@ -379,10 +399,7 @@ def generate_synthetic(
     integration mutator with the given per-segment probability. The output
     is deterministic in (grammars, seed).
     """
-    if n_native < 1 or n_loans < 1:
-        raise InvalidGrammarError("need at least one native and one loan")
-    if not 0.0 <= integration <= 1.0:  # NaN fails both comparisons
-        raise InvalidGrammarError(f"integration must be in [0, 1], got {integration!r}")
+    _check_request(n_native, n_loans, integration)
     rng = random.Random(seed)
     taken: set[tuple[str, ...]] = set()
     natives = _sample_unique(native_grammar, n_native, rng, taken)
@@ -394,26 +411,11 @@ def generate_synthetic(
         taken,
         mutate=lambda w: integrate_word(w, native_symbols, integration, rng),
     )
-    entries = [
-        LexicalEntry(
-            orthography="".join(w),
-            ipa=w,
-            language=native_grammar.language,
-            pos=_pos_for(native_grammar, rng),
-            gold_label=0,
-        )
-        for w in natives
-    ] + [
-        LexicalEntry(
-            orthography="".join(w),
-            ipa=w,
-            language=native_grammar.language,
-            pos=_pos_for(donor_grammar, rng),
-            gold_label=1,
-        )
-        for w in loans
-    ]
-    return Wordlist(entries)
+    language = native_grammar.language
+    return Wordlist(
+        [_entry(w, language, native_grammar, 0, rng) for w in natives]
+        + [_entry(w, language, donor_grammar, 1, rng) for w in loans]
+    )
 
 
 def generate_synthetic_multilingual(
@@ -432,47 +434,29 @@ def generate_synthetic_multilingual(
     two languages' words are sampled independently. Only recipient-side
     copies of donor words are labeled as loans.
     """
-    if n_native < 1 or n_loans < 1:
-        raise InvalidGrammarError("need at least one native and one loan concept")
-    if not 0.0 <= integration <= 1.0:  # NaN fails both comparisons
-        raise InvalidGrammarError(f"integration must be in [0, 1], got {integration!r}")
-    if recipient_grammar.language == donor_grammar.language:
+    _check_request(n_native, n_loans, integration)
+    recipient, donor = recipient_grammar.language, donor_grammar.language
+    if recipient == donor:
         raise InvalidGrammarError("grammars must name distinct languages")
     rng = random.Random(seed)
     taken_a: set[tuple[str, ...]] = set()
     taken_b: set[tuple[str, ...]] = set()
     native_symbols = recipient_grammar.inventory_symbols()
-
     entries: list[LexicalEntry] = []
-    concept = 0
-
-    def add(word, language, grammar, label):
-        entries.append(
-            LexicalEntry(
-                orthography="".join(word),
-                ipa=word,
-                language=language,
-                pos=_pos_for(grammar, rng),
-                gold_label=label,
-                concept_id=f"c{concept:04d}",
-            )
-        )
-
-    for _ in range(n_native):
-        a = _sample_unique(recipient_grammar, 1, rng, taken_a)[0]
-        b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
-        add(a, recipient_grammar.language, recipient_grammar, 0)
-        add(b, donor_grammar.language, donor_grammar, 0)
-        concept += 1
-    for _ in range(n_loans):
-        b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
-        borrowed = integrate_word(b, native_symbols, integration, rng)
-        if borrowed in taken_a:
-            borrowed = b  # collision after integration: keep the donor form
-        taken_a.add(borrowed)
-        add(borrowed, recipient_grammar.language, donor_grammar, 1)
-        add(b, donor_grammar.language, donor_grammar, 0)
-        concept += 1
+    for c in range(n_native + n_loans):
+        concept = f"c{c:04d}"
+        if c < n_native:
+            a = _sample_unique(recipient_grammar, 1, rng, taken_a)[0]
+            b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
+            entries.append(_entry(a, recipient, recipient_grammar, 0, rng, concept))
+        else:
+            b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
+            borrowed = integrate_word(b, native_symbols, integration, rng)
+            if borrowed in taken_a:
+                borrowed = b  # collision after integration: keep the donor form
+            taken_a.add(borrowed)
+            entries.append(_entry(borrowed, recipient, donor_grammar, 1, rng, concept))
+        entries.append(_entry(b, donor, donor_grammar, 0, rng, concept))
     return Wordlist(entries)
 
 

@@ -43,6 +43,33 @@ DONOR_GRAMMAR = Grammar(
     max_syllables=4,
 )
 
+# a pair whose POS sets and weights differ and whose draws follow transition
+# rows, so a POS drawn from the wrong grammar or a skipped row shows
+POS_NATIVE_GRAMMAR = Grammar(
+    language="reca",
+    consonants=("p", "t", "k", "m"),
+    vowels=("a", "i", "u"),
+    templates=("CV", "CVC"),
+    template_weights=(3, 1),
+    min_syllables=2,
+    max_syllables=3,
+    transitions={"p": {"a": 4.0, "i": 0.5}, "a": {"t": 0.2, "m": 3}},
+    pos_choices=("noun", "verb", "adjective"),
+    pos_weights=(5, 3, 2),
+)
+
+POS_DONOR_GRAMMAR = Grammar(
+    language="donb",
+    consonants=("b", "d", "ʒ", "t͡ʃ"),
+    vowels=("ø", "ɛ", "a"),
+    templates=("CVC", "CV"),
+    min_syllables=2,
+    max_syllables=3,
+    transitions={"b": {"ø": 0.1, "ɛ": 3.0}, "ɛ": {"ʒ": 2}},
+    pos_choices=("noun", "adverb"),
+    pos_weights=(1, 4),
+)
+
 SEPARABLE_SEED = 7
 SCALED_SEED = 7
 SCALED_INTEGRATION = 0.7

@@ -510,6 +510,15 @@ def _bad_inputs(tmp_path, vocab_file):
         unusable.append((f"grammar with {name}", ["synth", "--native-grammar", str(path),
                                                   "--donor-grammar", str(donor), "--seed", "1",
                                                   "--output", out]))
+    for name, symbols in [("split_symbol", {"consonants": ["t͡ʃk", "p"]}),
+                          ("decomposed_symbol", {"vowels": ["a\u0303", "i"]})]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**grammar, **symbols}), encoding="utf-8")
+        unusable.append((f"grammar with a {name} that loads back otherwise",
+                         ["synth", "--native-grammar", str(path), "--donor-grammar",
+                          str(donor), "--seed", "1", "--output", out]))
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("tau = 0.4\ntau = 0.2\n", encoding="utf-8")
     folder = tmp_path / "folder"
     folder.mkdir()
     detect = ["detect", "--input", str(vocab_file), "--output", out]
@@ -518,6 +527,7 @@ def _bad_inputs(tmp_path, vocab_file):
         ("non-UTF-8 wordlist", ["detect", "--input", str(latin1), "--output", out]),
         ("wordlist without entries", ["detect", "--input", str(header_only), "--output", out]),
         ("pos weight above 1", detect + ["--set", "pos_weight_noun=2"]),
+        ("config key set twice", detect + ["--config", str(repeated)]),
         ("mode weights all zero", detect + ["--mode", "no_ngram", "--set", "weight_len_z=0",
                                             "--set", "weight_rare_transition_score=0",
                                             "--set", "weight_trans_entropy=0",

@@ -275,6 +275,17 @@ def test_parse_config_text_syntax():
         parse_config_text("tau 0.4")
 
 
+def test_key_set_twice_rejected(tmp_path):
+    text = "tau = 0.4\nseed = 5\n\n tau=0.2  # again\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == "line 4: key 'tau' is already set on line 1"
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 4: key 'tau'"):
+        load_config(path)
+
+
 def test_load_config_layering(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("tau = 0.2\nseed = 5\n", encoding="utf-8")

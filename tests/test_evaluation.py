@@ -20,8 +20,9 @@ from loandetect.evaluation import (
     stratified_sample,
 )
 from loandetect.refiner import detect_wordlist
+from loandetect.wordlist import load_wordlist, write_wordlist
 
-from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
+from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR, POS_DONOR_GRAMMAR, POS_NATIVE_GRAMMAR
 
 
 def counts_report(tp, fp, tn, fn):
@@ -122,6 +123,55 @@ def test_integration_outside_unit_interval_refused(integration):
         with pytest.raises(InvalidGrammarError) as err:
             generate(NATIVE_GRAMMAR, DONOR_GRAMMAR, 5, 5, seed=2, integration=integration)
         assert str(err.value) == f"integration must be in [0, 1], got {integration!r}"
+
+
+@pytest.mark.parametrize("n_native, n_loans", [(0, 5), (5, 0), (-1, 1)])
+def test_too_few_words_refused(n_native, n_loans):
+    for generate in (generate_synthetic, generate_synthetic_multilingual):
+        with pytest.raises(InvalidGrammarError) as err:
+            generate(NATIVE_GRAMMAR, DONOR_GRAMMAR, n_native, n_loans, seed=2)
+        assert str(err.value) == "need at least one native and one loan"
+
+
+# symbols whose written word reads back as other tokens: (grammar fields,
+# the word, its symbols, what it loads back as), as the message shows them
+READ_BACK_CASES = [
+    (dict(consonants=("t͡ʃk",)), "'t͡ʃka'", "('t͡ʃk', 'a')", "('t͡ʃ', 'k', 'a')"),
+    (dict(vowels=("a\u0303",)), r"'pa\u0303'", r"('p', 'a\u0303')", r"('p', '\xe3')"),
+    (dict(vowels=("ʰ",)), "'pʰ'", "('p', 'ʰ')", "('pʰ',)"),
+    (dict(consonants=("t͡",), vowels=("s",)), "'t͡s'", "('t͡', 's')", "('t͡s',)"),
+    (dict(consonants=("ː",), templates=("VC",)), "'aː'", "('a', 'ː')", "('a',)"),
+    (dict(vowels=("a.",)), "'pa.'", "('p', 'a.')", "('p', 'a')"),
+    (dict(consonants=("ː",), vowels=("ˈ",)), "'ːˈ'", "('ː', 'ˈ')", "()"),
+]
+
+
+@pytest.mark.parametrize("fields, word, symbols, read", READ_BACK_CASES)
+@pytest.mark.parametrize("generate", [generate_synthetic, generate_synthetic_multilingual])
+@pytest.mark.parametrize("role", ["native", "donor"])
+def test_word_that_loads_back_otherwise_is_refused(role, generate, fields, word, symbols, read):
+    bad = Grammar(**{"language": "bad", "consonants": ("p",), "vowels": ("a",),
+                     "templates": ("CV",), "max_syllables": 1, **fields})
+    grammars = (bad, DONOR_GRAMMAR) if role == "native" else (NATIVE_GRAMMAR, bad)
+    with pytest.raises(InvalidGrammarError) as err:
+        generate(*grammars, 1, 1, seed=1)
+    assert str(err.value) == (
+        f"grammar 'bad' writes the word {word} of symbols {symbols}, which loads back as {read}"
+    )
+
+
+@pytest.mark.parametrize("grammars", [
+    (NATIVE_GRAMMAR, DONOR_GRAMMAR),
+    (POS_NATIVE_GRAMMAR, POS_DONOR_GRAMMAR),
+    (POS_DONOR_GRAMMAR, POS_NATIVE_GRAMMAR),
+], ids=["fixture", "pos", "pos-swapped"])
+@pytest.mark.parametrize("integration", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("generate", [generate_synthetic, generate_synthetic_multilingual])
+def test_generated_wordlist_loads_back_as_itself(generate, integration, grammars, tmp_path):
+    vocab = generate(*grammars, 40, 15, seed=3, integration=integration)
+    path = tmp_path / "words.tsv"
+    write_wordlist(vocab, path)
+    assert load_wordlist(path).entries == vocab.entries
 
 
 def test_generate_multilingual_concept_alignment():

@@ -18,7 +18,10 @@ probabilities.
 ``TABLES`` pins every other file the commands write, on the same two
 corpora: the ``eval`` table of the ``detect-xl`` report, the ``ablate``
 and ``experiment`` tables of the ``detect`` corpus, and the wordlists
-``synth`` writes from the same two grammars.
+``synth`` writes from the same two grammars. Those grammars have one POS
+and no transitions, so ``SYNTH_POS`` pins ``synth`` and ``synth
+--multilingual`` on a pair whose POS choices and weights differ and whose
+draws follow transition rows.
 """
 
 import hashlib
@@ -32,7 +35,7 @@ from loandetect.cli import main
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.wordlist import write_wordlist
 
-from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
+from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR, POS_DONOR_GRAMMAR, POS_NATIVE_GRAMMAR
 
 DETECT = {  # mode: (report, trace)
     "aug": (
@@ -87,6 +90,10 @@ TABLES = {
     "experiment": "3697fc65710a6a774caa77023d2843608748938f666294bbe038b7be126e63a8",
     "synth": "6ef4b365f65e70f84d35f3d5e8fb47d1ece5303deb5af2c22174e10aa766ef04",
     "synth_multilingual": "1ba073d449ed03479c2b248664dd9940f18347b1394c56af79f0b554a7479076",
+}
+SYNTH_POS = {  # synth --integration 0.5 from grammars with POS weights and transitions
+    "synth": "fe00cf03a32e5d6737a30315e700284f14d158650ba78b4675b4807ec982f479",
+    "synth_multilingual": "2214e978e9bea6b7be5081b8717b0125f89940e28f7079890e04fb876bf6c576",
 }
 
 
@@ -204,3 +211,17 @@ def test_tables_and_synthetic_wordlists_are_pinned(tmp_path):
     assert main(synth + ["--output", str(tables["synth"])]) == 0
     assert main(synth + ["--multilingual", "--output", str(tables["synth_multilingual"])]) == 0
     assert {name: sha256(path) for name, path in tables.items()} == TABLES
+
+
+def test_synth_pos_and_transition_draws_are_pinned(tmp_path):
+    grammars = []
+    for grammar in (POS_NATIVE_GRAMMAR, POS_DONOR_GRAMMAR):
+        grammars.append(tmp_path / f"{grammar.language}.json")
+        grammars[-1].write_text(json.dumps(asdict(grammar)), encoding="utf-8")
+    out = {name: tmp_path / f"{name}.tsv" for name in SYNTH_POS}
+    synth = ["synth", "--native-grammar", str(grammars[0]), "--donor-grammar",
+             str(grammars[1]), "--seed", "5", "--n-native", "60", "--n-loans", "30",
+             "--integration", "0.5"]
+    assert main(synth + ["--output", str(out["synth"])]) == 0
+    assert main(synth + ["--multilingual", "--output", str(out["synth_multilingual"])]) == 0
+    assert {name: sha256(path) for name, path in out.items()} == SYNTH_POS
