@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: detect, detect-xl, eval, ablate, experiment, synth. Each
-accepts only the flags it reads (wordlist input, configuration, and
-``--trace`` on ``detect``); any other flag is a usage error.
-Configuration resolves defaults -> --config file -> CLI flags;
-``--mode``, ``--model`` and ``--seed`` set the ``RunConfig`` keys of the
-same name and ``--set`` any key. The fully resolved configuration is
-echoed into every report header, and ``--print-config`` dumps the same
-keys in config-file format and exits; ``main`` resolves the
-configuration once and hands it to the subcommand. Before it reads its
+accepts only the flags it reads (wordlist input, configuration, ``--seed``
+on ``experiment`` and ``synth``, ``--trace`` on ``detect``); any other flag
+is a usage error. Configuration resolves defaults -> --config file -> CLI
+flags; ``--mode`` and ``--model`` (``detect`` only) set the ``RunConfig``
+keys of the same name and ``--set`` any key, each key once. The fully
+resolved configuration is echoed into every report header, and
+``--print-config`` dumps the same keys in config-file format and exits;
+``main`` resolves the configuration once and hands it to the subcommand
+(``eval`` and ``synth`` read none of it). Before it reads its
 input, each subcommand refuses a path it would write that names no file
 (as ``""`` and ``.`` do), that is a directory, that it also reads (the
 input, the config file, the grammars) or that it writes twice (the
@@ -68,16 +69,10 @@ def _add_wordlist_input(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_config(
-    parser: argparse.ArgumentParser, *, mode: bool = True, model: bool = True,
-    need_seed: bool = False,
-) -> None:
+def _add_config(parser: argparse.ArgumentParser, *, mode: bool = True) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     if mode:
         parser.add_argument("--mode", choices=MODES, help="feature mode override")
-    if model:
-        parser.add_argument("--model", choices=MODELS, help="detection model override")
-    parser.add_argument("--seed", type=int, required=need_seed, help="random seed")
     parser.add_argument(
         "--print-config",
         action="store_true",
@@ -93,16 +88,19 @@ def _add_config(
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    overrides: dict[str, object] = {}
+    given: list[tuple[str, object]] = []
     for item in getattr(args, "set", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    for key in ("mode", "model", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+        given.append((key.strip(), value.strip()))
+    given += [(key, getattr(args, key)) for key in ("mode", "model")
+              if getattr(args, key, None) is not None]
+    overrides: dict[str, object] = {}
+    for key, value in given:
+        if key in overrides:
+            raise ConfigError(f"config key {key!r} is given twice on the command line")
+        overrides[key] = value
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -258,7 +256,7 @@ def cmd_experiment(args: argparse.Namespace, cfg: RunConfig) -> int:
         proportions = [float(p) for p in args.proportions.split(",")]
     except ValueError:
         raise ConfigError(f"--proportions expects numbers, got {args.proportions!r}") from None
-    rows = run_proportion_experiment(vocab, cfg, proportions, seed=cfg.seed)
+    rows = run_proportion_experiment(vocab, cfg, proportions, seed=args.seed)
     header = ["proportion", "precision", "recall", "f1"]
     write_table(output, header, [(f"{p:.4f}", r.precision, r.recall, r.f1) for p, r in rows])
     for proportion, report in rows:
@@ -275,7 +273,7 @@ def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     native = load_grammar(args.native_grammar)
     donor = load_grammar(args.donor_grammar)
     generate = generate_synthetic_multilingual if args.multilingual else generate_synthetic
-    vocab = generate(native, donor, args.n_native, args.n_loans, cfg.seed, args.integration)
+    vocab = generate(native, donor, args.n_native, args.n_loans, args.seed, args.integration)
     write_wordlist(vocab, output)
     log.info("wrote %s (%d entries)", output, len(vocab))
     return EXIT_OK
@@ -300,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "detect", cmd_detect, "basic monolingual detection")
     _add_wordlist_input(p)
     _add_config(p)
+    p.add_argument("--model", choices=MODELS, help="detection model override")
     p.add_argument("--trace", help="write per-iteration trace TSV here")
 
     p = _command(sub, "detect-xl", cmd_detect_xl, "cross-linguistically scaled detection")
@@ -315,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "experiment", cmd_experiment, "F1 as a function of data proportion")
     _add_wordlist_input(p)
-    _add_config(p, need_seed=True)
+    _add_config(p)
+    p.add_argument("--seed", type=int, required=True, help="random seed of the subsamples")
     p.add_argument(
         "--proportions",
         default="0.2,0.4,0.6,0.8,1.0",
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = _command(sub, "synth", cmd_synth, "generate a gold-labeled synthetic wordlist")
-    _add_config(p, mode=False, model=False, need_seed=True)
+    p.add_argument("--seed", type=int, required=True, help="random seed of the generator")
     p.add_argument("--native-grammar", required=True, help="JSON grammar file")
     p.add_argument("--donor-grammar", required=True, help="JSON grammar file")
     p.add_argument("--n-native", type=int, default=40)

@@ -81,7 +81,6 @@ class RunConfig:
 
     mode: str = "full"
     model: str = "autbor"
-    seed: int = 0
 
     # feature extraction
     ngram_min: int = 2

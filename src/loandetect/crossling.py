@@ -263,7 +263,7 @@ def comparability(
     if k < 2:
         raise ValueError("comparability needs at least two words in the concept")
     logp = model.logp
-    # each word's divergences in the other words' index order: sum() adds in that order
+    # each word's divergences; fsum rounds their exact sum once, in any row order
     divs: list[list[float]] = [[] for _ in range(k)]
     for i, row in enumerate(concept_rows):
         for j, (d_feat, ids) in enumerate(row, start=i + 1):
@@ -271,7 +271,7 @@ def comparability(
             d = lam * d_feat - (1.0 - lam) * total / len(ids)
             divs[i].append(d)
             divs[j].append(d)
-    raws = [sum(d) / (k - 1) for d in divs]
+    raws = [math.fsum(d) / (k - 1) for d in divs]
     lo, hi = min(raws), max(raws)
     if hi - lo == 0:
         return [0.0] * len(raws)

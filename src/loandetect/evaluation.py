@@ -432,7 +432,9 @@ def generate_synthetic_multilingual(
     recipient word is the donor word itself (optionally integrated), so
     the pair stays cross-linguistically similar; for native concepts the
     two languages' words are sampled independently. Only recipient-side
-    copies of donor words are labeled as loans.
+    copies of donor words are labeled as loans. Neither language holds one
+    word twice: a loan whose integrated and donor forms are both recipient
+    words already is drawn again.
     """
     _check_request(n_native, n_loans, integration)
     recipient, donor = recipient_grammar.language, donor_grammar.language
@@ -442,18 +444,33 @@ def generate_synthetic_multilingual(
     taken_a: set[tuple[str, ...]] = set()
     taken_b: set[tuple[str, ...]] = set()
     native_symbols = recipient_grammar.inventory_symbols()
+    needs = {recipient: n_native, donor: n_native + n_loans}
     entries: list[LexicalEntry] = []
+
+    def draw(grammar: Grammar, taken: set[tuple[str, ...]], concept: str) -> tuple[str, ...]:
+        try:
+            return _sample_unique(grammar, 1, rng, taken)[0]
+        except InvalidGrammarError:
+            raise InvalidGrammarError(
+                f"grammar {grammar.language!r} cannot produce the "
+                f"{needs[grammar.language]} distinct words the request needs: "
+                f"it ran out at concept {concept}"
+            ) from None
+
     for c in range(n_native + n_loans):
         concept = f"c{c:04d}"
         if c < n_native:
-            a = _sample_unique(recipient_grammar, 1, rng, taken_a)[0]
-            b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
+            a = draw(recipient_grammar, taken_a, concept)
+            b = draw(donor_grammar, taken_b, concept)
             entries.append(_entry(a, recipient, recipient_grammar, 0, rng, concept))
         else:
-            b = _sample_unique(donor_grammar, 1, rng, taken_b)[0]
-            borrowed = integrate_word(b, native_symbols, integration, rng)
-            if borrowed in taken_a:
-                borrowed = b  # collision after integration: keep the donor form
+            borrowed = None
+            while borrowed is None:
+                b = draw(donor_grammar, taken_b, concept)
+                integrated = integrate_word(b, native_symbols, integration, rng)
+                # the integrated form or, if the recipient holds it, the donor form;
+                # if the recipient holds both, b stays taken and another is drawn
+                borrowed = next((w for w in (integrated, b) if w not in taken_a), None)
             taken_a.add(borrowed)
             entries.append(_entry(borrowed, recipient, donor_grammar, 1, rng, concept))
         entries.append(_entry(b, donor, donor_grammar, 0, rng, concept))

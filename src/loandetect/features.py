@@ -55,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ipa import cv_pattern
@@ -331,12 +332,12 @@ def build_statistics(
         c / out_count[a] if c else 0.0 for (a, _), c in zip(group.transitions, trans_counts)
     ]
 
-    mean = sum(lengths) / len(lengths)
-    if len(lengths) < 2:
-        std = 1.0
-    else:
-        var = sum((x - mean) ** 2 for x in lengths) / len(lengths)
-        std = math.sqrt(var) if var > 0 else 1.0
+    n, total = len(lengths), sum(lengths)
+    mean = total / n
+    # the population variance, formed exactly over the int lengths before one
+    # rounding division, so the order of the rows changes no bit; one word gives 0
+    var = (n * sum(map(mul, lengths, lengths)) - total * total) / (n * n)
+    std = math.sqrt(var) if var > 0 else 1.0
 
     return VocabStatistics(
         group=group,

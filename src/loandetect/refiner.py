@@ -166,7 +166,9 @@ def check_convergence(
 ) -> bool:
     """True when the loan set changed by less than ``fraction`` of its size.
 
-    The size floor is one word, so identical sets always converge.
+    The size floor is one word, so at any ``fraction`` above 0 identical
+    sets converge. At ``fraction`` 0 nothing converges, identical sets
+    included, and the loop runs every pass.
     """
     delta = len(set(prev).symmetric_difference(curr))
     return delta < fraction * max(1, len(prev))

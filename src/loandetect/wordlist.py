@@ -90,9 +90,11 @@ class LexicalEntry:
     The package's one set of row rules, checked in this order; the first
     one broken raises a ``WordlistError``: 1. a language that is not blank;
     2. no tab, CR or LF in the orthography, language, concept or an IPA
-    token; 3. some IPA (``EmptyTranscriptionError``); 4. neither token the
-    aligner reserves (the gap symbol, the empty token); 5. a POS of
-    ``POS_CATEGORIES`` (``UnknownPOSError``); 6. a label of None, int 0 or 1.
+    token; 3. no leading or trailing whitespace in the orthography,
+    language or concept, which the loader would strip; 4. some IPA
+    (``EmptyTranscriptionError``); 5. neither token the aligner reserves
+    (the gap symbol, the empty token); 6. a POS of ``POS_CATEGORIES``
+    (``UnknownPOSError``); 7. a label of None, int 0 or 1.
     """
 
     orthography: str
@@ -110,6 +112,12 @@ class LexicalEntry:
         if "\t" in joined or "\n" in joined or "\r" in joined:  # faster than a set test
             broken = [name for name, t in zip(_TEXT_FIELDS, text) if not _BREAKS.isdisjoint(t)]
             raise WordlistError(f"tab or line break in {', '.join(broken)}")
+        orthography, language, concept = text[:3]
+        # three comparisons: a loop over the fields costs more on every loaded row
+        if (orthography != orthography.strip() or language != language.strip()
+                or concept != concept.strip()):
+            padded = [name for name, t in zip(_TEXT_FIELDS, text[:3]) if t != t.strip()]
+            raise WordlistError(f"leading or trailing whitespace in {', '.join(padded)}")
         if not self.ipa:
             raise EmptyTranscriptionError(
                 f"entry {self.orthography!r} has an empty IPA transcription"

@@ -116,12 +116,14 @@ def bf_transition_probs(words):
 
 
 def bf_length_stats(words):
+    """Mean and population standard deviation of the lengths; the variance is
+    exact before it is rounded, so the words' order changes no bit."""
     lengths = [len(w) for w in words]
-    mean = sum(lengths) / len(lengths)
+    mean = Fraction(sum(lengths), len(lengths))
     if len(lengths) < 2:
-        return mean, 1.0
-    var = sum((x - mean) ** 2 for x in lengths) / len(lengths)
-    return mean, math.sqrt(var) if var > 0 else 1.0
+        return float(mean), 1.0
+    var = float(sum((x - mean) ** 2 for x in lengths) / len(lengths))
+    return float(mean), math.sqrt(var) if var > 0 else 1.0
 
 
 def bf_word_ngrams(word, nmin=2, nmax=10):
@@ -462,7 +464,10 @@ def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5):
     for i in range(k):
         for j in range(i + 1, k):
             div[i][j] = div[j][i] = bf_divergence(words[i], words[j], model, lam, gap_penalty)
-    raws = [sum(div[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)]
+    # each word's divergences summed exactly, then rounded once
+    raws = [
+        float(sum(Fraction(div[i][j]) for j in range(k) if j != i)) / (k - 1) for i in range(k)
+    ]
     lo, hi = min(raws), max(raws)
     if hi - lo == 0:
         return [0.0] * len(raws)

@@ -415,10 +415,10 @@ def test_acceptance_8_byte_identical_outputs(tmp_path):
 
     commands = {
         "detect": lambda out: [
-            "detect", "--input", str(vocab_path), "--output", out, "--seed", "1",
+            "detect", "--input", str(vocab_path), "--output", out,
         ],
         "detect-xl": lambda out: [
-            "detect-xl", "--input", str(multi_path), "--output", out, "--seed", "1",
+            "detect-xl", "--input", str(multi_path), "--output", out,
         ],
         "eval": lambda out: [
             "eval", "--input", str(report_path), "--output", out,

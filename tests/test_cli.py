@@ -517,6 +517,11 @@ def _bad_inputs(tmp_path, vocab_file):
         unusable.append((f"grammar with a {name} that loads back otherwise",
                          ["synth", "--native-grammar", str(path), "--donor-grammar",
                           str(donor), "--seed", "1", "--output", out]))
+    padded = tmp_path / "padded_language.json"
+    padded.write_text(json.dumps({**grammar, "language": " reca"}), encoding="utf-8")
+    unusable.append(("grammar language with outer whitespace",
+                     ["synth", "--native-grammar", str(padded), "--donor-grammar", str(donor),
+                      "--seed", "1", "--output", out]))
     repeated = tmp_path / "repeated.cfg"
     repeated.write_text("tau = 0.4\ntau = 0.2\n", encoding="utf-8")
     folder = tmp_path / "folder"
@@ -528,6 +533,9 @@ def _bad_inputs(tmp_path, vocab_file):
         ("wordlist without entries", ["detect", "--input", str(header_only), "--output", out]),
         ("pos weight above 1", detect + ["--set", "pos_weight_noun=2"]),
         ("config key set twice", detect + ["--config", str(repeated)]),
+        ("config key given twice", detect + ["--set", "tau=0.2", "--set", "tau=0.25"]),
+        ("config key given by --set and a flag", detect + ["--set", "mode=aug", "--mode", "full"]),
+        ("seed config key", detect + ["--set", "seed=1"]),
         ("mode weights all zero", detect + ["--mode", "no_ngram", "--set", "weight_len_z=0",
                                             "--set", "weight_rare_transition_score=0",
                                             "--set", "weight_trans_entropy=0",
@@ -709,10 +717,43 @@ def test_fallback_warning_logged_once(vocab_file, tmp_path, caplog):
 def test_autbor_only_commands_reject_uns(command, vocab_file, multi_file, tmp_path, capsys):
     # these commands run the iterative detector whatever the model key says
     argv = _accepted_argv(command, tmp_path, vocab_file, multi_file)
-    assert main(argv + ["--model", "uns"]) == 1
+    assert main(argv + ["--model", "uns"]) == 1  # a flag only detect has
+    capsys.readouterr()
+    assert main(argv + ["--set", "model=uns"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and command in err
-    assert main(argv + ["--set", "model=uns"]) == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "detect-xl", "ablate", "experiment"])
+def test_seed_is_no_config_key(command, vocab_file, multi_file, tmp_path, capsys):
+    argv = _accepted_argv(command, tmp_path, vocab_file, multi_file)
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = 1\n", encoding="utf-8")
+    for extra in (["--set", "seed=1"], ["--config", str(config)]):
+        assert main(argv + extra) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'seed'\n"
+
+
+@pytest.mark.parametrize("given, key", [
+    (["--set", "tau=0.2", "--set", "tau=0.25"], "tau"),
+    (["--set", "tau=0.2", "--set", "tau=0.2"], "tau"),
+    (["--set", "mode=aug", "--mode", "full"], "mode"),
+    (["--mode", "aug", "--set", "mode=aug"], "mode"),
+    (["--set", "model=uns", "--model", "autbor"], "model"),
+])
+def test_key_given_twice_on_the_command_line_rejected(given, key, vocab_file, tmp_path, capsys):
+    report = tmp_path / "r.tsv"
+    argv = ["detect", "--input", str(vocab_file), "--output", str(report)]
+    assert main(argv + given) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config key {key!r} is given twice on the command line\n"
+    assert not report.exists()
+    # a flag over a config-file value is precedence, not a repeat
+    config = tmp_path / "run.cfg"
+    config.write_text("tau = 0.4\nmode = aug\n", encoding="utf-8")
+    assert main(argv + ["--config", str(config), "--set", "tau=0.25", "--mode", "full"]) == 0
+    header = [line for line in report.read_text(encoding="utf-8").splitlines() if line[:1] == "#"]
+    assert "# tau = 0.25" in header and "# mode = full" in header
 
 
 def _accepted_argv(command, tmp_path, vocab_file, multi_file):
@@ -757,6 +798,15 @@ def _accepted_argv(command, tmp_path, vocab_file, multi_file):
         ("eval", ["--model", "autbor"]),
         ("eval", ["--seed", "1"]),
         ("eval", ["--print-config"]),
+        ("detect", ["--seed", "1"]),
+        ("detect-xl", ["--seed", "1"]),
+        ("ablate", ["--seed", "1"]),
+        ("detect-xl", ["--model", "autbor"]),
+        ("ablate", ["--model", "autbor"]),
+        ("experiment", ["--model", "autbor"]),
+        ("synth", ["--config", "CONFIG"]),
+        ("synth", ["--set", "tau=0.2"]),
+        ("synth", ["--print-config"]),
     ],
 )
 def test_unread_flag_rejected(command, flag, vocab_file, multi_file, tmp_path, capsys):

@@ -288,20 +288,20 @@ def test_key_set_twice_rejected(tmp_path):
 
 def test_load_config_layering(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("tau = 0.2\nseed = 5\n", encoding="utf-8")
-    cfg = load_config(path, {"seed": 9})
+    path.write_text("tau = 0.2\ngamma = 5\n", encoding="utf-8")
+    cfg = load_config(path, {"gamma": 9})
     assert cfg.tau == 0.2  # file beats default
-    assert cfg.seed == 9  # override beats file
+    assert cfg.gamma == 9.0  # override beats file
     with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "missing.cfg")
 
 
 def test_load_config_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("\ufefftau = 0.4\nseed = 5\n", encoding="utf-8")
+    path.write_text("\ufefftau = 0.4\ngamma = 5\n", encoding="utf-8")
     cfg = load_config(path)
-    assert (cfg.tau, cfg.seed) == (0.4, 5)
+    assert (cfg.tau, cfg.gamma) == (0.4, 5.0)
     # a BOM anywhere but the start is still no key
-    path.write_text("seed = 5\n\ufefftau = 0.4\n", encoding="utf-8")
+    path.write_text("gamma = 5\n\ufefftau = 0.4\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(repr("\ufefftau"))):
         load_config(path)

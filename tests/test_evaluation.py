@@ -188,6 +188,31 @@ def test_generate_multilingual_concept_alignment():
     assert sum(e.gold_label for e in wl if e.language == "reca") == 3
 
 
+def test_multilingual_recipient_never_holds_one_word_twice():
+    # one inventory and 20 words in all, so a loan often is a recipient word already
+    tiny = dict(consonants=("p", "t"), vowels=("a", "i"), templates=("CV",), max_syllables=2)
+    recipient, donor = Grammar(language="reca", **tiny), Grammar(language="donb", **tiny)
+    for seed in range(20):
+        vocab = generate_synthetic_multilingual(recipient, donor, 6, 6, seed)
+        for language in ("reca", "donb"):
+            words = [e.ipa for e in vocab if e.language == language]
+            assert len(words) == len(set(words)) == 12, (seed, language)
+
+
+@pytest.mark.parametrize("role, need, concept", [("native", 5, "c0002"), ("donor", 6, "c0002")])
+def test_multilingual_too_few_words_names_the_request(role, need, concept):
+    # two words (pa, pi) are all this grammar can produce
+    small = Grammar(language="small", consonants=("p",), vowels=("a", "i"), templates=("CV",),
+                    max_syllables=1)
+    grammars = (small, DONOR_GRAMMAR) if role == "native" else (NATIVE_GRAMMAR, small)
+    with pytest.raises(InvalidGrammarError) as err:
+        generate_synthetic_multilingual(*grammars, 5, 1, seed=0)
+    assert str(err.value) == (
+        f"grammar 'small' cannot produce the {need} distinct words the request needs: "
+        f"it ran out at concept {concept}"
+    )
+
+
 def test_grammar_validation():
     with pytest.raises(InvalidGrammarError):
         Grammar(language="x", consonants=(), vowels=("a",))

@@ -105,7 +105,6 @@ def accepted_configs(draw):
     composite_w1 = draw(positive(FLOAT_MAX))
     fields = dict(
         mode=mode,
-        seed=draw(st.integers(0, 2**31)),
         ngram_min=ngram_min,
         ngram_max=draw(st.integers(ngram_min, ngram_min + 8)),
         rare_ngram_eps1=ngram_eps[0],

@@ -39,50 +39,50 @@ from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR, POS_DONOR_GRAMMAR, POS_NATIV
 
 DETECT = {  # mode: (report, trace)
     "aug": (
-        "866bb3ace86ac4d765d8be6a8968a13a8a4debff14a83be0ada43d16c0452383",
+        "12010ac922d8b4b6fbff44a6e186f64a310bbaf8afc81451b4bd937393fa2517",
         "4d20d4984b391712cbab671d1b4d7da3afdf461d116e5b6739b2d031387fce72",
     ),
     "full": (
-        "aae872b5fefc3e79ba4a7ca637eac5764b875530938cfbd62ca54d7b241a2c97",
+        "9d8955d5501d78f44ac42aaded4bc5ba1aff89bc912d4367bd63ef95e6941e20",
         "80d1ea4ab7ddc48b901c885fdcbb2e5d92807f6dc982500d8393180c5f784bea",
     ),
     "no_ngram": (
-        "f1dcc07f9635b10e6678bacde135f581a456af91e6bf196602835dae6075cf48",
+        "cf0d06c9b3e8b52dbbe5ea12f328ff4d0c2580088050f8c5771d661ebefc20a0",
         "e17e7e6845cfbad24bf8f799e48c48b2da6c2225f3f3e4fa91bc050936878f33",
     ),
     "no_transition": (
-        "c28271a15c917181088c270096e63416b150c26f600c64158284d59d0915d1b7",
+        "d65404034febb718a0dec5a106e370de5234d998e3570f69283845eb745333b8",
         "20cf879995e30328cf2d9ff9b6fe8892bdf41864e1c265fc80d79acdffcc440d",
     ),
 }
 NGRAM_RANGES = {  # --set overrides: (report, trace), in mode full
     ("ngram_min=1",): (
-        "ee5a22264707bfb6f6c7ec4a3c8ed928eb0cb7fefdc048368902742ba3330edc",
+        "8e6a63b86a6a51441c14a1a298113f740396122ffd57e8ed370086d730924863",
         "005eec459c7ac1ef1d77f2179a2d1635d9a940aa5d1abed70e96d1a7af7a22fd",
     ),
     ("ngram_min=3", "ngram_max=4"): (
-        "ab4e70807f8fd8ef6d87794b2fa435e0998def32e37b60bcc101417f6dbcc6db",
+        "f2a992900f7838abd9b15fada8991487ea876d4b0dbc1bbe9ceca6bc9f9f227a",
         "fb2eed6421a8549a112243779917e3ef43e7a9623052ee4490273fea1fbf9374",
     ),
     # past the corpus's longest word (12 symbols); the second range holds no n-gram
     ("ngram_max=1000",): (
-        "157390dc12a91d9b256d83ebfe52a184cfb6620e395fbb249c67488af50b86a9",
+        "c9baf12672a96a3a889ce5fa12f58d40eb63beb92ec0713a7dc85af7d562ec32",
         "cfede7499956efe7a7de694a73c8a4146ef988147c1661bc4faca70cf134d871",
     ),
     ("ngram_min=13", "ngram_max=20"): (
-        "7d8858f8d8ca2a800c35a69b6ca94f4364af60c00a0b3d442cb427a68e83e429",
+        "c55b931d10c93f8a19dd0bab77a9a8a23bab729b1afee4b2b913080ae20e3dc1",
         "012735a29cfa9f6e42cfcd9adfd23c55ddbcf3782f4b264215a4ffd02b16e488",
     ),
 }
-DETECT_XL = "b10e9ddd18633a2999fc89a206177b99bd45ce8a324682f835798039c67d9d69"
+DETECT_XL = "fc77842c29ea1b1209ec90021503cd55c855ede5e2545fa7322dcb26b18bdec3"
 GAP_PENALTIES = {  # --set gap_penalty: detect-xl report
-    "0.3": "0f6635fe7dbe2e7d6b03b11329aaad9eb09229fff194f7aaf5932447c7e7ce1c",
-    "1.0": "53bd7deb130b00ea4e5fbedcb3cc4e152147b3fa024c357df08a20e801e717ff",
+    "0.3": "7c1f7b252bafb9f546a3e21156359f8b0f24896efb070ee2df25bba91cc9e568",
+    "1.0": "ab71bcbc59a39ff269c032cc4317a2d20d51e6689d0b778d5b23346149a4e162",
 }
 REPEATING = {
-    "report": "303239a3a0367267f7940929fac79252b8e7dc1266521ae1397d3a4ad9fa6aeb",
+    "report": "81ca9abc615844d68b0050d9aae0927eaded58d1fb85a05eed005ed55161554a",
     "trace": "bbb5bf33330568926dd5d4c96c6c4ecd860add88e556204bed582aa3485f26d3",
-    "scaled": "f7a7597fc0f4a8abec0be75692a38ae820e462fd3a5a0d4f1f44749cdffcceba",
+    "scaled": "08ab120bbe33381725b675644831b7e5dd26a5e9d803b66ab235bdb2c6475d51",
 }
 TABLES = {
     "eval": "701bc98785efd1a05d75e3fe21b601b28010ed6d67530028e5720f3f90b7cf90",

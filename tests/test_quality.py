@@ -11,16 +11,11 @@ them. Run with ``-s`` to print
 the numbers.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from loandetect import RunConfig, detect_scaled, detect_wordlist, load_wordlist
 from loandetect.evaluation import evaluate
 
-CORPUS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 SCALE = 0.25
 F1_FLOOR = {  # (workload, seed): F1 of the default configuration, rounded down
     ("mono", 1): 0.410094,
@@ -30,18 +25,6 @@ F1_FLOOR = {  # (workload, seed): F1 of the default configuration, rounded down
     ("xl", 2): 0.203389,
     ("xl", 3): 0.267326,
 }
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 def rank_auc(scores, gold):

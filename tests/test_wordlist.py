@@ -290,6 +290,20 @@ def test_entry_refuses_tab_or_line_break(field, brk):
     assert str(err.value) == f"tab or line break in {field}"
 
 
+@pytest.mark.parametrize("pad", [" {}", "{}\u00a0", "\u3000{} "])
+@pytest.mark.parametrize("field", ["orthography", "language", "concept"])
+def test_entry_refuses_outer_whitespace(field, pad):
+    # the loader strips every cell, so such an entry would load back as another
+    text = dict(orthography="pa", language="en", concept="c1")
+    text[field] = pad.format("x y")
+    with pytest.raises(WordlistError) as err:
+        LexicalEntry(text["orthography"], ("p", "a"), text["language"], "noun",
+                     None, text["concept"])
+    assert str(err.value) == f"leading or trailing whitespace in {field}"
+    text[field] = "x y"  # inner whitespace is kept as it is
+    LexicalEntry(text["orthography"], ("p", "a"), text["language"], "noun", None, text["concept"])
+
+
 @pytest.mark.parametrize("grammar, broken", [
     ({"language": "re\tca", "consonants": ["p", "t"], "vowels": ["a"]}, "language"),
     ({"language": "reca", "consonants": ["p", "t\nx"], "vowels": ["a"]}, "orthography, IPA"),
@@ -302,6 +316,18 @@ def test_synth_writes_no_row_its_loader_refuses(grammar, broken, tmp_path, capsy
             "--seed", "1", "--output", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: tab or line break in {broken}\n"
+    assert not out.exists()
+
+
+def test_synth_refuses_a_language_the_loader_would_strip(tmp_path, capsys):
+    path = tmp_path / "grammar.json"
+    grammar = {"language": " reca", "consonants": ["p", "t"], "vowels": ["a", "i"]}
+    path.write_text(json.dumps(grammar), encoding="utf-8")
+    out = tmp_path / "fixture.tsv"
+    argv = ["synth", "--native-grammar", str(path), "--donor-grammar", str(path),
+            "--seed", "1", "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: leading or trailing whitespace in language\n"
     assert not out.exists()
 
 
