@@ -41,13 +41,10 @@ for concept, forms in LOANS.items():
         entries.append(LexicalEntry(w, normalize_ipa(w), lang, "noun", 1, concept))
 vocab = Wordlist(entries)
 
-# Two of the exposed empirical knobs are adjusted for this miniature
-# corpus: the alignment-probability term of the divergence is noisy with
-# so few attested contexts, so feature distance is weighted up
-# (divergence_lambda), and the threshold base is lowered so that strong
-# cross-linguistic agreement can rescue loans the monolingual model
-# scored timidly (threshold_alpha).
-cfg = RunConfig(divergence_lambda=0.9, threshold_alpha=0.35)
+# One of the exposed empirical knobs is adjusted for this miniature corpus:
+# the threshold base is lowered so that strong cross-linguistic agreement
+# can rescue loans the monolingual model scored timidly (threshold_alpha).
+cfg = RunConfig(threshold_alpha=0.35)
 result = detect_scaled(vocab, cfg)
 
 print(f"{'concept':<8} {'lang':<5} {'word':<7} {'B':>6} {'C':>6} {'S':>6} "

@@ -18,10 +18,9 @@ requires a weight for every feature of the mode and for every POS
 category, so the pipeline never meets a missing, misspelt or non-finite
 constant. It also keeps every probability, composite and threshold in
 [0, 1]: polarities are -1 or 1, the core-feature weights sum above 0,
-``threshold_beta`` is bounded by ``threshold_alpha``, the two composite
-weights have a finite sum and ``context_smoothing`` is bounded so the
-context model's denominators stay finite. The mapping fields are
-read-only views, so a validated config stays valid.
+``threshold_beta`` is bounded by ``threshold_alpha`` and the two
+composite weights have a finite sum. The mapping fields are read-only
+views, so a validated config stays valid.
 """
 
 from __future__ import annotations
@@ -63,12 +62,10 @@ _MAP_PREFIXES = {
 }
 _PREFIX_OF = {attr: prefix for prefix, attr in _MAP_PREFIXES.items()}
 
-# Fewer than 2**31 terms of at most this size sum to a finite float. The
-# context model's denominator is marginal + smoothing * k, with k (the
-# distinct symbol pairs) and the marginal held in 32-bit ints; a word's
-# rarity total adds one term of at most rare_*_c1 or rare_*_c2 per n-gram
-# or transition, and a word has fewer than 2**31 of them.
-MAX_CONTEXT_SMOOTHING = MAX_RARITY_C = sys.float_info.max / 2**31
+# Fewer than 2**31 terms of at most this size sum to a finite float: a
+# word's rarity total adds one term of at most rare_*_c1 or rare_*_c2 per
+# n-gram or transition, and a word has fewer than 2**31 of them.
+MAX_RARITY_C = sys.float_info.max / 2**31
 
 
 class ConfigError(ValueError):
@@ -121,12 +118,10 @@ class RunConfig:
 
     # cross-linguistic scaling
     gap_penalty: float = 0.5
-    divergence_lambda: float = 0.5
     composite_w1: float = 1.0
     composite_w2: float = 1.0
     threshold_alpha: float = 0.5
     threshold_beta: float = 0.2
-    context_smoothing: float = 0.1
 
     # baseline
     baseline_threshold: float = 0.5
@@ -186,16 +181,12 @@ class RunConfig:
             raise ConfigError("rare_ngram_eps1 must be below rare_ngram_eps2")
         if self.rare_trans_eps1 >= self.rare_trans_eps2:
             raise ConfigError("rare_trans_eps1 must be below rare_trans_eps2")
-        if not 0 <= self.divergence_lambda <= 1:
-            raise ConfigError("divergence_lambda must be in [0, 1]")
         if self.composite_w1 <= 0 or self.composite_w2 <= 0:
             raise ConfigError("composite weights must be positive")
         if not math.isfinite(self.composite_w1 + self.composite_w2):
             raise ConfigError("composite_w1 + composite_w2 must be finite")
         if self.gap_penalty < 0:  # a negative penalty rewards gaps over any match
             raise ConfigError("gap_penalty must be >= 0")
-        if not 0 < self.context_smoothing <= MAX_CONTEXT_SMOOTHING:
-            raise ConfigError(f"context_smoothing must be in (0, {MAX_CONTEXT_SMOOTHING!r}]")
         if self.pattern_smoothing <= 0:
             raise ConfigError("pattern_smoothing must be positive")
         if self.pattern_from_iteration < 1:  # pass 0 has no native split to refine against

@@ -3,38 +3,32 @@
 Words sharing a concept across languages are pairwise aligned with a
 Needleman-Wunsch-style global aligner whose column score is 1 minus the
 phonological feature distance of the aligned symbols (gaps cost a flat
-penalty). A context model over aligned symbol pairs and their 4-symbol
-context windows turns alignments into log-probabilities; combining those
-with mean feature distance yields a divergence, whose per-concept min-max
-normalized average is the comparability score C. The composite score
-fuses C with the basic model's borrowing probability B, and a dynamic
-per-word threshold decides the label. ``detect_scaled`` alone decides
-which words get this evidence: those whose concept spans two or more
-languages; every other word keeps its basic classification.
+penalty). The divergence of two words is their mean feature distance
+D_feat over the aligned columns, a gap column counting 1; each word's
+mean divergence to its concept-mates, min-max normalized per concept, is
+the comparability score C. The composite score fuses C with the basic
+model's borrowing probability B, and a dynamic per-word threshold decides
+the label. ``detect_scaled`` alone decides which words get this evidence:
+those whose concept spans two or more languages; every other word keeps
+its basic classification, and its concept is never aligned.
 
 Each distinct unordered word pair of a concept is aligned once; a pair
 that occurs again in the concept (a word two languages share) reuses the
-column keys of its first alignment. That memo is kept per concept, so it
-never grows past one concept's pairs. Each column gets an int key (its
-context id and the id of its sorted symbol pair) when its pair is
-aligned, and the keys are counted once, after every pair is aligned, a
-repeated pair's keys as often as the pair occurs. The model keeps per
-pair only its mean feature distance and its column keys; one table of
-per-key log-probabilities replaces the interning tables, and
-comparability sums a pair's log-probability from that table in column
-order. The aligner scores in integers, so its traceback finds ties
-exactly at any gap penalty. It tables the column scores of a pair before
-its DP, from a memo of each symbol pair's integer score (the feature
-slots on which the two agree, scaled to the penalty's denominator), which
-calls ``ipa.symbol_distance`` once for each symbol pair it has not seen at
-that denominator, and fills each DP cell with plain comparisons.
+D_feat of its first alignment. That memo is kept per concept, so it never
+grows past one concept's pairs. The aligner scores in integers, so its
+traceback finds ties exactly at any gap penalty, and each column's
+feature distance is read back off the integer score it tabled. It tables
+the column scores of a pair before its DP, from a memo of each symbol
+pair's integer score (the feature slots on which the two agree, scaled to
+the penalty's denominator), which calls ``ipa.symbol_distance`` once for
+each symbol pair it has not seen at that denominator, and fills each DP
+cell with plain comparisons.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -47,12 +41,6 @@ from .wordlist import Wordlist
 log = logging.getLogger(__name__)
 
 Word = tuple[str, ...]
-Context = tuple[str, str, str, str]
-
-# Boundary sentinel padding context windows at word edges: the empty string,
-# which no token can be (every codepoint group holds a codepoint), so an
-# input "#" never reads as a word edge.
-BOUNDARY = ""
 
 
 class EmptyDatasetError(ValueError):
@@ -73,9 +61,10 @@ _SIMILARITIES: dict[int, dict[str, dict[str, int]]] = {}
 
 @dataclass(frozen=True)
 class Alignment:
-    """Global alignment of two words: (a, b, context) per column."""
+    """Global alignment of two words: (a, b, d) per column, with d the
+    column's feature distance, ``symbol_distance(a, b)`` or 1.0 for a gap."""
 
-    pairs: tuple[tuple[str, str, Context], ...]
+    pairs: tuple[tuple[str, str, float], ...]
 
 
 def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
@@ -90,13 +79,16 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
     den``, where ``gap_penalty`` is ``num / den`` in lowest terms. A symbol
     pair scores its agreeing feature slots times ``den`` and a gap scores
     ``-num * FEATURE_DIM``, so equal totals compare equal however large
-    the penalty and whether or not it is a binary fraction.
+    the penalty and whether or not it is a binary fraction. A symbol
+    pair's distance is a multiple of ``1 / FEATURE_DIM``, so its column's
+    ``(FEATURE_DIM * den - s) / (FEATURE_DIM * den)`` is that distance bit
+    for bit.
     """
     if not x or not y:
         raise ValueError("cannot align empty words")
     n, m = len(x), len(y)
     num, den = gap_penalty.as_integer_ratio()
-    gap_score = num * FEATURE_DIM
+    gap_score, full = num * FEATURE_DIM, den * FEATURE_DIM
     # substitution score of every cell, one row per distinct symbol of x
     rows: dict[str, list[int]] = {}
     scores = _SIMILARITIES.setdefault(den, {})
@@ -127,148 +119,75 @@ def align(x: Word, y: Word, gap_penalty: float = 0.5) -> Alignment:
             left = best
         score.append(cur)
 
-    columns: list[tuple[str, str]] = []
+    columns: list[tuple[str, str, float]] = []
     i, j = n, m
     while i and j:
         current = score[i][j]
-        if current == score[i - 1][j - 1] + sub[i - 1][j - 1]:
+        s = sub[i - 1][j - 1]
+        if current == score[i - 1][j - 1] + s:
             i, j = i - 1, j - 1
-            columns.append((x[i], y[j]))
+            columns.append((x[i], y[j], (full - s) / full))
         elif current == score[i][j - 1] - gap_score:
             j -= 1
-            columns.append((GAP, y[j]))
+            columns.append((GAP, y[j], 1.0))
         else:
             i -= 1
-            columns.append((x[i], GAP))
+            columns.append((x[i], GAP, 1.0))
     # what is left of the longer word goes against gaps
-    lead = [(a, GAP) for a in x[:i]] + [(GAP, b) for b in y[:j]]
-    return Alignment(pairs=tuple(_with_contexts(lead + columns[::-1])))
-
-
-def _with_contexts(
-    columns: Sequence[tuple[str, str]],
-) -> list[tuple[str, str, Context]]:
-    # Context = the two column representatives on each side, boundary-padded.
-    # A column's representative is its non-gap symbol (a-track preferred).
-    reps = [BOUNDARY, BOUNDARY]
-    reps += [a if a != GAP else b for a, b in columns]
-    reps += [BOUNDARY, BOUNDARY]
-    return [
-        (a, b, (r0, r1, r3, r4))
-        for (a, b), r0, r1, r3, r4 in zip(columns, reps, reps[1:], reps[3:], reps[4:])
-    ]
-
-
-@dataclass
-class ContextModel:
-    """Smoothed co-occurrence model P(a, b | context) over aligned columns.
-
-    A column key stands for an unordered symbol pair in one context
-    window: both orders share a key, because every column is counted in
-    both orders. Keys are counted once, after every pair is aligned.
-    ``logp[key]`` is its natural-log probability,
-    ``log((count + s) / (marginal + s * k))`` with ``s`` the smoothing, the
-    marginal the column count of its context and ``k`` the number of
-    distinct unordered symbol pairs. ``rows[concept][i][j - i - 1]`` is
-    the aligned pair of that concept's words ``i < j``: its mean feature
-    distance and its column keys in column order.
-    """
-
-    logp: array
-    rows: dict[str, list[list[tuple[float, array]]]]
+    lead = [(a, GAP, 1.0) for a in x[:i]] + [(GAP, b, 1.0) for b in y[:j]]
+    return Alignment(pairs=tuple(lead + columns[::-1]))
 
 
 def build_context_model(
     concepts: Mapping[str, Sequence[Word]],
     cfg: RunConfig | None = None,
-) -> ContextModel:
-    """Align each distinct unordered word pair of each concept once, then
-    count the columns of every pair.
+) -> dict[str, list[list[float]]]:
+    """The D_feat of every word pair of each concept: ``rows[concept][i][j - i - 1]``
+    for its words ``i < j``.
 
-    A pair that repeats within its concept shares the column keys of its
-    first occurrence, and its columns count again. A column's key interns
-    its context id and the id of its sorted symbol pair. Once every pair is
-    aligned, the keys of all pair occurrences are counted in one pass; the
-    interning tables are dropped before the log-probability table is built,
-    and each pair's mean feature distance is filled in last.
+    D_feat is the mean of the columns' feature distances. Each distinct
+    unordered word pair of a concept is aligned once, smaller word first;
+    a pair that repeats within its concept takes its first alignment's
+    value. The name is kept from the context model this table replaced,
+    because the benchmark's instrument wraps it by name; it goes once that
+    instrument reads spans from the package.
     """
     cfg = cfg or RunConfig()
-    ctx_of: dict[Context, int] = {}
-    pair_of: dict[tuple[str, str], int] = {}  # sorted symbol pair -> pair id
-    key_of: dict[int, int] = {}  # context id << 32 | pair id -> key
-    keys = array("i")  # the keys of every pair occurrence, a repeated pair's too
-    rows: dict[str, list[list]] = {}
+    rows: dict[str, list[list[float]]] = {}
     for concept in sorted(concepts):
         words = [tuple(w) for w in concepts[concept]]
-        aligned: dict[tuple[Word, Word], array] = {}  # sorted word pair -> its keys
+        d_feat: dict[tuple[Word, Word], float] = {}  # sorted word pair -> its D_feat
         concept_rows = rows[concept] = []
         for i, x in enumerate(words):
             row = []
             for y in words[i + 1 :]:
                 pair = (x, y) if x <= y else (y, x)
-                ids = aligned.get(pair)
-                if ids is None:
-                    ids = aligned[pair] = array("i", [
-                        key_of.setdefault(
-                            ctx_of.setdefault(ctx, len(ctx_of)) << 32
-                            | pair_of.setdefault((a, b) if a <= b else (b, a), len(pair_of)),
-                            len(key_of),
-                        )
-                        for a, b, ctx in align(*pair, cfg.gap_penalty).pairs
-                    ])
-                keys.extend(ids)
-                row.append(ids)
+                d = d_feat.get(pair)
+                if d is None:
+                    columns = align(*pair, cfg.gap_penalty).pairs
+                    d = d_feat[pair] = sum([c[2] for c in columns]) / len(columns)
+                row.append(d)
             concept_rows.append(row)
-    if not keys:
+    if not any(len(r) > 1 for r in rows.values()):
         raise EmptyDatasetError("no concept contains at least two words")
-    k = len(pair_of)
-    marginals = array("i", [0]) * len(ctx_of)  # context id -> columns
-    del ctx_of
-    pair_dist = [symbol_distance(a, b) for a, b in pair_of]
-    key_dist = array("d", (pair_dist[column & 0xFFFFFFFF] for column in key_of))
-    key_ctx = array("i", (column >> 32 for column in key_of))
-    del pair_of, key_of, pair_dist
-    counts = array("i", [0]) * len(key_ctx)  # key -> columns
-    for key in keys:
-        counts[key] += 1
-        marginals[key_ctx[key]] += 1
-    s = cfg.context_smoothing
-    logp = array(
-        "d",
-        [
-            math.log((count + s) / (marginals[c] + s * k))
-            for count, c in zip(counts, key_ctx)
-        ],
-    )
-    for concept_rows in rows.values():
-        for row in concept_rows:
-            row[:] = [(sum([key_dist[key] for key in ids]) / len(ids), ids) for ids in row]
-    return ContextModel(logp=logp, rows=rows)
+    return rows
 
 
-def comparability(
-    concept_rows: Sequence[Sequence[tuple[float, array]]],
-    model: ContextModel,
-    lam: float = 0.5,
-) -> list[float]:
+def comparability(concept_rows: Sequence[Sequence[float]]) -> list[float]:
     """Per-word comparability C: min-max normalized mean divergence.
 
-    ``concept_rows`` is one concept's ``model.rows`` entry. The divergence
-    of a pair is D = lam * D_feat - (1 - lam) * (1/L) * log P_align, with
-    log P_align the sum of its columns' log-probabilities. Requires at
-    least two words. When every word has the same raw divergence, all C
-    values collapse to 0.
+    ``concept_rows`` is one concept's ``build_context_model`` entry: the
+    divergence D_feat of each of its word pairs. Requires at least two
+    words. When every word has the same mean divergence, all C values
+    collapse to 0.
     """
     k = len(concept_rows)
     if k < 2:
         raise ValueError("comparability needs at least two words in the concept")
-    logp = model.logp
     # each word's divergences; fsum rounds their exact sum once, in any row order
     divs: list[list[float]] = [[] for _ in range(k)]
     for i, row in enumerate(concept_rows):
-        for j, (d_feat, ids) in enumerate(row, start=i + 1):
-            total = sum([logp[key] for key in ids])
-            d = lam * d_feat - (1.0 - lam) * total / len(ids)
+        for j, d in enumerate(row, start=i + 1):
             divs[i].append(d)
             divs[j].append(d)
     raws = [math.fsum(d) / (k - 1) for d in divs]
@@ -323,9 +242,10 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
     (``MissingConceptError`` names the rows from 1, as ``load_wordlist``
     numbers them). Each word starts at the basic model's values (S = B,
     threshold = tau, the basic label, no C); one loop over the sorted
-    concepts writes C, S, theta and the label of every word whose concept
-    spans two or more languages. The other concepts fall back, with a
-    warning when none spans two languages.
+    concepts that span two or more languages writes C, S, theta and the
+    label of each of their words. Only those concepts are aligned. The
+    other concepts fall back, with a warning when none spans two
+    languages.
     """
     cfg = cfg or RunConfig()
     if len(multi) == 0:
@@ -341,24 +261,20 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
     members: dict[str, list[int]] = {}
     for i, entry in enumerate(multi):
         members.setdefault(entry.concept_id, []).append(i)
-    # context model over every concept with at least two entries
-    alignable = {
-        c: [multi.entries[i].ipa for i in idxs] for c, idxs in members.items() if len(idxs) >= 2
+    entries = multi.entries
+    spanning = {
+        c: idxs for c, idxs in members.items() if len({entries[i].language for i in idxs}) >= 2
     }
-    model = build_context_model(alignable, cfg) if alignable else None
+    # two languages imply two entries, so every spanning concept holds a pair
+    words = {c: [entries[i].ipa for i in idxs] for c, idxs in spanning.items()}
+    pairs = build_context_model(words, cfg) if words else {}
 
     n = len(multi)
     comp: list[float | None] = [None] * n
     scores, thresholds, predicted = list(basic), [cfg.tau] * n, list(basic_labels)
-    fallback: list[str] = []
-    for concept in sorted(members):
-        idxs = members[concept]
-        if len({multi.entries[i].language for i in idxs}) < 2:
-            fallback.append(concept)
-            continue
-        # two languages imply two entries, so the model holds the concept
-        cs = comparability(model.rows[concept], model, cfg.divergence_lambda)
-        for i, c in zip(idxs, cs):
+    fallback = sorted(members.keys() - spanning.keys())
+    for concept in sorted(spanning):
+        for i, c in zip(spanning[concept], comparability(pairs[concept])):
             b = basic[i]
             s = composite(b, c, cfg.composite_w1, cfg.composite_w2)
             theta = dynamic_threshold(b, c, cfg.threshold_alpha, cfg.threshold_beta)

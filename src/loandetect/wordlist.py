@@ -122,7 +122,7 @@ class LexicalEntry:
             raise EmptyTranscriptionError(
                 f"entry {self.orthography!r} has an empty IPA transcription"
             )
-        # the aligner's gap symbol and word-edge padding; loaded IPA holds neither
+        # the aligner's gap symbol, and the empty token; loaded IPA holds neither
         for token in (GAP, ""):
             if token in self.ipa:
                 raise WordlistError(

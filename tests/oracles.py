@@ -2,10 +2,10 @@
 
 Everything here is written as plainly as possible (nested loops, explicit
 recursion, no shared code with the package) so it can serve as an oracle
-for the optimized paths. The exceptions are the exact aligner, which
-calls the package's symbol distance, the two-alignment scaled model,
-which calls the package's aligner and symbol distance, and the detection
-loop, which calls the package's feature extraction and scoring.
+for the optimized paths. The exceptions are the exact aligner and the
+plain-DP divergence, which call the package's symbol distance, and the
+detection loop, which calls the package's feature extraction and
+scoring.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from loandetect.crossling import align
 from loandetect.features import CompiledGroup, build_statistics, extract_all
 from loandetect.ipa import ATTACHING_MODIFIERS, GAP, TIE_BARS, symbol_distance
 from loandetect.scoring import score_all
@@ -386,75 +385,65 @@ def bf_tracks(pairs, gap):
     return tuple(first), tuple(second)
 
 
-# --- context model and comparability: the two-alignment path --------------------
+# --- divergence and comparability: a plain DP per pair ----------------------------
 #
-# The earlier form of the scaled model: a context model keyed by
-# (a, b, context) tuples, and a second alignment of every pair for its
-# divergence. These call the package's aligner and symbol distance, whose
-# own oracles are above and in test_ipa.py.
+# Each pair is aligned again by a plain Needleman-Wunsch table in exact
+# ``Fraction`` arithmetic, with the package's symbol distance (whose oracle
+# is in test_ipa.py) and the package's traceback preference.
 
 
-class BfContextModel:
-    """Smoothed P(a, b | context) over aligned columns, keyed by tuples."""
+def bf_dp_align(x, y, gap_penalty=0.5):
+    """The columns (a, b) of an optimal global alignment, by a plain DP table.
 
-    def __init__(self, smoothing=0.1):
-        self.counts = {}
-        self.marginals = {}
-        self.pair_types = set()
-        self.smoothing = smoothing
+    The traceback walks from the end and takes, of the steps that keep the
+    optimum, a substitution first, then a gap on the first track, then a
+    gap on the second: the alignment ``bf_align`` enumerates.
+    """
+    x, y = tuple(x), tuple(y)
+    gap = Fraction(gap_penalty)
 
-    def observe(self, a, b, ctx):
-        self.counts[(a, b, ctx)] = self.counts.get((a, b, ctx), 0) + 1
-        if a != b:
-            self.counts[(b, a, ctx)] = self.counts.get((b, a, ctx), 0) + 1
-        self.marginals[ctx] = self.marginals.get(ctx, 0) + 1
-        self.pair_types.add((a, b) if a <= b else (b, a))
+    def sim(a, b):
+        return 1 - Fraction(symbol_distance(a, b))
 
-    def probability(self, a, b, ctx):
-        k = max(len(self.pair_types), 1)
-        count = self.counts.get((a, b, ctx), 0)
-        marginal = self.marginals.get(ctx, 0)
-        return (count + self.smoothing) / (marginal + self.smoothing * k)
-
-
-def bf_build_context_model(concepts, gap_penalty=0.5, smoothing=0.1):
-    """Align every unordered word pair of every concept and observe its columns."""
-    model = BfContextModel(smoothing)
-    for concept in sorted(concepts):
-        words = [tuple(w) for w in concepts[concept]]
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                first, second = sorted((words[i], words[j]))
-                for a, b, ctx in align(first, second, gap_penalty).pairs:
-                    model.observe(a, b, ctx)
-    return model
-
-
-def bf_alignment_logprob(pairs, model):
-    """Sum of the columns' natural-log probabilities."""
-    return sum(math.log(model.probability(a, b, ctx)) for a, b, ctx in pairs)
+    table = [[-gap * j for j in range(len(y) + 1)]]
+    for i in range(1, len(x) + 1):
+        row = [-gap * i]
+        for j in range(1, len(y) + 1):
+            row.append(max(
+                table[i - 1][j - 1] + sim(x[i - 1], y[j - 1]),
+                row[j - 1] - gap,
+                table[i - 1][j] - gap,
+            ))
+        table.append(row)
+    columns = []
+    i, j = len(x), len(y)
+    while i or j:
+        if i and j and table[i][j] == table[i - 1][j - 1] + sim(x[i - 1], y[j - 1]):
+            i, j = i - 1, j - 1
+            columns.append((x[i], y[j]))
+        elif j and table[i][j] == table[i][j - 1] - gap:
+            j -= 1
+            columns.append((GAP, y[j]))
+        else:
+            i -= 1
+            columns.append((x[i], GAP))
+    return list(reversed(columns))
 
 
 def bf_feature_distance(pairs):
     """Mean symbol distance over the columns (gaps count 1)."""
     if len(pairs) == 0:
         return 0.0
-    return sum(symbol_distance(a, b) for a, b, _ in pairs) / len(pairs)
+    return sum(symbol_distance(c[0], c[1]) for c in pairs) / len(pairs)
 
 
-def bf_divergence(x, y, model, lam=0.5, gap_penalty=0.5):
-    """D = lam * D_feat - (1 - lam) * (1/L) * log P_align, on the pair aligned
-    again in canonical order (smaller word first)."""
-    if not 0 <= lam <= 1:
-        raise ValueError("lambda weight must be in [0, 1]")
+def bf_divergence(x, y, gap_penalty=0.5):
+    """D_feat of the pair aligned in canonical order (smaller word first)."""
     first, second = sorted((tuple(x), tuple(y)))
-    pairs = align(first, second, gap_penalty).pairs
-    d_feat = bf_feature_distance(pairs)
-    logp = bf_alignment_logprob(pairs, model)
-    return lam * d_feat - (1.0 - lam) * logp / len(pairs)
+    return bf_feature_distance(bf_dp_align(first, second, gap_penalty))
 
 
-def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5):
+def bf_comparability(concept_words, gap_penalty=0.5):
     """Min-max normalized mean divergence of each word against the others."""
     if len(concept_words) < 2:
         raise ValueError("comparability needs at least two words in the concept")
@@ -463,7 +452,7 @@ def bf_comparability(concept_words, model, lam=0.5, gap_penalty=0.5):
     div = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            div[i][j] = div[j][i] = bf_divergence(words[i], words[j], model, lam, gap_penalty)
+            div[i][j] = div[j][i] = bf_divergence(words[i], words[j], gap_penalty)
     # each word's divergences summed exactly, then rounded once
     raws = [
         float(sum(Fraction(div[i][j]) for j in range(k) if j != i)) / (k - 1) for i in range(k)

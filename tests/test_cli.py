@@ -170,7 +170,8 @@ def test_non_finite_setting_exit_code(vocab_file, tmp_path):
         ["mode=aug"] + [f"weight_{n}=0" for n in CORE_FEATURES],
         ["threshold_beta=10"],
         ["threshold_beta=-3"],
-        ["context_smoothing=1e308"],
+        ["context_smoothing=0.1"],
+        ["divergence_lambda=1"],
         ["composite_w1=1e308", "composite_w2=1e308"],
         ["rare_ngram_c1=1.7e308", "rare_ngram_eps1=0.9", "rare_ngram_eps2=0.95"],
         ["weight_rare_ngram_scor=5"],

@@ -65,8 +65,6 @@ def test_scalar_validation():
     with pytest.raises(ConfigError):
         RunConfig(model="bogus")
     with pytest.raises(ConfigError):
-        RunConfig(divergence_lambda=1.5)
-    with pytest.raises(ConfigError):
         RunConfig(composite_w1=0.0)
 
 

@@ -9,8 +9,8 @@ bound is drawn over the whole float range its sign allows: ``gamma``, the
 anomaly boosts, ``gap_penalty``, the composite weights,
 ``pattern_up_factor`` and ``pattern_smoothing`` up to the float maximum,
 and the weights, ``center`` and the anomaly thresholds over ±the float
-maximum. ``context_smoothing`` and the four rarity constants
-``rare_*_c*`` are drawn up to their ``validate`` bound.
+maximum. The four rarity constants ``rare_*_c*`` are drawn up to their
+``validate`` bound.
 
 Every drawn config is one that ``validate`` accepts, so Hypothesis filters
 none. ``composite_w2`` is drawn up to the room that ``composite_w1`` leaves
@@ -29,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 from loandetect.config import (
     _WEIGHT_ORDER,
-    MAX_CONTEXT_SMOOTHING,
     MAX_RARITY_C,
     ConfigError,
     RunConfig,
@@ -135,12 +134,10 @@ def accepted_configs(draw):
         pattern_up_factor=draw(positive(FLOAT_MAX)),
         pattern_smoothing=draw(positive(FLOAT_MAX)),
         gap_penalty=draw(st.floats(0.0, FLOAT_MAX)),
-        divergence_lambda=draw(UNIT),
         composite_w1=composite_w1,
         composite_w2=draw(positive(headroom(composite_w1))),
         threshold_alpha=alpha,
         threshold_beta=draw(st.floats(-spread, spread)),
-        context_smoothing=draw(positive(MAX_CONTEXT_SMOOTHING)),
         baseline_threshold=draw(UNIT),
     )
     # Only the weights can still be rejected: their sums cancel to 0 or below

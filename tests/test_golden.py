@@ -39,50 +39,50 @@ from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR, POS_DONOR_GRAMMAR, POS_NATIV
 
 DETECT = {  # mode: (report, trace)
     "aug": (
-        "12010ac922d8b4b6fbff44a6e186f64a310bbaf8afc81451b4bd937393fa2517",
+        "ea9eacf1263dfa5cdaf9e5a2af5608803ef9b740917df06c469f0bf810d3dd3b",
         "4d20d4984b391712cbab671d1b4d7da3afdf461d116e5b6739b2d031387fce72",
     ),
     "full": (
-        "9d8955d5501d78f44ac42aaded4bc5ba1aff89bc912d4367bd63ef95e6941e20",
+        "3a29fd47d2befed42c63a551d3063e850795a1949e10bc39c9e4cbbbf320de92",
         "80d1ea4ab7ddc48b901c885fdcbb2e5d92807f6dc982500d8393180c5f784bea",
     ),
     "no_ngram": (
-        "cf0d06c9b3e8b52dbbe5ea12f328ff4d0c2580088050f8c5771d661ebefc20a0",
+        "b20e7614739a1234071ceb181e420d00c66ac37cfcc60b3c1f36b9a9c3f5289a",
         "e17e7e6845cfbad24bf8f799e48c48b2da6c2225f3f3e4fa91bc050936878f33",
     ),
     "no_transition": (
-        "d65404034febb718a0dec5a106e370de5234d998e3570f69283845eb745333b8",
+        "576cce43075cf036b6afcd07544f129f2bd8440b94da2b5b5f560e595e16d535",
         "20cf879995e30328cf2d9ff9b6fe8892bdf41864e1c265fc80d79acdffcc440d",
     ),
 }
 NGRAM_RANGES = {  # --set overrides: (report, trace), in mode full
     ("ngram_min=1",): (
-        "8e6a63b86a6a51441c14a1a298113f740396122ffd57e8ed370086d730924863",
+        "e6f3a9053ce2862753edd7b4a5d51c06ced758decefefd5d757098e982b1b4fd",
         "005eec459c7ac1ef1d77f2179a2d1635d9a940aa5d1abed70e96d1a7af7a22fd",
     ),
     ("ngram_min=3", "ngram_max=4"): (
-        "f2a992900f7838abd9b15fada8991487ea876d4b0dbc1bbe9ceca6bc9f9f227a",
+        "c0a2223de9548cbded58b44b47d9d743e4075dcc263f9e4569ebeccaca6977b3",
         "fb2eed6421a8549a112243779917e3ef43e7a9623052ee4490273fea1fbf9374",
     ),
     # past the corpus's longest word (12 symbols); the second range holds no n-gram
     ("ngram_max=1000",): (
-        "c9baf12672a96a3a889ce5fa12f58d40eb63beb92ec0713a7dc85af7d562ec32",
+        "d0863952e64752a3fcdaad26cc89e16aeb587cb792caf003b6589b6c07758de1",
         "cfede7499956efe7a7de694a73c8a4146ef988147c1661bc4faca70cf134d871",
     ),
     ("ngram_min=13", "ngram_max=20"): (
-        "c55b931d10c93f8a19dd0bab77a9a8a23bab729b1afee4b2b913080ae20e3dc1",
+        "7a9804730445c428ae0961493d40e5431cca674bbf1356e9c8ae9fab0af6d08f",
         "012735a29cfa9f6e42cfcd9adfd23c55ddbcf3782f4b264215a4ffd02b16e488",
     ),
 }
-DETECT_XL = "fc77842c29ea1b1209ec90021503cd55c855ede5e2545fa7322dcb26b18bdec3"
+DETECT_XL = "1948b27e64467dc911b8aebfb673ea5a6619ed52d86b0814284951c5a985ee59"
 GAP_PENALTIES = {  # --set gap_penalty: detect-xl report
-    "0.3": "7c1f7b252bafb9f546a3e21156359f8b0f24896efb070ee2df25bba91cc9e568",
-    "1.0": "ab71bcbc59a39ff269c032cc4317a2d20d51e6689d0b778d5b23346149a4e162",
+    "0.3": "4e9b72533573a9ca36c83237d2d921564fbb0643b90206155648db1d15523602",
+    "1.0": "0109abc84067062b38f0a8fcd156e38c86dbaab74d902d9adb22b6425aaf32bc",
 }
 REPEATING = {
-    "report": "81ca9abc615844d68b0050d9aae0927eaded58d1fb85a05eed005ed55161554a",
+    "report": "db0affda9a701196ca66dc9d51eb3500035e71156027913de31d107f2c4c5043",
     "trace": "bbb5bf33330568926dd5d4c96c6c4ecd860add88e556204bed582aa3485f26d3",
-    "scaled": "08ab120bbe33381725b675644831b7e5dd26a5e9d803b66ab235bdb2c6475d51",
+    "scaled": "dc4ccffb4f740b3fd494cc64629cff3f880f1b38b8e2de153063539a75f2aa20",
 }
 TABLES = {
     "eval": "701bc98785efd1a05d75e3fe21b601b28010ed6d67530028e5720f3f90b7cf90",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from loandetect.cli import main
-from loandetect.crossling import BOUNDARY
 from loandetect.ipa import GAP
 from loandetect.wordlist import (
     EmptyTranscriptionError,
@@ -236,7 +235,7 @@ def test_entry_refuses_blank_language(language):
         LexicalEntry("pa", ("p", "a"), language, "noun")
 
 
-@pytest.mark.parametrize("token", [GAP, BOUNDARY])
+@pytest.mark.parametrize("token", [GAP, ""])
 def test_entry_refuses_the_tokens_the_aligner_reserves(token, tmp_path, capsys):
     message = f"entry 'pa' holds the token {token!r}, which the aligner reserves"
     with pytest.raises(WordlistError) as err:
@@ -444,8 +443,8 @@ def test_no_normalized_token_is_the_gap_symbol(raw):
         ipa = normalize_ipa(raw)
     except EmptyTranscriptionError:
         return
-    # the alignment sentinels: the gap symbol and the word-edge padding
-    assert GAP not in ipa and BOUNDARY not in ipa
+    # the aligner's gap symbol, and the empty token
+    assert GAP not in ipa and "" not in ipa
 
 
 def test_normalize_ipa_empty_after_stripping():
