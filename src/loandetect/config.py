@@ -47,8 +47,8 @@ MODELS = ("autbor", "uns")
 _WEIGHT_ORDER = (
     "rare_ngram_score",
     "rare_transition_score",
-    "trans_entropy",
-    "ngram_entropy",
+    "trans_surprisal",
+    "ngram_surprisal",
     "avg_trans_prob",
     "len_z",
 )
@@ -224,8 +224,8 @@ class RunConfig:
             if order[-1] <= 0 or any(a < b for a, b in zip(order, order[1:])):
                 raise ConfigError(
                     "full-mode weights must satisfy "
-                    "rare_ngram >= rare_transition >= trans_entropy >= "
-                    "ngram_entropy >= avg_trans_prob >= len_z > 0"
+                    "rare_ngram >= rare_transition >= trans_surprisal >= "
+                    "ngram_surprisal >= avg_trans_prob >= len_z > 0"
                 )
 
     # -- flat-key serialization --

@@ -8,6 +8,16 @@ take probability 0, which is the maximum-penalty convention: during
 iterative refinement the reference shrinks to native candidates, so
 absence itself is the signal.
 
+The two surprisal features are a word's mean of ``-log2 max(p, floor)``
+over its n-grams and over its transitions. The floor is half the
+smallest probability the reference can give: ``0.5 / T_n`` for an n-gram
+of length n, with T_n the reference's number of n-grams of that length,
+and ``0.5 / T_2`` for a transition, with T_2 its number of transitions.
+Every seen probability is at least ``1 / T_n``, so the floor moves only
+the unseen ones, which all take it. A length of which the reference
+holds no n-gram (T_n = 0) takes the floor 0.5, as a reference of one
+n-gram would.
+
 A language group is compiled once (``CompiledGroup``): every distinct
 n-gram and transition of its words gets an integer id, and each word keeps
 the ids of its n-grams and transitions and its CV pattern. N-grams and
@@ -36,13 +46,15 @@ detection reads neither.
 ``extract_all`` is the one feature path. It scores every word of the
 statistics' group and reads the rarity constants from a ``RunConfig``,
 whose ``validate`` is the only place they are checked. Each block
-(n-grams, transitions) computes the rarity term and ``p log2 p`` of every
-id's probability once (``_terms``); for n-grams that is one table for the
-reference rows, whose slots read 1/T_n, and one for the other rows, whose
-slots read 0. ``_rarity_entropy`` then adds up each word's table entries
-in one loop per word. ``avg_trans_prob`` is ``sum()`` of the word's
-transition probabilities, and the segmental features of ``aug`` mode are
-one kernel per word over its CV pattern or symbols. It returns feature
+(n-grams, transitions) computes the rarity term and ``log2 max(p,
+floor)`` of every id's probability once (``_terms``), reading the floor
+of the id's length from a table built once per length; for n-grams that
+is one table for the reference rows, whose slots read 1/T_n, and one for
+the other rows, whose slots read 0. ``_rarity_surprisal`` then adds up
+each word's table entries in one loop per word. ``avg_trans_prob`` is
+``sum()`` of the word's transition probabilities, and the segmental
+features of ``aug`` mode are one kernel per word over its CV pattern or
+symbols. It returns feature
 columns, one list per feature of the mode in ``feature_names`` order,
 which is the form ``scoring.score_all`` reads.
 """
@@ -69,9 +81,9 @@ Word = Sequence[str]
 # block is added in "aug" mode only.
 CORE_FEATURES = (
     "rare_ngram_score",
-    "ngram_entropy",
+    "ngram_surprisal",
     "rare_transition_score",
-    "trans_entropy",
+    "trans_surprisal",
     "avg_trans_prob",
     "len_z",
 )
@@ -81,8 +93,8 @@ SEGMENTAL_FEATURES = (
     "cluster_score",
     "vowel_ratio",
 )
-NGRAM_FEATURES = ("rare_ngram_score", "ngram_entropy")
-TRANSITION_FEATURES = ("rare_transition_score", "trans_entropy", "avg_trans_prob")
+NGRAM_FEATURES = ("rare_ngram_score", "ngram_surprisal")
+TRANSITION_FEATURES = ("rare_transition_score", "trans_surprisal", "avg_trans_prob")
 
 MODES = ("full", "no_ngram", "no_transition", "aug")
 
@@ -388,48 +400,62 @@ def _recount(
 # --- Feature kernels --------------------------------------------------------------
 
 
+def surprisal_floor(total: int) -> float:
+    """The probability an unseen n-gram or transition takes: half of one
+    count of a reference that holds ``total`` of them, or of one when it
+    holds none."""
+    return 0.5 / total if total else 0.5
+
+
 def _terms(
-    probs: Sequence[float], eps1: float, eps2: float, c1: float, c2: float
+    probs: Sequence[float],
+    log_floors: Iterable[float],
+    eps1: float,
+    eps2: float,
+    c1: float,
+    c2: float,
 ) -> tuple[list[float], list[float]]:
-    """The rarity term and ``p log2 p`` of every probability p of ``probs``.
+    """The rarity term and ``log2 max(p, floor)`` of every probability p of ``probs``.
 
     The rarity term is the two-tier penalty: c1*(eps1-p) when p < eps1,
-    else c2*(eps2-p) when p < eps2, else 0. ``p log2 p`` is 0 at p = 0.
+    else c2*(eps2-p) when p < eps2, else 0. ``log_floors`` gives each
+    probability the ``log2`` of its floor, which a probability of 0 takes;
+    any other probability is at least its floor.
     """
     log2 = math.log2
     rarity = [
         c1 * (eps1 - p) if p < eps1 else c2 * (eps2 - p) if p < eps2 else 0.0 for p in probs
     ]
-    return rarity, [p * log2(p) if p > 0.0 else 0.0 for p in probs]
+    return rarity, [log2(p) if p > 0.0 else f for p, f in zip(probs, log_floors)]
 
 
-def _rarity_entropy(
+def _rarity_surprisal(
     word_ids: Sequence[Sequence[int]],
     word_terms: Iterable[tuple[Sequence[float], Sequence[float]]],
 ) -> tuple[list[float], list[float]]:
-    """Rarity and entropy columns of the words whose ids are ``word_ids``.
+    """Rarity and surprisal columns of the words whose ids are ``word_ids``.
 
     ``word_terms`` gives each word the ``_terms`` tables, indexed by id,
     that its ids read. One loop per word adds its ids' two table entries
     in id order: the rarity is the mean of the rarity terms and the
-    entropy is -sum p log2 p. A term that the penalty or 0 log 0 skips is
-    0.0 in the table, and adding 0.0 to a running total leaves its bits as
-    they are. A word without ids scores 0 on both. The columns are
-    allocated at their final size, not grown by appends, whose
+    surprisal the mean of -log2 max(p, floor). A rarity term that the
+    penalty skips is 0.0 in the table, and adding 0.0 to a running total
+    leaves its bits as they are. A word without ids scores 0 on both. The
+    columns are allocated at their final size, not grown by appends, whose
     reallocations leave freed buffers in the heap and raise a run's peak
     RSS.
     """
     rarity = [0.0] * len(word_ids)
-    entropy = [0.0] * len(word_ids)
-    for k, (ids, (rare, plogp)) in enumerate(zip(word_ids, word_terms)):
+    surprisal = [0.0] * len(word_ids)
+    for k, (ids, (rare, logp)) in enumerate(zip(word_ids, word_terms)):
         total = h = 0.0
         for i in ids:
             total += rare[i]
-            h -= plogp[i]
+            h -= logp[i]
         if ids:
             rarity[k] = total / len(ids)
-        entropy[k] = h
-    return rarity, entropy
+            surprisal[k] = h / len(ids)
+    return rarity, surprisal
 
 
 def _cv_anomaly(cv: str, templates: frozenset[str]) -> float:
@@ -482,8 +508,8 @@ def extract_all(stats: VocabStatistics, cfg: RunConfig) -> dict[str, list[float]
     each holding one value per word of the group. The group must be
     compiled for ``cfg``'s n-gram range. Each block (n-grams, transitions)
     computes its ids' ``_terms`` once and adds them up per word in one
-    ``_rarity_entropy`` loop; a reference row reads the n-gram slots at
-    1/T_n, any other row at 0. ``avg_trans_prob`` is ``sum()`` over the
+    ``_rarity_surprisal`` loop; a reference row reads the n-gram slots at
+    1/T_n, any other row at 0, and so at the floor of their length. ``avg_trans_prob`` is ``sum()`` over the
     word's transition probabilities in id order, as from Python 3.12 on
     ``sum()`` is compensated and a running total would change its bits.
     Words of length 1 have no n-grams or transitions; their sequence
@@ -498,20 +524,27 @@ def extract_all(stats: VocabStatistics, cfg: RunConfig) -> dict[str, list[float]
     names = feature_names(cfg.mode)
     words = group.words
     columns: dict[str, list[float]] = {}
+    log2 = math.log2
     if "rare_ngram_score" in names:
         tiers = cfg.rare_ngram_eps1, cfg.rare_ngram_eps2, cfg.rare_ngram_c1, cfg.rare_ngram_c2
         k = group.shared
-        inside = _terms(stats.gram_probs(), *tiers)
-        slots_outside = _terms([0.0] * (len(group.fold_len) - k), *tiers)
+        # log2 of the floor of each n-gram length, indexed by length
+        log_floor = [log2(surprisal_floor(t)) for t in stats.gram_totals]
+        slot_lens = group.fold_len[k:]
+        inside = _terms(stats.gram_probs(), map(log_floor.__getitem__, group.fold_len), *tiers)
+        slots_outside = _terms(
+            [0.0] * len(slot_lens), map(log_floor.__getitem__, slot_lens), *tiers
+        )
         outside = tuple(t[:k] + slots for t, slots in zip(inside, slots_outside))
-        columns["rare_ngram_score"], columns["ngram_entropy"] = _rarity_entropy(
+        columns["rare_ngram_score"], columns["ngram_surprisal"] = _rarity_surprisal(
             group.word_folded, [inside if m else outside for m in stats.members]
         )
     if "rare_transition_score" in names:
         trans_p = stats.trans_probs
         tiers = cfg.rare_trans_eps1, cfg.rare_trans_eps2, cfg.rare_trans_c1, cfg.rare_trans_c2
-        columns["rare_transition_score"], columns["trans_entropy"] = _rarity_entropy(
-            group.word_trans, repeat(_terms(trans_p, *tiers))
+        log_floor = repeat(log2(surprisal_floor(sum(stats.trans_counts))))
+        columns["rare_transition_score"], columns["trans_surprisal"] = _rarity_surprisal(
+            group.word_trans, repeat(_terms(trans_p, log_floor, *tiers))
         )
         columns["avg_trans_prob"] = [
             sum(map(trans_p.__getitem__, ids)) / len(ids) if ids else 0.0

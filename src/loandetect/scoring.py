@@ -47,8 +47,8 @@ if TYPE_CHECKING:
 DEFAULT_WEIGHTS: dict[str, float] = {
     "rare_ngram_score": 0.30,
     "rare_transition_score": 0.20,
-    "trans_entropy": 0.15,
-    "ngram_entropy": 0.15,
+    "trans_surprisal": 0.15,
+    "ngram_surprisal": 0.15,
     "avg_trans_prob": 0.10,
     "len_z": 0.10,
     # segmental block, used in aug mode only

@@ -150,13 +150,41 @@ def bf_rare_ngram_score(word, probs, eps1, eps2, c1, c2, nmin=2, nmax=10):
     return total / len(grams)
 
 
-def bf_ngram_entropy(word, probs, nmin=2, nmax=10):
-    total = 0.0
-    for g in bf_word_ngrams(word, nmin, nmax):
-        p = probs.get(g, 0.0)
-        if p > 0:
-            total = total - p * math.log(p, 2)
+def bf_floor(total):
+    """The probability an unseen n-gram or transition takes: half of one
+    count out of ``total``, or half of one when the reference has none."""
+    if total == 0:
+        return 0.5
+    return 0.5 / total
+
+
+def bf_ngram_totals(words, nmin=2, nmax=10):
+    """T_n: the number of n-grams of each length n in ``words``."""
+    totals = {}
+    for g, count in bf_ngram_counts(words, nmin, nmax).items():
+        totals[len(g)] = totals.get(len(g), 0) + count
+    return totals
+
+
+def bf_transition_total(words):
+    """The number of transitions (adjacent symbol pairs) in ``words``."""
+    total = 0
+    for w in words:
+        if len(w) > 1:
+            total += len(w) - 1
     return total
+
+
+def bf_ngram_surprisal(word, probs, totals, nmin=2, nmax=10):
+    """Mean -log2 max(p, floor) over the word's n-grams, the floor of its length."""
+    grams = bf_word_ngrams(word, nmin, nmax)
+    if not grams:
+        return 0.0
+    total = 0.0
+    for g in grams:
+        p = probs.get(g, 0.0)
+        total = total - math.log2(max(p, bf_floor(totals.get(len(g), 0))))
+    return total / len(grams)
 
 
 def bf_rare_transition_score(word, trans, eps1=0.01, eps2=0.05, c1=100.0, c2=20.0):
@@ -175,14 +203,17 @@ def bf_rare_transition_score(word, trans, eps1=0.01, eps2=0.05, c1=100.0, c2=20.
     return total / count
 
 
-def bf_transition_entropy(word, trans):
+def bf_transition_surprisal(word, trans, n_transitions):
+    """Mean -log2 max(p, floor) over the word's transitions, floored at
+    half of one count of the reference's ``n_transitions``."""
     word = tuple(word)
+    if len(word) < 2:
+        return 0.0
     total = 0.0
     for i in range(len(word) - 1):
         p = trans.get((word[i], word[i + 1]), 0.0)
-        if p > 0:
-            total = total - p * math.log(p, 2)
-    return total
+        total = total - math.log2(max(p, bf_floor(n_transitions)))
+    return total / (len(word) - 1)
 
 
 def bf_avg_transition_prob(word, trans):
@@ -213,13 +244,15 @@ def bf_rarity(probs, eps1, eps2, c1, c2):
     return total / len(probs)
 
 
-def bf_entropy(probs):
-    """-sum p log2 p over the probabilities (0 log 0 = 0)."""
+def bf_surprisal(probs, floors):
+    """Mean -log2 max(p, floor) over the probabilities, each with its own
+    floor; no probabilities give 0."""
+    if not probs:
+        return 0.0
     total = 0.0
-    for p in probs:
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+    for p, f in zip(probs, floors):
+        total -= math.log2(max(p, f))
+    return total / len(probs)
 
 
 def bf_mean(probs):
@@ -527,9 +560,9 @@ def bf_pattern_likeness(word, native_words, loan_words, epsilon=1.0):
 
 BF_CORE_FEATURES = (
     "rare_ngram_score",
-    "ngram_entropy",
+    "ngram_surprisal",
     "rare_transition_score",
-    "trans_entropy",
+    "trans_surprisal",
     "avg_trans_prob",
     "len_z",
 )

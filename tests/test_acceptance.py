@@ -137,6 +137,8 @@ def test_acceptance_2_feature_oracle_equivalence():
         stats = build_statistics(CompiledGroup(vocab))
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
+        totals = oracles.bf_ngram_totals(vocab)
+        n_transitions = oracles.bf_transition_total(vocab)
         assert ngram_count(stats) == oracles.bf_ngram_counts(vocab)
         mean, std = oracles.bf_length_stats(vocab)
         assert abs(stats.length_mean - mean) < 1e-9
@@ -152,14 +154,15 @@ def test_acceptance_2_feature_oracle_equivalence():
                 - oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0)
             ) < 1e-9
             assert abs(
-                columns["ngram_entropy"][i] - oracles.bf_ngram_entropy(w, probs)
+                columns["ngram_surprisal"][i] - oracles.bf_ngram_surprisal(w, probs, totals)
             ) < 1e-9
             assert abs(
                 columns["rare_transition_score"][i]
                 - oracles.bf_rare_transition_score(w, trans)
             ) < 1e-9
             assert abs(
-                columns["trans_entropy"][i] - oracles.bf_transition_entropy(w, trans)
+                columns["trans_surprisal"][i]
+                - oracles.bf_transition_surprisal(w, trans, n_transitions)
             ) < 1e-9
             assert abs(
                 columns["avg_trans_prob"][i] - oracles.bf_avg_transition_prob(w, trans)

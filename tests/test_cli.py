@@ -539,7 +539,7 @@ def _bad_inputs(tmp_path, vocab_file):
         ("seed config key", detect + ["--set", "seed=1"]),
         ("mode weights all zero", detect + ["--mode", "no_ngram", "--set", "weight_len_z=0",
                                             "--set", "weight_rare_transition_score=0",
-                                            "--set", "weight_trans_entropy=0",
+                                            "--set", "weight_trans_surprisal=0",
                                             "--set", "weight_avg_trans_prob=0"]),
         ("proportion not a number", ["experiment", "--input", str(vocab_file), "--output", out,
                                      "--seed", "1", "--proportions", "0.5,half"]),

@@ -39,7 +39,7 @@ def test_published_defaults():
 
 
 def test_full_mode_weight_ordering_enforced():
-    # rare_ngram >= rare_transition >= trans_entropy >= ngram_entropy
+    # rare_ngram >= rare_transition >= trans_surprisal >= ngram_surprisal
     # >= avg_trans_prob >= len_z > 0
     weights = dict(RunConfig().weights)
     weights["rare_ngram_score"] = 0.05  # now below rare_transition_score
@@ -194,7 +194,7 @@ def test_with_overrides_coercion():
             "max_iterations": "3",
             "pattern_refinement": "false",
             "weight_len_z": "0.01",
-            "polarity_ngram_entropy": "-1",
+            "polarity_ngram_surprisal": "-1",
             "pos_weight_noun": "0.9",
             "anomaly_threshold_len_z": "0.6",
         }
@@ -203,7 +203,7 @@ def test_with_overrides_coercion():
     assert cfg.max_iterations == 3
     assert cfg.pattern_refinement is False
     assert cfg.weights["len_z"] == 0.01
-    assert cfg.polarity["ngram_entropy"] == -1
+    assert cfg.polarity["ngram_surprisal"] == -1
     assert cfg.pos_weights["noun"] == 0.9
     assert cfg.anomaly_thresholds["len_z"] == 0.6
 

@@ -1,12 +1,13 @@
 """Feature extraction tests, checked against the brute-force oracles."""
 
+import math
 import random
 from array import array
 from collections import Counter
 from itertools import repeat
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loandetect.config import RunConfig
 from loandetect.evaluation import generate_synthetic
@@ -16,12 +17,13 @@ from loandetect.features import (
     CompiledGroup,
     EmptyReferenceError,
     _cluster,
-    _rarity_entropy,
+    _rarity_surprisal,
     _terms,
     _vowel_ratio,
     build_statistics,
     extract_all,
     feature_names,
+    surprisal_floor,
     word_ngrams,
 )
 from loandetect.ipa import FEATURES, cv_pattern
@@ -43,19 +45,21 @@ def feature(reference, word, name, cfg=None):
     return extract_against(reference, [word], cfg)[name][0]
 
 
-def kernel(word_ids, probs, eps1, eps2, c1, c2):
-    """The columns ``_rarity_entropy`` gives words whose ids all read one table of ``probs``."""
-    return _rarity_entropy(word_ids, repeat(_terms(probs, eps1, eps2, c1, c2)))
+def kernel(word_ids, probs, floor, eps1, eps2, c1, c2):
+    """The columns ``_rarity_surprisal`` gives words whose ids all read one
+    table of ``probs``, with one ``floor`` for every id."""
+    log_floors = repeat(math.log2(floor))
+    return _rarity_surprisal(word_ids, repeat(_terms(probs, log_floors, eps1, eps2, c1, c2)))
 
 
 def rarity(probs, eps1, eps2, c1, c2):
     """The rarity the kernel gives one word whose ids read ``probs`` in order."""
-    return kernel([range(len(probs))], probs, eps1, eps2, c1, c2)[0][0]
+    return kernel([range(len(probs))], probs, 0.5, eps1, eps2, c1, c2)[0][0]
 
 
-def entropy(probs):
-    """The entropy the kernel gives one word whose ids read ``probs`` in order."""
-    return kernel([range(len(probs))], probs, 0.0, 0.0, 0.0, 0.0)[1][0]
+def surprisal(probs, floor=0.5):
+    """The surprisal the kernel gives one word whose ids read ``probs`` in order."""
+    return kernel([range(len(probs))], probs, floor, 0.0, 0.0, 0.0, 0.0)[1][0]
 
 
 def random_vocab(rng, max_words=20, max_len=8):
@@ -144,21 +148,56 @@ def test_rare_ngram_score_requires_ordered_thresholds():
 def test_short_word_scores_zero():
     columns = extract_against([("a", "b")], [("a",)], RunConfig())
     assert columns["rare_ngram_score"] == [0.0]
-    assert columns["ngram_entropy"] == [0.0]
+    assert columns["ngram_surprisal"] == [0.0]
     assert columns["rare_transition_score"] == [0.0]
-    assert columns["trans_entropy"] == [0.0]
+    assert columns["trans_surprisal"] == [0.0]
     assert columns["avg_trans_prob"] == [0.0]
 
 
-def test_ngram_entropy_certainty():
-    assert feature([("a", "b")], ("a", "b"), "ngram_entropy") == 0.0
+def test_ngram_surprisal_certainty():
+    assert feature([("a", "b")], ("a", "b"), "ngram_surprisal") == 0.0
 
 
-def test_ngram_entropy_fair_coin():
-    # two bigrams each with global p = 0.5 -> 1 bit
+def test_ngram_surprisal_fair_coin():
+    # two bigrams each with global p = 0.5 -> 1 bit each, 1 bit on average
     reference = [("a", "b"), ("b", "a")]
     cfg = RunConfig(ngram_max=2)
-    assert feature(reference, ("a", "b", "a"), "ngram_entropy", cfg) == pytest.approx(1.0)
+    assert feature(reference, ("a", "b", "a"), "ngram_surprisal", cfg) == 1.0
+
+
+def test_surprisal_floor_is_half_a_count():
+    assert surprisal_floor(4) == 0.125
+    assert surprisal_floor(1) == 0.5
+    # a reference without n-grams of a length floors them as one n-gram would
+    assert surprisal_floor(0) == 0.5
+
+
+def test_surprisal_floor_when_the_reference_has_no_ngram_of_a_length():
+    # T_2 = 1 and T_3 = 0: ab is seen (0 bits), bc is unseen at 0.5 / 1 (1 bit)
+    # and abc is unseen with no trigram in the reference, at 0.5 (1 bit)
+    cfg = RunConfig(ngram_max=3)
+    assert feature([("a", "b")], ("a", "b", "c"), "ngram_surprisal", cfg) == 2 / 3
+    # so is every n-gram longer than the reference's longest word
+    assert feature([("a", "b")], ("c", "d", "e", "f"), "ngram_surprisal", cfg) == 1.0
+
+
+def test_one_symbol_word_has_no_surprisal():
+    for name in ("ngram_surprisal", "trans_surprisal"):
+        assert feature([("a", "b")], ("c",), name) == 0.0
+        assert feature([("a",)], ("a",), name) == 0.0
+
+
+def test_a_word_of_unseen_ngrams_takes_the_floor_of_each_length():
+    reference = [("a", "b", "a"), ("b", "a", "b")]
+    cfg = RunConfig(ngram_max=3)
+    # T_2 = 4 and T_3 = 2: cd and de at 0.5 / 4 (3 bits), cde at 0.5 / 2 (2 bits)
+    assert feature(reference, ("c", "d", "e"), "ngram_surprisal", cfg) == 8 / 3
+    # the reference's 4 transitions: cd and de at 0.5 / 4 (3 bits)
+    assert feature(reference, ("c", "d", "e"), "trans_surprisal", cfg) == 3.0
+    # the floor is below every seen probability, so no seen word scores as high
+    seen = extract_against(reference, reference, cfg)
+    assert max(seen["ngram_surprisal"]) < 8 / 3
+    assert max(seen["trans_surprisal"]) < 3.0
 
 
 def test_rare_transition_examples():
@@ -168,9 +207,11 @@ def test_rare_transition_examples():
     assert rarity([0.03, 0.10], 0.01, 0.05, 100.0, 20.0) == pytest.approx(0.2)
 
 
-def test_transition_entropy_examples():
-    assert entropy([1.0]) == 0.0
-    assert entropy([0.5, 0.5]) == pytest.approx(1.0)
+def test_transition_surprisal_examples():
+    assert surprisal([1.0]) == 0.0
+    assert surprisal([0.5, 0.5]) == 1.0
+    # an unseen id takes the floor: (2 + 3) / 2 bits
+    assert surprisal([0.25, 0.0], floor=0.125) == 2.5
 
 
 def test_avg_transition_prob_examples():
@@ -202,20 +243,22 @@ def test_feature_oracle_equivalence_random_vocabularies():
         vocab = random_vocab(rng)
         probs = oracles.bf_ngram_probs(vocab)
         trans = oracles.bf_transition_probs(vocab)
+        totals = oracles.bf_ngram_totals(vocab)
+        n_transitions = oracles.bf_transition_total(vocab)
         columns = extract_against(vocab, vocab, cfg)
         for i, w in enumerate(vocab):
             assert columns["rare_ngram_score"][i] == pytest.approx(
                 oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0),
                 abs=1e-9,
             )
-            assert columns["ngram_entropy"][i] == pytest.approx(
-                oracles.bf_ngram_entropy(w, probs), abs=1e-9
+            assert columns["ngram_surprisal"][i] == pytest.approx(
+                oracles.bf_ngram_surprisal(w, probs, totals), abs=1e-9
             )
             assert columns["rare_transition_score"][i] == pytest.approx(
                 oracles.bf_rare_transition_score(w, trans), abs=1e-9
             )
-            assert columns["trans_entropy"][i] == pytest.approx(
-                oracles.bf_transition_entropy(w, trans), abs=1e-9
+            assert columns["trans_surprisal"][i] == pytest.approx(
+                oracles.bf_transition_surprisal(w, trans, n_transitions), abs=1e-9
             )
             assert columns["avg_trans_prob"][i] == pytest.approx(
                 oracles.bf_avg_transition_prob(w, trans), abs=1e-9
@@ -295,22 +338,24 @@ def test_extract_all_equals_per_word_references(case):
     columns = extract_all(stats, cfg)
     assert list(columns) == list(feature_names(cfg.mode))
     for r in probed:
-        grams = [
-            stats.ngram_prob.get(g, 0.0)
-            for g in oracles.bf_word_ngrams(words[r], cfg.ngram_min, cfg.ngram_max)
-        ]
+        word_grams = oracles.bf_word_ngrams(words[r], cfg.ngram_min, cfg.ngram_max)
+        grams = [stats.ngram_prob.get(g, 0.0) for g in word_grams]
         trans = [stats.trans_probs[t] for t in group.word_trans[r]]
+        reference_words = [words[i] for i in reference]
+        totals = oracles.bf_ngram_totals(reference_words, cfg.ngram_min, cfg.ngram_max)
+        gram_floors = [oracles.bf_floor(totals.get(len(g), 0)) for g in word_grams]
+        trans_floors = [oracles.bf_floor(oracles.bf_transition_total(reference_words))] * len(trans)
         expected = {
             "rare_ngram_score": oracles.bf_rarity(
                 grams, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
                 cfg.rare_ngram_c1, cfg.rare_ngram_c2,
             ),
-            "ngram_entropy": oracles.bf_entropy(grams),
+            "ngram_surprisal": oracles.bf_surprisal(grams, gram_floors),
             "rare_transition_score": oracles.bf_rarity(
                 trans, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
                 cfg.rare_trans_c1, cfg.rare_trans_c2,
             ),
-            "trans_entropy": oracles.bf_entropy(trans),
+            "trans_surprisal": oracles.bf_surprisal(trans, trans_floors),
             "avg_trans_prob": oracles.bf_mean(trans),
             "len_z": (len(words[r]) - stats.length_mean) / stats.length_std,
         }
@@ -321,16 +366,23 @@ def test_extract_all_equals_per_word_references(case):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_rarity_entropy_equals_per_word_references(data):
+def test_rarity_surprisal_equals_per_word_references(data):
     eps1, eps2, c1, c2 = data.draw(tiers())
     probs = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, eps1, eps2]), UNIT)))
+    # the floor is below every probability but 0, as a reference's is
+    floor = min([p for p in probs if p > 0.0], default=1.0) * data.draw(
+        st.floats(0.01, 1.0, exclude_max=True)
+    )
+    assume(floor > 0.0)
     ids = st.lists(st.integers(0, len(probs) - 1), max_size=12) if probs else st.just([])
     word_ids = [array("i", r) for r in data.draw(st.lists(ids, min_size=1, max_size=6))]
     rows = data.draw(st.lists(st.integers(0, len(word_ids) - 1), max_size=8))
-    rarities, entropies = kernel([word_ids[r] for r in rows], probs, eps1, eps2, c1, c2)
+    rarities, surprisals = kernel(
+        [word_ids[r] for r in rows], probs, floor, eps1, eps2, c1, c2
+    )
     expected = [[probs[i] for i in word_ids[r]] for r in rows]
     assert rarities == [oracles.bf_rarity(p, eps1, eps2, c1, c2) for p in expected]
-    assert entropies == [oracles.bf_entropy(p) for p in expected]
+    assert surprisals == [oracles.bf_surprisal(p, [floor] * len(p)) for p in expected]
 
 
 def test_extract_mode_contracts():
@@ -342,9 +394,9 @@ def test_extract_mode_contracts():
 
     assert list(extract("full")) == list(feature_names("full"))
     no_ngram = extract("no_ngram")
-    assert "rare_ngram_score" not in no_ngram and "ngram_entropy" not in no_ngram
+    assert "rare_ngram_score" not in no_ngram and "ngram_surprisal" not in no_ngram
     no_trans = extract("no_transition")
-    for name in ("rare_transition_score", "trans_entropy", "avg_trans_prob"):
+    for name in ("rare_transition_score", "trans_surprisal", "avg_trans_prob"):
         assert name not in no_trans
     aug = extract("aug")
     assert list(aug) == list(feature_names("aug"))
@@ -448,16 +500,21 @@ def test_statistics_built_from_the_last_pass_equal_a_build_from_nothing(case):
         assert dict(stats.trans_prob) == trans
         columns = extract_all(stats, cfg)
         assert columns == extract_all(fresh, cfg)
+        totals = oracles.bf_ngram_totals(reference, nmin, nmax)
+        trans_floor = oracles.bf_floor(oracles.bf_transition_total(reference))
         for w, *values in zip(words, *(columns[name] for name in CORE_FEATURES[:5])):
-            g = [grams.get(x, 0.0) for x in oracles.bf_word_ngrams(w, nmin, nmax)]
+            word_grams = oracles.bf_word_ngrams(w, nmin, nmax)
+            g = [grams.get(x, 0.0) for x in word_grams]
             t = [trans.get(x, 0.0) for x in zip(w, w[1:])]
             assert values == [
                 oracles.bf_rarity(g, cfg.rare_ngram_eps1, cfg.rare_ngram_eps2,
                                   cfg.rare_ngram_c1, cfg.rare_ngram_c2),
-                oracles.bf_entropy(g),
+                oracles.bf_surprisal(
+                    g, [oracles.bf_floor(totals.get(len(x), 0)) for x in word_grams]
+                ),
                 oracles.bf_rarity(t, cfg.rare_trans_eps1, cfg.rare_trans_eps2,
                                   cfg.rare_trans_c1, cfg.rare_trans_c2),
-                oracles.bf_entropy(t),
+                oracles.bf_surprisal(t, [trans_floor] * len(t)),
                 oracles.bf_mean(t),
             ]
         built.append((stats, rows))
@@ -571,6 +628,8 @@ def test_compiled_extract_all_matches_bruteforce_features():
         stats = build_statistics(group, rows)
         probs = oracles.bf_ngram_probs(reference)
         trans = oracles.bf_transition_probs(reference)
+        totals = oracles.bf_ngram_totals(reference)
+        n_transitions = oracles.bf_transition_total(reference)
         mean, std = oracles.bf_length_stats(reference)
         columns = extract_all(stats, cfg)
         assert columns == extract_against(reference, vocab, cfg)
@@ -580,14 +639,14 @@ def test_compiled_extract_all_matches_bruteforce_features():
             assert columns["rare_ngram_score"][i] == pytest.approx(
                 oracles.bf_rare_ngram_score(w, probs, 0.005, 0.02, 100.0, 20.0), abs=1e-12
             )
-            assert columns["ngram_entropy"][i] == pytest.approx(
-                oracles.bf_ngram_entropy(w, probs), abs=1e-9
+            assert columns["ngram_surprisal"][i] == pytest.approx(
+                oracles.bf_ngram_surprisal(w, probs, totals), abs=1e-9
             )
             assert columns["rare_transition_score"][i] == pytest.approx(
                 oracles.bf_rare_transition_score(w, trans), abs=1e-12
             )
-            assert columns["trans_entropy"][i] == pytest.approx(
-                oracles.bf_transition_entropy(w, trans), abs=1e-9
+            assert columns["trans_surprisal"][i] == pytest.approx(
+                oracles.bf_transition_surprisal(w, trans, n_transitions), abs=1e-9
             )
             assert columns["avg_trans_prob"][i] == pytest.approx(
                 oracles.bf_avg_transition_prob(w, trans), abs=1e-12

@@ -39,55 +39,55 @@ from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR, POS_DONOR_GRAMMAR, POS_NATIV
 
 DETECT = {  # mode: (report, trace)
     "aug": (
-        "ea9eacf1263dfa5cdaf9e5a2af5608803ef9b740917df06c469f0bf810d3dd3b",
-        "4d20d4984b391712cbab671d1b4d7da3afdf461d116e5b6739b2d031387fce72",
+        "8be0565121143aa5c6a8913367c07fd4167bf2d241c28ee452f9794ab0700ad4",
+        "af35622248db5076d533c72174555dc40b3cba5b8d27825604c7861b575e8879",
     ),
     "full": (
-        "3a29fd47d2befed42c63a551d3063e850795a1949e10bc39c9e4cbbbf320de92",
-        "80d1ea4ab7ddc48b901c885fdcbb2e5d92807f6dc982500d8393180c5f784bea",
+        "b05979d5f87e1e6926448cbd5c79ff8488347223b450a62c0d44b903cec16aa1",
+        "585cae928993c8aabf6e306a4efb28b0cf49dbe59d91e85dbcd19f51d03fb0e6",
     ),
     "no_ngram": (
-        "b20e7614739a1234071ceb181e420d00c66ac37cfcc60b3c1f36b9a9c3f5289a",
-        "e17e7e6845cfbad24bf8f799e48c48b2da6c2225f3f3e4fa91bc050936878f33",
+        "a02fa800f218d8b7feced48ef3d8bfea5703d27d834a6325783dce030fd8a664",
+        "77d9710109caa254035b30487affa1932349e0215675a03f6b195f1bd18656d3",
     ),
     "no_transition": (
-        "576cce43075cf036b6afcd07544f129f2bd8440b94da2b5b5f560e595e16d535",
-        "20cf879995e30328cf2d9ff9b6fe8892bdf41864e1c265fc80d79acdffcc440d",
+        "04a4643b4d6626045048ab85819e9f9b10a3c0c50f918d32b4803c26691bf0e6",
+        "a83ae141eee065dc304bed5fc8b9e480c0786ddbc1a3d6806dd3f8801d357813",
     ),
 }
 NGRAM_RANGES = {  # --set overrides: (report, trace), in mode full
     ("ngram_min=1",): (
-        "e6f3a9053ce2862753edd7b4a5d51c06ced758decefefd5d757098e982b1b4fd",
-        "005eec459c7ac1ef1d77f2179a2d1635d9a940aa5d1abed70e96d1a7af7a22fd",
+        "cb6d7a16e005944817fa1f4d855816f546214465fa57162952d4d15d8c3fc52a",
+        "5318bd913f5d2d0891ebf0ecfb7d801dd6aae4be4eebfb518dc9881f5b3112e0",
     ),
     ("ngram_min=3", "ngram_max=4"): (
-        "c0a2223de9548cbded58b44b47d9d743e4075dcc263f9e4569ebeccaca6977b3",
-        "fb2eed6421a8549a112243779917e3ef43e7a9623052ee4490273fea1fbf9374",
+        "9f4d377a832432569061f8f486b55098c53ba7faf51dbbf3a2a58ad9f67b580a",
+        "37fe8f7112cf1c64f48ca6001074dd554c99026cc00be7fc2d5f597b742beb3f",
     ),
     # past the corpus's longest word (12 symbols); the second range holds no n-gram
     ("ngram_max=1000",): (
-        "d0863952e64752a3fcdaad26cc89e16aeb587cb792caf003b6589b6c07758de1",
-        "cfede7499956efe7a7de694a73c8a4146ef988147c1661bc4faca70cf134d871",
+        "0d1725c4109b97118db46a313c32c10a86d291b9cef153db516014e263e415c9",
+        "e7514127e62fe8249b6e73b01fe6724243f611cf71156103d9226e67500df138",
     ),
     ("ngram_min=13", "ngram_max=20"): (
-        "7a9804730445c428ae0961493d40e5431cca674bbf1356e9c8ae9fab0af6d08f",
-        "012735a29cfa9f6e42cfcd9adfd23c55ddbcf3782f4b264215a4ffd02b16e488",
+        "a46e6a8ad1165a80f88d131afbc099ce047425225919ce08c2e5111300325b2b",
+        "3fb5a69c5d874a09e556c7fe4225eb345001d9a14d17e58d3b032f561ce9197b",
     ),
 }
-DETECT_XL = "1948b27e64467dc911b8aebfb673ea5a6619ed52d86b0814284951c5a985ee59"
+DETECT_XL = "5f676c7dd03a1232082e93fb018e4616cdcd90ee1beae6398cb512fc17cba250"
 GAP_PENALTIES = {  # --set gap_penalty: detect-xl report
-    "0.3": "4e9b72533573a9ca36c83237d2d921564fbb0643b90206155648db1d15523602",
-    "1.0": "0109abc84067062b38f0a8fcd156e38c86dbaab74d902d9adb22b6425aaf32bc",
+    "0.3": "173abec774e0deb8a10d71fc24e4f1befd84624f1a7064c17eab1ff7e84d1aa3",
+    "1.0": "fb2566c3b9c89dcfb4291b6dcc4159b039de283eecfcbeb7c55e01821da284ea",
 }
 REPEATING = {
-    "report": "db0affda9a701196ca66dc9d51eb3500035e71156027913de31d107f2c4c5043",
-    "trace": "bbb5bf33330568926dd5d4c96c6c4ecd860add88e556204bed582aa3485f26d3",
-    "scaled": "dc4ccffb4f740b3fd494cc64629cff3f880f1b38b8e2de153063539a75f2aa20",
+    "report": "387eb30b88a0158760a8ed6c038d24b91be045716e92cf6a025e6c476fa5d255",
+    "trace": "652aedb0117d9bf40d0e3b3dddb4559c66073915624812495b6d9f82d83231f7",
+    "scaled": "89ddfe77c845d715202546e808c07f7dcdfe950cdf39ad86da0dfb12cba9d344",
 }
 TABLES = {
-    "eval": "701bc98785efd1a05d75e3fe21b601b28010ed6d67530028e5720f3f90b7cf90",
-    "ablate": "200da985940c8e50861fde30c11701546bfde1faadd7b44f1e57d5e29549125c",
-    "experiment": "3697fc65710a6a774caa77023d2843608748938f666294bbe038b7be126e63a8",
+    "eval": "6a9c9f7607961c71d8f29ef81aa85aa0aaaf359731ab587961d7fa35a95df0a4",
+    "ablate": "0c3ca7d4d3dbb3597080478ced15e0e91e6db06078bfa2f6b0d5960737cfcafa",
+    "experiment": "064663bef0ce6bf8aed7f504e21e7f60ae65b44f19ac32ffc9107f216fe24a36",
     "synth": "6ef4b365f65e70f84d35f3d5e8fb47d1ece5303deb5af2c22174e10aa766ef04",
     "synth_multilingual": "1ba073d449ed03479c2b248664dd9940f18347b1394c56af79f0b554a7479076",
 }
@@ -161,7 +161,7 @@ def test_reports_with_repeated_references_are_pinned(tmp_path, monkeypatch):
                         lambda *a: computed.append(a[1]) or build(*a))
     words, multi = tmp_path / "words.tsv", tmp_path / "multi.tsv"
     write_wordlist(
-        generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 80, 20, seed=6, integration=0.5),
+        generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 80, 20, seed=5, integration=0.9),
         words,
     )
     write_wordlist(

@@ -104,7 +104,7 @@ def test_composite_zero_vector():
 def test_composite_missing_weight():
     # validate requires a weight for every feature the mode extracts, so the
     # composite never meets a feature without one
-    with pytest.raises(ConfigError, match="trans_entropy"):
+    with pytest.raises(ConfigError, match="trans_surprisal"):
         RunConfig(mode="no_ngram", weights={"rare_transition_score": 1.0})
     for mode in MODES:
         for name in feature_names(mode):
