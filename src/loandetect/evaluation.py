@@ -6,9 +6,9 @@ and can pass loans through an integration mutator that replaces segments
 foreign to the recipient inventory with their phonologically nearest
 native segment. Grammars are plain dataclasses, loadable from JSON so
 fixtures stay versionable. Every generated row must load back as itself:
-a word whose written IPA ``normalize_ipa`` reads as other tokens (a symbol
-that splits, merges with its neighbour, vanishes or is not NFC) is an
-``InvalidGrammarError`` naming the grammar, the word and that reading.
+a word whose written IPA ``wordlist.read_back`` reads as other tokens (a
+symbol that splits, merges with its neighbour, vanishes or is not NFC) is
+an ``InvalidGrammarError`` naming the grammar, the word and that reading.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import logging
 import math
 import random
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
@@ -28,7 +27,9 @@ from .config import ConfigError, RunConfig
 from .features import MODES
 from .ipa import symbol_distance
 from .refiner import detect_wordlist
-from .wordlist import LexicalEntry, Wordlist, WordlistError, normalize_ipa, write_table
+from .wordlist import (
+    LexicalEntry, Wordlist, WordlistError, read_back, show_tokens, write_table,
+)
 
 log = logging.getLogger(__name__)
 
@@ -371,13 +372,9 @@ def _entry(word, language, grammar, label, rng, concept=None) -> LexicalEntry:
     text = "".join(word)
     pos = rng.choices(grammar.pos_choices, weights=grammar.pos_weights)[0]
     entry = LexicalEntry(text, word, language, pos, label, concept)
-    try:
-        read = normalize_ipa(text)
-    except WordlistError:  # nothing left after stripping markers
-        read = ()
+    read = read_back(word)
     if read != word:
-        # a word that NFC changes looks the same as its read-back; escape both
-        show = repr if unicodedata.is_normalized("NFC", text) else ascii
+        show = show_tokens(text)
         raise InvalidGrammarError(
             f"grammar {grammar.language!r} writes the word {show(text)} of symbols {show(word)}, "
             f"which loads back as {show(read)}"

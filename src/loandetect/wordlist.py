@@ -16,8 +16,11 @@ only ``crossling.detect_scaled`` reads concepts, and it alone requires them.
 every per-language detector and the trace writer read.
 Every file the package writes is a ``write_table`` table: reports (their
 ``#`` header echoes the run's configuration), the per-pass traces of
-``write_trace``, metric tables and synthetic wordlists. Detection itself
-writes nothing; the command line writes what it returns.
+``write_trace``, metric tables and synthetic wordlists. ``write_wordlist``
+writes an entry only if its IPA cell loads back as its tokens
+(``read_back``), which ``LexicalEntry`` does not check: a token is not
+re-tokenized on every loaded row. Detection itself writes nothing; the
+command line writes what it returns.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import unicodedata
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .ipa import GAP, tokenize
 
@@ -203,6 +207,21 @@ def normalize_ipa(raw: str) -> tuple[str, ...]:
             f"IPA {raw!r} has nothing left after stripping markers and separators"
         )
     return tuple(tokenize(text))
+
+
+def read_back(ipa: Sequence[str]) -> tuple[str, ...]:
+    """The tokens the loader reads from ``ipa`` written as one IPA cell:
+    ``normalize_ipa`` of the joined tokens, or ``()`` when nothing is left."""
+    try:
+        return normalize_ipa("".join(ipa))
+    except EmptyTranscriptionError:
+        return ()
+
+
+def show_tokens(text: str) -> Callable[[object], str]:
+    """``repr``, or ``ascii`` when ``text`` is not NFC: a token that NFC
+    changes looks the same as its read-back unless it is escaped."""
+    return repr if unicodedata.is_normalized("NFC", text) else ascii
 
 
 def load_wordlist(
@@ -471,7 +490,22 @@ def write_trace(
 
 
 def write_wordlist(wordlist: Wordlist, path: str | Path) -> None:
-    """Serialize a wordlist in the standard input format (for synth fixtures)."""
+    """Serialize a wordlist in the standard input format (for synth fixtures).
+
+    Every row must load back as its entry: an entry whose IPA tokens
+    ``read_back`` reads as other tokens (a token with a separator or
+    whitespace in it, or one that merges with its neighbour or splits) is a
+    ``WordlistError`` naming the entry and that reading, and nothing is
+    written.
+    """
+    for e in wordlist:
+        read = read_back(e.ipa)
+        if read != e.ipa:
+            show = show_tokens(e.ipa_text)
+            raise WordlistError(
+                f"entry {show(e.orthography)} has the IPA tokens {show(e.ipa)}, "
+                f"which load back as {show(read)}"
+            )
     rows = [(e.orthography, e.ipa_text, e.language, e.pos, e.gold_label, e.concept_id)
             for e in wordlist]
     write_table(path, _COLUMNS, rows)

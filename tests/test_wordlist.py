@@ -609,6 +609,41 @@ def test_wordlist_roundtrip_via_writer(tmp_path):
     assert again.language == "multi"
 
 
+@pytest.mark.parametrize(
+    "tokens, read",
+    [
+        (("p", " a"), ("p", "a")),  # whitespace is a separator
+        (("pa",), ("p", "a")),  # one token of two symbols splits
+        (("p", "a."), ("p", "a")),  # a syllable dot is stripped
+        (("t\u0361", "ʃ"), ("t\u0361ʃ",)),  # a tie bar joins its neighbour
+        (("p", "ˈ"), ("p",)),  # a stress mark vanishes
+    ],
+)
+def test_write_wordlist_refuses_an_entry_that_loads_back_as_other_tokens(tokens, read, tmp_path):
+    good = LexicalEntry("ta", ("t", "a"), "en", "noun")
+    bad = LexicalEntry("pa", tokens, "en", "noun")
+    path = tmp_path / "words.tsv"
+    with pytest.raises(WordlistError) as err:
+        write_wordlist(Wordlist([good, bad]), path)
+    assert str(err.value) == (
+        f"entry 'pa' has the IPA tokens {tokens!r}, which load back as {read!r}"
+    )
+    assert not path.exists()
+    # the read-back is what the loader gives the written cell
+    path.write_text(f"{HEADER}\npa\t{''.join(tokens)}\ten\tnoun\t\t\n", encoding="utf-8")
+    assert load_wordlist(path).entries[0].ipa == read
+
+
+def test_write_wordlist_escapes_a_token_that_nfc_changes(tmp_path):
+    decomposed = "e\u0301"  # é as e + combining acute, which NFC composes
+    bad = LexicalEntry("e", (decomposed,), "en", "noun")
+    with pytest.raises(WordlistError) as err:
+        write_wordlist(Wordlist([bad]), tmp_path / "words.tsv")
+    assert str(err.value) == (
+        "entry 'e' has the IPA tokens ('e\\u0301',), which load back as ('\\xe9',)"
+    )
+
+
 def test_wordlist_derives_its_language():
     pa = entry("pa")
     assert Wordlist([pa]).language == "english"
