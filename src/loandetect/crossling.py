@@ -267,14 +267,14 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
     }
     # two languages imply two entries, so every spanning concept holds a pair
     words = {c: [entries[i].ipa for i in idxs] for c, idxs in spanning.items()}
-    pairs = build_context_model(words, cfg) if words else {}
+    d_feat = build_context_model(words, cfg) if words else {}
 
     n = len(multi)
     comp: list[float | None] = [None] * n
     scores, thresholds, predicted = list(basic), [cfg.tau] * n, list(basic_labels)
     fallback = sorted(members.keys() - spanning.keys())
     for concept in sorted(spanning):
-        for i, c in zip(spanning[concept], comparability(pairs[concept])):
+        for i, c in zip(spanning[concept], comparability(d_feat[concept])):
             b = basic[i]
             s = composite(b, c, cfg.composite_w1, cfg.composite_w2)
             theta = dynamic_threshold(b, c, cfg.threshold_alpha, cfg.threshold_beta)
