@@ -54,9 +54,8 @@ the other rows, whose slots read 0. ``_rarity_surprisal`` then adds up
 each word's table entries in one loop per word. ``avg_trans_prob`` is
 ``sum()`` of the word's transition probabilities, and the segmental
 features of ``aug`` mode are one kernel per word over its CV pattern or
-symbols. It returns feature
-columns, one list per feature of the mode in ``feature_names`` order,
-which is the form ``scoring.score_all`` reads.
+symbols. It returns feature columns, one list per feature of the mode in
+``feature_names`` order, which is the form ``scoring.score_all`` reads.
 """
 
 from __future__ import annotations
@@ -509,9 +508,10 @@ def extract_all(stats: VocabStatistics, cfg: RunConfig) -> dict[str, list[float]
     compiled for ``cfg``'s n-gram range. Each block (n-grams, transitions)
     computes its ids' ``_terms`` once and adds them up per word in one
     ``_rarity_surprisal`` loop; a reference row reads the n-gram slots at
-    1/T_n, any other row at 0, and so at the floor of their length. ``avg_trans_prob`` is ``sum()`` over the
-    word's transition probabilities in id order, as from Python 3.12 on
-    ``sum()`` is compensated and a running total would change its bits.
+    1/T_n, any other row at 0, and so at the floor of their length.
+    ``avg_trans_prob`` is ``sum()`` over the word's transition
+    probabilities in id order, as from Python 3.12 on ``sum()`` is
+    compensated and a running total would change its bits.
     Words of length 1 have no n-grams or transitions; their sequence
     features are 0.
     """

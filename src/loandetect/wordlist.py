@@ -96,8 +96,8 @@ class LexicalEntry:
     2. no tab, CR or LF in the orthography, language, concept or an IPA
     token; 3. no leading or trailing whitespace in the orthography,
     language or concept, which the loader would strip; 4. some IPA
-    (``EmptyTranscriptionError``); 5. neither token the aligner reserves
-    (the gap symbol, the empty token); 6. a POS of ``POS_CATEGORIES``
+    (``EmptyTranscriptionError``); 5. no IPA token that is the aligner's
+    gap symbol or empty; 6. a POS of ``POS_CATEGORIES``
     (``UnknownPOSError``); 7. a label of None, int 0 or 1.
     """
 
@@ -126,13 +126,13 @@ class LexicalEntry:
             raise EmptyTranscriptionError(
                 f"entry {self.orthography!r} has an empty IPA transcription"
             )
-        # the aligner's gap symbol, and the empty token; loaded IPA holds neither
-        for token in (GAP, ""):
-            if token in self.ipa:
-                raise WordlistError(
-                    f"entry {self.orthography!r} holds the token {token!r}, "
-                    "which the aligner reserves"
-                )
+        # loaded IPA holds neither: every token holds a codepoint, and none is the gap
+        if GAP in self.ipa:
+            raise WordlistError(
+                f"entry {self.orthography!r} holds the token {GAP!r}, which the aligner reserves"
+            )
+        if "" in self.ipa:
+            raise WordlistError(f"entry {self.orthography!r} holds an empty token")
         if self.pos not in POS_CATEGORIES:
             raise UnknownPOSError(self.pos)
         # True or 1.0 would be written as a label cell the loader refuses

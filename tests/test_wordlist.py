@@ -235,9 +235,14 @@ def test_entry_refuses_blank_language(language):
         LexicalEntry("pa", ("p", "a"), language, "noun")
 
 
-@pytest.mark.parametrize("token", [GAP, ""])
-def test_entry_refuses_the_tokens_the_aligner_reserves(token, tmp_path, capsys):
-    message = f"entry 'pa' holds the token {token!r}, which the aligner reserves"
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        (GAP, f"entry 'pa' holds the token {GAP!r}, which the aligner reserves"),
+        ("", "entry 'pa' holds an empty token"),
+    ],
+)
+def test_entry_refuses_the_gap_symbol_and_an_empty_token(token, message, tmp_path, capsys):
     with pytest.raises(WordlistError) as err:
         LexicalEntry("pa", ("p", token, "a"), "en", "noun")
     assert str(err.value) == message
@@ -251,7 +256,7 @@ def test_entry_refuses_the_tokens_the_aligner_reserves(token, tmp_path, capsys):
             "--seed", "1", "--output", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: entry ") and "which the aligner reserves" in err
+    assert err.startswith("error: entry ") and message.removeprefix("entry 'pa' ") in err
     assert not out.exists()
 
 
