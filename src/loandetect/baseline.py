@@ -10,19 +10,13 @@ predicted loanwords.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .config import RunConfig
 from .ipa import syllabify
 from .wordlist import Wordlist, language_rows
 
 Word = tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class StemIndex:
-    stem_following: Mapping[str, frozenset[str]]
 
 
 def stem_of(word: Word) -> tuple[str, list[str]]:
@@ -36,12 +30,13 @@ def stem_of(word: Word) -> tuple[str, list[str]]:
     return stem, syllables[2:]
 
 
-def build_stem_index(words: Sequence[Word]) -> StemIndex:
+def build_stem_index(words: Sequence[Word]) -> dict[str, frozenset[str]]:
+    """Each stem of ``words`` with the distinct syllables that follow it."""
     following: dict[str, set[str]] = defaultdict(set)
     for w in words:
         stem, rest = stem_of(w)
         following[stem].update(rest)
-    return StemIndex(stem_following={s: frozenset(f) for s, f in following.items()})
+    return {s: frozenset(f) for s, f in following.items()}
 
 
 def nativeness_scores(words: Sequence[Word]) -> list[float]:
@@ -49,7 +44,7 @@ def nativeness_scores(words: Sequence[Word]) -> list[float]:
     if not words:
         raise ValueError("empty vocabulary")
     index = build_stem_index(words)
-    raw = [len(index.stem_following[stem_of(w)[0]]) for w in words]
+    raw = [len(index[stem_of(w)[0]]) for w in words]
     lo, hi = min(raw), max(raw)
     if hi - lo == 0:
         return [0.0] * len(raw)

@@ -28,12 +28,12 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from .features import CORE_FEATURES, MODES, feature_names
+from .records import FrozenRecord, _set
 from .scoring import (
     ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS, _coefficients,
 )
@@ -72,9 +72,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """All constants of the detection pipeline, with published defaults."""
+class RunConfig(FrozenRecord):
+    """All constants of the detection pipeline, with published defaults.
+
+    The annotated class attributes below are the fields, in order, and
+    their defaults; ``_fields`` names them. Every field is a keyword of
+    ``RunConfig(...)``; the mapping fields are kept as read-only copies.
+    """
 
     mode: str = "full"
     model: str = "autbor"
@@ -92,17 +96,13 @@ class RunConfig:
     rare_trans_c2: float = 20.0
 
     # scoring
-    weights: Mapping[str, float] = field(default_factory=lambda: DEFAULT_WEIGHTS)
-    pos_weights: Mapping[str, float] = field(default_factory=lambda: DEFAULT_POS_WEIGHTS)
-    polarity: Mapping[str, int] = field(default_factory=lambda: DEFAULT_POLARITY)
+    weights: Mapping[str, float] = DEFAULT_WEIGHTS
+    pos_weights: Mapping[str, float] = DEFAULT_POS_WEIGHTS
+    polarity: Mapping[str, int] = DEFAULT_POLARITY
     gamma: float = 8.0
     center: float = 0.5
-    anomaly_thresholds: Mapping[str, float] = field(
-        default_factory=lambda: {name: 0.8 for name in ALL_FEATURES}
-    )
-    anomaly_boosts: Mapping[str, float] = field(
-        default_factory=lambda: {name: 0.5 for name in ALL_FEATURES}
-    )
+    anomaly_thresholds: Mapping[str, float] = dict.fromkeys(ALL_FEATURES, 0.8)
+    anomaly_boosts: Mapping[str, float] = dict.fromkeys(ALL_FEATURES, 0.5)
 
     # iterative refinement
     tau: float = 0.3
@@ -126,10 +126,16 @@ class RunConfig:
     # baseline
     baseline_threshold: float = 0.5
 
-    def __post_init__(self) -> None:
-        # read-only copies: nobody can change a map after validation
-        for attr in _PREFIX_OF:
-            object.__setattr__(self, attr, MappingProxyType(dict(getattr(self, attr))))
+    def __init__(self, **values: object) -> None:
+        for name in values:
+            if name not in self._fields:
+                raise TypeError(f"RunConfig() got an unexpected keyword argument {name!r}")
+        for name in self._fields:
+            value = values.get(name, getattr(RunConfig, name))
+            if name in _PREFIX_OF:
+                # a read-only copy: nobody can change a map after validation
+                value = MappingProxyType(dict(value))
+            _set(self, name, value)
         self.validate()
 
     def validate(self) -> None:
@@ -232,14 +238,14 @@ class RunConfig:
 
     def to_flat(self) -> dict[str, object]:
         out: dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if isinstance(value, Mapping):
-                prefix = _PREFIX_OF[f.name]
+                prefix = _PREFIX_OF[name]
                 for key in sorted(value):
                     out[f"{prefix}{key}"] = value[key]
             else:
-                out[f.name] = value
+                out[name] = value
         return out
 
     def dump(self) -> str:
@@ -253,7 +259,7 @@ class RunConfig:
         """
         simple: dict[str, object] = {}
         maps: dict[str, dict] = {}
-        defaults = {f.name: f.default for f in fields(self) if f.name not in _PREFIX_OF}
+        defaults = {n: getattr(RunConfig, n) for n in self._fields if n not in _PREFIX_OF}
         for key, raw in overrides.items():
             prefix = next((p for p in _MAP_PREFIXES if key.startswith(p)), None)
             if prefix is not None:
@@ -264,7 +270,7 @@ class RunConfig:
                 simple[key] = _coerce(raw, type(defaults[key]))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-        return replace(self, **simple, **maps)
+        return self._replace(**simple, **maps)
 
 
 def _coerce(value: object, target: type) -> object:

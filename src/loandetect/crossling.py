@@ -13,8 +13,9 @@ those whose concept spans two or more languages; every other word keeps
 its basic classification, and its concept is never aligned.
 
 Each distinct unordered word pair of a concept is aligned once; a pair
-that occurs again in the concept (a word two languages share) reuses the
-D_feat of its first alignment. That memo is kept per concept, so it never
+that occurs again in the concept reuses the D_feat of its first
+alignment, and a word paired with itself (a word two languages share)
+is not aligned at all: its D_feat is 0. That memo is kept per concept, so it never
 grows past one concept's pairs. The aligner scores in integers, so its
 traceback finds ties exactly at any gap penalty, and each column's
 feature distance is read back off the integer score it tabled. It tables
@@ -30,8 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .config import RunConfig
 from .ipa import FEATURE_DIM, GAP, symbol_distance
@@ -59,8 +59,7 @@ class MissingConceptError(ValueError):
 _SIMILARITIES: dict[int, dict[str, dict[str, int]]] = {}
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Global alignment of two words: (a, b, d) per column, with d the
     column's feature distance, ``symbol_distance(a, b)`` or 1.0 for a gap."""
 
@@ -148,7 +147,7 @@ def build_context_model(
     D_feat is the mean of the columns' feature distances. Each distinct
     unordered word pair of a concept is aligned once, smaller word first;
     a pair that repeats within its concept takes its first alignment's
-    value. The name is kept from the context model this table replaced,
+    value. Two identical words are not aligned: their D_feat is 0.0. The name is kept from the context model this table replaced,
     because the benchmark's instrument wraps it by name; it goes once that
     instrument reads spans from the package.
     """
@@ -161,6 +160,11 @@ def build_context_model(
         for i, x in enumerate(words):
             row = []
             for y in words[i + 1 :]:
+                if x == y:
+                    # the diagonal scores 1 a column and a gap column at most 0
+                    # (gap_penalty >= 0), so it is the one optimum, at distance 0
+                    row.append(0.0)
+                    continue
                 pair = (x, y) if x <= y else (y, x)
                 d = d_feat.get(pair)
                 if d is None:
@@ -213,8 +217,7 @@ def classify(score: float, threshold: float) -> int:
     return int(score >= threshold)
 
 
-@dataclass
-class ScaledResult:
+class ScaledResult(NamedTuple):
     """Per-entry outputs of the scaled model, in wordlist order."""
 
     basic: list[float]

@@ -63,13 +63,13 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ipa import cv_pattern
+from .records import FrozenRecord, _set
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -217,8 +217,7 @@ class CompiledGroup:
         return [cv_pattern(w) for w in self.words]
 
 
-@dataclass(frozen=True, eq=False)
-class VocabStatistics:
+class VocabStatistics(FrozenRecord):
     """Distributional statistics of the reference ``rows`` of ``group``.
 
     ``members[r]`` is 1 when row ``r`` is a reference row. ``gram_counts``
@@ -241,6 +240,32 @@ class VocabStatistics:
     trans_probs: Sequence[float]
     length_mean: float
     length_std: float
+
+    # compared and hashed by identity, not by their counts
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        group: CompiledGroup,
+        rows: Sequence[int],
+        members: bytes,
+        gram_counts: Sequence[int],
+        gram_totals: Sequence[int],
+        trans_counts: Sequence[int],
+        trans_probs: Sequence[float],
+        length_mean: float,
+        length_std: float,
+    ) -> None:
+        _set(self, "group", group)
+        _set(self, "rows", rows)
+        _set(self, "members", members)
+        _set(self, "gram_counts", gram_counts)
+        _set(self, "gram_totals", gram_totals)
+        _set(self, "trans_counts", trans_counts)
+        _set(self, "trans_probs", trans_probs)
+        _set(self, "length_mean", length_mean)
+        _set(self, "length_std", length_std)
 
     def gram_probs(self) -> list[float]:
         """The probability of every folded id, computed on each call.

@@ -51,11 +51,11 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import RunConfig
 from .features import CompiledGroup, _members, _recount, build_statistics, extract_all
+from .records import Record
 from .scoring import score_all
 from .wordlist import Wordlist, WordlistError, language_rows
 
@@ -174,22 +174,30 @@ def check_convergence(
     return delta < fraction * max(1, len(prev))
 
 
-@dataclass(frozen=True)
-class IterationSnapshot:
+class IterationSnapshot(NamedTuple):
     iteration: int
     probabilities: tuple[float, ...]
     averaged: tuple[float, ...]
     loans: frozenset[int]
 
 
-@dataclass
-class DetectionState:
+class DetectionState(Record):
     """The refinement loop's passes, indexed by entry position: ``iteration``,
     ``averaged`` and ``loans`` are the last snapshot's own values."""
 
-    snapshots: list[IterationSnapshot] = field(default_factory=list)
-    converged: bool = False
-    warnings: list[str] = field(default_factory=list)
+    snapshots: list[IterationSnapshot]
+    converged: bool
+    warnings: list[str]
+
+    def __init__(
+        self,
+        snapshots: list[IterationSnapshot] | None = None,
+        converged: bool = False,
+        warnings: list[str] | None = None,
+    ) -> None:
+        self.snapshots = [] if snapshots is None else snapshots
+        self.converged = converged
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def iteration(self) -> int:

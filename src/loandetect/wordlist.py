@@ -29,12 +29,12 @@ import csv
 import logging
 import os
 import unicodedata
-from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .ipa import GAP, tokenize
+from .records import FrozenRecord, _set
 
 if TYPE_CHECKING:
     from .refiner import DetectionState
@@ -87,8 +87,7 @@ class EmptyTranscriptionError(WordlistError):
     """IPA without symbols, as built or after markers and separators are stripped."""
 
 
-@dataclass(frozen=True)
-class LexicalEntry:
+class LexicalEntry(FrozenRecord):
     """One wordlist row: a word with its transcription and metadata.
 
     The package's one set of row rules, checked in this order; the first
@@ -101,66 +100,82 @@ class LexicalEntry:
     (``UnknownPOSError``); 7. a label of None, int 0 or 1.
     """
 
+    __slots__ = ("orthography", "ipa", "language", "pos", "gold_label", "concept_id")
     orthography: str
     ipa: tuple[str, ...]
     language: str
     pos: str
-    gold_label: int | None = None
-    concept_id: str | None = None
+    gold_label: int | None
+    concept_id: str | None
 
-    def __post_init__(self) -> None:
-        if not self.language.strip():
+    def __init__(
+        self,
+        orthography: str,
+        ipa: tuple[str, ...],
+        language: str,
+        pos: str,
+        gold_label: int | None = None,
+        concept_id: str | None = None,
+    ) -> None:
+        if not language.strip():
             raise WordlistError("missing language")
-        text = (self.orthography, self.language, self.concept_id or "", "".join(self.ipa))
+        text = (orthography, language, concept_id or "", "".join(ipa))
         joined = "".join(text)
         if "\t" in joined or "\n" in joined or "\r" in joined:  # faster than a set test
             broken = [name for name, t in zip(_TEXT_FIELDS, text) if not _BREAKS.isdisjoint(t)]
             raise WordlistError(f"tab or line break in {', '.join(broken)}")
-        orthography, language, concept = text[:3]
+        concept = text[2]
         # three comparisons: a loop over the fields costs more on every loaded row
         if (orthography != orthography.strip() or language != language.strip()
                 or concept != concept.strip()):
             padded = [name for name, t in zip(_TEXT_FIELDS, text[:3]) if t != t.strip()]
             raise WordlistError(f"leading or trailing whitespace in {', '.join(padded)}")
-        if not self.ipa:
-            raise EmptyTranscriptionError(
-                f"entry {self.orthography!r} has an empty IPA transcription"
-            )
+        if not ipa:
+            raise EmptyTranscriptionError(f"entry {orthography!r} has an empty IPA transcription")
         # loaded IPA holds neither: every token holds a codepoint, and none is the gap
-        if GAP in self.ipa:
+        if GAP in ipa:
             raise WordlistError(
-                f"entry {self.orthography!r} holds the token {GAP!r}, which the aligner reserves"
+                f"entry {orthography!r} holds the token {GAP!r}, which the aligner reserves"
             )
-        if "" in self.ipa:
-            raise WordlistError(f"entry {self.orthography!r} holds an empty token")
-        if self.pos not in POS_CATEGORIES:
-            raise UnknownPOSError(self.pos)
+        if "" in ipa:
+            raise WordlistError(f"entry {orthography!r} holds an empty token")
+        if pos not in POS_CATEGORIES:
+            raise UnknownPOSError(pos)
         # True or 1.0 would be written as a label cell the loader refuses
-        if self.gold_label not in (None, 0, 1) or type(self.gold_label) not in (int, type(None)):
-            raise WordlistError(f"label must be 0/1, got {self.gold_label!r}")
+        if gold_label not in (None, 0, 1) or type(gold_label) not in (int, type(None)):
+            raise WordlistError(f"label must be 0/1, got {gold_label!r}")
+        _set(self, "orthography", orthography)
+        _set(self, "ipa", ipa)
+        _set(self, "language", language)
+        _set(self, "pos", pos)
+        _set(self, "gold_label", gold_label)
+        _set(self, "concept_id", concept_id)
+
+    def __reduce__(self) -> tuple:  # copy and pickle: slots are not set by assignment
+        return LexicalEntry, self._values()
 
     @property
     def ipa_text(self) -> str:
         return "".join(self.ipa)
 
 
-@dataclass(frozen=True)
-class Wordlist:
+class Wordlist(FrozenRecord):
     """A sequence of entries, stored as a tuple; no (language, IPA, concept)
     twice: a repeat is refused naming both 1-based rows."""
 
     entries: tuple[LexicalEntry, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: Iterable[LexicalEntry]) -> None:
+        entries = tuple(entries)
         seen: dict[tuple[str, tuple[str, ...], str | None], int] = {}
-        for row, e in enumerate(self.entries, start=1):
+        for row, e in enumerate(entries, start=1):
             first = seen.setdefault((e.language, e.ipa, e.concept_id), row)
             if first != row:
                 raise WordlistError(
                     f"duplicate entry {e.language}/{e.ipa_text}/{e.concept_id} "
                     f"at rows {first} and {row}"
                 )
+        _set(self, "entries", entries)
 
     @property
     def language(self) -> str:
@@ -417,8 +432,7 @@ def write_scaled_report(
     )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     word: str
     language: str
     probability: float
@@ -513,4 +527,7 @@ def write_wordlist(wordlist: Wordlist, path: str | Path) -> None:
 
 def strip_gold(wordlist: Wordlist) -> Wordlist:
     """Copy of the wordlist with gold labels removed (for blind runs)."""
-    return Wordlist([replace(e, gold_label=None) for e in wordlist])
+    return Wordlist(
+        [LexicalEntry(e.orthography, e.ipa, e.language, e.pos, None, e.concept_id)
+         for e in wordlist]
+    )

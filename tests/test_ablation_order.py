@@ -10,7 +10,6 @@ must beat the basic one in F1 on ``xl``. Run with ``-s`` to print every
 row, the stem-diversity baseline (``uns``) as well.
 """
 
-from dataclasses import replace
 
 import pytest
 
@@ -30,7 +29,7 @@ def labelled(corpus, workload, seed, tmp_path):
     path = tmp_path / "input.tsv"
     corpus.write_tsv(entries, path)
     vocab = load_wordlist(path)
-    return Wordlist([replace(e, gold_label=g.gold) for e, g in zip(vocab, entries)])
+    return Wordlist([e._replace(gold_label=g.gold) for e, g in zip(vocab, entries)])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

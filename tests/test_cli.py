@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -236,7 +235,7 @@ def test_detect_xl_prints_asymmetry_diagnostic_once(multi_file, tmp_path):
 def test_detect_xl_warns_when_no_concept_spans_two_languages(tmp_path):
     wl = generate_synthetic(NATIVE_GRAMMAR, DONOR_GRAMMAR, 10, 3, seed=3)
     path = tmp_path / "words.tsv"
-    write_wordlist(Wordlist([replace(e, concept_id=f"c{i}") for i, e in enumerate(wl)]), path)
+    write_wordlist(Wordlist([e._replace(concept_id=f"c{i}") for i, e in enumerate(wl)]), path)
     proc = run_cli("detect-xl", "--input", str(path), "--output", str(tmp_path / "x.tsv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("no concept spans two languages") == 1
@@ -345,7 +344,7 @@ def test_detect_trace_flag(vocab_file, tmp_path):
 def test_detect_trace_rejects_language_unfit_for_a_file_name(vocab_file, tmp_path, capsys):
     entries = load_wordlist(vocab_file).entries
     mixed = Wordlist(
-        [replace(e, language="de" if i % 2 else "en/gb") for i, e in enumerate(entries)]
+        [e._replace(language="de" if i % 2 else "en/gb") for i, e in enumerate(entries)]
     )
     source = tmp_path / "v.tsv"
     write_wordlist(mixed, source)
@@ -392,7 +391,7 @@ def test_output_over_an_input_is_refused(command, vocab_file, multi_file, tmp_pa
 def test_report_over_a_language_trace_is_refused(vocab_file, tmp_path, capsys):
     entries = load_wordlist(vocab_file).entries
     mixed = Wordlist(
-        [replace(e, language="de" if i % 2 else "en") for i, e in enumerate(entries)]
+        [e._replace(language="de" if i % 2 else "en") for i, e in enumerate(entries)]
     )
     source = tmp_path / "v.tsv"
     write_wordlist(mixed, source)
@@ -653,7 +652,7 @@ def test_failed_detect_leaves_no_trace(vocab_file, tmp_path, monkeypatch, capsys
 
     entries = load_wordlist(vocab_file).entries
     mixed = Wordlist(
-        [replace(e, language="de" if i % 2 else "en") for i, e in enumerate(entries)]
+        [e._replace(language="de" if i % 2 else "en") for i, e in enumerate(entries)]
     )
     source = tmp_path / "v.tsv"
     write_wordlist(mixed, source)

@@ -1,7 +1,6 @@
 """Configuration defaults, validation, and flat-file round-trips."""
 
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -119,7 +118,7 @@ def test_refinement_setting_limits_accepted():
     RunConfig(anomaly_boosts={name: 0.0 for name in RunConfig().anomaly_boosts})
 
 
-FLOAT_FIELDS = [f.name for f in fields(RunConfig) if type(f.default) is float]
+FLOAT_FIELDS = [name for name in RunConfig._fields if type(getattr(RunConfig, name)) is float]
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -228,7 +227,7 @@ def test_every_field_is_read():
         p.read_text(encoding="utf-8") for p in package.glob("*.py") if p.name != "config.py"
     )
     unread = [
-        f.name for f in fields(RunConfig) if not re.search(rf"\bcfg\.{f.name}\b", sources)
+        name for name in RunConfig._fields if not re.search(rf"\bcfg\.{name}\b", sources)
     ]
     assert unread == []
 

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -345,7 +344,7 @@ def test_detect_scaled_asymmetry_diagnostic_consistency():
     assert result.asymmetry_summary() == summary_of(result.basic_predicted, result.predicted)
     # the counts are of (basic, scaled) label pairs, whatever the other fields hold
     basic_predicted, predicted = [1, 1, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]
-    moved = replace(result, basic_predicted=basic_predicted, predicted=predicted)
+    moved = result._replace(basic_predicted=basic_predicted, predicted=predicted)
     assert moved.asymmetry_summary() == summary_of(basic_predicted, predicted)
     assert "3 word(s) loan under the basic" in moved.asymmetry_summary()
     assert "; 1 word(s) loan under the scaled" in moved.asymmetry_summary()
@@ -459,9 +458,9 @@ def test_detect_scaled_aligns_each_pair_once(monkeypatch):
     # a third language repeats both words of the first concept: that concept
     # holds each of its words twice, and so every one of its pairs twice or more
     first = [e for e in vocab if e.concept_id == vocab.entries[0].concept_id]
-    vocab = Wordlist(list(vocab) + [replace(e, language="third") for e in first])
+    vocab = Wordlist(list(vocab) + [e._replace(language="third") for e in first])
     # and a concept of one language holds the same words: it gets no C
-    vocab = Wordlist(list(vocab) + [replace(e, language="solo", concept_id="solo") for e in first])
+    vocab = Wordlist(list(vocab) + [e._replace(language="solo", concept_id="solo") for e in first])
     detect_scaled(vocab, RunConfig())
 
     words: dict[str, list[tuple[str, ...]]] = {}
@@ -469,15 +468,18 @@ def test_detect_scaled_aligns_each_pair_once(monkeypatch):
     for entry in vocab:
         words.setdefault(entry.concept_id, []).append(entry.ipa)
         languages.setdefault(entry.concept_id, set()).add(entry.language)
-    # only the concepts of two or more languages are aligned
-    expected, occurrences = Counter(), 0
+    # only the concepts of two or more languages are aligned, and a word
+    # paired with itself is not
+    expected, occurrences, identical = Counter(), 0, 0
     for ws in (words[c] for c, langs in languages.items() if len(langs) >= 2):
         pairs = [
             tuple(sorted((ws[i], ws[j]))) for i in range(len(ws)) for j in range(i + 1, len(ws))
         ]
         occurrences += len(pairs)
-        expected.update(set(pairs))
-    assert sum(expected.values()) < occurrences
+        identical += sum(x == y for x, y in pairs)
+        expected.update({(x, y) for x, y in pairs if x != y})
+    assert identical  # the third language's words pair with the first's
+    assert sum(expected.values()) + identical < occurrences
     assert calls == expected
 
 
@@ -490,6 +492,7 @@ def test_build_context_model_aligns_a_repeated_pair_once_per_concept(monkeypatch
     ab, ac = ("a", "b"), ("a", "c")
     concepts = {"c": [ac, ab, ab, ac], "d": [ab, ac]}
     rows = build_context_model(concepts)
-    # each distinct sorted pair is aligned once per concept
-    assert calls == {(ab, ac): 2, (ab, ab): 1, (ac, ac): 1}
+    # each distinct sorted pair of two different words is aligned once per
+    # concept; a word paired with itself is not aligned
+    assert calls == {(ab, ac): 2}
     assert_rows_match_oracle(rows, concepts)

@@ -105,3 +105,58 @@ def test_cli_detection_loads_no_evaluation_or_baseline(command, tmp_path):
     assert code == 0
     assert "loandetect.refiner" in loaded
     assert not {"loandetect.evaluation", "loandetect.baseline"} & set(loaded)
+
+
+# what importing dataclasses brings in and a bare interpreter does not load
+DATACLASS_MODULES = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter with the same flags and environment loads."""
+    return set(_fresh_process("print(json.dumps(sorted(sys.modules)))"))
+
+
+@pytest.mark.parametrize(
+    "command", [["detect"], ["detect", "--model", "uns"], ["detect-xl"]], ids=" ".join
+)
+def test_cli_detection_loads_no_dataclasses(command, bare_modules, tmp_path):
+    source = tmp_path / "multi.tsv"
+    write_wordlist(
+        generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3), source
+    )
+    argv = command + ["--input", str(source), "--output", str(tmp_path / "r.tsv")]
+    code, modules = _fresh_process(
+        "from loandetect.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    assert code == 0
+    assert "loandetect.crossling" in modules
+    assert DATACLASS_MODULES & (set(modules) - bare_modules) == set()
+
+
+def test_benchmark_calls_load_no_dataclasses(bare_modules, tmp_path):
+    """The calls of the benchmark's child process: import, load, detect, write."""
+    source = tmp_path / "multi.tsv"
+    write_wordlist(
+        generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3), source
+    )
+    basic, scaled = tmp_path / "basic.tsv", tmp_path / "scaled.tsv"
+    modules = _fresh_process(
+        "import loandetect\n"
+        "from loandetect import RunConfig, detect_scaled, detect_wordlist, load_wordlist\n"
+        "from loandetect.wordlist import write_report, write_scaled_report\n"
+        f"vocab = load_wordlist({str(source)!r})\n"
+        "cfg = RunConfig(convergence_fraction=0.0)\n"
+        "meta = cfg.to_flat()\n"
+        "probs, labels, states = detect_wordlist(vocab, cfg)\n"
+        f"write_report(vocab, probs, labels, {str(basic)!r}, header_meta=meta)\n"
+        "r = detect_scaled(vocab, cfg)\n"
+        "write_scaled_report(vocab, r.basic, r.comparability, r.composite, r.thresholds,\n"
+        f"                    r.predicted, {str(scaled)!r}, header_meta=meta)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert basic.exists() and scaled.exists()
+    assert {"loandetect.refiner", "loandetect.crossling"} <= set(modules)
+    assert DATACLASS_MODULES & (set(modules) - bare_modules) == set()
