@@ -15,8 +15,8 @@ its basic classification, and its concept is never aligned.
 Each distinct unordered word pair of a concept is aligned once; a pair
 that occurs again in the concept reuses the D_feat of its first
 alignment, and a word paired with itself (a word two languages share)
-is not aligned at all: its D_feat is 0. That memo is kept per concept, so it never
-grows past one concept's pairs. The aligner scores in integers, so its
+is not aligned at all: its D_feat is 0. That memo is kept per concept,
+so it never grows past one concept's pairs. The aligner scores in integers, so its
 traceback finds ties exactly at any gap penalty, and each column's
 feature distance is read back off the integer score it tabled. It tables
 the column scores of a pair before its DP, from a memo of each symbol
@@ -147,9 +147,10 @@ def build_context_model(
     D_feat is the mean of the columns' feature distances. Each distinct
     unordered word pair of a concept is aligned once, smaller word first;
     a pair that repeats within its concept takes its first alignment's
-    value. Two identical words are not aligned: their D_feat is 0.0. The name is kept from the context model this table replaced,
-    because the benchmark's instrument wraps it by name; it goes once that
-    instrument reads spans from the package.
+    value. Two identical words are not aligned: their D_feat is 0.0. The
+    name is kept from the context model this table replaced, because the
+    benchmark's instrument wraps it by name; it goes once that instrument
+    reads spans from the package.
     """
     cfg = cfg or RunConfig()
     rows: dict[str, list[list[float]]] = {}

@@ -6,7 +6,7 @@ hashes (when frozen), prints and copies by them. A ``FrozenRecord``
 refuses assignment after ``__init__``, which sets its fields with
 ``_set``. The detection layers define their records on these rather than
 with ``dataclasses``, whose import and generated methods cost a detection
-run a fifth of its start-up.
+run about a fifth of its start-up.
 """
 
 from __future__ import annotations
