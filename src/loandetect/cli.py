@@ -33,12 +33,12 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Mapping
 
 from . import crossling
-from .config import MODELS, ConfigError, RunConfig, load_config
+from .config import MODELS, ConfigError, RunConfig, read_config_file
 from .features import MODES
-from .refiner import detect_wordlist
+from .refiner import PassRecord, detect_wordlist
 from .wordlist import (
     Wordlist,
     WordlistError,
@@ -101,7 +101,41 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if key in overrides:
             raise ConfigError(f"config key {key!r} is given twice on the command line")
         overrides[key] = value
-    return load_config(getattr(args, "config", None), overrides)
+    # config.load_config's layering, logging each layer
+    cfg = RunConfig()
+    path = getattr(args, "config", None)
+    if path is not None:
+        file_values = read_config_file(path)
+        log.info("config file %s supplies %d keys", Path(path), len(file_values))
+        cfg = cfg.with_overrides(file_values)
+    if overrides:
+        log.info("explicit overrides: %s", sorted(overrides))
+        cfg = cfg.with_overrides(overrides)
+    return cfg
+
+
+def _log_detection(
+    passes: Mapping[str, PassRecord], scaled: crossling.ScaledResult | None = None
+) -> None:
+    """Log what detection noticed. Per language, in ``passes``' order: before
+    each pass the warnings it raised, then its loan-set size and whether the
+    loop had converged, each line tagged with the language. Then, for
+    ``scaled``, the concepts that fell back to the basic model."""
+    for lang, record in passes.items():
+        warnings = dict(record.warnings)
+        last = len(record.loan_counts) - 1
+        for t, size in enumerate(record.loan_counts):
+            if t in warnings:
+                log.warning("[%s] %s", lang, warnings[t])
+            log.info("[%s] iteration %d: |B|=%d, converged=%s",
+                     lang, t, size, record.converged and t == last)
+    if scaled is None:
+        return
+    if all(c is None for c in scaled.comparability):
+        log.warning("no concept spans two languages; scaled output equals basic output")
+    elif scaled.fallback_concepts:
+        log.info("%d concept(s) lack cross-linguistic counterparts; "
+                 "falling back to basic classification", len(scaled.fallback_concepts))
 
 
 def _load_input(args: argparse.Namespace) -> Wordlist:
@@ -183,6 +217,7 @@ def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
         probs, labels = baseline.detect_wordlist(vocab, cfg)
     else:
         probs, labels, states = detect_wordlist(vocab, cfg)
+        _log_detection({lang: state.record() for lang, state in states.items()})
         for lang, path in traces.items():
             write_trace([vocab.entries[i] for i in rows[lang]], states[lang], path)
     write_report(vocab, probs, labels, output, header_meta=cfg.to_flat())
@@ -195,6 +230,7 @@ def cmd_detect_xl(args: argparse.Namespace, cfg: RunConfig) -> int:
     _check_paths(args, [output])
     vocab = _load_input(args)
     result = crossling.detect_scaled(vocab, cfg)
+    _log_detection(result.passes, result)
     write_scaled_report(
         vocab,
         result.basic,

@@ -25,7 +25,6 @@ views, so a validated config stays valid.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from pathlib import Path
@@ -38,8 +37,6 @@ from .scoring import (
     ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS, _coefficients,
 )
 from .wordlist import POS_CATEGORIES
-
-log = logging.getLogger(__name__)
 
 MODELS = ("autbor", "uns")
 
@@ -137,6 +134,11 @@ class RunConfig(FrozenRecord):
                 value = MappingProxyType(dict(value))
             _set(self, name, value)
         self.validate()
+
+    def __hash__(self) -> int:
+        # by the flat items, the values == compares: the mapping fields are
+        # unhashable views, and to_flat lists their keys sorted
+        return hash(tuple(self.to_flat().items()))
 
     def validate(self) -> None:
         for key, value in self.to_flat().items():
@@ -315,23 +317,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """The ``key = value`` pairs of the UTF-8 config file at ``path``."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(p)
+    try:
+        text = p.read_text(encoding="utf-8-sig")  # a leading BOM is no part of a key
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
+    return parse_config_text(text)
+
+
 def load_config(
     path: str | Path | None = None, overrides: Mapping[str, object] | None = None
 ) -> RunConfig:
     """Resolve defaults -> config file -> explicit overrides, in that order."""
     cfg = RunConfig()
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(p)
-        try:
-            text = p.read_text(encoding="utf-8-sig")  # a leading BOM is no part of a key
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
-        file_values = parse_config_text(text)
-        log.info("config file %s supplies %d keys", p, len(file_values))
-        cfg = cfg.with_overrides(file_values)
-    if overrides:
-        log.info("explicit overrides: %s", sorted(overrides))
-        cfg = cfg.with_overrides(overrides)
-    return cfg
+        cfg = cfg.with_overrides(read_config_file(path))
+    return cfg.with_overrides(overrides) if overrides else cfg

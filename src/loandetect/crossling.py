@@ -24,21 +24,21 @@ pair's integer score (the feature slots on which the two agree, scaled to
 the penalty's denominator), which calls ``ipa.symbol_distance`` once for
 each symbol pair it has not seen at that denominator, and fills each DP
 cell with plain comparisons.
+
+Detection writes and logs nothing: ``ScaledResult.passes`` holds what
+each language's detection noticed, and the command line logs it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from typing import Mapping, NamedTuple, Sequence
 
 from .config import RunConfig
 from .ipa import FEATURE_DIM, GAP, symbol_distance
-from .refiner import detect_wordlist
+from .refiner import PassRecord, detect_wordlist
 from .wordlist import Wordlist
-
-log = logging.getLogger(__name__)
 
 Word = tuple[str, ...]
 
@@ -219,7 +219,8 @@ def classify(score: float, threshold: float) -> int:
 
 
 class ScaledResult(NamedTuple):
-    """Per-entry outputs of the scaled model, in wordlist order."""
+    """Per-entry outputs of the scaled model, in wordlist order; ``passes``
+    is each language's ``PassRecord``, in ``language_rows`` order."""
 
     basic: list[float]
     comparability: list[float | None]
@@ -228,6 +229,7 @@ class ScaledResult(NamedTuple):
     predicted: list[int]
     basic_predicted: list[int]
     fallback_concepts: list[str]
+    passes: dict[str, PassRecord]
 
     def asymmetry_summary(self) -> str:
         pairs = Counter(zip(self.basic_predicted, self.predicted))
@@ -248,8 +250,8 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
     threshold = tau, the basic label, no C); one loop over the sorted
     concepts that span two or more languages writes C, S, theta and the
     label of each of their words. Only those concepts are aligned. The
-    other concepts fall back, with a warning when none spans two
-    languages.
+    other concepts fall back (``fallback_concepts``); when none spans two
+    languages, every word keeps its basic values.
     """
     cfg = cfg or RunConfig()
     if len(multi) == 0:
@@ -259,8 +261,10 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
         raise MissingConceptError(missing)
 
     # the per-language states (every pass's probabilities) are not kept
-    # through the alignment work below
-    basic, basic_labels = detect_wordlist(multi, cfg)[:2]
+    # through the alignment work below: only their pass records are
+    basic, basic_labels, states = detect_wordlist(multi, cfg)
+    passes = {lang: state.record() for lang, state in states.items()}
+    del states
 
     members: dict[str, list[int]] = {}
     for i, entry in enumerate(multi):
@@ -283,12 +287,8 @@ def detect_scaled(multi: Wordlist, cfg: RunConfig | None = None) -> ScaledResult
             s = composite(b, c, cfg.composite_w1, cfg.composite_w2)
             theta = dynamic_threshold(b, c, cfg.threshold_alpha, cfg.threshold_beta)
             comp[i], scores[i], thresholds[i], predicted[i] = c, s, theta, classify(s, theta)
-    if len(fallback) == len(members):
-        log.warning("no concept spans two languages; scaled output equals basic output")
-    elif fallback:
-        log.info("%d concept(s) lack cross-linguistic counterparts; "
-                 "falling back to basic classification", len(fallback))
     return ScaledResult(
         basic=basic, comparability=comp, composite=scores, thresholds=thresholds,
         predicted=predicted, basic_predicted=basic_labels, fallback_concepts=fallback,
+        passes=passes,
     )

@@ -17,7 +17,7 @@ record, and the final ``DetectionState`` values are the last snapshot's.
 A pass whose reference rows and refinement flag (and, when it refines,
 native rows) are those of the last pass that computed takes that pass's
 probabilities unchanged: statistics, features, scores and pattern
-likeness would all come out the same. It still logs the all-loans
+likeness would all come out the same. It still records the all-loans
 warning when it falls back and still leaves its snapshot. From pass 2
 on, such a pass follows a pass whose loan set did not change, so under
 the default early stop (any ``convergence_fraction`` above 0), which
@@ -42,13 +42,12 @@ left. After pass 1 the loan set moves by a few dozen rows or fewer, so a
 pass counts those instead of every reference row. Pass 0 counts from
 zero through the same code. Earlier counts are copied, never changed.
 
-Detection writes nothing: the command line writes the traces from the
-returned states.
+Detection writes and logs nothing: the command line writes the traces
+and logs each pass from the returned states (``DetectionState.record``).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from typing import NamedTuple, Sequence
@@ -58,8 +57,6 @@ from .features import CompiledGroup, _members, _recount, build_statistics, extra
 from .records import Record
 from .scoring import score_all
 from .wordlist import Wordlist, WordlistError, language_rows
-
-log = logging.getLogger(__name__)
 
 
 class PatternIndex:
@@ -181,6 +178,16 @@ class IterationSnapshot(NamedTuple):
     loans: frozenset[int]
 
 
+class PassRecord(NamedTuple):
+    """What one language's detection noticed, without its probabilities:
+    the loan-set size of each pass, whether the loop converged, and each
+    warning with the pass that raised it."""
+
+    loan_counts: tuple[int, ...]
+    converged: bool
+    warnings: tuple[tuple[int, str], ...]
+
+
 class DetectionState(Record):
     """The refinement loop's passes, indexed by entry position: ``iteration``,
     ``averaged`` and ``loans`` are the last snapshot's own values."""
@@ -210,6 +217,17 @@ class DetectionState(Record):
     @property
     def loans(self) -> frozenset[int]:
         return self.snapshots[-1].loans
+
+    def record(self) -> PassRecord:
+        """The passes' ``PassRecord``. A pass falls back, and warns, when the
+        pass before it found every word a loan."""
+        n = len(self.averaged)
+        fell_back = [t for t, s in enumerate(self.snapshots[:-1], 1) if len(s.loans) == n]
+        return PassRecord(
+            tuple(len(s.loans) for s in self.snapshots),
+            self.converged,
+            tuple(zip(fell_back, self.warnings)),
+        )
 
 
 def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
@@ -241,7 +259,6 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
                     f"iteration {t}: all words classified as borrowed; "
                     "falling back to full-vocabulary statistics"
                 )
-                log.warning("[%s] %s", vocab.language, state.warnings[-1])
         reference = native_rows or every_row
         refine = patterns is not None and t >= cfg.pattern_from_iteration
         read = (reference, native_rows if refine else None)
@@ -266,7 +283,6 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
         if t:
             state.converged = check_convergence(state.loans, loans, cfg.convergence_fraction)
         state.snapshots.append(IterationSnapshot(t, probs, averaged, loans))
-        log.info("iteration %d: |B|=%d, converged=%s", t, len(loans), state.converged)
         if state.converged:
             break
     return state

@@ -26,7 +26,6 @@ command line writes what it returns.
 from __future__ import annotations
 
 import csv
-import logging
 import os
 import unicodedata
 from operator import itemgetter
@@ -38,8 +37,6 @@ from .records import FrozenRecord, _set
 
 if TYPE_CHECKING:
     from .refiner import DetectionState
-
-log = logging.getLogger(__name__)
 
 POS_CATEGORIES = ("noun", "adjective", "verb", "adverb", "function")
 
@@ -308,7 +305,11 @@ def _parse_rows(path: Path, delimiter: str, lenient_pos: bool) -> Wordlist:
             orthography, raw_ipa, language, pos, label, concept = map(str.strip, cells(row))
             pos = pos.lower()
             if lenient_pos and pos not in POS_CATEGORIES:
-                log.warning("row %d: unknown POS %r mapped to 'function'", rownum, pos)
+                import logging  # here only: a load that maps no POS loads no logging
+
+                logging.getLogger(__name__).warning(
+                    "row %d: unknown POS %r mapped to 'function'", rownum, pos
+                )
                 pos = "function"
             try:
                 entries.append(LexicalEntry(

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from loandetect.cli import main
 from loandetect.config import RunConfig, load_config, parse_config_text
 from loandetect.evaluation import generate_synthetic, generate_synthetic_multilingual
 from loandetect.features import CORE_FEATURES
+from loandetect.refiner import detect_wordlist
 from loandetect.wordlist import Wordlist, load_wordlist, read_report, write_wordlist
 
 from fixtures import DONOR_GRAMMAR, NATIVE_GRAMMAR
@@ -711,6 +714,40 @@ def test_fallback_warning_logged_once(vocab_file, tmp_path, caplog):
     fallbacks = [r for r in caplog.records if "falling back" in r.getMessage()]
     assert len(fallbacks) == 1
     assert fallbacks[0].getMessage().startswith("[")  # tagged with the language
+
+
+PASS_LINE = re.compile(r"\[(\w+)\] iteration (\d+): \|B\|=(\d+), converged=(True|False)")
+
+
+@pytest.mark.parametrize("command", ["detect", "detect-xl"])
+def test_pass_lines_tagged_by_language(command, multi_file, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="loandetect.cli")
+    assert main([command, "--input", str(multi_file), "--output", str(tmp_path / "r.tsv")]) == 0
+    lines = [PASS_LINE.fullmatch(r.getMessage()) for r in caplog.records]
+    logged = [m.groups() for m in lines if m]
+    states = detect_wordlist(load_wordlist(multi_file))[2]
+    assert list(states) == sorted(states) and len(states) == 2  # language_rows order
+    expected = [
+        (lang, str(s.iteration), str(len(s.loans)),
+         str(state.converged and s is state.snapshots[-1]))
+        for lang, state in states.items()
+        for s in state.snapshots
+    ]
+    assert logged == expected
+    assert all(r.name == "loandetect.cli" for r in caplog.records)
+
+
+def test_fallback_warning_precedes_its_pass_line(multi_file, tmp_path, caplog):
+    # every word is a loan at pass 0, so pass 1 of each language falls back
+    caplog.set_level(logging.INFO, logger="loandetect.cli")
+    argv = ["detect", "--input", str(multi_file), "--output", str(tmp_path / "r.tsv"),
+            "--set", "tau=0.0001", "--set", "max_iterations=2"]
+    assert main(argv) == 0
+    shown = [r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("[")]
+    assert shown == ["[donb] iteration 0", "[donb] iteration 1", "[donb] iteration 1",
+                     "[reca] iteration 0", "[reca] iteration 1", "[reca] iteration 1"]
+    levels = [r.levelname for r in caplog.records if r.getMessage().startswith("[")]
+    assert levels == ["INFO", "WARNING", "INFO"] * 2
 
 
 @pytest.mark.parametrize("command", ["detect-xl", "ablate", "experiment"])

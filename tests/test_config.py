@@ -265,6 +265,23 @@ def test_dump_parse_roundtrip():
     assert again.dump() == cfg.dump()
 
 
+def test_config_hashes_by_its_values(tmp_path):
+    cfg = RunConfig().with_overrides({"tau": "0.37", "weight_len_z": "0.02", "polarity_len_z": -1})
+    assert hash(RunConfig()) == hash(RunConfig())
+    assert hash(cfg) == hash(RunConfig().with_overrides({"polarity_len_z": -1, "tau": 0.37,
+                                                         "weight_len_z": 0.02}))
+    # a map given in another key order is the same config
+    assert hash(RunConfig(weights=dict(reversed(list(RunConfig().weights.items()))))) == hash(
+        RunConfig()
+    )
+    runs = {RunConfig(): "default", cfg: "tuned"}
+    assert runs[RunConfig()] == "default" and len({cfg, RunConfig(), cfg}) == 2
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg.dump(), encoding="utf-8")
+    again = load_config(path)
+    assert again == cfg and hash(again) == hash(cfg) and runs[again] == "tuned"
+
+
 def test_parse_config_text_syntax():
     parsed = parse_config_text("# comment\n\ntau = 0.4  # trailing\nseed=9\n")
     assert parsed == {"tau": "0.4", "seed": "9"}

@@ -299,6 +299,16 @@ def test_detect_scaled_single_language_equals_basic():
     assert len(result.fallback_concepts) == len(NATIVE_A)
 
 
+
+def test_detect_scaled_returns_the_pass_records():
+    wl = generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3)
+    cfg = RunConfig(convergence_fraction=0.0)
+    states = detect_wordlist(wl, cfg)[2]
+    passes = detect_scaled(wl, cfg).passes
+    assert list(passes) == list(states)
+    assert passes == {lang: state.record() for lang, state in states.items()}
+    assert all(len(r.loan_counts) == cfg.max_iterations for r in passes.values())
+
 def test_detect_scaled_identical_strings_across_languages():
     concepts = [f"c{i}" for i in range(len(NATIVE_A))]
     vocab = Wordlist(

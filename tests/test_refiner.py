@@ -440,6 +440,17 @@ def test_detect_fallback_warns_and_leaves_a_snapshot_on_every_pass(monkeypatch):
     assert [(s.probabilities, s.averaged, s.loans) for s in state.snapshots] == expected
 
 
+
+def test_pass_record_pairs_each_warning_with_its_pass():
+    vocab = entries_from(TOY_NATIVES + TOY_LOANS)
+    state = detect(vocab, RunConfig(tau=0.0001, max_iterations=3, convergence_fraction=0.0))
+    assert state.record() == (
+        (len(vocab),) * 3, False, ((1, state.warnings[0]), (2, state.warnings[1]))
+    )
+    state = detect(vocab, RunConfig())
+    assert state.converged and not state.warnings
+    assert state.record() == (tuple(len(s.loans) for s in state.snapshots), True, ())
+
 def test_detect_state_is_its_last_snapshot():
     state = detect(entries_from(TOY_NATIVES + TOY_LOANS), RunConfig())
     last = state.snapshots[-1]

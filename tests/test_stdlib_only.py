@@ -136,8 +136,11 @@ def test_cli_detection_loads_no_dataclasses(command, bare_modules, tmp_path):
     assert DATACLASS_MODULES & (set(modules) - bare_modules) == set()
 
 
-def test_benchmark_calls_load_no_dataclasses(bare_modules, tmp_path):
-    """The calls of the benchmark's child process: import, load, detect, write."""
+@pytest.fixture(scope="module")
+def benchmark_modules(tmp_path_factory):
+    """The modules loaded by the calls of the benchmark's child process:
+    import, load, detect, write."""
+    tmp_path = tmp_path_factory.mktemp("benchmark")
     source = tmp_path / "multi.tsv"
     write_wordlist(
         generate_synthetic_multilingual(NATIVE_GRAMMAR, DONOR_GRAMMAR, 12, 4, seed=3), source
@@ -159,4 +162,22 @@ def test_benchmark_calls_load_no_dataclasses(bare_modules, tmp_path):
     )
     assert basic.exists() and scaled.exists()
     assert {"loandetect.refiner", "loandetect.crossling"} <= set(modules)
-    assert DATACLASS_MODULES & (set(modules) - bare_modules) == set()
+    return set(modules)
+
+
+def test_benchmark_calls_load_no_dataclasses(bare_modules, benchmark_modules):
+    assert DATACLASS_MODULES & (benchmark_modules - bare_modules) == set()
+
+
+# what importing logging brings in and a bare interpreter does not load
+LOGGING_MODULES = {"logging", "traceback"}
+
+
+def test_package_import_loads_no_logging(bare_modules):
+    modules = _fresh_process("import loandetect\nprint(json.dumps(sorted(sys.modules)))\n")
+    assert "loandetect.crossling" in modules
+    assert LOGGING_MODULES & (set(modules) - bare_modules) == set()
+
+
+def test_benchmark_calls_load_no_logging(bare_modules, benchmark_modules):
+    assert LOGGING_MODULES & (benchmark_modules - bare_modules) == set()
