@@ -14,13 +14,17 @@ input, each subcommand refuses a path it would write that names no file
 (as ``""`` and ``.`` do), that is a directory, that it also reads (the
 input, the config file, the grammars) or that it writes twice (the
 output and ``detect``'s per-language traces, which are checked once the
-input names its languages, before detection). Detection writes nothing:
-``detect`` writes each language's trace from the states detection
-returns, then the report. Each command writes its files before it
-prints. Only ``eval``, ``ablate``, ``experiment`` and ``synth`` import
-``evaluation``, and only ``detect`` with the ``uns`` model imports
-``baseline``: ``detect`` with the default model and ``detect-xl`` load
-neither. Exit codes: 0 success,
+input names its languages, before detection). Detection writes and
+logs nothing: ``detect`` writes each language's trace from the states
+detection returns, then the report, and ``_log_detection`` logs what
+detection noticed (``detect`` from the states, ``detect-xl`` from
+``ScaledResult.passes``) under this module's logger: one INFO line per
+pass and language, the all-loans fallback as a WARNING before its pass,
+and the concepts ``detect-xl`` could not scale. Each command writes its
+files before it prints. Only ``eval``, ``ablate``, ``experiment`` and
+``synth`` import ``evaluation``, and only ``detect`` with the ``uns``
+model imports ``baseline``: ``detect`` with the default model and
+``detect-xl`` load neither. Exit codes: 0 success,
 1 input/validation error (an unreadable or unwritable path the user
 named, a path clash and a standard output closed early included),
 2 internal error.

@@ -743,11 +743,12 @@ def test_fallback_warning_precedes_its_pass_line(multi_file, tmp_path, caplog):
     argv = ["detect", "--input", str(multi_file), "--output", str(tmp_path / "r.tsv"),
             "--set", "tau=0.0001", "--set", "max_iterations=2"]
     assert main(argv) == 0
-    shown = [r.getMessage().split(":")[0] for r in caplog.records if r.getMessage().startswith("[")]
-    assert shown == ["[donb] iteration 0", "[donb] iteration 1", "[donb] iteration 1",
-                     "[reca] iteration 0", "[reca] iteration 1", "[reca] iteration 1"]
-    levels = [r.levelname for r in caplog.records if r.getMessage().startswith("[")]
-    assert levels == ["INFO", "WARNING", "INFO"] * 2
+    tagged = [r for r in caplog.records if r.getMessage().startswith("[")]
+    assert [(r.levelname, r.getMessage().split(":")[0]) for r in tagged] == [
+        (level, f"[{lang}] iteration {t}")
+        for lang in ("donb", "reca")
+        for level, t in (("INFO", 0), ("WARNING", 1), ("INFO", 1))
+    ]
 
 
 @pytest.mark.parametrize("command", ["detect-xl", "ablate", "experiment"])
