@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="loandetect",
         description="Unsupervised loanword detection over IPA wordlists.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "detect", cmd_detect, "basic monolingual detection")
@@ -414,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are input errors here
         return 0 if exc.code in (0, None) else EXIT_INPUT
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _resolve_config(args)
         if getattr(args, "print_config", False):

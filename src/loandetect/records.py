@@ -1,12 +1,12 @@
-"""Plain record classes: the fields of a record are its annotated attributes.
+"""Plain immutable record classes: the fields of a record are its annotated attributes.
 
 A subclass annotates its fields in the class body, in order, and writes
-its own ``__init__``; ``_fields`` names them, and the record compares,
-hashes (when frozen), prints and copies by them. A ``FrozenRecord``
-refuses assignment after ``__init__``, which sets its fields with
-``_set``. The detection layers define their records on these rather than
-with ``dataclasses``, whose import and generated methods cost a detection
-run about a fifth of its start-up.
+its own ``__init__``, which sets them with ``_set``; ``_fields`` names
+them, and the record compares, hashes, prints and copies by them. A
+record refuses assignment after ``__init__``. The detection layers
+define their records on this rather than with ``dataclasses``, whose
+import and generated methods cost a detection run about a fifth of its
+start-up.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 _set = object.__setattr__
 
 
-class Record:
-    """Value equality, ``repr`` and ``_replace`` over the fields ``_fields``."""
+class FrozenRecord:
+    """Read-only fields ``_fields``, with value equality and hash, ``repr`` and ``_replace``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -27,7 +27,7 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
-    def _replace(self, **changes: object) -> Record:
+    def _replace(self, **changes: object) -> FrozenRecord:
         """A new record of the same class, with ``changes`` to its fields."""
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
@@ -36,17 +36,8 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None  # mutable: equal records could stop being equal
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({shown})"
-
-
-class FrozenRecord(Record):
-    """A ``Record`` whose fields are read-only and which hashes by them."""
-
-    __slots__ = ()
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -54,5 +45,6 @@ class FrozenRecord(Record):
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"

@@ -11,14 +11,17 @@ only whether a word's anomaly mask from ``score_all`` is set), averages
 each word's probabilities over all passes so far and thresholds the
 averages into the loan set. The loop stops early once the loan set
 changes by less than ``convergence_fraction`` of its previous size.
-Each pass leaves one ``IterationSnapshot``; that list is the loop's one
-record, and the final ``DetectionState`` values are the last snapshot's.
+Each pass leaves one ``IterationSnapshot``, which also holds the pass's
+fallback warning. ``detect`` returns them as one immutable
+``DetectionState``, the loop's one record: its ``iteration``,
+``averaged`` and ``loans`` are the last snapshot's, its ``warnings`` and
+``record()`` are read off the snapshots.
 
 A pass whose reference rows and refinement flag (and, when it refines,
 native rows) are those of the last pass that computed takes that pass's
 probabilities unchanged: statistics, features, scores and pattern
-likeness would all come out the same. It still records the all-loans
-warning when it falls back and still leaves its snapshot. From pass 2
+likeness would all come out the same. It still leaves its snapshot,
+with the all-loans warning when it falls back. From pass 2
 on, such a pass follows a pass whose loan set did not change, so under
 the default early stop (any ``convergence_fraction`` above 0), which
 ends the loop there, it never runs; only pass 1 can repeat pass 0, when
@@ -54,7 +57,6 @@ from typing import NamedTuple, Sequence
 
 from .config import RunConfig
 from .features import CompiledGroup, _members, _recount, build_statistics, extract_all
-from .records import Record
 from .scoring import score_all
 from .wordlist import Wordlist, WordlistError, language_rows
 
@@ -172,10 +174,14 @@ def check_convergence(
 
 
 class IterationSnapshot(NamedTuple):
+    """One pass: its probabilities, their running averages, the loan set,
+    and the all-loans fallback warning when the pass raised one."""
+
     iteration: int
     probabilities: tuple[float, ...]
     averaged: tuple[float, ...]
     loans: frozenset[int]
+    warning: str | None = None
 
 
 class PassRecord(NamedTuple):
@@ -188,23 +194,12 @@ class PassRecord(NamedTuple):
     warnings: tuple[tuple[int, str], ...]
 
 
-class DetectionState(Record):
+class DetectionState(NamedTuple):
     """The refinement loop's passes, indexed by entry position: ``iteration``,
     ``averaged`` and ``loans`` are the last snapshot's own values."""
 
-    snapshots: list[IterationSnapshot]
+    snapshots: tuple[IterationSnapshot, ...]
     converged: bool
-    warnings: list[str]
-
-    def __init__(
-        self,
-        snapshots: list[IterationSnapshot] | None = None,
-        converged: bool = False,
-        warnings: list[str] | None = None,
-    ) -> None:
-        self.snapshots = [] if snapshots is None else snapshots
-        self.converged = converged
-        self.warnings = [] if warnings is None else warnings
 
     @property
     def iteration(self) -> int:
@@ -218,15 +213,16 @@ class DetectionState(Record):
     def loans(self) -> frozenset[int]:
         return self.snapshots[-1].loans
 
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(s.warning for s in self.snapshots if s.warning is not None)
+
     def record(self) -> PassRecord:
-        """The passes' ``PassRecord``. A pass falls back, and warns, when the
-        pass before it found every word a loan."""
-        n = len(self.averaged)
-        fell_back = [t for t, s in enumerate(self.snapshots[:-1], 1) if len(s.loans) == n]
+        """The passes' ``PassRecord``."""
         return PassRecord(
             tuple(len(s.loans) for s in self.snapshots),
             self.converged,
-            tuple(zip(fell_back, self.warnings)),
+            tuple((s.iteration, s.warning) for s in self.snapshots if s.warning is not None),
         )
 
 
@@ -241,7 +237,8 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
     # only the reference rows do
     group = CompiledGroup(words, cfg.ngram_min, cfg.ngram_max)
     patterns = PatternIndex(group) if cfg.pattern_refinement else None
-    state = DetectionState()
+    snapshots: list[IterationSnapshot] = []
+    converged = False
     every_row = list(range(len(words)))
     # what the last computed pass read: its reference rows and, when it
     # refined, its native rows; a pass that reads the same takes its probabilities
@@ -251,11 +248,12 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
 
     for t in range(cfg.max_iterations):
         native_rows = every_row
+        warning = None
         if t:
-            previous_loans = state.loans
+            previous_loans = snapshots[-1].loans
             native_rows = [i for i in every_row if i not in previous_loans]
             if not native_rows:
-                state.warnings.append(
+                warning = (
                     f"iteration {t}: all words classified as borrowed; "
                     "falling back to full-vocabulary statistics"
                 )
@@ -277,15 +275,15 @@ def detect(vocab: Wordlist, cfg: RunConfig | None = None) -> DetectionState:
                     for p, like, mask in zip(probs, likeness, masks)
                 ]
             probs = tuple(probs)
-        history = zip(*(s.probabilities for s in state.snapshots), probs)
+        history = zip(*(s.probabilities for s in snapshots), probs)
         averaged = tuple(map(average_probabilities, history))
         loans = frozenset(i for i, p in enumerate(averaged) if p >= cfg.tau)
         if t:
-            state.converged = check_convergence(state.loans, loans, cfg.convergence_fraction)
-        state.snapshots.append(IterationSnapshot(t, probs, averaged, loans))
-        if state.converged:
+            converged = check_convergence(snapshots[-1].loans, loans, cfg.convergence_fraction)
+        snapshots.append(IterationSnapshot(t, probs, averaged, loans, warning))
+        if converged:
             break
-    return state
+    return DetectionState(tuple(snapshots), converged)
 
 
 def detect_wordlist(

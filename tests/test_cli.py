@@ -857,3 +857,14 @@ def test_unread_flag_rejected(command, flag, vocab_file, multi_file, tmp_path, c
     assert main(argv + [values.get(f, f) for f in flag]) == 1
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "trace.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["-v", "--verbose"])
+def test_verbose_flag_is_refused(flag, vocab_file, tmp_path, capsys):
+    # nothing logs below INFO, so no flag lowers the level
+    out = tmp_path / "r.tsv"
+    argv = ["detect", "--input", str(vocab_file), "--output", str(out)]
+    for refused in ([flag] + argv, argv + [flag]):
+        assert main(refused) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()

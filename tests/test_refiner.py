@@ -451,6 +451,37 @@ def test_pass_record_pairs_each_warning_with_its_pass():
     assert state.converged and not state.warnings
     assert state.record() == (tuple(len(s.loans) for s in state.snapshots), True, ())
 
+
+def test_detection_state_is_an_immutable_value():
+    vocab = entries_from(TOY_NATIVES + TOY_LOANS)
+    cfg = RunConfig(tau=0.0001, max_iterations=3, convergence_fraction=0.0)
+    state, again = detect(vocab, cfg), detect(vocab, cfg)
+    assert state == again and hash(state) == hash(again)
+    assert state != detect(vocab, RunConfig())
+    assert isinstance(state.snapshots, tuple)
+    for field in ("snapshots", "converged"):
+        with pytest.raises(AttributeError):
+            setattr(state, field, getattr(state, field))
+    with pytest.raises(AttributeError):
+        state.snapshots[0].warning = None
+
+
+def test_fallback_warning_sits_on_the_snapshot_of_its_pass():
+    vocab = entries_from(TOY_NATIVES + TOY_LOANS)
+    cfg = RunConfig(tau=0.0001, convergence_fraction=0.0)
+    state = detect(vocab, cfg)
+    fallback = "all words classified as borrowed; falling back to full-vocabulary statistics"
+    assert [s.warning for s in state.snapshots] == [None] + [
+        f"iteration {t}: {fallback}" for t in range(1, cfg.max_iterations)
+    ]
+    assert state.warnings == tuple(s.warning for s in state.snapshots[1:])
+    assert state.record() == (
+        (len(vocab),) * cfg.max_iterations,
+        False,
+        tuple((t, f"iteration {t}: {fallback}") for t in range(1, cfg.max_iterations)),
+    )
+
+
 def test_detect_state_is_its_last_snapshot():
     state = detect(entries_from(TOY_NATIVES + TOY_LOANS), RunConfig())
     last = state.snapshots[-1]
