@@ -1,8 +1,8 @@
 """Reports keep their bits across the Python versions the package supports.
 
-``pyproject.toml`` allows Python 3.10 and later, and ``scoring`` and
-``features`` add with plain ``sum()``, which is compensated from 3.12 on,
-only where its bits do not depend on that. This test runs ``python3.N -m
+``pyproject.toml`` allows Python 3.10 and later. ``sum()`` over floats
+is compensated from 3.12 on, so ``scoring`` and ``features`` use it only
+where its bits do not depend on that. This test runs ``python3.N -m
 loandetect detect`` (with ``--trace``) and ``detect-xl`` on small corpora
 from the benchmark's generator under every ``python3.10``-``python3.13``
 on ``PATH`` that starts and is not this interpreter, plus any named in
