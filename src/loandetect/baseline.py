@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .config import RunConfig
 from .ipa import syllabify
+from .scoring import min_max
 from .wordlist import Wordlist, language_rows
 
 Word = tuple[str, ...]
@@ -44,11 +45,7 @@ def nativeness_scores(words: Sequence[Word]) -> list[float]:
     if not words:
         raise ValueError("empty vocabulary")
     index = build_stem_index(words)
-    raw = [len(index[stem_of(w)[0]]) for w in words]
-    lo, hi = min(raw), max(raw)
-    if hi - lo == 0:
-        return [0.0] * len(raw)
-    return [(r - lo) / (hi - lo) for r in raw]
+    return min_max([len(index[stem_of(w)[0]]) for w in words], 0.0)
 
 
 def detect_wordlist(

@@ -31,7 +31,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .features import CORE_FEATURES, MODES, feature_names
+from .features import CORE_FEATURES, MODES, NGRAM_MAX, NGRAM_MIN, feature_names
 from .records import FrozenRecord, _set
 from .scoring import (
     ALL_FEATURES, DEFAULT_POLARITY, DEFAULT_POS_WEIGHTS, DEFAULT_WEIGHTS, _coefficients,
@@ -72,8 +72,7 @@ class ConfigError(ValueError):
 class RunConfig(FrozenRecord):
     """All constants of the detection pipeline, with published defaults.
 
-    The annotated class attributes below are the fields, in order, and
-    their defaults; ``_fields`` names them. Every field is a keyword of
+    The fields below, with their defaults, are the keywords of
     ``RunConfig(...)``; the mapping fields are kept as read-only copies.
     """
 
@@ -81,8 +80,8 @@ class RunConfig(FrozenRecord):
     model: str = "autbor"
 
     # feature extraction
-    ngram_min: int = 2
-    ngram_max: int = 10
+    ngram_min: int = NGRAM_MIN
+    ngram_max: int = NGRAM_MAX
     rare_ngram_eps1: float = 0.005
     rare_ngram_eps2: float = 0.02
     rare_ngram_c1: float = 100.0
@@ -124,15 +123,10 @@ class RunConfig(FrozenRecord):
     baseline_threshold: float = 0.5
 
     def __init__(self, **values: object) -> None:
-        for name in values:
-            if name not in self._fields:
-                raise TypeError(f"RunConfig() got an unexpected keyword argument {name!r}")
-        for name in self._fields:
-            value = values.get(name, getattr(RunConfig, name))
-            if name in _PREFIX_OF:
-                # a read-only copy: nobody can change a map after validation
-                value = MappingProxyType(dict(value))
-            _set(self, name, value)
+        super().__init__(**values)
+        for name in _PREFIX_OF:
+            # a read-only copy: nobody can change a map after validation
+            _set(self, name, MappingProxyType(dict(getattr(self, name))))
         self.validate()
 
     def __hash__(self) -> int:

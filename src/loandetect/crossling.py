@@ -38,6 +38,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .config import RunConfig
 from .ipa import FEATURE_DIM, GAP, symbol_distance
 from .refiner import PassRecord, detect_wordlist
+from .scoring import min_max
 from .wordlist import Wordlist
 
 Word = tuple[str, ...]
@@ -195,11 +196,7 @@ def comparability(concept_rows: Sequence[Sequence[float]]) -> list[float]:
         for j, d in enumerate(row, start=i + 1):
             divs[i].append(d)
             divs[j].append(d)
-    raws = [math.fsum(d) / (k - 1) for d in divs]
-    lo, hi = min(raws), max(raws)
-    if hi - lo == 0:
-        return [0.0] * len(raws)
-    return [(r - lo) / (hi - lo) for r in raws]
+    return min_max([math.fsum(d) / (k - 1) for d in divs], 0.0)
 
 
 def composite(basic: float, comp: float, w1: float = 1.0, w2: float = 1.0) -> float:

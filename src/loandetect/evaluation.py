@@ -216,6 +216,9 @@ class Grammar:
 
     def __post_init__(self) -> None:
         """Refuse a grammar that ``synth`` could not sample words from."""
+        for name in ("min_syllables", "max_syllables"):
+            if type(getattr(self, name)) is not int:  # a bool or a float draws no count
+                raise InvalidGrammarError(f"{name} must be an integer")
         if not (self.consonants and self.vowels and self.templates and self.pos_choices):
             raise InvalidGrammarError("grammar needs consonants, vowels, templates and pos")
         names = (self.language, *self.consonants, *self.vowels, *self.pos_choices)
@@ -282,15 +285,12 @@ def load_grammar(path: str | Path) -> Grammar:
         raise InvalidGrammarError(f"grammar file {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidGrammarError(f"grammar file {path} must hold a JSON object")
-    kinds = {f.name: type(f.default) for f in fields(Grammar)}
-    unknown = sorted(set(data) - set(kinds))
+    unknown = sorted(set(data) - {f.name for f in fields(Grammar)})
     if unknown:
         raise InvalidGrammarError(f"grammar file {path} has unknown key(s) {unknown}")
     for key, value in data.items():
         if key in _LIST_KEYS and not isinstance(value, (list, type(None))):
             raise InvalidGrammarError(f"grammar file {path}: {key} must be a list")
-        if kinds[key] is int and type(value) is not int:
-            raise InvalidGrammarError(f"grammar file {path}: {key} must be an integer")
     try:
         return Grammar(**{
             key: tuple(value) if isinstance(value, list) else value

@@ -69,7 +69,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ipa import cv_pattern
-from .records import FrozenRecord, _set
+from .records import FrozenRecord
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -244,28 +244,6 @@ class VocabStatistics(FrozenRecord):
     # compared and hashed by identity, not by their counts
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        group: CompiledGroup,
-        rows: Sequence[int],
-        members: bytes,
-        gram_counts: Sequence[int],
-        gram_totals: Sequence[int],
-        trans_counts: Sequence[int],
-        trans_probs: Sequence[float],
-        length_mean: float,
-        length_std: float,
-    ) -> None:
-        _set(self, "group", group)
-        _set(self, "rows", rows)
-        _set(self, "members", members)
-        _set(self, "gram_counts", gram_counts)
-        _set(self, "gram_totals", gram_totals)
-        _set(self, "trans_counts", trans_counts)
-        _set(self, "trans_probs", trans_probs)
-        _set(self, "length_mean", length_mean)
-        _set(self, "length_std", length_std)
 
     def gram_probs(self) -> list[float]:
         """The probability of every folded id, computed on each call.

@@ -274,32 +274,16 @@ def unknown_symbols(tokens: Iterable[str]) -> Counter[str]:
     return Counter(t for t in tokens if t not in SYMBOLS)
 
 
-# symbol_distance results, by symbol pair
-_DISTANCES: dict[tuple[str, str], float] = {}
-
-
 def symbol_distance(a: str, b: str) -> float:
     """Fraction of feature slots on which two symbols disagree.
 
     The gap symbol compares as different in every slot. Symbols outside
     the table get a synthetic all-identity vector so that identical
-    unknowns are distance 0 and anything else is distance 1. Results are
-    memoised by symbol pair.
+    unknowns are distance 0 and anything else is distance 1. Nothing is
+    memoised here: the aligner keeps each symbol pair's score.
     """
-    key = (a, b)
-    d = _DISTANCES.get(key)
-    if d is None:
-        d = _DISTANCES[key] = _slot_distance(a, b)
-    return d
-
-
-def _slot_distance(a: str, b: str) -> float:
-    def vec(sym: str) -> tuple[str, ...]:
-        if sym == GAP:
-            return GAP_FEATURES
-        return FEATURES.get(sym) or (f"?{sym}",) * FEATURE_DIM
-
-    fa, fb = vec(a), vec(b)
+    fa, fb = (GAP_FEATURES if s == GAP else FEATURES.get(s) or (f"?{s}",) * FEATURE_DIM
+              for s in (a, b))
     return sum(x != y for x, y in zip(fa, fb)) / FEATURE_DIM
 
 

@@ -80,12 +80,12 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _normalize(values: Sequence[float]) -> list[float]:
-    """Min-max normalization of one feature column; a constant column maps to 0.5."""
+def min_max(values: Sequence[float], constant: float) -> list[float]:
+    """Min-max normalization into [0, 1]; a constant column maps to ``constant``."""
     lo, hi = min(values), max(values)
     span = hi - lo
     if span == 0:
-        return [0.5] * len(values)
+        return [constant] * len(values)
     return [(v - lo) / span for v in values]
 
 
@@ -160,7 +160,7 @@ def score_all(
     coefficients = _coefficients(names, cfg)
     signals = []
     for name, column in columns.items():
-        normed = _normalize(column)
+        normed = min_max(column, 0.5)
         signals.append(normed if cfg.polarity.get(name, 1) >= 0 else [1.0 - x for x in normed])
     # sum() per word rather than a running column total: from Python 3.12
     # on, sum() of floats is compensated, and the reports keep the bits of

@@ -148,9 +148,6 @@ class LexicalEntry(FrozenRecord):
         _set(self, "gold_label", gold_label)
         _set(self, "concept_id", concept_id)
 
-    def __reduce__(self) -> tuple:  # copy and pickle: slots are not set by assignment
-        return LexicalEntry, self._values()
-
     @property
     def ipa_text(self) -> str:
         return "".join(self.ipa)

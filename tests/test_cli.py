@@ -868,3 +868,20 @@ def test_verbose_flag_is_refused(flag, vocab_file, tmp_path, capsys):
         assert main(refused) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_usage_refusals_name_the_fault(vocab_file, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("word\tlanguage\tprobability\tpredicted_label\tgold_label\n",
+                     encoding="utf-8")
+    out = str(tmp_path / "out.tsv")
+    detect = ["detect", "--input", str(vocab_file), "--output", out]
+    for argv, message in [
+        (detect + ["--set", "tau"], "--set expects KEY=VALUE, got 'tau'"),
+        (["detect", "--output", out], "--input is required"),
+        (["eval", "--output", out], "--input is required"),
+        (["eval", "--input", str(empty), "--output", out], "report is empty"),
+    ]:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert not Path(out).exists()

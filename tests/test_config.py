@@ -319,3 +319,51 @@ def test_load_config_skips_a_byte_order_mark(tmp_path):
     path.write_text("gamma = 5\n\ufefftau = 0.4\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(repr("\ufefftau"))):
         load_config(path)
+
+
+UNIT_FIELDS = ("rare_ngram_eps1", "rare_ngram_eps2", "rare_trans_eps1", "rare_trans_eps2",
+               "convergence_fraction", "pattern_high_cut", "pattern_low_cut",
+               "threshold_alpha", "baseline_threshold")
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.5])
+@pytest.mark.parametrize("name", UNIT_FIELDS)
+def test_unit_interval_field_out_of_range_rejected(name, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be in [0, 1]")):
+        RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"bogus": 1}, "RunConfig() got an unexpected keyword argument 'bogus'"),
+    ({"rare_trans_eps1": 0.05}, "rare_trans_eps1 must be below rare_trans_eps2"),
+    ({"rare_trans_eps1": 0.06}, "rare_trans_eps1 must be below rare_trans_eps2"),
+    ({"pattern_smoothing": 0.0}, "pattern_smoothing must be positive"),
+    ({"pos_weights": {"noun": 1.0, "adjective": 0.5, "verb": 0.3, "adverb": 0.2}},
+     "missing pos weight for function"),
+])
+def test_constructor_refusals_name_the_fault(overrides, message):
+    with pytest.raises((ConfigError, TypeError), match=f"^{re.escape(message)}$"):
+        RunConfig(**overrides)
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("tau", "high", "cannot parse float from 'high'"),
+    ("max_iterations", "7.5", "cannot parse int from '7.5'"),
+])
+def test_unparsable_override_rejected(key, text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig().with_overrides({key: text})
+
+
+def test_config_file_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("tau = 0.4  # café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} is not UTF-8"):
+        load_config(path)
+
+
+def test_ngram_range_defaults_are_the_feature_defaults():
+    from loandetect.features import NGRAM_MAX, NGRAM_MIN
+
+    assert (RunConfig.ngram_min, RunConfig.ngram_max) == (NGRAM_MIN, NGRAM_MAX) == (2, 10)
+    assert "ngram_max = 10\nngram_min = 2\n" in RunConfig().dump()

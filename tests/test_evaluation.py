@@ -353,3 +353,11 @@ def test_run_ablations_contract(labeled_vocab):
     assert set(reports) == {"full", "no_ngram", "no_transition", "aug"}
     totals = {mode: r.total for mode, r in reports.items()}
     assert len(set(totals.values())) == 1  # identical word counts
+
+
+@pytest.mark.parametrize("field", ["min_syllables", "max_syllables"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_grammar_refuses_a_syllable_count_that_is_not_an_int(field, value):
+    # a float or a bool would be accepted here and fail later in randrange
+    with pytest.raises(InvalidGrammarError, match=f"^{field} must be an integer$"):
+        Grammar(language="x", consonants=("p", "t"), vowels=("a", "i"), **{field: value})

@@ -698,3 +698,46 @@ def test_loaded_entries_satisfy_invariants(tmp_path_factory, rows):
         assert e.gold_label in (None, 0, 1)
         for marker in ("ː", "ˈ", "ˌ"):
             assert all(marker not in sym for sym in e.ipa)
+
+
+def test_cell_past_the_csv_field_limit_is_refused(tmp_path):
+    path = write_tsv(tmp_path, ["p" * 131_073 + "\tpa\ttoy\tnoun\t\t"])
+    with pytest.raises(WordlistError, match="^unparseable delimited file .*field larger than "
+                                            "field limit \\(131072\\)"):
+        load_wordlist(path)
+
+
+def test_zero_byte_file_loads_as_an_empty_wordlist(tmp_path):
+    path = tmp_path / "empty.tsv"
+    path.write_bytes(b"")
+    assert load_wordlist(path) == Wordlist(())
+
+
+def test_missing_required_column_is_refused(tmp_path):
+    path = write_tsv(tmp_path, ["pa\tpa\ttoy"], header="orthography\tipa\tlanguage")
+    with pytest.raises(WordlistError, match=f"^missing required column 'pos' in {path}$"):
+        load_wordlist(path)
+
+
+def test_report_columns_must_align_with_the_wordlist(tmp_path):
+    wl = Wordlist([LexicalEntry("pa", ("p", "a"), "toy", "noun"),
+                   LexicalEntry("ta", ("t", "a"), "toy", "noun")])
+    path = tmp_path / "report.tsv"
+    with pytest.raises(ValueError, match="^report columns do not align with the wordlist$"):
+        write_report(wl, [0.5], [1, 0], path)
+    assert not path.exists()
+
+
+def test_read_report_refusals(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_report(tmp_path / "missing.tsv")
+    header = "word\tlanguage\tprobability\tpredicted_label\n"
+    latin = tmp_path / "latin.tsv"
+    latin.write_bytes((header + "café\ttoy\t0.5\t1\n").encode("latin-1"))
+    with pytest.raises(WordlistError, match=f"^{latin} is not UTF-8 text"):
+        read_report(latin)
+    wordy = tmp_path / "wordy.tsv"
+    wordy.write_text(header + "pa\ttoy\t0.5\t1\nta\ttoy\thigh\t0\n", encoding="utf-8")
+    with pytest.raises(WordlistError, match=f"^{wordy} line 3: could not convert string "
+                                            "to float: 'high'$"):
+        read_report(wordy)
